@@ -61,6 +61,10 @@ type targets =
 
 val pipeline : ?targets:targets -> config -> Uu_opt.Pass.t list
 
+val transform : targets:targets -> config -> Uu_opt.Pass.t list
+(** The configuration's structural transform alone: the part of
+    {!pipeline} between {!early_passes} and the late cleanup. *)
+
 val optimize :
   ?targets:targets ->
   ?options:Uu_opt.Pass.options ->

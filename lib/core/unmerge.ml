@@ -6,8 +6,6 @@ let stat_paths = Statistic.counter "unmerge.paths_duplicated"
 let stat_loops = Statistic.counter "unmerge.loops_duplicated"
 let stat_budget = Statistic.counter "unmerge.budget_exhausted"
 
-let debug_trace = ref false
-
 type outcome = {
   changed : bool;
   duplicated_blocks : int;
@@ -39,74 +37,85 @@ let sigma_of st l =
   | Some s -> s
   | None -> Value.Var_map.empty
 
-(* Duplicate [b] privately for predecessor [p]; returns the copy label. *)
-let duplicate_for_pred st f b_label p =
-  let sigma_p = sigma_of st p in
-  if !debug_trace then
-    Printf.eprintf "dup block bb%d for pred bb%d (sigma %d entries)\n" b_label p
-      (Value.Var_map.cardinal sigma_p);
-  let m = Clone.clone_region f [ b_label ] in
-  let copy_label = Clone.map_label m b_label in
-  let copy = Func.block f copy_label in
-  (* sigma for the copy: p's substitution plus this block's own renaming. *)
-  let sigma_c =
-    Value.Var_map.fold
-      (fun orig fresh acc -> Value.Var_map.add orig (Value.Var fresh) acc)
-      m.Clone.var_map sigma_p
+(* Duplicate merge [b] once for every predecessor in [preds], in order,
+   retargeting each predecessor to its private copy, and delete [b];
+   returns the copies. Each phi's incoming list is indexed once, so every
+   copy's phis are built already collapsed to its one predecessor, and
+   each successor's phis are rewritten once for the whole merge: the cost
+   is proportional to the copies created, not to copies x predecessors.
+   Fresh labels and registers are allocated copy by copy: the block, then
+   its phi definitions, then its instruction definitions. *)
+let duplicate_merge st f b_label preds =
+  let b = Func.block f b_label in
+  (* The first entry per predecessor wins, as with [List.assoc_opt]. *)
+  let indexed =
+    List.map
+      (fun (ph : Instr.phi) ->
+        let by_pred = Hashtbl.create (List.length ph.incoming) in
+        List.iter
+          (fun (l, v) -> if not (Hashtbl.mem by_pred l) then Hashtbl.add by_pred l v)
+          ph.incoming;
+        (ph, by_pred))
+      b.Block.phis
   in
-  Hashtbl.replace st.subst_of copy_label sigma_c;
-  if !debug_trace then Printf.eprintf "  -> copy bb%d (sigma %d)\n" copy_label (Value.Var_map.cardinal sigma_c);
-  (* Collapse phis to p's entries, rewriting through p's substitution. *)
-  copy.Block.phis <-
-    List.filter_map
-      (fun (cp : Instr.phi) ->
-        match List.assoc_opt p cp.incoming with
-        | Some v -> Some { cp with incoming = [ (p, subst_value sigma_p v) ] }
-        | None -> None)
-      copy.Block.phis;
-  (* Rewrite upstream references in instructions and terminator. *)
-  copy.Block.instrs <-
-    List.map (Instr.map_values (subst_value sigma_p)) copy.Block.instrs;
-  copy.Block.term <- Instr.term_map_values (subst_value sigma_p) copy.Block.term;
-  (* Successor phis gain entries for the copy, with the full path
-     substitution applied to the original's incoming values. *)
+  let defs = Block.defs b in
+  let copies =
+    List.map
+      (fun p ->
+        let copy = Func.fresh_block ~hint:b.Block.hint f in
+        (* p's path substitution plus fresh names for [b]'s definitions. *)
+        let sigma =
+          List.fold_left
+            (fun acc v ->
+              let hint = Func.var_hint f v in
+              Value.Var_map.add v (Value.Var (Func.fresh_var ?hint f)) acc)
+            (sigma_of st p) defs
+        in
+        let value = subst_value sigma in
+        let rename v =
+          match Value.Var_map.find_opt v sigma with Some (Value.Var x) -> x | _ -> v
+        in
+        copy.Block.phis <-
+          List.filter_map
+            (fun ((ph : Instr.phi), by_pred) ->
+              Option.map
+                (fun v -> { ph with Instr.dst = rename ph.dst; incoming = [ (p, value v) ] })
+                (Hashtbl.find_opt by_pred p))
+            indexed;
+        copy.Block.instrs <-
+          List.map (fun i -> Instr.map_def rename (Instr.map_values value i)) b.Block.instrs;
+        copy.Block.term <- Instr.term_map_values value b.Block.term;
+        Hashtbl.replace st.subst_of copy.Block.label sigma;
+        Option.iter
+          (fun (pb : Block.t) ->
+            pb.Block.term <-
+              Instr.term_map_labels
+                (fun l -> if l = b_label then copy.Block.label else l)
+                pb.Block.term)
+          (Func.find_block f p);
+        (copy.Block.label, sigma))
+      preds
+  in
+  (* In each successor phi the original's entry gives way to one entry
+     per copy, carrying the copy's full path substitution. *)
   List.iter
     (fun s ->
-      match Func.find_block f s with
-      | None -> ()
-      | Some sb ->
-        sb.Block.phis <-
-          List.map
-            (fun (sp : Instr.phi) ->
-              match List.assoc_opt b_label sp.incoming with
-              | Some v ->
-                { sp with incoming = sp.incoming @ [ (copy_label, subst_value sigma_c v) ] }
-              | None -> sp)
-            sb.Block.phis)
-    (Block.successors copy);
-  (* Retarget p's edge(s) to the private copy. *)
-  (match Func.find_block f p with
-  | Some pb ->
-    pb.Block.term <-
-      Instr.term_map_labels
-        (fun l -> if l = b_label then copy_label else l)
-        pb.Block.term
-  | None -> ());
-  copy_label
-
-(* Remove the now-bypassed original [b]: every predecessor got a private
-   copy, so [b] is unreachable; successors must drop its phi entries. *)
-let remove_original f b_label =
-  match Func.find_block f b_label with
-  | None -> ()
-  | Some b ->
-    List.iter
-      (fun s ->
-        match Func.find_block f s with
-        | Some sb -> Block.remove_incoming b_label sb
-        | None -> ())
-      (Block.successors b);
-    Func.remove_block f b_label
+      Option.iter
+        (fun (sb : Block.t) ->
+          sb.Block.phis <-
+            List.map
+              (fun (sp : Instr.phi) ->
+                match List.assoc_opt b_label sp.incoming with
+                | None -> sp
+                | Some v ->
+                  let kept = List.filter (fun (l, _) -> l <> b_label) sp.incoming in
+                  let added = List.map (fun (c, sigma) -> (c, subst_value sigma v)) copies in
+                  { sp with incoming = kept @ added })
+              sb.Block.phis)
+        (Func.find_block f s))
+    (Block.successors b);
+  Func.remove_block f b_label;
+  List.map fst copies
 
 (* Duplicate a whole nested loop for entry predecessor [p]: its blocks are
    cloned as a unit (back edges stay internal to the copy), the copy's
@@ -114,11 +123,6 @@ let remove_original f b_label =
    and exit-target phis gain entries for the copy's exiting blocks. *)
 let duplicate_loop_for_pred st f (loop : Loops.loop) p =
   let sigma_p = sigma_of st p in
-  if !debug_trace then
-    Printf.eprintf "dup LOOP header bb%d (%d blocks) for pred bb%d (sigma %d)\n"
-      loop.Loops.header
-      (Value.Label_set.cardinal loop.Loops.blocks)
-      p (Value.Var_map.cardinal sigma_p);
   let region = Value.Label_set.elements loop.blocks in
   let m = Clone.clone_region f region in
   let sigma_c =
@@ -131,7 +135,6 @@ let duplicate_loop_for_pred st f (loop : Loops.loop) p =
     (fun l ->
       let cl = Clone.map_label m l in
       Hashtbl.replace st.subst_of cl sigma_c;
-      if !debug_trace then Printf.eprintf "  -> loop copy bb%d -> bb%d\n" l cl;
       (* Rewrite references to values defined upstream of the loop. *)
       let b = Func.block f cl in
       b.Block.phis <-
@@ -182,8 +185,19 @@ let duplicate_loop_for_pred st f (loop : Loops.loop) p =
   | None -> ());
   List.map (Clone.map_label m) region
 
+(* Every entry edge now leads to a copy, so the original loop is dead:
+   delete its blocks and the phi entries they fed. *)
 let remove_loop f (loop : Loops.loop) =
-  Value.Label_set.iter (fun l -> remove_original f l) loop.blocks
+  Value.Label_set.iter
+    (fun l ->
+      Option.iter
+        (fun b ->
+          List.iter
+            (fun s -> Option.iter (Block.remove_incoming l) (Func.find_block f s))
+            (Block.successors b);
+          Func.remove_block f l)
+        (Func.find_block f l))
+    loop.blocks
 
 (* Merges must be processed topmost-first: when a merge M is duplicated,
    every block that can reach M must already be merge-free, so M's
@@ -193,20 +207,25 @@ let remove_loop f (loop : Loops.loop) =
    reachable from any other candidate. Processing a frontier merge only
    creates new merges strictly below it, which cannot sit above another
    frontier member, so the whole frontier is processed per round with one
-   CFG/loop analysis. *)
+   CFG/loop analysis. Only nested loops can be loop candidates, and
+   duplicating plain blocks never creates a cycle, so once no nested-loop
+   header is left in the region the later rounds skip the loop analysis. *)
 let unmerge_region ?(selective = false) f ~region ~budget =
   let region = ref region in
   let st = { created = 0; budget; exhausted = false; subst_of = Hashtbl.create 32 } in
   let changed = ref false in
   let continue_ = ref true in
+  let nested = ref true in
   while !continue_ && not st.exhausted do
     continue_ := false;
     let preds = Cfg.predecessors f in
-    let forest = Loops.analyze f in
     let loop_of_header = Hashtbl.create 7 in
-    List.iter
-      (fun (l : Loops.loop) -> Hashtbl.replace loop_of_header l.header l)
-      (Loops.loops forest);
+    if !nested then begin
+      let loops = Loops.loops (Loops.analyze f) in
+      List.iter (fun (l : Loops.loop) -> Hashtbl.replace loop_of_header l.header l) loops;
+      nested :=
+        List.exists (fun (l : Loops.loop) -> Value.Label_set.mem l.header !region) loops
+    end;
     let preds_of l = match Hashtbl.find_opt preds l with Some ps -> ps | None -> [] in
     (* A candidate is either a plain merge block, or a nested-loop header
        with several entry edges from outside its loop. *)
@@ -288,14 +307,13 @@ let unmerge_region ?(selective = false) f ~region ~budget =
             if st.created + List.length ps > st.budget then st.exhausted <- true
             else begin
               (* Every predecessor gets a private copy; the original dies. *)
-              List.iter
-                (fun p ->
-                  let copy = duplicate_for_pred st f b_label p in
-                  region := Value.Label_set.add copy !region;
-                  st.created <- st.created + 1)
-                ps;
-              remove_original f b_label;
-              region := Value.Label_set.remove b_label !region;
+              let copies = duplicate_merge st f b_label ps in
+              region :=
+                List.fold_left
+                  (fun r c -> Value.Label_set.add c r)
+                  (Value.Label_set.remove b_label !region)
+                  copies;
+              st.created <- st.created + List.length ps;
               changed := true;
               continue_ := true
             end
@@ -432,12 +450,8 @@ let dbds_unmerge_loop f ~header ~budget =
         let ps = Cfg.preds_of f b_label in
         if st.created + List.length ps > st.budget then st.exhausted <- true
         else if (not st.exhausted) && not (defs_escape f b_label) then begin
-          List.iter
-            (fun p ->
-              ignore (duplicate_for_pred st f b_label p);
-              st.created <- st.created + 1)
-            ps;
-          remove_original f b_label;
+          ignore (duplicate_merge st f b_label ps);
+          st.created <- st.created + List.length ps;
           changed := true
         end)
       initial_merges;

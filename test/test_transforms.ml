@@ -321,6 +321,64 @@ let test_provenance_labels () =
   check bool "entry is all X" true
     (Array.for_all (fun l -> l = Provenance.Unknown) entry_labels)
 
+(* Golden digests of the transform's exact output on the bundled apps:
+   the printed IR after the early passes and the transform, the pass
+   work, the statistic deltas, and the remark stream. The late pipeline
+   is left out to keep the cases fast. Any change to label or register
+   numbering, phi entry order, remarks, or stats shows up here. *)
+let transform_digest ~app ?loop config =
+  let app = Option.get (Uu_benchmarks.Registry.find app) in
+  let target =
+    Option.map
+      (fun id ->
+        List.find
+          (fun (l : Uu_harness.Runner.loop_ref) -> l.loop_id = id)
+          (Uu_harness.Runner.loop_inventory app))
+      loop
+  in
+  let m = Uu_frontend.Lower.compile ~name:app.name app.source in
+  let sink = Uu_support.Remark.create () in
+  let buf = Buffer.create 65536 in
+  let stats = ref [] in
+  List.iter
+    (fun f ->
+      let targets =
+        match target with
+        | None -> Pipelines.All_loops
+        | Some t when t.kernel = f.Func.name -> Pipelines.Only [ t.header ]
+        | Some _ -> Pipelines.Only []
+      in
+      let options = { Uu_opt.Pass.unverified with remarks = Some sink } in
+      let report =
+        Uu_opt.Pass.exec ~options
+          (Pipelines.early_passes @ Pipelines.transform ~targets config)
+          f
+      in
+      Buffer.add_string buf (Printer.func_to_string f);
+      Buffer.add_string buf (Printf.sprintf "work %d\n" report.Uu_opt.Pass.work);
+      Buffer.add_string buf (Uu_support.Statistic.render report.Uu_opt.Pass.stats);
+      stats := Uu_support.Statistic.merge !stats report.Uu_opt.Pass.stats)
+    m.Func.funcs;
+  let remarks = Uu_support.Remark.remarks sink in
+  List.iter
+    (fun r -> Buffer.add_string buf (Uu_support.Remark.to_text r ^ "\n"))
+    remarks;
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), remarks, !stats)
+
+let unmerge_duplicated remarks =
+  List.filter_map
+    (fun (r : Uu_support.Remark.t) ->
+      if r.pass = "unmerge" then Uu_support.Remark.int_arg r "duplicated" else None)
+    remarks
+
+let golden_case ~app ?loop ?(loop_copies = 0) config ~duplicated ~digest () =
+  let got, remarks, stats = transform_digest ~app ?loop config in
+  check (Alcotest.list int) "unmerge duplicated counts" duplicated
+    (unmerge_duplicated remarks);
+  check int "nested-loop copies" loop_copies
+    (Option.value ~default:0 (List.assoc_opt "unmerge.loops_duplicated" stats));
+  check Alcotest.string "transform output digest" digest got
+
 let test_pipeline_configs_distinct () =
   check Alcotest.string "name" "u&u-4" (Pipelines.config_name (Pipelines.Uu 4));
   check int "standard configs" 9 (List.length Pipelines.all_standard)
@@ -355,4 +413,23 @@ let suite =
     ("nested-loop unrolling option", `Quick, test_unroll_nested_option);
     ("pipeline config naming", `Quick, test_pipeline_configs_distinct);
     ("Only [] equals baseline", `Quick, test_pipeline_only_none);
+    (* The largest unmerge that succeeds. *)
+    ( "golden: rainflow loop u&u-4",
+      `Quick,
+      golden_case ~app:"rainflow" ~loop:0 (Pipelines.Uu 4) ~duplicated:[ 6466 ]
+        ~digest:"47c3145e7bce0a475a6d2207d2e99bbb" );
+    (* Runs out of budget and rolls back. *)
+    ( "golden: bezier-surface loop u&u-8 rollback",
+      `Quick,
+      golden_case ~app:"bezier-surface" ~loop:0 (Pipelines.Uu 8)
+        ~duplicated:[ 15012 ] ~digest:"54362fea25dbbe61479dd9fc2137a10d" );
+    (* The one successful nested-loop duplication. *)
+    ( "golden: ccs whole-app u&u-2",
+      `Quick,
+      golden_case ~app:"ccs" (Pipelines.Uu 2) ~duplicated:[ 14; 72 ]
+        ~loop_copies:3 ~digest:"988028846fcffe4c1e38e7b2caed4b96" );
+    ( "golden: rainflow whole-app selective u&u-2",
+      `Quick,
+      golden_case ~app:"rainflow" (Pipelines.Uu_selective 2) ~duplicated:[ 166 ]
+        ~digest:"98f9ca31eeec85d496bea4c5768885ae" );
   ]
