@@ -5,10 +5,9 @@ open Uu_ir
    [decode] compiles a [Func.t] once per (function, device) into a flat
    representation the warp executor can run without touching the IR:
 
-   - blocks are densely renumbered in the exact order [Layout.compute]
-     uses (reverse postorder, then leftover blocks in sorted-label
-     order), so icache line extents baked here reproduce the reference
-     engine's fetch behaviour line for line;
+   - blocks are densely renumbered, each with the icache line extent
+     [Layout] gives the reference engine, so fetch behaviour matches it
+     line for line;
    - operands are resolved to a register slot or a pre-normalized
      immediate, and every instruction is specialized by value class
      (float / int / pointer) so the executor keeps registers in unboxed
@@ -121,8 +120,7 @@ let fail name fmt = Printf.ksprintf (fun s -> failwith ("decode(@" ^ name ^ "): 
 
 let decode (device : Device.t) (fn : Func.t) : t =
   let name = fn.Func.name in
-  (* Dense block numbering: identical order to [Layout.compute] so the
-     per-block icache extents match the reference engine. *)
+  (* Dense block numbering: reverse postorder, then unreachable blocks. *)
   let order =
     let rpo = Cfg.reverse_postorder fn in
     let seen = Hashtbl.create 32 in
@@ -212,18 +210,11 @@ let decode (device : Device.t) (fn : Func.t) : t =
   in
   let decode_instr = function
     | Instr.Binop { dst; op; ty; lhs; rhs } -> (
+      let cost = Cost.binop_cost device op in
       match op with
       | Instr.Fadd | Instr.Fsub | Instr.Fmul | Instr.Fdiv ->
-        let cost =
-          if op = Instr.Fdiv then device.Device.div_cost else device.Device.fpu_cost
-        in
         D_fbin { dst = slot.(dst); op; a = fopv lhs; b = fopv rhs; cost }
       | _ ->
-        let cost =
-          match op with
-          | Instr.Sdiv | Instr.Udiv | Instr.Srem -> device.Device.div_cost
-          | _ -> device.Device.alu_cost
-        in
         D_ibin
           { dst = slot.(dst); op; w = ity_of_ty name ty; a = iopv lhs; b = iopv rhs; cost })
     | Instr.Cmp { dst; op; lhs; rhs; _ } -> (
@@ -304,24 +295,21 @@ let decode (device : Device.t) (fn : Func.t) : t =
     | Instr.Cond_br { cond; if_true; if_false } ->
       T_cbr { cond = iopv cond; if_true = dense_of if_true; if_false = dense_of if_false }
   in
-  (* Code layout: same address accumulation as [Layout.compute]. *)
-  let line_bytes = device.Device.icache_line_bytes in
-  let addr = ref 0 in
+  (* Code layout and icache extents come from [Layout], as for the
+     reference engine. *)
+  let layout = Layout.compute device fn in
   let blocks =
     Array.map
       (fun l ->
         let b = Func.block fn l in
-        let count = List.length b.Block.phis + List.length b.Block.instrs + 1 in
-        let bytes = count * device.Device.instr_bytes in
-        let start = !addr in
-        addr := !addr + bytes;
+        let line_first, line_last = Layout.lines layout l in
         {
           orig = l;
           phis = Array.of_list (List.map decode_phi b.Block.phis);
           instrs = Array.of_list (List.map decode_instr b.Block.instrs);
           term = decode_term b.Block.term;
-          line_first = start / line_bytes;
-          line_last = (start + bytes - 1) / line_bytes;
+          line_first;
+          line_last;
         })
       labels
   in
@@ -343,7 +331,7 @@ let decode (device : Device.t) (fn : Func.t) : t =
     entry = dense_of fn.Func.entry;
     blocks;
     ipdom;
-    code_bytes = !addr;
+    code_bytes = Layout.code_bytes layout;
     n_f = counts.(cls_f);
     n_i = counts.(cls_i);
     n_p = counts.(cls_p);

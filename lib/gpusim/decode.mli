@@ -1,19 +1,19 @@
 (** Pre-decoded warp programs: the simulator's fast execution path.
 
     [decode] compiles a function once per (function, device) into a flat
-    program — dense int block ids in [Layout.compute] order, operands
-    resolved to register slots or pre-normalized immediates, instructions
-    specialized by value class (float / int / pointer), phi incomings as
-    per-predecessor arrays, the immediate post-dominator relation and the
-    per-block icache line extents baked into int arrays. [Warp] executes
-    this representation over unboxed register files; [Kernel.exec]
-    selects between it and the reference interpreter.
+    program — dense int block ids, operands resolved to register slots or
+    pre-normalized immediates, instructions specialized by value class
+    (float / int / pointer), phi incomings as per-predecessor arrays, the
+    immediate post-dominator relation and the per-block icache line
+    extents baked into int arrays. {!Decoded_warp} executes this
+    representation over unboxed register files; [Kernel.exec] selects
+    between it and the reference interpreter.
 
     Decode invariants (what makes the decoded engine cycle-identical to
     the reference interpreter):
-    - block numbering and code addresses replicate [Layout.compute]
-      (reverse postorder, then leftover blocks in sorted-label order), so
-      fetch misses are line-for-line identical;
+    - code addresses and icache line extents come from {!Layout}, as for
+      the reference engine, so fetch misses are line-for-line identical;
+    - binop issue costs are {!Cost.binop_cost}, baked per instruction;
     - immediates are pre-normalized with [Eval.normalize]; integer
       registers keep values sign-extended exactly as the interpreter's
       [Int64]s, with [Int64] fallbacks where a 63-bit native int could

@@ -1,0 +1,1008 @@
+open Uu_ir
+open Uu_support
+
+(* Per-warp scratch, re-initialised by [make] and reused across the
+   blocks of a shard: unboxed register files (one row of [warp_size]
+   lanes per slot), phi staging, and the reconvergence stack as parallel
+   int arrays. Each concurrently-live warp of a block needs its own
+   state — register files stay alive across barrier suspensions while
+   other warps run. *)
+type state = {
+  fregs : float array;
+  iregs : int array;
+  pregs_buf : int array;
+  pregs_off : int array;
+  dprev : int array;
+  ph_f : float array;
+  ph_i : int array;
+  ph_pb : int array;
+  ph_po : int array;
+  mutable st_blk : int array;
+  mutable st_msk : int array;
+  mutable st_rpc : int array;
+}
+
+let state (p : Decode.t) (env : Warp.env) =
+  let ws = env.device.Device.warp_size in
+  let st =
+    {
+      fregs = Array.make (max 1 (p.Decode.n_f * ws)) 0.0;
+      iregs = Array.make (max 1 (p.Decode.n_i * ws)) 0;
+      pregs_buf = Array.make (max 1 (p.Decode.n_p * ws)) (-1);
+      pregs_off = Array.make (max 1 (p.Decode.n_p * ws)) 0;
+      dprev = Array.make ws (-1);
+      ph_f = Array.make (max 1 (p.Decode.max_phis * ws)) 0.0;
+      ph_i = Array.make (max 1 (p.Decode.max_phis * ws)) 0;
+      ph_pb = Array.make (max 1 (p.Decode.max_phis * ws)) 0;
+      ph_po = Array.make (max 1 (p.Decode.max_phis * ws)) 0;
+      st_blk = Array.make 16 0;
+      st_msk = Array.make 16 0;
+      st_rpc = Array.make 16 (-1);
+    }
+  in
+  (* Parameters are warp-invariant, so their register rows are written
+     once per launch here. Everything else is SSA — every use is
+     dominated by a def executed earlier in the same warp — so the
+     register files need no per-warp reset. *)
+  List.iter
+    (fun (v, value) ->
+      let base = p.Decode.slot.(v) * ws in
+      match value with
+      | Eval.Float x -> Array.fill st.fregs base ws x
+      | Eval.Int n -> Array.fill st.iregs base ws (Int64.to_int n)
+      | Eval.Ptr { buffer; offset } ->
+        Array.fill st.pregs_buf base ws buffer;
+        Array.fill st.pregs_off base ws offset)
+    env.Warp.args;
+  st
+
+(* Copy of [Mask.popcount]'s SWAR (masks never set bit 62), kept here so
+   the per-instruction active-lane count is a direct static call. *)
+let popcount62 m =
+  let m = m - ((m lsr 1) land 0x1555_5555_5555_5555) in
+  let m = (m land 0x3333_3333_3333_3333) + ((m lsr 2) land 0x3333_3333_3333_3333) in
+  let m = (m + (m lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (m * 0x0101_0101_0101_0101) lsr 56
+
+let oob buffer offset len =
+  failwith
+    (Printf.sprintf "simulated memory: buffer %d access out of bounds (%d of %d)"
+       buffer offset len)
+
+(* Native-int integer ops, value-identical to [Eval.binop] over the
+   sign-extended range the benchmarks live in. [Int64] fallbacks cover
+   the corners where a 63-bit word could diverge (I64 unsigned division
+   and logical shifts of negative values, shift counts of 63). *)
+
+let inorm w v =
+  match w with
+  | Decode.W1 -> v land 1
+  | Decode.W32 -> (v lsl 31) asr 31
+  | Decode.W64 -> v
+
+let wbits = function Decode.W1 -> 0 | Decode.W32 -> 31 | Decode.W64 -> 63
+
+let iexec op w x y =
+  match op with
+  | Instr.Add -> inorm w (x + y)
+  | Instr.Sub -> inorm w (x - y)
+  | Instr.Mul -> inorm w (x * y)
+  | Instr.Sdiv -> if y = 0 then 0 else inorm w (x / y)
+  | Instr.Srem -> if y = 0 then 0 else inorm w (x mod y)
+  | Instr.Udiv ->
+    if y = 0 then 0
+    else (
+      match w with
+      | Decode.W1 -> x land 1
+      | Decode.W32 -> inorm w ((x land 0xFFFF_FFFF) / (y land 0xFFFF_FFFF))
+      | Decode.W64 ->
+        if x >= 0 && y >= 0 then x / y
+        else Int64.to_int (Int64.unsigned_div (Int64.of_int x) (Int64.of_int y)))
+  | Instr.Shl ->
+    let c = y land wbits w in
+    if c > 62 then Int64.to_int (Int64.shift_left (Int64.of_int x) c)
+    else inorm w (x lsl c)
+  | Instr.Lshr -> (
+    let c = y land wbits w in
+    match w with
+    | Decode.W1 -> x land 1
+    | Decode.W32 -> inorm w ((x land 0xFFFF_FFFF) lsr c)
+    | Decode.W64 ->
+      if x >= 0 then (if c > 62 then 0 else x lsr c)
+      else Int64.to_int (Int64.shift_right_logical (Int64.of_int x) c))
+  | Instr.Ashr -> inorm w (x asr min (y land wbits w) 62)
+  | Instr.And -> x land y
+  | Instr.Or -> x lor y
+  | Instr.Xor -> x lxor y
+  | Instr.Fadd | Instr.Fsub | Instr.Fmul | Instr.Fdiv -> assert false
+
+let b2i b = if b then 1 else 0
+
+(* Unsigned order of sign-extended values survives the 64 -> 63 bit
+   narrowing: flipping the native sign bit sorts negatives (huge
+   unsigned) above the non-negatives, exactly as
+   [Int64.unsigned_compare] does. *)
+let icmp_exec op x y =
+  match op with
+  | Instr.Eq -> b2i (x = y)
+  | Instr.Ne -> b2i (x <> y)
+  | Instr.Slt -> b2i (x < y)
+  | Instr.Sle -> b2i (x <= y)
+  | Instr.Sgt -> b2i (x > y)
+  | Instr.Sge -> b2i (x >= y)
+  | Instr.Ult -> b2i (x lxor min_int < y lxor min_int)
+  | Instr.Ule -> b2i (x lxor min_int <= y lxor min_int)
+  | Instr.Ugt -> b2i (x lxor min_int > y lxor min_int)
+  | Instr.Uge -> b2i (x lxor min_int >= y lxor min_int)
+  | _ -> assert false
+
+let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes =
+  let ws = env.device.Device.warp_size in
+  let blocks = p.Decode.blocks in
+  let m = Cost.metrics cost in
+  let fregs = st.fregs and iregs = st.iregs in
+  let pbuf = st.pregs_buf and poff = st.pregs_off in
+  let abuf = Cost.addr_buf cost and aoff = Cost.addr_off cost in
+  Array.fill st.dprev 0 ws (-1);
+  let retired = ref 0 in
+  let full_mask = Mask.bits (Mask.full ~width:lanes) in
+  (* The reconvergence stack holds [depth] entries — under ITS, also the
+     number of divergent groups that hide a load's latency. *)
+  let depth = ref 1 in
+  st.st_blk.(0) <- p.Decode.entry;
+  st.st_msk.(0) <- full_mask;
+  st.st_rpc.(0) <- -1;
+  (* Lane loops walk the mask by shifting it right one lane per
+     iteration — ascending lane order, two ALU ops per lane, and operand
+     reads are inlined matches so no float ever crosses a call boundary
+     (which would box it on this non-flambda compiler). Memory arms
+     stage each lane's address in [abuf]/[aoff] for the instruction's
+     one [Cost] call. *)
+  let exec_instr mask instr =
+    let active = popcount62 mask in
+    match instr with
+    | Decode.D_ibin { dst; op; w; a; b; cost = cycles } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let x =
+            match a with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm n -> n
+          and y =
+            match b with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm n -> n
+          in
+          Array.unsafe_set iregs (base + !l) (iexec op w x y)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.issue cost ~cycles ~active
+    | Decode.D_fbin { dst; op; a; b; cost = cycles } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let x =
+            match a with
+            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
+            | Decode.F_imm v -> v
+          and y =
+            match b with
+            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
+            | Decode.F_imm v -> v
+          in
+          Array.unsafe_set fregs (base + !l)
+            (match op with
+            | Instr.Fadd -> x +. y
+            | Instr.Fsub -> x -. y
+            | Instr.Fmul -> x *. y
+            | Instr.Fdiv -> x /. y
+            | _ -> assert false)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.issue cost ~cycles ~active
+    | Decode.D_icmp { dst; op; a; b } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let x =
+            match a with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm n -> n
+          and y =
+            match b with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm n -> n
+          in
+          Array.unsafe_set iregs (base + !l) (icmp_exec op x y)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.alu cost ~active
+    | Decode.D_fcmp { dst; op; a; b } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let x =
+            match a with
+            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
+            | Decode.F_imm v -> v
+          and y =
+            match b with
+            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
+            | Decode.F_imm v -> v
+          in
+          Array.unsafe_set iregs (base + !l)
+            (match op with
+            | Instr.Foeq -> b2i (x = y)
+            | Instr.Fone -> b2i (x < y || x > y)
+            | Instr.Folt -> b2i (x < y)
+            | Instr.Fole -> b2i (x <= y)
+            | Instr.Fogt -> b2i (x > y)
+            | Instr.Foge -> b2i (x >= y)
+            | _ -> assert false)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.alu cost ~active
+    | Decode.D_pcmp { dst; negate; a; b } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let ab =
+            match a with
+            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
+            | Decode.P_imm (b', _) -> b'
+          and ao =
+            match a with
+            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
+            | Decode.P_imm (_, o) -> o
+          and bb =
+            match b with
+            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
+            | Decode.P_imm (b', _) -> b'
+          and bo =
+            match b with
+            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
+            | Decode.P_imm (_, o) -> o
+          in
+          let same = ab = bb && ao = bo in
+          Array.unsafe_set iregs (base + !l)
+            (b2i (if negate then not same else same))
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.alu cost ~active
+    | Decode.D_iunop { dst; op; src } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let x =
+            match src with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm n -> n
+          in
+          Array.unsafe_set iregs (base + !l)
+            (match op with
+            | Instr.Trunc_i32 -> (x lsl 31) asr 31
+            | Instr.Sext_i64 -> x
+            | Instr.Zext_i64 -> x land 0xFFFF_FFFF
+            | Instr.Not -> lnot x
+            | _ -> assert false)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.alu cost ~active
+    | Decode.D_sitofp { dst; src } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let x =
+            match src with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm n -> n
+          in
+          Array.unsafe_set fregs (base + !l) (float_of_int x)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.alu cost ~active
+    | Decode.D_fptosi { dst; src } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let x =
+            match src with
+            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
+            | Decode.F_imm v -> v
+          in
+          Array.unsafe_set iregs (base + !l) (Int64.to_int (Int64.of_float x))
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.alu cost ~active
+    | Decode.D_fneg { dst; src } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let x =
+            match src with
+            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
+            | Decode.F_imm v -> v
+          in
+          Array.unsafe_set fregs (base + !l) (-.x)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.alu cost ~active
+    | Decode.D_iselect { dst; cond; t; f } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let c =
+            match cond with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm n -> n
+          in
+          let o = if c land 1 <> 0 then t else f in
+          Array.unsafe_set iregs (base + !l)
+            (match o with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm n -> n)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.misc cost ~active
+    | Decode.D_fselect { dst; cond; t; f } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let c =
+            match cond with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm n -> n
+          in
+          let o = if c land 1 <> 0 then t else f in
+          Array.unsafe_set fregs (base + !l)
+            (match o with
+            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
+            | Decode.F_imm v -> v)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.misc cost ~active
+    | Decode.D_pselect { dst; cond; t; f } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let c =
+            match cond with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm n -> n
+          in
+          let o = if c land 1 <> 0 then t else f in
+          (match o with
+          | Decode.P_reg s ->
+            Array.unsafe_set pbuf (base + !l) (Array.unsafe_get pbuf ((s * ws) + !l));
+            Array.unsafe_set poff (base + !l) (Array.unsafe_get poff ((s * ws) + !l))
+          | Decode.P_imm (b', o') ->
+            Array.unsafe_set pbuf (base + !l) b';
+            Array.unsafe_set poff (base + !l) o')
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.misc cost ~active
+    | Decode.D_gep { dst; base = b; index } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let bb =
+            match b with
+            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
+            | Decode.P_imm (b', _) -> b'
+          and bo =
+            match b with
+            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
+            | Decode.P_imm (_, o) -> o
+          and ix =
+            match index with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm n -> n
+          in
+          Array.unsafe_set pbuf (base + !l) bb;
+          Array.unsafe_set poff (base + !l) (bo + ix)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.alu cost ~active
+    | Decode.D_iload { dst; addr; bytes } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let buffer =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
+            | Decode.P_imm (b', _) -> b'
+          and offset =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
+            | Decode.P_imm (_, o) -> o
+          in
+          Array.unsafe_set abuf !l buffer;
+          Array.unsafe_set aoff !l offset;
+          Array.unsafe_set iregs (base + !l)
+            (if buffer < -1 then Memory.shared_loadi smem ~buffer_id:buffer ~offset
+             else Memory.loadi env.mem ~buffer_id:buffer ~offset)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.load cost ~mask ~bytes ~streams:!depth
+    | Decode.D_fload { dst; addr; bytes } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let buffer =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
+            | Decode.P_imm (b', _) -> b'
+          and offset =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
+            | Decode.P_imm (_, o) -> o
+          in
+          Array.unsafe_set abuf !l buffer;
+          Array.unsafe_set aoff !l offset;
+          let a =
+            if buffer < -1 then Memory.shared_fdata smem ~buffer_id:buffer
+            else Memory.fdata env.mem ~buffer_id:buffer
+          in
+          if offset < 0 || offset >= Array.length a then
+            oob buffer offset (Array.length a);
+          Array.unsafe_set fregs (base + !l) (Array.unsafe_get a offset)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.load cost ~mask ~bytes ~streams:!depth
+    | Decode.D_pload { dst; addr; bytes } ->
+      (* Shared declarations hold only f64/i64 elements (see the
+         verifier), but alloca arenas may hold pointers; the bank raises
+         the usual type confusion on a non-P slot. *)
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let buffer =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
+            | Decode.P_imm (b', _) -> b'
+          and offset =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
+            | Decode.P_imm (_, o) -> o
+          in
+          Array.unsafe_set abuf !l buffer;
+          Array.unsafe_set aoff !l offset;
+          let vb, vo =
+            if buffer < -1 then Memory.shared_loadp smem ~buffer_id:buffer ~offset
+            else Memory.loadp env.mem ~buffer_id:buffer ~offset
+          in
+          Array.unsafe_set pbuf (base + !l) vb;
+          Array.unsafe_set poff (base + !l) vo
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.load cost ~mask ~bytes ~streams:!depth
+    | Decode.D_istore { addr; value; bytes } ->
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let buffer =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
+            | Decode.P_imm (b', _) -> b'
+          and offset =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
+            | Decode.P_imm (_, o) -> o
+          and v =
+            match value with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm x -> x
+          in
+          Array.unsafe_set abuf !l buffer;
+          Array.unsafe_set aoff !l offset;
+          if buffer < -1 then Memory.shared_storei smem ~buffer_id:buffer ~offset v
+          else Memory.storei env.mem ~buffer_id:buffer ~offset v
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.store cost ~mask ~bytes
+    | Decode.D_fstore { addr; value; bytes } ->
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let buffer =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
+            | Decode.P_imm (b', _) -> b'
+          and offset =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
+            | Decode.P_imm (_, o) -> o
+          and v =
+            match value with
+            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
+            | Decode.F_imm x -> x
+          in
+          Array.unsafe_set abuf !l buffer;
+          Array.unsafe_set aoff !l offset;
+          let a =
+            if buffer < -1 then Memory.shared_fdata smem ~buffer_id:buffer
+            else Memory.fdata env.mem ~buffer_id:buffer
+          in
+          if offset < 0 || offset >= Array.length a then
+            oob buffer offset (Array.length a);
+          Array.unsafe_set a offset v
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.store cost ~mask ~bytes
+    | Decode.D_pstore { addr; value; bytes } ->
+      (* Shared declarations hold only f64/i64 elements, but alloca
+         arenas may hold pointers; [shared_storep] raises the reference
+         engine's type confusion on a non-P slot. *)
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let buffer =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
+            | Decode.P_imm (b', _) -> b'
+          and offset =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
+            | Decode.P_imm (_, o) -> o
+          and vb =
+            match value with
+            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
+            | Decode.P_imm (b', _) -> b'
+          and vo =
+            match value with
+            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
+            | Decode.P_imm (_, o) -> o
+          in
+          Array.unsafe_set abuf !l buffer;
+          Array.unsafe_set aoff !l offset;
+          if buffer < -1 then
+            Memory.shared_storep smem ~buffer_id:buffer ~offset ~pbuffer:vb ~poffset:vo
+          else Memory.storep env.mem ~buffer_id:buffer ~offset ~pbuffer:vb ~poffset:vo
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.store cost ~mask ~bytes
+    | Decode.D_iatomic { dst; addr; value } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let buffer =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
+            | Decode.P_imm (b', _) -> b'
+          and offset =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
+            | Decode.P_imm (_, o) -> o
+          and v =
+            match value with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm x -> x
+          in
+          Array.unsafe_set abuf !l buffer;
+          Array.unsafe_set aoff !l offset;
+          Array.unsafe_set iregs (base + !l)
+            (if buffer < -1 then
+               Memory.shared_atomic_addi smem ~buffer_id:buffer ~offset v
+             else Atomics.addi env.atomics ~block_id ~buffer ~offset v)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.atomic cost ~mask
+    | Decode.D_fatomic { dst; addr; value } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let buffer =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
+            | Decode.P_imm (b', _) -> b'
+          and offset =
+            match addr with
+            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
+            | Decode.P_imm (_, o) -> o
+          and v =
+            match value with
+            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
+            | Decode.F_imm x -> x
+          in
+          Array.unsafe_set abuf !l buffer;
+          Array.unsafe_set aoff !l offset;
+          Array.unsafe_set fregs (base + !l)
+            (if buffer < -1 then
+               Memory.shared_atomic_addf smem ~buffer_id:buffer ~offset v
+             else Atomics.addf env.atomics ~block_id ~buffer ~offset v)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.atomic cost ~mask
+    | Decode.D_fintrinsic { dst; op; args } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let arg i =
+            match Array.unsafe_get args i with
+            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
+            | Decode.F_imm v -> v
+          in
+          Array.unsafe_set fregs (base + !l)
+            (match op with
+            | Instr.Sqrt -> sqrt (arg 0)
+            | Instr.Exp -> exp (arg 0)
+            | Instr.Log -> log (arg 0)
+            | Instr.Sin -> sin (arg 0)
+            | Instr.Cos -> cos (arg 0)
+            | Instr.Fabs -> Float.abs (arg 0)
+            | Instr.Pow -> Float.pow (arg 0) (arg 1)
+            | Instr.Fmin -> Float.min (arg 0) (arg 1)
+            | Instr.Fmax -> Float.max (arg 0) (arg 1)
+            | _ -> assert false)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.intrinsic cost ~active
+    | Decode.D_iintrinsic { dst; op; args } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          let arg i =
+            match Array.unsafe_get args i with
+            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+            | Decode.I_imm n -> n
+          in
+          Array.unsafe_set iregs (base + !l)
+            (match op with
+            | Instr.Imin -> min (arg 0) (arg 1)
+            | Instr.Imax -> max (arg 0) (arg 1)
+            | Instr.Iabs -> abs (arg 0)
+            | _ -> assert false)
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.intrinsic cost ~active
+    | Decode.D_special { dst; op } ->
+      let base = dst * ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then
+          Array.unsafe_set iregs (base + !l)
+            (match op with
+            | Instr.Thread_idx -> (warp_id * ws) + !l
+            | Instr.Block_idx -> block_id
+            | Instr.Block_dim -> env.block_dim
+            | Instr.Grid_dim -> env.grid_dim);
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.alu cost ~active
+    | Decode.D_alloca { dst; ty } ->
+      (* One cell per lane, so each lane gets a private slot. Arenas live
+         in the block's shared bank: their ids are a pure function of
+         (block, allocation index within the block), so they are
+         identical at any shard width, and the bank drops them wholesale
+         at the next block entry. *)
+      let base = dst * ws in
+      let bid = Memory.bank_alloca smem ty ws in
+      let mm = ref mask and l = ref 0 in
+      while !mm <> 0 do
+        if !mm land 1 <> 0 then begin
+          Array.unsafe_set pbuf (base + !l) bid;
+          Array.unsafe_set poff (base + !l) !l
+        end;
+        incr l;
+        mm := !mm lsr 1
+      done;
+      Cost.alu cost ~active
+    | Decode.D_sync ->
+      (* Intercepted by the block walker below, which suspends the warp
+         at the barrier; reaching it here would bypass the scheduler. *)
+      assert false
+  in
+  let phi_fail orig pr =
+    failwith
+      (Printf.sprintf "simulator: phi in bb%d has no incoming for predecessor bb%d"
+         orig
+         (if pr >= 0 then blocks.(pr).Decode.orig else pr))
+  in
+  let exec_phis mask (b : Decode.dblock) =
+    let nph = Array.length b.Decode.phis in
+    if nph > 0 then begin
+      let active = popcount62 mask in
+      for pi = 0 to nph - 1 do
+        let pbase = pi * ws in
+        (match b.Decode.phis.(pi) with
+        | Decode.Phi_f { inc; _ } ->
+          let mm = ref mask and l = ref 0 in
+          while !mm <> 0 do
+            if !mm land 1 <> 0 then begin
+              let pr = st.dprev.(!l) in
+              match if pr >= 0 then inc.(pr) else None with
+              | Some (Decode.F_reg s) ->
+                st.ph_f.(pbase + !l) <- Array.unsafe_get fregs ((s * ws) + !l)
+              | Some (Decode.F_imm v) -> st.ph_f.(pbase + !l) <- v
+              | None -> phi_fail b.Decode.orig pr
+            end;
+            incr l;
+            mm := !mm lsr 1
+          done
+        | Decode.Phi_i { inc; _ } ->
+          let mm = ref mask and l = ref 0 in
+          while !mm <> 0 do
+            if !mm land 1 <> 0 then begin
+              let pr = st.dprev.(!l) in
+              match if pr >= 0 then inc.(pr) else None with
+              | Some (Decode.I_reg s) ->
+                st.ph_i.(pbase + !l) <- Array.unsafe_get iregs ((s * ws) + !l)
+              | Some (Decode.I_imm n) -> st.ph_i.(pbase + !l) <- n
+              | None -> phi_fail b.Decode.orig pr
+            end;
+            incr l;
+            mm := !mm lsr 1
+          done
+        | Decode.Phi_p { inc; _ } ->
+          let mm = ref mask and l = ref 0 in
+          while !mm <> 0 do
+            if !mm land 1 <> 0 then begin
+              let pr = st.dprev.(!l) in
+              match if pr >= 0 then inc.(pr) else None with
+              | Some (Decode.P_reg s) ->
+                st.ph_pb.(pbase + !l) <- Array.unsafe_get pbuf ((s * ws) + !l);
+                st.ph_po.(pbase + !l) <- Array.unsafe_get poff ((s * ws) + !l)
+              | Some (Decode.P_imm (b', o')) ->
+                st.ph_pb.(pbase + !l) <- b';
+                st.ph_po.(pbase + !l) <- o'
+              | None -> phi_fail b.Decode.orig pr
+            end;
+            incr l;
+            mm := !mm lsr 1
+          done);
+        Cost.misc cost ~active
+      done;
+      (* Parallel semantics: all reads above, all writes here. *)
+      for pi = 0 to nph - 1 do
+        let pbase = pi * ws in
+        match b.Decode.phis.(pi) with
+        | Decode.Phi_f { dst; _ } ->
+          let base = dst * ws in
+          let mm = ref mask and l = ref 0 in
+          while !mm <> 0 do
+            if !mm land 1 <> 0 then
+              Array.unsafe_set fregs (base + !l) st.ph_f.(pbase + !l);
+            incr l;
+            mm := !mm lsr 1
+          done
+        | Decode.Phi_i { dst; _ } ->
+          let base = dst * ws in
+          let mm = ref mask and l = ref 0 in
+          while !mm <> 0 do
+            if !mm land 1 <> 0 then
+              Array.unsafe_set iregs (base + !l) st.ph_i.(pbase + !l);
+            incr l;
+            mm := !mm lsr 1
+          done
+        | Decode.Phi_p { dst; _ } ->
+          let base = dst * ws in
+          let mm = ref mask and l = ref 0 in
+          while !mm <> 0 do
+            if !mm land 1 <> 0 then begin
+              Array.unsafe_set pbuf (base + !l) st.ph_pb.(pbase + !l);
+              Array.unsafe_set poff (base + !l) st.ph_po.(pbase + !l)
+            end;
+            incr l;
+            mm := !mm lsr 1
+          done
+      done
+    end
+  in
+  let push blk msk rpc =
+    if !depth >= Array.length st.st_blk then begin
+      let n = 2 * Array.length st.st_blk in
+      let grow a = Array.append a (Array.make (n - Array.length a) 0) in
+      st.st_blk <- grow st.st_blk;
+      st.st_msk <- grow st.st_msk;
+      st.st_rpc <- grow st.st_rpc
+    end;
+    st.st_blk.(!depth) <- blk;
+    st.st_msk.(!depth) <- msk;
+    st.st_rpc.(!depth) <- rpc;
+    incr depth
+  in
+  let set_prev mask cur =
+    let mm = ref mask and l = ref 0 in
+    while !mm <> 0 do
+      if !mm land 1 <> 0 then st.dprev.(!l) <- cur;
+      incr l;
+      mm := !mm lsr 1
+    done
+  in
+  (* Program counter within the current block after a barrier
+     suspension; -1 when the next entry into the top block starts from
+     its beginning. Everything else — flat register files, [dprev],
+     [retired], the int-array stack — lives in [st] across suspensions,
+     so resuming costs nothing and boxes nothing. *)
+  let pend = ref (-1) in
+  let step ~epoch =
+    Cost.set_epoch cost epoch;
+    let status = ref None in
+    while Option.is_none !status do
+      if !depth = 0 then status := Some Scheduler.Exited
+      else begin
+        let ti = !depth - 1 in
+        if m.Metrics.cycles > env.max_warp_cycles then
+          failwith
+            (Printf.sprintf
+               "simulator: warp exceeded %d cycles in @%s (infinite loop?)"
+               env.max_warp_cycles p.Decode.fn_name);
+        let mask = st.st_msk.(ti) land lnot !retired in
+        let cur = st.st_blk.(ti) in
+        let rpc = st.st_rpc.(ti) in
+        if mask = 0 then decr depth
+        else if cur = rpc then decr depth
+        else begin
+          let b = blocks.(cur) in
+          let k0 =
+            if !pend >= 0 then begin
+              (* Resuming mid-block: trace, fetch, and phis already
+                 happened when the block was entered. *)
+              let k = !pend in
+              pend := -1;
+              k
+            end
+            else begin
+              (match env.tracer with
+              | Some t ->
+                Trace.record t
+                  {
+                    Trace.block_id;
+                    warp_id;
+                    label = b.Decode.orig;
+                    mask = Mask.of_bits mask;
+                  }
+              | None -> ());
+              Cost.fetch cost ~first:b.Decode.line_first ~last:b.Decode.line_last;
+              exec_phis mask b;
+              0
+            end
+          in
+          let instrs = b.Decode.instrs in
+          let ni = Array.length instrs in
+          let k = ref k0 in
+          let arrived = ref false in
+          while (not !arrived) && !k < ni do
+            (match instrs.(!k) with
+            | Decode.D_sync ->
+              Cost.sync cost ~mask;
+              arrived := true
+            | i -> exec_instr mask i);
+            incr k
+          done;
+          if !arrived then begin
+            pend := !k;
+            status := Some Scheduler.Arrived
+          end
+          else begin
+            let active = popcount62 mask in
+            match b.Decode.term with
+            | Decode.T_ret ->
+              Cost.branch cost ~active;
+              retired := !retired lor mask;
+              decr depth
+            | Decode.T_unreachable ->
+              failwith
+                (Printf.sprintf "simulator: reached unreachable bb%d" b.Decode.orig)
+            | Decode.T_br target ->
+              Cost.branch cost ~active;
+              set_prev mask cur;
+              if target = rpc then decr depth else st.st_blk.(ti) <- target
+            | Decode.T_cbr { cond; if_true; if_false } ->
+              Cost.branch cost ~active;
+              let mt = ref 0 in
+              let mm = ref mask and l = ref 0 in
+              while !mm <> 0 do
+                if !mm land 1 <> 0 then begin
+                  let c =
+                    match cond with
+                    | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
+                    | Decode.I_imm n -> n
+                  in
+                  if c land 1 <> 0 then mt := !mt lor (1 lsl !l)
+                end;
+                incr l;
+                mm := !mm lsr 1
+              done;
+              let mt = !mt in
+              let mf = mask land lnot mt in
+              set_prev mask cur;
+              if mf = 0 then begin
+                if if_true = rpc then decr depth else st.st_blk.(ti) <- if_true
+              end
+              else if mt = 0 then begin
+                if if_false = rpc then decr depth else st.st_blk.(ti) <- if_false
+              end
+              else begin
+                Cost.diverge cost;
+                let r = p.Decode.ipdom.(cur) in
+                decr depth;
+                if r >= 0 then push r mask rpc;
+                let part_rpc = if r >= 0 then r else rpc in
+                if if_false <> part_rpc then push if_false mf part_rpc;
+                if if_true <> part_rpc then push if_true mt part_rpc
+              end
+          end
+        end
+      end
+    done;
+    Option.get !status
+  in
+  { Scheduler.step; metrics = m }
+
+let shard p (env : Warp.env) ~smem =
+  let ws = env.device.Device.warp_size in
+  (* One state per warp slot: the warps of a block are live concurrently
+     under barrier scheduling, and each state is reused across every
+     block of the shard. *)
+  let states = Array.init ((env.block_dim + ws - 1) / ws) (fun _ -> state p env) in
+  fun cost ~block_id ~warp_id ~lanes ->
+    make env p states.(warp_id) ~smem cost ~block_id ~warp_id ~lanes

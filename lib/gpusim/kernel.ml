@@ -62,18 +62,6 @@ let shared_bank fn =
 
 type engine = Reference | Decoded
 
-(* The per-launch noise draw keeps [Runner]'s cross-launch rng sequencing
-   (one [next] per launch), and each block derives a private stream from
-   it — warp jitter is a function of (launch, block, warp), never of
-   which domain simulated the block or in what order. *)
-let block_noise launch_seed block_id =
-  match launch_seed with
-  | None -> None
-  | Some seed -> Some (Rng.stream seed block_id)
-
-let warps_per_block ~device ~block_dim =
-  (block_dim + device.Device.warp_size - 1) / device.Device.warp_size
-
 (* One shard's result: the metrics sum plus the shard-private sinks its
    warps recorded into. [Parallel.map_range] returns chunks in ascending
    range order, so reducing the shard list front to back IS ascending
@@ -84,169 +72,6 @@ type shard = {
   s_races : Racecheck.t option;
   s_trace : Trace.t option;
 }
-
-(* Fresh private sinks for one shard. The per-shard trace copies the
-   destination's limit so sharded truncation matches serial truncation
-   (see [Trace.append]). *)
-let shard_sinks ~tracer ~races mem =
-  ( Atomics.create mem,
-    Option.map (fun _ -> Racecheck.create ()) races,
-    Option.map (fun t -> Trace.create ~limit:(Trace.limit t) ()) tracer )
-
-(* Run the shards (worker-private per-block caches, [reset] per block:
-   every block starts cold, the per-SM L1 model) and reduce them in
-   ascending block order: sum metrics, commit the deferred atomic
-   deltas, merge the race collectors, splice the trace buffers. Each
-   reduction is order-deterministic, so metrics, final memory, race
-   reports, and traces are byte-identical for any [sim_jobs]/chunking. *)
-let reduce_shards ~tracer ~races ~grid_dim ~sim_jobs run_shard =
-  let shards =
-    if sim_jobs <= 1 then [ run_shard ~lo:0 ~hi:grid_dim ]
-    else Parallel.map_range ~jobs:sim_jobs ~n:grid_dim run_shard
-  in
-  let total = Metrics.create () in
-  List.iter
-    (fun s ->
-      Metrics.add total s.s_metrics;
-      Atomics.commit s.s_atomics;
-      (match races, s.s_races with
-      | Some into, Some src -> Racecheck.merge ~into src
-      | _ -> ());
-      (match tracer, s.s_trace with
-      | Some into, Some src -> Trace.append ~into src
-      | _ -> ()))
-    shards;
-  total
-
-let launch_decoded ~device ~noise ~max_warp_cycles ~tracer ~races ~decode_cache
-    ~sim_jobs mem fn ~grid_dim ~block_dim ~bound =
-  let prog =
-    match decode_cache with
-    | Some cache -> Decode.decode_cached cache device fn
-    | None -> Decode.decode device fn
-  in
-  (* Base env: the shard-private sink fields are placeholders, replaced
-     per shard below so no sink is ever shared across domains. *)
-  let env0 =
-    {
-      Warp.d_device = device;
-      prog;
-      d_mem = mem;
-      d_args = bound;
-      d_block_dim = block_dim;
-      d_grid_dim = grid_dim;
-      d_max_warp_cycles = max_warp_cycles;
-      d_tracer = None;
-      d_races = None;
-      d_atomics = Atomics.create mem;
-    }
-  in
-  let wpb = warps_per_block ~device ~block_dim in
-  let launch_seed = Option.map Rng.next noise in
-  let run_shard ~lo ~hi =
-    let s_atomics, s_races, s_trace = shard_sinks ~tracer ~races mem in
-    let env =
-      { env0 with Warp.d_tracer = s_trace; d_races = s_races; d_atomics = s_atomics }
-    in
-    (* One scratch state per warp slot: the warps of a block are live
-       concurrently under barrier scheduling, and each state is reused
-       across every block of the shard. *)
-    let sts = Array.init wpb (fun _ -> Warp.decoded_state env) in
-    let smem = shared_bank fn in
-    let icache = Layout.icache_create device in
-    let dcache = Cache.create ~capacity:device.Device.l1_lines in
-    let acc = Metrics.create () in
-    for block_id = lo to hi - 1 do
-      Cache.reset icache;
-      Cache.reset dcache;
-      Memory.shared_reset smem;
-      let noise = block_noise launch_seed block_id in
-      (* Ascending warp order: creation draws the per-warp noise, so the
-         RNG sequence stays a function of (block, warp). *)
-      let warps = ref [] in
-      for warp_id = 0 to wpb - 1 do
-        let base = warp_id * device.Device.warp_size in
-        let lanes = min device.Device.warp_size (block_dim - base) in
-        if lanes > 0 then
-          warps :=
-            Warp.make_decoded env sts.(warp_id) ~smem ~dcache ~icache ~noise
-              ~block_id ~warp_id ~lanes
-            :: !warps
-      done;
-      Metrics.add acc
-        (Scheduler.run_block ~fn_name:prog.Decode.fn_name ~block_id
-           (Array.of_list (List.rev !warps)))
-    done;
-    { s_metrics = acc; s_atomics; s_races; s_trace }
-  in
-  let total = reduce_shards ~tracer ~races ~grid_dim ~sim_jobs run_shard in
-  {
-    metrics = total;
-    kernel_cycles = Metrics.kernel_time total ~device;
-    code_bytes = Decode.code_bytes prog;
-  }
-
-let launch_reference ~device ~noise ~max_warp_cycles ~tracer ~races ~sim_jobs mem
-    fn ~grid_dim ~block_dim ~bound =
-  let layout = Layout.compute device fn in
-  let post = Uu_analysis.Dominance.compute_post fn in
-  (* Base env: the shard-private sink fields are placeholders, replaced
-     per shard below so no sink is ever shared across domains. *)
-  let env0 =
-    {
-      Warp.device;
-      fn;
-      mem;
-      layout;
-      ipdom = (fun l -> Uu_analysis.Dominance.idom post l);
-      args = bound;
-      block_dim;
-      grid_dim;
-      max_warp_cycles;
-      tracer = None;
-      races = None;
-      atomics = Atomics.create mem;
-    }
-  in
-  let wpb = warps_per_block ~device ~block_dim in
-  let launch_seed = Option.map Rng.next noise in
-  let run_shard ~lo ~hi =
-    let s_atomics, s_races, s_trace = shard_sinks ~tracer ~races mem in
-    let env =
-      { env0 with Warp.tracer = s_trace; races = s_races; atomics = s_atomics }
-    in
-    let smem = shared_bank fn in
-    let icache = Layout.icache_create device in
-    let dcache = Cache.create ~capacity:device.Device.l1_lines in
-    let acc = Metrics.create () in
-    for block_id = lo to hi - 1 do
-      Cache.reset icache;
-      Cache.reset dcache;
-      Memory.shared_reset smem;
-      let noise = block_noise launch_seed block_id in
-      (* Ascending warp order: creation draws the per-warp noise, so the
-         RNG sequence stays a function of (block, warp). *)
-      let warps = ref [] in
-      for warp_id = 0 to wpb - 1 do
-        let base = warp_id * device.Device.warp_size in
-        let lanes = min device.Device.warp_size (block_dim - base) in
-        if lanes > 0 then
-          warps :=
-            Warp.make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes
-            :: !warps
-      done;
-      Metrics.add acc
-        (Scheduler.run_block ~fn_name:fn.Func.name ~block_id
-           (Array.of_list (List.rev !warps)))
-    done;
-    { s_metrics = acc; s_atomics; s_races; s_trace }
-  in
-  let total = reduce_shards ~tracer ~races ~grid_dim ~sim_jobs run_shard in
-  {
-    metrics = total;
-    kernel_cycles = Metrics.kernel_time total ~device;
-    code_bytes = Layout.code_bytes layout;
-  }
 
 type launch_config = {
   device : Device.t;
@@ -288,17 +113,106 @@ let exec ?(config = default_config) mem fn ~grid_dim ~block_dim ~args =
   } =
     config
   in
+  if grid_dim < 1 || block_dim < 1 then
+    invalid_arg
+      (Printf.sprintf "launch @%s: grid %d x block %d is not a positive shape"
+         fn.Func.name grid_dim block_dim);
   let bound = bind_args fn args in
-  (* No serial gates: tracing, race checking, atomics, and allocas are
-     all deterministic under sharding (per-shard sinks reduced in block
-     order at the join), so every launch shards freely. *)
-  let sim_jobs =
-    if sim_jobs <= 1 || grid_dim <= 1 then 1 else min sim_jobs grid_dim
+  (* The engine's per-shard warp constructor and the code size it lays
+     out; everything else below is shared by both engines. *)
+  let code_bytes, engine_shard =
+    match engine with
+    | Decoded ->
+      let prog =
+        match decode_cache with
+        | Some cache -> Decode.decode_cached cache device fn
+        | None -> Decode.decode device fn
+      in
+      (Decode.code_bytes prog, Decoded_warp.shard prog)
+    | Reference ->
+      let layout = Layout.compute device fn in
+      let post = Uu_analysis.Dominance.compute_post fn in
+      ( Layout.code_bytes layout,
+        Warp.make ~layout ~ipdom:(Uu_analysis.Dominance.idom post) )
   in
-  match engine with
-  | Decoded ->
-    launch_decoded ~device ~noise ~max_warp_cycles ~tracer ~races ~decode_cache
-      ~sim_jobs mem fn ~grid_dim ~block_dim ~bound
-  | Reference ->
-    launch_reference ~device ~noise ~max_warp_cycles ~tracer ~races ~sim_jobs mem
-      fn ~grid_dim ~block_dim ~bound
+  let fn_name = fn.Func.name and ws = device.Device.warp_size in
+  let wpb = (block_dim + ws - 1) / ws in
+  (* The per-launch noise draw keeps [Runner]'s cross-launch rng
+     sequencing (one [next] per launch), and each block derives a private
+     stream from it — warp jitter is a function of (launch, block, warp),
+     never of which domain simulated the block or in what order. *)
+  let launch_seed = Option.map Rng.next noise in
+  (* Run one shard of blocks with worker-private sinks and per-block
+     state — a shared bank, L1 and icache reset at every block entry (the
+     per-SM model, so every block starts cold) and one [Cost] slot per
+     warp of a block. *)
+  let run_shard ~lo ~hi =
+    let s_atomics = Atomics.create mem in
+    let s_races = Option.map (fun _ -> Racecheck.create ()) races in
+    (* A shard's trace copies the destination's limit so sharded
+       truncation matches serial truncation (see [Trace.append]). *)
+    let s_trace = Option.map (fun t -> Trace.create ~limit:(Trace.limit t) ()) tracer in
+    let env =
+      {
+        Warp.device;
+        fn;
+        mem;
+        args = bound;
+        block_dim;
+        grid_dim;
+        max_warp_cycles;
+        tracer = s_trace;
+        atomics = s_atomics;
+      }
+    in
+    let smem = shared_bank fn in
+    let make_warp = engine_shard env ~smem in
+    let icache = Layout.icache_create device in
+    let dcache = Cache.create ~capacity:device.Device.l1_lines in
+    let costs =
+      Array.init wpb (fun warp_id ->
+          Cost.create device ~mem ~smem ~dcache ~icache ~races:s_races ~fn_name ~warp_id)
+    in
+    let acc = Metrics.create () in
+    for block_id = lo to hi - 1 do
+      Cache.reset icache;
+      Cache.reset dcache;
+      Memory.shared_reset smem;
+      let noise = Option.map (fun seed -> Rng.stream seed block_id) launch_seed in
+      (* Ascending warp order: [Cost.start] draws the per-warp noise, so
+         the RNG sequence stays a function of (block, warp). *)
+      let warps =
+        Array.init wpb (fun warp_id ->
+            let lanes = min ws (block_dim - (warp_id * ws)) in
+            Cost.start costs.(warp_id) ~noise ~block_id ~lanes;
+            make_warp costs.(warp_id) ~block_id ~warp_id ~lanes)
+      in
+      Metrics.add acc (Scheduler.run_block ~fn_name ~block_id warps)
+    done;
+    { s_metrics = acc; s_atomics; s_races; s_trace }
+  in
+  (* No serial gates: tracing, race checking, atomics, and allocas are
+     all deterministic under sharding, so every launch shards freely.
+     The join reduces the shards in ascending block order — sum metrics,
+     commit the deferred atomic deltas, merge the race collectors,
+     splice the trace buffers — and each reduction is
+     order-deterministic, so metrics, final memory, race reports, and
+     traces are byte-identical for any [sim_jobs]/chunking. *)
+  let sim_jobs = if sim_jobs <= 1 || grid_dim <= 1 then 1 else min sim_jobs grid_dim in
+  let shards =
+    if sim_jobs <= 1 then [ run_shard ~lo:0 ~hi:grid_dim ]
+    else Parallel.map_range ~jobs:sim_jobs ~n:grid_dim run_shard
+  in
+  let total = Metrics.create () in
+  List.iter
+    (fun s ->
+      Metrics.add total s.s_metrics;
+      Atomics.commit s.s_atomics;
+      (match races, s.s_races with
+      | Some into, Some src -> Racecheck.merge ~into src
+      | _ -> ());
+      match tracer, s.s_trace with
+      | Some into, Some src -> Trace.append ~into src
+      | _ -> ())
+    shards;
+  { metrics = total; kernel_cycles = Metrics.kernel_time total ~device; code_bytes }

@@ -1,6 +1,8 @@
 (** Kernel launching: argument binding, grid iteration, and metric
     aggregation — the simulator's replacement for [cudaLaunchKernel]
-    plus nvprof. *)
+    plus nvprof. One launch loop runs both engines: an engine supplies
+    only a per-shard warp constructor ({!Warp.make} or
+    {!Decoded_warp.shard}), and every charge goes through {!Cost}. *)
 
 open Uu_ir
 open Uu_support
@@ -27,11 +29,11 @@ type result = {
 
 type engine =
   | Reference
-      (** The original tree-walking interpreter over the IR: the oracle
-          the decoded engine is checked against. *)
+      (** The original tree-walking interpreter over the IR ({!Warp}):
+          the oracle for the decoded engine's values and control flow. *)
   | Decoded
-      (** Executes the pre-decoded flat program ({!Decode}); the default.
-          Cycle-for-cycle metric-identical to [Reference]. *)
+      (** Executes the pre-decoded flat program ({!Decoded_warp}); the
+          default. Metric-identical to [Reference]. *)
 
 type launch_config = {
   device : Device.t;           (** simulated GPU model (default v100) *)
@@ -123,6 +125,6 @@ val exec :
     {!Racecheck.shared_races} lists intra-block conflicts within a
     barrier interval.
 
-    @raise Invalid_argument when arguments do not match the kernel's
-    parameters; @raise Failure on interpreter errors or on a divergent
-    [__syncthreads()]. *)
+    @raise Invalid_argument when [grid_dim] or [block_dim] is below 1 or
+    the arguments do not match the kernel's parameters; @raise Failure
+    on interpreter errors or on a divergent [__syncthreads()]. *)

@@ -25,26 +25,12 @@ let compute (device : Device.t) f =
 
 let code_bytes t = t.total
 
-let block_extent t l =
-  match Hashtbl.find_opt t.extents l with
-  | Some e -> e
-  | None -> (0, 0)
-
 type icache = int Cache.t
 
 let icache_create (device : Device.t) =
   Cache.create
     ~capacity:(max 1 (device.Device.icache_bytes / device.Device.icache_line_bytes))
 
-let touch_block c t l =
-  let start, bytes = block_extent t l in
-  if bytes = 0 then 0
-  else begin
-    let first = start / t.line_bytes in
-    let last = (start + bytes - 1) / t.line_bytes in
-    let misses = ref 0 in
-    for line = first to last do
-      if Cache.touch c line then incr misses
-    done;
-    !misses
-  end
+let lines t l =
+  let start, bytes = Hashtbl.find t.extents l in
+  (start / t.line_bytes, (start + bytes - 1) / t.line_bytes)

@@ -1,11 +1,11 @@
 (** Code layout and instruction cache.
 
     Blocks are laid out linearly in reverse postorder, [instr_bytes] per
-    instruction (phis and the terminator included). The LRU instruction
-    cache charges [fetch_miss_penalty] per missed line when a warp enters
-    a block — the mechanism by which heavily duplicated loops (u&u with
-    large factors) lose performance to fetch stalls, as the paper observes
-    for [complex] and [haccmk] (§V). *)
+    instruction (phis and the terminator included). A warp entering a
+    block touches its lines in an LRU instruction cache and {!Cost.fetch}
+    stalls it per missed line — the mechanism by which heavily duplicated
+    loops (u&u with large factors) lose performance to fetch stalls, as
+    the paper observes for [complex] and [haccmk] (§V). *)
 
 open Uu_ir
 
@@ -16,14 +16,10 @@ val compute : Device.t -> Func.t -> t
 val code_bytes : t -> int
 (** Total laid-out code size of the function. *)
 
-val block_extent : t -> Value.label -> int * int
-(** (start address, byte length) of a block. *)
-
 type icache = int Cache.t
-(** LRU over line addresses; exposed so the decoded engine can touch the
-    lines it pre-computed per block. *)
+(** LRU over line addresses, charged by {!Cost.fetch}. *)
 
 val icache_create : Device.t -> icache
 
-val touch_block : icache -> t -> Value.label -> int
-(** Fetch a block's lines; returns the number of missed lines. *)
+val lines : t -> Value.label -> int * int
+(** First and last icache line of a block's code. *)

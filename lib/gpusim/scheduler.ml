@@ -1,11 +1,11 @@
 (* The block-level barrier scheduler: the one owner of the
    warps-within-a-block execution loop for both engines.
 
-   A block's warps are resumable computations ([Warp.step] /
-   [Warp.step_decoded]) that run until they either arrive at a
-   [__syncthreads()] barrier or exit. The scheduler drives them in
-   rounds: run every live warp in ascending warp order until it
-   suspends, then — if any warp arrived at a barrier — verify the
+   A block's warps are resumable computations — the [step] of a warp
+   built by [Warp.make] or [Decoded_warp.shard] — that run until they
+   either arrive at a [__syncthreads()] barrier or exit. The scheduler
+   drives them in rounds: run every live warp in ascending warp order
+   until it suspends, then — if any warp arrived at a barrier — verify the
    barrier is convergent (every warp of the block must reach it; a warp
    that exited instead is the divergent-barrier error), release it, and
    resume the next interval. The race-check epoch is block-global: it

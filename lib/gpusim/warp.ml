@@ -1,26 +1,21 @@
 open Uu_ir
 open Uu_support
 
-(* The env carries launch-wide state that is immutable (or, for [mem],
-   written at block-disjoint cells) during the grid walk, plus the
-   shard-private sinks: [Kernel] builds one base env per launch and then
-   one copy per shard with fresh [tracer]/[races]/[atomics], so nothing
-   here is ever mutated by two domains. All mutable per-block state —
-   the per-SM L1 model, icache residency, the noise stream — is passed
-   to [make] per block. *)
-type launch_env = {
+(* Launch-wide state that is immutable (or, for [mem], written at
+   block-disjoint cells) during the grid walk, plus the shard-private
+   sinks: [Kernel] builds one base env per launch and one copy per shard
+   with a fresh [tracer] and [atomics], so nothing here is ever mutated
+   by two domains. *)
+type env = {
   device : Device.t;
   fn : Func.t;
   mem : Memory.t;
-  layout : Layout.t;
-  ipdom : Value.label -> Value.label option;
   args : (Value.var * Eval.rvalue) list;
   block_dim : int;
   grid_dim : int;
   max_warp_cycles : int;
-  tracer : Trace.t option;  (* shard-private event buffer *)
-  races : Racecheck.t option;  (* shard-private write-overlap collector *)
-  atomics : Atomics.t;  (* shard-private deferred-commit atomics view *)
+  tracer : Trace.t option;
+  atomics : Atomics.t;
 }
 
 type entry = {
@@ -35,11 +30,10 @@ let default_of_ty = function
   | Types.Ptr _ -> Eval.Ptr { buffer = -1; offset = 0 }
   | Types.Void -> Eval.Int 0L
 
-let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
+let make ~layout ~ipdom env ~smem cost ~block_id ~warp_id ~lanes =
   let d = env.device in
   let fn = env.fn in
-  let m = Metrics.create () in
-  m.Metrics.warps_launched <- 1;
+  let m = Cost.metrics cost in
   let nvars = fn.Func.next_var in
   let regs = Array.init d.Device.warp_size (fun _ -> Array.make nvars (Eval.Int 0L)) in
   List.iter
@@ -47,19 +41,8 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
     env.args;
   let prev = Array.make d.Device.warp_size (-1) in
   let retired = ref Mask.empty in
-  (* Per-warp memory jitter factor, the source of run-to-run variance.
-     [noise] is the block's private stream and the launcher creates a
-     block's warps in ascending warp order, so the draw sequence is a
-     function of (block, warp) alone, not of grid execution order. *)
-  let mem_factor =
-    match noise with
-    | Some rng -> Float.max 0.5 (Rng.gaussian rng ~mean:1.0 ~stddev:0.03)
-    | None -> 1.0
-  in
-  let mem_cost transactions =
-    int_of_float
-      (Float.round
-         (mem_factor *. float_of_int (d.Device.mem_transaction_cost * transactions)))
+  let stack : entry list ref =
+    ref [ { block = fn.Func.entry; mask = Mask.full ~width:lanes; rpc = None } ]
   in
   let eval lane v =
     match v with
@@ -68,68 +51,19 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
     | Value.Imm_float x -> Eval.Float x
     | Value.Undef ty -> default_of_ty ty
   in
-  let charge ?(misc = 0) ?(control = 0) ?(memory = 0) ~cycles ~active () =
-    m.Metrics.cycles <- m.Metrics.cycles + cycles;
-    m.Metrics.warp_instrs <- m.Metrics.warp_instrs + 1;
-    m.Metrics.thread_instrs <- m.Metrics.thread_instrs + active;
-    m.Metrics.active_lane_sum <- m.Metrics.active_lane_sum + active;
-    m.Metrics.inst_misc <- m.Metrics.inst_misc + misc;
-    m.Metrics.inst_control <- m.Metrics.inst_control + control;
-    m.Metrics.inst_memory <- m.Metrics.inst_memory + memory
-  in
-  (* Distinct memory segments for the given per-lane pointers (in lane
-     order), split into L1 hits and misses. Segments are classified in
-     first-touching-lane order so the LRU touch sequence is deterministic
-     and engine-independent (a hashtable fold here would make hit/miss
-     counts depend on hash iteration order). *)
-  let transactions_of ptrs =
-    let seen = Hashtbl.create 8 in
-    List.fold_left
-      (fun (hits, misses) (buffer, offset) ->
-        let esz = Memory.elt_size env.mem ~buffer_id:buffer in
-        let seg = offset * esz / d.Device.transaction_bytes in
-        let key = (buffer, seg) in
-        if Hashtbl.mem seen key then (hits, misses)
-        else begin
-          Hashtbl.replace seen key ();
-          if Cache.touch dcache key then (hits, misses + 1) else (hits + 1, misses)
-        end)
-      (0, 0) ptrs
-  in
-  (* Replay rounds for the shared pointers of one warp access: distinct
-     (buffer, word) pairs count once (same-word lanes are a broadcast),
-     and the access replays once per entry of the deepest bank queue.
-     0 when the access touches no shared memory; order-independent. *)
-  let shared_replays ptrs =
-    match ptrs with
-    | [] -> 0
-    | _ ->
-      let seen = Hashtbl.create 8 in
-      let banks = Array.make d.Device.shared_banks 0 in
-      let r = ref 0 in
-      List.iter
-        (fun (buffer, offset) ->
-          let esz = Memory.shared_elt_size smem ~buffer_id:buffer in
-          let word = offset * esz / d.Device.shared_bank_bytes in
-          let key = (buffer, word) in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.replace seen key ();
-            let bank = word mod d.Device.shared_banks in
-            banks.(bank) <- banks.(bank) + 1;
-            if banks.(bank) > !r then r := banks.(bank)
-          end)
-        ptrs;
-      !r
-  in
   let expect_ptr = function
     | Eval.Ptr { buffer; offset } -> (buffer, offset)
     | Eval.Int _ | Eval.Float _ -> failwith "simulator: address is not a pointer"
   in
-  let live_streams = ref 1 in
-  (* Barrier interval for the shared-race audit: block-global, set by
-     the scheduler at each [step] to the number of barriers the block
-     has released so far. *)
-  let epoch = ref 0 in
+  (* Evaluate lane [lane]'s address and stage it for the instruction's
+     [Cost] call. *)
+  let abuf = Cost.addr_buf cost and aoff = Cost.addr_off cost in
+  let address lane v =
+    let ((buffer, offset) as p) = expect_ptr (eval lane v) in
+    abuf.(lane) <- buffer;
+    aoff.(lane) <- offset;
+    p
+  in
   let exec_instr mask instr =
     let active = Mask.popcount mask in
     match instr with
@@ -137,21 +71,15 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
       Mask.iter
         (fun lane -> regs.(lane).(dst) <- Eval.binop op ty (eval lane lhs) (eval lane rhs))
         mask;
-      let cycles =
-        match op with
-        | Instr.Sdiv | Instr.Udiv | Instr.Srem | Instr.Fdiv -> d.Device.div_cost
-        | Instr.Fadd | Instr.Fsub | Instr.Fmul -> d.Device.fpu_cost
-        | _ -> d.Device.alu_cost
-      in
-      charge ~cycles ~active ()
+      Cost.issue cost ~cycles:(Cost.binop_cost d op) ~active
     | Instr.Cmp { dst; op; lhs; rhs; _ } ->
       Mask.iter
         (fun lane -> regs.(lane).(dst) <- Eval.cmp op (eval lane lhs) (eval lane rhs))
         mask;
-      charge ~cycles:d.Device.alu_cost ~active ()
+      Cost.alu cost ~active
     | Instr.Unop { dst; op; src } ->
       Mask.iter (fun lane -> regs.(lane).(dst) <- Eval.unop op (eval lane src)) mask;
-      charge ~cycles:d.Device.alu_cost ~active ()
+      Cost.alu cost ~active
     | Instr.Select { dst; cond; if_true; if_false; _ } ->
       Mask.iter
         (fun lane ->
@@ -159,9 +87,7 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
           regs.(lane).(dst) <-
             (if Eval.is_true c then eval lane if_true else eval lane if_false))
         mask;
-      (* selp-style predication: counted as a miscellaneous instruction,
-         like the movs/selps of §V. *)
-      charge ~misc:active ~cycles:d.Device.alu_cost ~active ()
+      Cost.misc cost ~active
     | Instr.Gep { dst; base; index; _ } ->
       Mask.iter
         (fun lane ->
@@ -173,135 +99,43 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
           in
           regs.(lane).(dst) <- Eval.Ptr { buffer; offset = offset + idx })
         mask;
-      charge ~cycles:d.Device.alu_cost ~active ()
+      Cost.alu cost ~active
     | Instr.Load { dst; ty; addr } ->
-      let gptrs = ref [] and sptrs = ref [] and n_shared = ref 0 in
       Mask.iter
         (fun lane ->
-          let buffer, offset = expect_ptr (eval lane addr) in
-          if Memory.is_shared buffer then begin
-            sptrs := (buffer, offset) :: !sptrs;
-            incr n_shared;
-            (match env.races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id
-                ~thread_id:((warp_id * d.Device.warp_size) + lane)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:false
-            | None -> ());
-            regs.(lane).(dst) <- Memory.shared_load smem ~buffer_id:buffer ~offset
-          end
-          else begin
-            gptrs := (buffer, offset) :: !gptrs;
-            regs.(lane).(dst) <- Memory.load env.mem ~buffer_id:buffer ~offset
-          end)
+          let buffer, offset = address lane addr in
+          regs.(lane).(dst) <-
+            (if Memory.is_shared buffer then
+               Memory.shared_load smem ~buffer_id:buffer ~offset
+             else Memory.load env.mem ~buffer_id:buffer ~offset))
         mask;
-      let hits, misses = transactions_of (List.rev !gptrs) in
-      let replays = shared_replays (List.rev !sptrs) in
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + hits + misses;
-      m.Metrics.shared_transactions <- m.Metrics.shared_transactions + replays;
-      if replays > 1 then
-        m.Metrics.shared_bank_conflicts <-
-          m.Metrics.shared_bank_conflicts + (replays - 1);
-      m.Metrics.gld_bytes <-
-        m.Metrics.gld_bytes + ((active - !n_shared) * Types.size_bytes ty);
-      m.Metrics.sld_bytes <-
-        m.Metrics.sld_bytes + (!n_shared * Types.size_bytes ty);
-      (* Dependent-load latency: DRAM on any miss, L1 on any hit, shared
-         pipe otherwise; hidden across the live divergent groups of this
-         warp (Volta independent thread scheduling). *)
-      let latency =
-        if misses > 0 then d.Device.mem_dep_latency
-        else if hits > 0 then d.Device.l1_hit_latency
-        else d.Device.smem_latency
-      in
-      let exposed =
-        if d.Device.its_latency_hiding then latency / max 1 !live_streams
-        else latency
-      in
-      charge ~memory:active
-        ~cycles:
-          (d.Device.mem_issue_cost + (hits * d.Device.l1_hit_cost)
-          + mem_cost misses
-          + (replays * d.Device.smem_cost)
-          + exposed)
-        ~active ()
+      Cost.load cost ~mask:(Mask.bits mask) ~bytes:(Types.size_bytes ty)
+        ~streams:(List.length !stack)
     | Instr.Store { ty; addr; value } ->
-      let gptrs = ref [] and sptrs = ref [] and n_shared = ref 0 in
       Mask.iter
         (fun lane ->
-          let buffer, offset = expect_ptr (eval lane addr) in
-          if Memory.is_shared buffer then begin
-            sptrs := (buffer, offset) :: !sptrs;
-            incr n_shared;
-            (match env.races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id
-                ~thread_id:((warp_id * d.Device.warp_size) + lane)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
-            | None -> ());
+          let buffer, offset = address lane addr in
+          if Memory.is_shared buffer then
             Memory.shared_store smem ~buffer_id:buffer ~offset (eval lane value)
-          end
-          else begin
-            gptrs := (buffer, offset) :: !gptrs;
-            Memory.store env.mem ~buffer_id:buffer ~offset (eval lane value)
-          end)
+          else Memory.store env.mem ~buffer_id:buffer ~offset (eval lane value))
         mask;
-      (match env.races with
-      | Some r ->
-        List.iter
-          (fun (buffer, offset) -> Racecheck.record r ~block_id ~buffer ~offset)
-          !gptrs
-      | None -> ());
-      let hits, misses = transactions_of (List.rev !gptrs) in
-      let replays = shared_replays (List.rev !sptrs) in
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + hits + misses;
-      m.Metrics.shared_transactions <- m.Metrics.shared_transactions + replays;
-      if replays > 1 then
-        m.Metrics.shared_bank_conflicts <-
-          m.Metrics.shared_bank_conflicts + (replays - 1);
-      m.Metrics.gst_bytes <-
-        m.Metrics.gst_bytes + ((active - !n_shared) * Types.size_bytes ty);
-      m.Metrics.sst_bytes <-
-        m.Metrics.sst_bytes + (!n_shared * Types.size_bytes ty);
-      charge ~memory:active
-        ~cycles:
-          (d.Device.mem_issue_cost + (hits * d.Device.l1_hit_cost)
-          + mem_cost misses
-          + (replays * d.Device.smem_cost))
-        ~active ()
+      Cost.store cost ~mask:(Mask.bits mask) ~bytes:(Types.size_bytes ty)
     | Instr.Atomic_add { dst; addr; value; _ } ->
-      (* Atomics serialize per lane. Shared-space atomics never touch the
-         inter-block recorder: shared ids repeat across blocks. *)
       Mask.iter
         (fun lane ->
-          let buffer, offset = expect_ptr (eval lane addr) in
-          if Memory.is_shared buffer then begin
-            (match env.races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id
-                ~thread_id:((warp_id * d.Device.warp_size) + lane)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
-            | None -> ());
-            regs.(lane).(dst) <-
-              Memory.shared_atomic_add smem ~buffer_id:buffer ~offset
-                (eval lane value)
-          end
-          else begin
-            (match env.races with
-            | Some r -> Racecheck.record_atomic r ~block_id ~buffer ~offset
-            | None -> ());
-            regs.(lane).(dst) <-
-              Atomics.add env.atomics ~block_id ~buffer ~offset (eval lane value)
-          end)
+          let buffer, offset = address lane addr in
+          regs.(lane).(dst) <-
+            (if Memory.is_shared buffer then
+               Memory.shared_atomic_add smem ~buffer_id:buffer ~offset (eval lane value)
+             else Atomics.add env.atomics ~block_id ~buffer ~offset (eval lane value)))
         mask;
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + active;
-      charge ~memory:active ~cycles:(d.Device.atomic_cost * max 1 active) ~active ()
+      Cost.atomic cost ~mask:(Mask.bits mask)
     | Instr.Intrinsic { dst; op; args } ->
       Mask.iter
         (fun lane ->
           regs.(lane).(dst) <- Eval.intrinsic op (List.map (eval lane) args))
         mask;
-      charge ~cycles:d.Device.intrinsic_cost ~active ()
+      Cost.intrinsic cost ~active
     | Instr.Special { dst; op } ->
       Mask.iter
         (fun lane ->
@@ -314,7 +148,7 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
           in
           regs.(lane).(dst) <- Eval.Int (Int64.of_int v))
         mask;
-      charge ~cycles:d.Device.alu_cost ~active ()
+      Cost.alu cost ~active
     | Instr.Alloca { dst; ty } ->
       (* One cell per lane, so each lane gets a private slot. Arenas live
          in the block's shared bank: their ids are a pure function of
@@ -325,7 +159,7 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
       Mask.iter
         (fun lane -> regs.(lane).(dst) <- Eval.Ptr { buffer = bid; offset = lane })
         mask;
-      charge ~cycles:d.Device.alu_cost ~active ()
+      Cost.alu cost ~active
     | Instr.Syncthreads ->
       (* Intercepted by the block walker below, which suspends the warp
          at the barrier; reaching it here would bypass the scheduler. *)
@@ -350,37 +184,20 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
                      "simulator: phi in bb%d has no incoming for predecessor bb%d"
                      b.Block.label pred))
             mask;
-          let active = Mask.popcount mask in
-          charge ~misc:active ~cycles:d.Device.alu_cost ~active ())
+          Cost.misc cost ~active:(Mask.popcount mask))
         phis;
       List.iter (fun (lane, dst, v) -> regs.(lane).(dst) <- v) !updates
-  in
-  (* A __syncthreads() executed with a partial mask — some lanes of the
-     warp retired or sit on the other side of a divergent branch — is the
-     intra-warp form of the divergent-barrier error (the inter-warp form,
-     a whole warp missing the barrier, is the scheduler's to detect). *)
-  let exec_sync mask =
-    if not (Mask.equal mask (Mask.full ~width:lanes)) then
-      failwith
-        (Printf.sprintf
-           "simulator: divergent __syncthreads() in @%s: warp %d of block %d \
-            hit the barrier with %d of %d lanes"
-           fn.Func.name warp_id block_id (Mask.popcount mask) lanes);
-    charge ~cycles:d.Device.sync_cost ~active:(Mask.popcount mask) ()
   in
   (* Walk a block's instruction tail; [Some rest] means the warp arrived
      at a barrier (already charged) with [rest] still to execute. *)
   let rec exec_instrs mask = function
     | [] -> None
     | Instr.Syncthreads :: rest ->
-      exec_sync mask;
+      Cost.sync cost ~mask:(Mask.bits mask);
       Some rest
     | i :: rest ->
       exec_instr mask i;
       exec_instrs mask rest
-  in
-  let stack : entry list ref =
-    ref [ { block = fn.Func.entry; mask = Mask.full ~width:lanes; rpc = None } ]
   in
   let set_prev mask cur = Mask.iter (fun lane -> prev.(lane) <- cur) mask in
   let pop () = match !stack with [] -> () | _ :: rest -> stack := rest in
@@ -390,8 +207,8 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
      [prev], [retired], the reconvergence stack) survives in this
      closure across suspensions. *)
   let pending = ref None in
-  let step ~epoch:interval =
-    epoch := interval;
+  let step ~epoch =
+    Cost.set_epoch cost epoch;
     let status = ref None in
     while Option.is_none !status do
       match !stack with
@@ -406,7 +223,6 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
         if Mask.is_empty mask then pop ()
         else if Some top.block = top.rpc then pop ()
         else begin
-          live_streams := List.length !stack;
           let b = Func.block fn top.block in
           let instrs =
             match !pending with
@@ -420,12 +236,8 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
               | Some t ->
                 Trace.record t { Trace.block_id; warp_id; label = top.block; mask }
               | None -> ());
-              let misses = Layout.touch_block icache env.layout top.block in
-              if misses > 0 then begin
-                let stall = misses * d.Device.fetch_miss_penalty in
-                m.Metrics.cycles <- m.Metrics.cycles + stall;
-                m.Metrics.fetch_stall_cycles <- m.Metrics.fetch_stall_cycles + stall
-              end;
+              let first, last = Layout.lines layout top.block in
+              Cost.fetch cost ~first ~last;
               exec_phis mask b;
               b.Block.instrs
           in
@@ -438,17 +250,17 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
             let active = Mask.popcount mask in
             match b.Block.term with
             | Instr.Ret _ ->
-              charge ~control:active ~cycles:d.Device.branch_cost ~active ();
+              Cost.branch cost ~active;
               retired := Mask.union !retired mask;
               pop ()
             | Instr.Unreachable ->
               failwith (Printf.sprintf "simulator: reached unreachable bb%d" cur)
             | Instr.Br target ->
-              charge ~control:active ~cycles:d.Device.branch_cost ~active ();
+              Cost.branch cost ~active;
               set_prev mask cur;
               if Some target = top.rpc then pop () else top.block <- target
             | Instr.Cond_br { cond; if_true; if_false } ->
-              charge ~control:active ~cycles:d.Device.branch_cost ~active ();
+              Cost.branch cost ~active;
               let m_t = ref Mask.empty in
               Mask.iter
                 (fun lane ->
@@ -464,9 +276,8 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
                 if Some if_false = top.rpc then pop () else top.block <- if_false
               end
               else begin
-                m.Metrics.divergent_branches <- m.Metrics.divergent_branches + 1;
-                m.Metrics.cycles <- m.Metrics.cycles + d.Device.divergence_penalty;
-                let r = env.ipdom cur in
+                Cost.diverge cost;
+                let r = ipdom cur in
                 pop ();
                 (match r with
                 | Some rp -> push { block = rp; mask; rpc = top.rpc }
@@ -478,1379 +289,6 @@ let make env ~smem ~dcache ~icache ~noise ~block_id ~warp_id ~lanes =
                   push { block = if_true; mask = m_t; rpc = part_rpc }
               end)
         end
-    done;
-    Option.get !status
-  in
-  { Scheduler.step; metrics = m }
-
-(* ------------------------------------------------------------------ *)
-(* Decoded engine: the same machine run over [Decode.t] programs.      *)
-(* Every charge, cache touch, RNG draw, and failure message below      *)
-(* replicates [make] exactly; only the representation changed.         *)
-(* ------------------------------------------------------------------ *)
-
-(* Like [launch_env]: launch-wide immutable state plus the shard-private
-   sinks ([d_tracer]/[d_races]/[d_atomics] are fresh per shard); the
-   caches and the noise stream are per-block arguments of
-   [make_decoded]. *)
-type decoded_env = {
-  d_device : Device.t;
-  prog : Decode.t;
-  d_mem : Memory.t;
-  d_args : (Value.var * Eval.rvalue) list;
-  d_block_dim : int;
-  d_grid_dim : int;
-  d_max_warp_cycles : int;
-  d_tracer : Trace.t option;
-  d_races : Racecheck.t option;
-  d_atomics : Atomics.t;
-}
-
-(* Per-warp scratch, re-initialised by [make_decoded] and reused across
-   the blocks of a shard: unboxed register files (one row of [warp_size]
-   lanes per slot), phi staging, the reconvergence stack as parallel int
-   arrays, and coalescing scratch. Each concurrently-live warp of a
-   block needs its own state — register files stay alive across barrier
-   suspensions while other warps run. *)
-type decoded_state = {
-  fregs : float array;
-  iregs : int array;
-  pregs_buf : int array;
-  pregs_off : int array;
-  dprev : int array;
-  ph_f : float array;
-  ph_i : int array;
-  ph_pb : int array;
-  ph_po : int array;
-  mutable st_blk : int array;
-  mutable st_msk : int array;
-  mutable st_rpc : int array;
-  tx_buf : int array;
-  tx_off : int array;
-  tx_seen : int array;
-  sx_buf : int array;
-  sx_off : int array;
-  sx_seen : int array;
-  sx_cnt : int array;
-}
-
-let decoded_state (env : decoded_env) =
-  let ws = env.d_device.Device.warp_size in
-  let p = env.prog in
-  let st =
-    {
-      fregs = Array.make (max 1 (p.Decode.n_f * ws)) 0.0;
-      iregs = Array.make (max 1 (p.Decode.n_i * ws)) 0;
-      pregs_buf = Array.make (max 1 (p.Decode.n_p * ws)) (-1);
-      pregs_off = Array.make (max 1 (p.Decode.n_p * ws)) 0;
-      dprev = Array.make ws (-1);
-      ph_f = Array.make (max 1 (p.Decode.max_phis * ws)) 0.0;
-      ph_i = Array.make (max 1 (p.Decode.max_phis * ws)) 0;
-      ph_pb = Array.make (max 1 (p.Decode.max_phis * ws)) 0;
-      ph_po = Array.make (max 1 (p.Decode.max_phis * ws)) 0;
-      st_blk = Array.make 16 0;
-      st_msk = Array.make 16 0;
-      st_rpc = Array.make 16 (-1);
-      tx_buf = Array.make ws 0;
-      tx_off = Array.make ws 0;
-      tx_seen = Array.make ws 0;
-      sx_buf = Array.make ws 0;
-      sx_off = Array.make ws 0;
-      sx_seen = Array.make ws 0;
-      sx_cnt = Array.make (max 1 env.d_device.Device.shared_banks) 0;
-    }
-  in
-  (* Parameters are warp-invariant, so their register rows are written
-     once per launch here. Everything else is SSA — every use is
-     dominated by a def executed earlier in the same warp — so the
-     register files need no per-warp reset. *)
-  List.iter
-    (fun (v, value) ->
-      let base = p.Decode.slot.(v) * ws in
-      match value with
-      | Eval.Float x -> Array.fill st.fregs base ws x
-      | Eval.Int n -> Array.fill st.iregs base ws (Int64.to_int n)
-      | Eval.Ptr { buffer; offset } ->
-        Array.fill st.pregs_buf base ws buffer;
-        Array.fill st.pregs_off base ws offset)
-    env.d_args;
-  st
-
-(* Copy of [Mask.popcount]'s SWAR (masks never set bit 62), kept here so
-   the per-instruction active-lane count is a direct static call. *)
-let popcount62 m =
-  let m = m - ((m lsr 1) land 0x1555_5555_5555_5555) in
-  let m = (m land 0x3333_3333_3333_3333) + ((m lsr 2) land 0x3333_3333_3333_3333) in
-  let m = (m + (m lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
-  (m * 0x0101_0101_0101_0101) lsr 56
-
-let oob buffer offset len =
-  failwith
-    (Printf.sprintf "simulated memory: buffer %d access out of bounds (%d of %d)"
-       buffer offset len)
-
-(* Native-int integer ops, value-identical to [Eval.binop] over the
-   sign-extended range the benchmarks live in. [Int64] fallbacks cover
-   the corners where a 63-bit word could diverge (I64 unsigned division
-   and logical shifts of negative values, shift counts of 63). *)
-
-let inorm w v =
-  match w with
-  | Decode.W1 -> v land 1
-  | Decode.W32 -> (v lsl 31) asr 31
-  | Decode.W64 -> v
-
-let wbits = function Decode.W1 -> 0 | Decode.W32 -> 31 | Decode.W64 -> 63
-
-let iexec op w x y =
-  match op with
-  | Instr.Add -> inorm w (x + y)
-  | Instr.Sub -> inorm w (x - y)
-  | Instr.Mul -> inorm w (x * y)
-  | Instr.Sdiv -> if y = 0 then 0 else inorm w (x / y)
-  | Instr.Srem -> if y = 0 then 0 else inorm w (x mod y)
-  | Instr.Udiv ->
-    if y = 0 then 0
-    else (
-      match w with
-      | Decode.W1 -> x land 1
-      | Decode.W32 -> inorm w ((x land 0xFFFF_FFFF) / (y land 0xFFFF_FFFF))
-      | Decode.W64 ->
-        if x >= 0 && y >= 0 then x / y
-        else Int64.to_int (Int64.unsigned_div (Int64.of_int x) (Int64.of_int y)))
-  | Instr.Shl ->
-    let c = y land wbits w in
-    if c > 62 then Int64.to_int (Int64.shift_left (Int64.of_int x) c)
-    else inorm w (x lsl c)
-  | Instr.Lshr -> (
-    let c = y land wbits w in
-    match w with
-    | Decode.W1 -> x land 1
-    | Decode.W32 -> inorm w ((x land 0xFFFF_FFFF) lsr c)
-    | Decode.W64 ->
-      if x >= 0 then (if c > 62 then 0 else x lsr c)
-      else Int64.to_int (Int64.shift_right_logical (Int64.of_int x) c))
-  | Instr.Ashr -> inorm w (x asr min (y land wbits w) 62)
-  | Instr.And -> x land y
-  | Instr.Or -> x lor y
-  | Instr.Xor -> x lxor y
-  | Instr.Fadd | Instr.Fsub | Instr.Fmul | Instr.Fdiv -> assert false
-
-let b2i b = if b then 1 else 0
-
-(* Unsigned order of sign-extended values survives the 64 -> 63 bit
-   narrowing: flipping the native sign bit sorts negatives (huge
-   unsigned) above the non-negatives, exactly as
-   [Int64.unsigned_compare] does. *)
-let icmp_exec op x y =
-  match op with
-  | Instr.Eq -> b2i (x = y)
-  | Instr.Ne -> b2i (x <> y)
-  | Instr.Slt -> b2i (x < y)
-  | Instr.Sle -> b2i (x <= y)
-  | Instr.Sgt -> b2i (x > y)
-  | Instr.Sge -> b2i (x >= y)
-  | Instr.Ult -> b2i (x lxor min_int < y lxor min_int)
-  | Instr.Ule -> b2i (x lxor min_int <= y lxor min_int)
-  | Instr.Ugt -> b2i (x lxor min_int > y lxor min_int)
-  | Instr.Uge -> b2i (x lxor min_int >= y lxor min_int)
-  | _ -> assert false
-
-let make_decoded (env : decoded_env) (st : decoded_state) ~smem ~dcache ~icache
-    ~noise ~block_id ~warp_id ~lanes =
-  let d = env.d_device in
-  let p = env.prog in
-  let ws = d.Device.warp_size in
-  let blocks = p.Decode.blocks in
-  let m = Metrics.create () in
-  m.Metrics.warps_launched <- 1;
-  let fregs = st.fregs and iregs = st.iregs in
-  let pbuf = st.pregs_buf and poff = st.pregs_off in
-  Array.fill st.dprev 0 ws (-1);
-  let retired = ref 0 in
-  let mem_factor =
-    match noise with
-    | Some rng -> Float.max 0.5 (Rng.gaussian rng ~mean:1.0 ~stddev:0.03)
-    | None -> 1.0
-  in
-  let mem_cost transactions =
-    int_of_float
-      (Float.round
-         (mem_factor *. float_of_int (d.Device.mem_transaction_cost * transactions)))
-  in
-  let charge ?(misc = 0) ?(control = 0) ?(memory = 0) ~cycles ~active () =
-    m.Metrics.cycles <- m.Metrics.cycles + cycles;
-    m.Metrics.warp_instrs <- m.Metrics.warp_instrs + 1;
-    m.Metrics.thread_instrs <- m.Metrics.thread_instrs + active;
-    m.Metrics.active_lane_sum <- m.Metrics.active_lane_sum + active;
-    m.Metrics.inst_misc <- m.Metrics.inst_misc + misc;
-    m.Metrics.inst_control <- m.Metrics.inst_control + control;
-    m.Metrics.inst_memory <- m.Metrics.inst_memory + memory
-  in
-  (* Classify the [n] pointers staged in [tx_buf]/[tx_off] (lane order)
-     into L1 hits and misses, deduplicating segments in
-     first-touching-lane order exactly like [transactions_of]. *)
-  let classify n =
-    let hits = ref 0 and misses = ref 0 and nseen = ref 0 in
-    for j = 0 to n - 1 do
-      let buffer = st.tx_buf.(j) in
-      let esz = Memory.elt_size env.d_mem ~buffer_id:buffer in
-      let seg = st.tx_off.(j) * esz / d.Device.transaction_bytes in
-      let key = (buffer lsl 32) lor seg in
-      let dup = ref false in
-      for k = 0 to !nseen - 1 do
-        if st.tx_seen.(k) = key then dup := true
-      done;
-      if not !dup then begin
-        st.tx_seen.(!nseen) <- key;
-        incr nseen;
-        if Cache.touch dcache key then incr misses else incr hits
-      end
-    done;
-    (!hits, !misses)
-  in
-  (* Replay rounds for the [ns] shared pointers staged in
-     [sx_buf]/[sx_off] — the same model as the reference engine's
-     [shared_replays]: distinct (buffer, word) pairs count once and the
-     result is the deepest bank queue. *)
-  let shared_replays ns =
-    if ns = 0 then 0
-    else begin
-      let banks = st.sx_cnt in
-      Array.fill banks 0 (Array.length banks) 0;
-      let nseen = ref 0 and r = ref 0 in
-      for j = 0 to ns - 1 do
-        let buffer = st.sx_buf.(j) in
-        let esz = Memory.shared_elt_size smem ~buffer_id:buffer in
-        let word = st.sx_off.(j) * esz / d.Device.shared_bank_bytes in
-        let key = (buffer lsl 32) lor word in
-        let dup = ref false in
-        for k = 0 to !nseen - 1 do
-          if st.sx_seen.(k) = key then dup := true
-        done;
-        if not !dup then begin
-          st.sx_seen.(!nseen) <- key;
-          incr nseen;
-          let bank = word mod d.Device.shared_banks in
-          banks.(bank) <- banks.(bank) + 1;
-          if banks.(bank) > !r then r := banks.(bank)
-        end
-      done;
-      !r
-    end
-  in
-  let live_streams = ref 1 in
-  (* Barrier interval for the shared-race audit: block-global, set by
-     the scheduler at each [step], as in [make]. *)
-  let epoch = ref 0 in
-  (* Lane loops walk the mask by shifting it right one lane per
-     iteration — ascending lane order, two ALU ops per lane, and operand
-     reads are inlined matches so no float ever crosses a call boundary
-     (which would box it on this non-flambda compiler). *)
-  let exec_instr mask instr =
-    let active = popcount62 mask in
-    match instr with
-    | Decode.D_ibin { dst; op; w; a; b; cost } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let x =
-            match a with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm n -> n
-          and y =
-            match b with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm n -> n
-          in
-          Array.unsafe_set iregs (base + !l) (iexec op w x y)
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:cost ~active ()
-    | Decode.D_fbin { dst; op; a; b; cost } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let x =
-            match a with
-            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
-            | Decode.F_imm v -> v
-          and y =
-            match b with
-            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
-            | Decode.F_imm v -> v
-          in
-          Array.unsafe_set fregs (base + !l)
-            (match op with
-            | Instr.Fadd -> x +. y
-            | Instr.Fsub -> x -. y
-            | Instr.Fmul -> x *. y
-            | Instr.Fdiv -> x /. y
-            | _ -> assert false)
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:cost ~active ()
-    | Decode.D_icmp { dst; op; a; b } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let x =
-            match a with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm n -> n
-          and y =
-            match b with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm n -> n
-          in
-          Array.unsafe_set iregs (base + !l) (icmp_exec op x y)
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Decode.D_fcmp { dst; op; a; b } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let x =
-            match a with
-            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
-            | Decode.F_imm v -> v
-          and y =
-            match b with
-            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
-            | Decode.F_imm v -> v
-          in
-          Array.unsafe_set iregs (base + !l)
-            (match op with
-            | Instr.Foeq -> b2i (x = y)
-            | Instr.Fone -> b2i (x < y || x > y)
-            | Instr.Folt -> b2i (x < y)
-            | Instr.Fole -> b2i (x <= y)
-            | Instr.Fogt -> b2i (x > y)
-            | Instr.Foge -> b2i (x >= y)
-            | _ -> assert false)
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Decode.D_pcmp { dst; negate; a; b } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let ab =
-            match a with
-            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
-            | Decode.P_imm (b', _) -> b'
-          and ao =
-            match a with
-            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
-            | Decode.P_imm (_, o) -> o
-          and bb =
-            match b with
-            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
-            | Decode.P_imm (b', _) -> b'
-          and bo =
-            match b with
-            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
-            | Decode.P_imm (_, o) -> o
-          in
-          let same = ab = bb && ao = bo in
-          Array.unsafe_set iregs (base + !l)
-            (b2i (if negate then not same else same))
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Decode.D_iunop { dst; op; src } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let x =
-            match src with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm n -> n
-          in
-          Array.unsafe_set iregs (base + !l)
-            (match op with
-            | Instr.Trunc_i32 -> (x lsl 31) asr 31
-            | Instr.Sext_i64 -> x
-            | Instr.Zext_i64 -> x land 0xFFFF_FFFF
-            | Instr.Not -> lnot x
-            | _ -> assert false)
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Decode.D_sitofp { dst; src } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let x =
-            match src with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm n -> n
-          in
-          Array.unsafe_set fregs (base + !l) (float_of_int x)
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Decode.D_fptosi { dst; src } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let x =
-            match src with
-            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
-            | Decode.F_imm v -> v
-          in
-          Array.unsafe_set iregs (base + !l) (Int64.to_int (Int64.of_float x))
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Decode.D_fneg { dst; src } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let x =
-            match src with
-            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
-            | Decode.F_imm v -> v
-          in
-          Array.unsafe_set fregs (base + !l) (-.x)
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Decode.D_iselect { dst; cond; t; f } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let c =
-            match cond with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm n -> n
-          in
-          let o = if c land 1 <> 0 then t else f in
-          Array.unsafe_set iregs (base + !l)
-            (match o with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm n -> n)
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~misc:active ~cycles:d.Device.alu_cost ~active ()
-    | Decode.D_fselect { dst; cond; t; f } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let c =
-            match cond with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm n -> n
-          in
-          let o = if c land 1 <> 0 then t else f in
-          Array.unsafe_set fregs (base + !l)
-            (match o with
-            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
-            | Decode.F_imm v -> v)
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~misc:active ~cycles:d.Device.alu_cost ~active ()
-    | Decode.D_pselect { dst; cond; t; f } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let c =
-            match cond with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm n -> n
-          in
-          let o = if c land 1 <> 0 then t else f in
-          (match o with
-          | Decode.P_reg s ->
-            Array.unsafe_set pbuf (base + !l) (Array.unsafe_get pbuf ((s * ws) + !l));
-            Array.unsafe_set poff (base + !l) (Array.unsafe_get poff ((s * ws) + !l))
-          | Decode.P_imm (b', o') ->
-            Array.unsafe_set pbuf (base + !l) b';
-            Array.unsafe_set poff (base + !l) o')
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~misc:active ~cycles:d.Device.alu_cost ~active ()
-    | Decode.D_gep { dst; base = b; index } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let bb =
-            match b with
-            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
-            | Decode.P_imm (b', _) -> b'
-          and bo =
-            match b with
-            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
-            | Decode.P_imm (_, o) -> o
-          and ix =
-            match index with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm n -> n
-          in
-          Array.unsafe_set pbuf (base + !l) bb;
-          Array.unsafe_set poff (base + !l) (bo + ix)
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Decode.D_iload { dst; addr; bytes } ->
-      let base = dst * ws in
-      let n = ref 0 and ns = ref 0 in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let buffer =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
-            | Decode.P_imm (b', _) -> b'
-          and offset =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
-            | Decode.P_imm (_, o) -> o
-          in
-          if buffer < -1 then begin
-            st.sx_buf.(!ns) <- buffer;
-            st.sx_off.(!ns) <- offset;
-            incr ns;
-            (match env.d_races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:false
-            | None -> ());
-            Array.unsafe_set iregs (base + !l)
-              (Memory.shared_loadi smem ~buffer_id:buffer ~offset)
-          end
-          else begin
-            st.tx_buf.(!n) <- buffer;
-            st.tx_off.(!n) <- offset;
-            incr n;
-            Array.unsafe_set iregs (base + !l)
-              (Memory.loadi env.d_mem ~buffer_id:buffer ~offset)
-          end
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      let hits, misses = classify !n in
-      let replays = shared_replays !ns in
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + hits + misses;
-      m.Metrics.shared_transactions <- m.Metrics.shared_transactions + replays;
-      if replays > 1 then
-        m.Metrics.shared_bank_conflicts <-
-          m.Metrics.shared_bank_conflicts + (replays - 1);
-      m.Metrics.gld_bytes <- m.Metrics.gld_bytes + ((active - !ns) * bytes);
-      m.Metrics.sld_bytes <- m.Metrics.sld_bytes + (!ns * bytes);
-      let latency =
-        if misses > 0 then d.Device.mem_dep_latency
-        else if hits > 0 then d.Device.l1_hit_latency
-        else d.Device.smem_latency
-      in
-      let exposed =
-        if d.Device.its_latency_hiding then latency / max 1 !live_streams else latency
-      in
-      charge ~memory:active
-        ~cycles:
-          (d.Device.mem_issue_cost + (hits * d.Device.l1_hit_cost)
-          + mem_cost misses
-          + (replays * d.Device.smem_cost)
-          + exposed)
-        ~active ()
-    | Decode.D_fload { dst; addr; bytes } ->
-      let base = dst * ws in
-      let n = ref 0 and ns = ref 0 in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let buffer =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
-            | Decode.P_imm (b', _) -> b'
-          and offset =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
-            | Decode.P_imm (_, o) -> o
-          in
-          if buffer < -1 then begin
-            st.sx_buf.(!ns) <- buffer;
-            st.sx_off.(!ns) <- offset;
-            incr ns;
-            (match env.d_races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:false
-            | None -> ());
-            let a = Memory.shared_fdata smem ~buffer_id:buffer in
-            if offset < 0 || offset >= Array.length a then
-              oob buffer offset (Array.length a);
-            Array.unsafe_set fregs (base + !l) (Array.unsafe_get a offset)
-          end
-          else begin
-            st.tx_buf.(!n) <- buffer;
-            st.tx_off.(!n) <- offset;
-            incr n;
-            let a = Memory.fdata env.d_mem ~buffer_id:buffer in
-            if offset < 0 || offset >= Array.length a then
-              oob buffer offset (Array.length a);
-            Array.unsafe_set fregs (base + !l) (Array.unsafe_get a offset)
-          end
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      let hits, misses = classify !n in
-      let replays = shared_replays !ns in
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + hits + misses;
-      m.Metrics.shared_transactions <- m.Metrics.shared_transactions + replays;
-      if replays > 1 then
-        m.Metrics.shared_bank_conflicts <-
-          m.Metrics.shared_bank_conflicts + (replays - 1);
-      m.Metrics.gld_bytes <- m.Metrics.gld_bytes + ((active - !ns) * bytes);
-      m.Metrics.sld_bytes <- m.Metrics.sld_bytes + (!ns * bytes);
-      let latency =
-        if misses > 0 then d.Device.mem_dep_latency
-        else if hits > 0 then d.Device.l1_hit_latency
-        else d.Device.smem_latency
-      in
-      let exposed =
-        if d.Device.its_latency_hiding then latency / max 1 !live_streams else latency
-      in
-      charge ~memory:active
-        ~cycles:
-          (d.Device.mem_issue_cost + (hits * d.Device.l1_hit_cost)
-          + mem_cost misses
-          + (replays * d.Device.smem_cost)
-          + exposed)
-        ~active ()
-    | Decode.D_pload { dst; addr; bytes } ->
-      (* Shared declarations hold only f64/i64 elements (see the
-         verifier), but alloca arenas may hold pointers; the bank raises
-         the usual type confusion on a non-P slot. *)
-      let base = dst * ws in
-      let n = ref 0 and ns = ref 0 in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let buffer =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
-            | Decode.P_imm (b', _) -> b'
-          and offset =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
-            | Decode.P_imm (_, o) -> o
-          in
-          if buffer < -1 then begin
-            st.sx_buf.(!ns) <- buffer;
-            st.sx_off.(!ns) <- offset;
-            incr ns;
-            (match env.d_races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:false
-            | None -> ());
-            let vb, vo = Memory.shared_loadp smem ~buffer_id:buffer ~offset in
-            Array.unsafe_set pbuf (base + !l) vb;
-            Array.unsafe_set poff (base + !l) vo
-          end
-          else begin
-            st.tx_buf.(!n) <- buffer;
-            st.tx_off.(!n) <- offset;
-            incr n;
-            let vb, vo = Memory.loadp env.d_mem ~buffer_id:buffer ~offset in
-            Array.unsafe_set pbuf (base + !l) vb;
-            Array.unsafe_set poff (base + !l) vo
-          end
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      let hits, misses = classify !n in
-      let replays = shared_replays !ns in
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + hits + misses;
-      m.Metrics.shared_transactions <- m.Metrics.shared_transactions + replays;
-      if replays > 1 then
-        m.Metrics.shared_bank_conflicts <-
-          m.Metrics.shared_bank_conflicts + (replays - 1);
-      m.Metrics.gld_bytes <- m.Metrics.gld_bytes + ((active - !ns) * bytes);
-      m.Metrics.sld_bytes <- m.Metrics.sld_bytes + (!ns * bytes);
-      let latency =
-        if misses > 0 then d.Device.mem_dep_latency
-        else if hits > 0 then d.Device.l1_hit_latency
-        else d.Device.smem_latency
-      in
-      let exposed =
-        if d.Device.its_latency_hiding then latency / max 1 !live_streams else latency
-      in
-      charge ~memory:active
-        ~cycles:
-          (d.Device.mem_issue_cost + (hits * d.Device.l1_hit_cost)
-          + mem_cost misses
-          + (replays * d.Device.smem_cost)
-          + exposed)
-        ~active ()
-    | Decode.D_istore { addr; value; bytes } ->
-      let n = ref 0 and ns = ref 0 in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let buffer =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
-            | Decode.P_imm (b', _) -> b'
-          and offset =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
-            | Decode.P_imm (_, o) -> o
-          in
-          let v =
-            match value with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm x -> x
-          in
-          if buffer < -1 then begin
-            st.sx_buf.(!ns) <- buffer;
-            st.sx_off.(!ns) <- offset;
-            incr ns;
-            (match env.d_races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
-            | None -> ());
-            Memory.shared_storei smem ~buffer_id:buffer ~offset v
-          end
-          else begin
-            st.tx_buf.(!n) <- buffer;
-            st.tx_off.(!n) <- offset;
-            incr n;
-            Memory.storei env.d_mem ~buffer_id:buffer ~offset v
-          end
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      (match env.d_races with
-      | Some r ->
-        for j = 0 to !n - 1 do
-          Racecheck.record r ~block_id ~buffer:st.tx_buf.(j) ~offset:st.tx_off.(j)
-        done
-      | None -> ());
-      let hits, misses = classify !n in
-      let replays = shared_replays !ns in
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + hits + misses;
-      m.Metrics.shared_transactions <- m.Metrics.shared_transactions + replays;
-      if replays > 1 then
-        m.Metrics.shared_bank_conflicts <-
-          m.Metrics.shared_bank_conflicts + (replays - 1);
-      m.Metrics.gst_bytes <- m.Metrics.gst_bytes + ((active - !ns) * bytes);
-      m.Metrics.sst_bytes <- m.Metrics.sst_bytes + (!ns * bytes);
-      charge ~memory:active
-        ~cycles:
-          (d.Device.mem_issue_cost + (hits * d.Device.l1_hit_cost)
-          + mem_cost misses
-          + (replays * d.Device.smem_cost))
-        ~active ()
-    | Decode.D_fstore { addr; value; bytes } ->
-      let n = ref 0 and ns = ref 0 in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let buffer =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
-            | Decode.P_imm (b', _) -> b'
-          and offset =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
-            | Decode.P_imm (_, o) -> o
-          in
-          let v =
-            match value with
-            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
-            | Decode.F_imm x -> x
-          in
-          if buffer < -1 then begin
-            st.sx_buf.(!ns) <- buffer;
-            st.sx_off.(!ns) <- offset;
-            incr ns;
-            (match env.d_races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
-            | None -> ());
-            let a = Memory.shared_fdata smem ~buffer_id:buffer in
-            if offset < 0 || offset >= Array.length a then
-              oob buffer offset (Array.length a);
-            Array.unsafe_set a offset v
-          end
-          else begin
-            st.tx_buf.(!n) <- buffer;
-            st.tx_off.(!n) <- offset;
-            incr n;
-            let a = Memory.fdata env.d_mem ~buffer_id:buffer in
-            if offset < 0 || offset >= Array.length a then
-              oob buffer offset (Array.length a);
-            Array.unsafe_set a offset v
-          end
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      (match env.d_races with
-      | Some r ->
-        for j = 0 to !n - 1 do
-          Racecheck.record r ~block_id ~buffer:st.tx_buf.(j) ~offset:st.tx_off.(j)
-        done
-      | None -> ());
-      let hits, misses = classify !n in
-      let replays = shared_replays !ns in
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + hits + misses;
-      m.Metrics.shared_transactions <- m.Metrics.shared_transactions + replays;
-      if replays > 1 then
-        m.Metrics.shared_bank_conflicts <-
-          m.Metrics.shared_bank_conflicts + (replays - 1);
-      m.Metrics.gst_bytes <- m.Metrics.gst_bytes + ((active - !ns) * bytes);
-      m.Metrics.sst_bytes <- m.Metrics.sst_bytes + (!ns * bytes);
-      charge ~memory:active
-        ~cycles:
-          (d.Device.mem_issue_cost + (hits * d.Device.l1_hit_cost)
-          + mem_cost misses
-          + (replays * d.Device.smem_cost))
-        ~active ()
-    | Decode.D_pstore { addr; value; bytes } ->
-      (* Shared declarations hold only f64/i64 elements, but alloca
-         arenas may hold pointers; [shared_storep] raises the reference
-         engine's type confusion on a non-P slot. *)
-      let n = ref 0 and ns = ref 0 in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let buffer =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
-            | Decode.P_imm (b', _) -> b'
-          and offset =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
-            | Decode.P_imm (_, o) -> o
-          in
-          let vb =
-            match value with
-            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
-            | Decode.P_imm (b', _) -> b'
-          and vo =
-            match value with
-            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
-            | Decode.P_imm (_, o) -> o
-          in
-          if buffer < -1 then begin
-            st.sx_buf.(!ns) <- buffer;
-            st.sx_off.(!ns) <- offset;
-            incr ns;
-            (match env.d_races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
-            | None -> ());
-            Memory.shared_storep smem ~buffer_id:buffer ~offset ~pbuffer:vb
-              ~poffset:vo
-          end
-          else begin
-            st.tx_buf.(!n) <- buffer;
-            st.tx_off.(!n) <- offset;
-            incr n;
-            Memory.storep env.d_mem ~buffer_id:buffer ~offset ~pbuffer:vb
-              ~poffset:vo
-          end
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      (match env.d_races with
-      | Some r ->
-        for j = 0 to !n - 1 do
-          Racecheck.record r ~block_id ~buffer:st.tx_buf.(j) ~offset:st.tx_off.(j)
-        done
-      | None -> ());
-      let hits, misses = classify !n in
-      let replays = shared_replays !ns in
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + hits + misses;
-      m.Metrics.shared_transactions <- m.Metrics.shared_transactions + replays;
-      if replays > 1 then
-        m.Metrics.shared_bank_conflicts <-
-          m.Metrics.shared_bank_conflicts + (replays - 1);
-      m.Metrics.gst_bytes <- m.Metrics.gst_bytes + ((active - !ns) * bytes);
-      m.Metrics.sst_bytes <- m.Metrics.sst_bytes + (!ns * bytes);
-      charge ~memory:active
-        ~cycles:
-          (d.Device.mem_issue_cost + (hits * d.Device.l1_hit_cost)
-          + mem_cost misses
-          + (replays * d.Device.smem_cost))
-        ~active ()
-    | Decode.D_iatomic { dst; addr; value } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let buffer =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
-            | Decode.P_imm (b', _) -> b'
-          and offset =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
-            | Decode.P_imm (_, o) -> o
-          and v =
-            match value with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm x -> x
-          in
-          if buffer < -1 then begin
-            (match env.d_races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
-            | None -> ());
-            Array.unsafe_set iregs (base + !l)
-              (Memory.shared_atomic_addi smem ~buffer_id:buffer ~offset v)
-          end
-          else begin
-            (match env.d_races with
-            | Some r -> Racecheck.record_atomic r ~block_id ~buffer ~offset
-            | None -> ());
-            Array.unsafe_set iregs (base + !l)
-              (Atomics.addi env.d_atomics ~block_id ~buffer ~offset v)
-          end
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + active;
-      charge ~memory:active ~cycles:(d.Device.atomic_cost * max 1 active) ~active ()
-    | Decode.D_fatomic { dst; addr; value } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let buffer =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get pbuf ((s * ws) + !l)
-            | Decode.P_imm (b', _) -> b'
-          and offset =
-            match addr with
-            | Decode.P_reg s -> Array.unsafe_get poff ((s * ws) + !l)
-            | Decode.P_imm (_, o) -> o
-          and v =
-            match value with
-            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
-            | Decode.F_imm x -> x
-          in
-          if buffer < -1 then begin
-            (match env.d_races with
-            | Some r ->
-              Racecheck.record_shared r ~block_id ~thread_id:((warp_id * ws) + !l)
-                ~slot:(-2 - buffer) ~offset ~epoch:!epoch ~write:true
-            | None -> ());
-            Array.unsafe_set fregs (base + !l)
-              (Memory.shared_atomic_addf smem ~buffer_id:buffer ~offset v)
-          end
-          else begin
-            (match env.d_races with
-            | Some r -> Racecheck.record_atomic r ~block_id ~buffer ~offset
-            | None -> ());
-            Array.unsafe_set fregs (base + !l)
-              (Atomics.addf env.d_atomics ~block_id ~buffer ~offset v)
-          end
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      m.Metrics.mem_transactions <- m.Metrics.mem_transactions + active;
-      charge ~memory:active ~cycles:(d.Device.atomic_cost * max 1 active) ~active ()
-    | Decode.D_fintrinsic { dst; op; args } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let arg i =
-            match Array.unsafe_get args i with
-            | Decode.F_reg s -> Array.unsafe_get fregs ((s * ws) + !l)
-            | Decode.F_imm v -> v
-          in
-          Array.unsafe_set fregs (base + !l)
-            (match op with
-            | Instr.Sqrt -> sqrt (arg 0)
-            | Instr.Exp -> exp (arg 0)
-            | Instr.Log -> log (arg 0)
-            | Instr.Sin -> sin (arg 0)
-            | Instr.Cos -> cos (arg 0)
-            | Instr.Fabs -> Float.abs (arg 0)
-            | Instr.Pow -> Float.pow (arg 0) (arg 1)
-            | Instr.Fmin -> Float.min (arg 0) (arg 1)
-            | Instr.Fmax -> Float.max (arg 0) (arg 1)
-            | _ -> assert false)
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:d.Device.intrinsic_cost ~active ()
-    | Decode.D_iintrinsic { dst; op; args } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          let arg i =
-            match Array.unsafe_get args i with
-            | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-            | Decode.I_imm n -> n
-          in
-          Array.unsafe_set iregs (base + !l)
-            (match op with
-            | Instr.Imin -> min (arg 0) (arg 1)
-            | Instr.Imax -> max (arg 0) (arg 1)
-            | Instr.Iabs -> abs (arg 0)
-            | _ -> assert false)
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:d.Device.intrinsic_cost ~active ()
-    | Decode.D_special { dst; op } ->
-      let base = dst * ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then
-          Array.unsafe_set iregs (base + !l)
-            (match op with
-            | Instr.Thread_idx -> (warp_id * ws) + !l
-            | Instr.Block_idx -> block_id
-            | Instr.Block_dim -> env.d_block_dim
-            | Instr.Grid_dim -> env.d_grid_dim);
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Decode.D_alloca { dst; ty } ->
-      (* One cell per lane, so each lane gets a private slot. Arenas live
-         in the block's shared bank: their ids are a pure function of
-         (block, allocation index within the block), so they are
-         identical at any shard width, and the bank drops them wholesale
-         at the next block entry. *)
-      let base = dst * ws in
-      let bid = Memory.bank_alloca smem ty ws in
-      let mm = ref mask and l = ref 0 in
-      while !mm <> 0 do
-        if !mm land 1 <> 0 then begin
-          Array.unsafe_set pbuf (base + !l) bid;
-          Array.unsafe_set poff (base + !l) !l
-        end;
-        incr l;
-        mm := !mm lsr 1
-      done;
-      charge ~cycles:d.Device.alu_cost ~active ()
-    | Decode.D_sync ->
-      (* Intercepted by the block walker below, which suspends the warp
-         at the barrier; reaching it here would bypass the scheduler. *)
-      assert false
-  in
-  let phi_fail orig pr =
-    failwith
-      (Printf.sprintf "simulator: phi in bb%d has no incoming for predecessor bb%d"
-         orig
-         (if pr >= 0 then blocks.(pr).Decode.orig else pr))
-  in
-  let exec_phis mask (b : Decode.dblock) =
-    let nph = Array.length b.Decode.phis in
-    if nph > 0 then begin
-      let active = popcount62 mask in
-      for pi = 0 to nph - 1 do
-        let pbase = pi * ws in
-        (match b.Decode.phis.(pi) with
-        | Decode.Phi_f { inc; _ } ->
-          let mm = ref mask and l = ref 0 in
-          while !mm <> 0 do
-            if !mm land 1 <> 0 then begin
-              let pr = st.dprev.(!l) in
-              match if pr >= 0 then inc.(pr) else None with
-              | Some (Decode.F_reg s) ->
-                st.ph_f.(pbase + !l) <- Array.unsafe_get fregs ((s * ws) + !l)
-              | Some (Decode.F_imm v) -> st.ph_f.(pbase + !l) <- v
-              | None -> phi_fail b.Decode.orig pr
-            end;
-            incr l;
-            mm := !mm lsr 1
-          done
-        | Decode.Phi_i { inc; _ } ->
-          let mm = ref mask and l = ref 0 in
-          while !mm <> 0 do
-            if !mm land 1 <> 0 then begin
-              let pr = st.dprev.(!l) in
-              match if pr >= 0 then inc.(pr) else None with
-              | Some (Decode.I_reg s) ->
-                st.ph_i.(pbase + !l) <- Array.unsafe_get iregs ((s * ws) + !l)
-              | Some (Decode.I_imm n) -> st.ph_i.(pbase + !l) <- n
-              | None -> phi_fail b.Decode.orig pr
-            end;
-            incr l;
-            mm := !mm lsr 1
-          done
-        | Decode.Phi_p { inc; _ } ->
-          let mm = ref mask and l = ref 0 in
-          while !mm <> 0 do
-            if !mm land 1 <> 0 then begin
-              let pr = st.dprev.(!l) in
-              match if pr >= 0 then inc.(pr) else None with
-              | Some (Decode.P_reg s) ->
-                st.ph_pb.(pbase + !l) <- Array.unsafe_get pbuf ((s * ws) + !l);
-                st.ph_po.(pbase + !l) <- Array.unsafe_get poff ((s * ws) + !l)
-              | Some (Decode.P_imm (b', o')) ->
-                st.ph_pb.(pbase + !l) <- b';
-                st.ph_po.(pbase + !l) <- o'
-              | None -> phi_fail b.Decode.orig pr
-            end;
-            incr l;
-            mm := !mm lsr 1
-          done);
-        charge ~misc:active ~cycles:d.Device.alu_cost ~active ()
-      done;
-      (* Parallel semantics: all reads above, all writes here. *)
-      for pi = 0 to nph - 1 do
-        let pbase = pi * ws in
-        match b.Decode.phis.(pi) with
-        | Decode.Phi_f { dst; _ } ->
-          let base = dst * ws in
-          let mm = ref mask and l = ref 0 in
-          while !mm <> 0 do
-            if !mm land 1 <> 0 then
-              Array.unsafe_set fregs (base + !l) st.ph_f.(pbase + !l);
-            incr l;
-            mm := !mm lsr 1
-          done
-        | Decode.Phi_i { dst; _ } ->
-          let base = dst * ws in
-          let mm = ref mask and l = ref 0 in
-          while !mm <> 0 do
-            if !mm land 1 <> 0 then
-              Array.unsafe_set iregs (base + !l) st.ph_i.(pbase + !l);
-            incr l;
-            mm := !mm lsr 1
-          done
-        | Decode.Phi_p { dst; _ } ->
-          let base = dst * ws in
-          let mm = ref mask and l = ref 0 in
-          while !mm <> 0 do
-            if !mm land 1 <> 0 then begin
-              Array.unsafe_set pbuf (base + !l) st.ph_pb.(pbase + !l);
-              Array.unsafe_set poff (base + !l) st.ph_po.(pbase + !l)
-            end;
-            incr l;
-            mm := !mm lsr 1
-          done
-      done
-    end
-  in
-  (* A __syncthreads() under a partial mask, as in [make]: message and
-     lane count byte-identical to the reference engine's. *)
-  let full_mask = Mask.bits (Mask.full ~width:lanes) in
-  let exec_sync mask =
-    if mask <> full_mask then
-      failwith
-        (Printf.sprintf
-           "simulator: divergent __syncthreads() in @%s: warp %d of block %d \
-            hit the barrier with %d of %d lanes"
-           p.Decode.fn_name warp_id block_id (popcount62 mask) lanes);
-    charge ~cycles:d.Device.sync_cost ~active:(popcount62 mask) ()
-  in
-  let depth = ref 1 in
-  st.st_blk.(0) <- p.Decode.entry;
-  st.st_msk.(0) <- full_mask;
-  st.st_rpc.(0) <- -1;
-  let push blk msk rpc =
-    if !depth >= Array.length st.st_blk then begin
-      let n = 2 * Array.length st.st_blk in
-      let grow a = Array.append a (Array.make (n - Array.length a) 0) in
-      st.st_blk <- grow st.st_blk;
-      st.st_msk <- grow st.st_msk;
-      st.st_rpc <- grow st.st_rpc
-    end;
-    st.st_blk.(!depth) <- blk;
-    st.st_msk.(!depth) <- msk;
-    st.st_rpc.(!depth) <- rpc;
-    incr depth
-  in
-  let set_prev mask cur =
-    let mm = ref mask and l = ref 0 in
-    while !mm <> 0 do
-      if !mm land 1 <> 0 then st.dprev.(!l) <- cur;
-      incr l;
-      mm := !mm lsr 1
-    done
-  in
-  (* Program counter within the current block after a barrier
-     suspension; -1 when the next entry into the top block starts from
-     its beginning. Everything else — flat register files, [dprev],
-     [retired], the int-array stack — lives in [st] across suspensions,
-     so resuming costs nothing and boxes nothing. *)
-  let pend = ref (-1) in
-  let step ~epoch:interval =
-    epoch := interval;
-    let status = ref None in
-    while Option.is_none !status do
-      if !depth = 0 then status := Some Scheduler.Exited
-      else begin
-        let ti = !depth - 1 in
-        if m.Metrics.cycles > env.d_max_warp_cycles then
-          failwith
-            (Printf.sprintf
-               "simulator: warp exceeded %d cycles in @%s (infinite loop?)"
-               env.d_max_warp_cycles p.Decode.fn_name);
-        let mask = st.st_msk.(ti) land lnot !retired in
-        let cur = st.st_blk.(ti) in
-        let rpc = st.st_rpc.(ti) in
-        if mask = 0 then decr depth
-        else if cur = rpc then decr depth
-        else begin
-          live_streams := !depth;
-          let b = blocks.(cur) in
-          let k0 =
-            if !pend >= 0 then begin
-              (* Resuming mid-block: trace, fetch, and phis already
-                 happened when the block was entered. *)
-              let k = !pend in
-              pend := -1;
-              k
-            end
-            else begin
-              (match env.d_tracer with
-              | Some t ->
-                Trace.record t
-                  {
-                    Trace.block_id;
-                    warp_id;
-                    label = b.Decode.orig;
-                    mask = Mask.of_bits mask;
-                  }
-              | None -> ());
-              let fmisses = ref 0 in
-              for line = b.Decode.line_first to b.Decode.line_last do
-                if Cache.touch icache line then incr fmisses
-              done;
-              if !fmisses > 0 then begin
-                let stall = !fmisses * d.Device.fetch_miss_penalty in
-                m.Metrics.cycles <- m.Metrics.cycles + stall;
-                m.Metrics.fetch_stall_cycles <-
-                  m.Metrics.fetch_stall_cycles + stall
-              end;
-              exec_phis mask b;
-              0
-            end
-          in
-          let instrs = b.Decode.instrs in
-          let ni = Array.length instrs in
-          let k = ref k0 in
-          let arrived = ref false in
-          while (not !arrived) && !k < ni do
-            (match instrs.(!k) with
-            | Decode.D_sync ->
-              exec_sync mask;
-              arrived := true
-            | i -> exec_instr mask i);
-            incr k
-          done;
-          if !arrived then begin
-            pend := !k;
-            status := Some Scheduler.Arrived
-          end
-          else begin
-            let active = popcount62 mask in
-            match b.Decode.term with
-            | Decode.T_ret ->
-              charge ~control:active ~cycles:d.Device.branch_cost ~active ();
-              retired := !retired lor mask;
-              decr depth
-            | Decode.T_unreachable ->
-              failwith
-                (Printf.sprintf "simulator: reached unreachable bb%d" b.Decode.orig)
-            | Decode.T_br target ->
-              charge ~control:active ~cycles:d.Device.branch_cost ~active ();
-              set_prev mask cur;
-              if target = rpc then decr depth else st.st_blk.(ti) <- target
-            | Decode.T_cbr { cond; if_true; if_false } ->
-              charge ~control:active ~cycles:d.Device.branch_cost ~active ();
-              let mt = ref 0 in
-              let mm = ref mask and l = ref 0 in
-              while !mm <> 0 do
-                if !mm land 1 <> 0 then begin
-                  let c =
-                    match cond with
-                    | Decode.I_reg s -> Array.unsafe_get iregs ((s * ws) + !l)
-                    | Decode.I_imm n -> n
-                  in
-                  if c land 1 <> 0 then mt := !mt lor (1 lsl !l)
-                end;
-                incr l;
-                mm := !mm lsr 1
-              done;
-              let mt = !mt in
-              let mf = mask land lnot mt in
-              set_prev mask cur;
-              if mf = 0 then begin
-                if if_true = rpc then decr depth else st.st_blk.(ti) <- if_true
-              end
-              else if mt = 0 then begin
-                if if_false = rpc then decr depth else st.st_blk.(ti) <- if_false
-              end
-              else begin
-                m.Metrics.divergent_branches <- m.Metrics.divergent_branches + 1;
-                m.Metrics.cycles <- m.Metrics.cycles + d.Device.divergence_penalty;
-                let r = p.Decode.ipdom.(cur) in
-                decr depth;
-                if r >= 0 then push r mask rpc;
-                let part_rpc = if r >= 0 then r else rpc in
-                if if_false <> part_rpc then push if_false mf part_rpc;
-                if if_true <> part_rpc then push if_true mt part_rpc
-              end
-          end
-        end
-      end
     done;
     Option.get !status
   in

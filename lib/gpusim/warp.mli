@@ -1,4 +1,5 @@
-(** The SIMT warp executor.
+(** The SIMT warp: the launch env both engines share, and the reference
+    engine.
 
     A warp executes the kernel IR in lockstep over up to 32 lanes using a
     stack of (block, active-mask, reconvergence-point) entries. A
@@ -7,111 +8,58 @@
     run serialized until they reach their reconvergence point — the
     standard stack-based reconvergence model, which is what makes the
     unmerged longer paths of u&u cost warp-execution efficiency exactly
-    as the paper reports (§V). Per-lane registers, per-lane predecessor
-    tracking for phi resolution, per-transaction memory coalescing, and
-    icache fetch accounting are all handled here.
+    as the paper reports (§V).
 
-    Warps are {e resumable}: {!make} / {!make_decoded} return a
-    {!Scheduler.warp} whose [step] runs the warp until it arrives at a
-    [__syncthreads()] barrier or exits, keeping the live register, mask,
-    and program-counter state alive across suspensions so the
-    {!Scheduler} can interleave the warps of a block at barriers. A
-    barrier executed with a partial lane mask (divergence or early
-    returns within the warp) raises the divergent-[__syncthreads()]
-    error directly from the executor. *)
+    Two engines implement the machine: {!make}, a tree-walking
+    interpreter over the IR and the oracle, and {!Decoded_warp}, which
+    runs a pre-decoded flat program. An engine owns value semantics and
+    control flow — per-lane registers, phi resolution by per-lane
+    predecessor, the reconvergence stack — and charges each warp
+    instruction with one call into {!Cost}, the one cost model.
+
+    Warps are {e resumable}: an engine returns a {!Scheduler.warp} whose
+    [step] runs the warp until it arrives at a [__syncthreads()] barrier
+    or exits, keeping the live register, mask, and program-counter state
+    alive across suspensions so the {!Scheduler} can interleave the warps
+    of a block at barriers. *)
 
 open Uu_ir
-open Uu_support
 
-type launch_env = {
+type env = {
   device : Device.t;
   fn : Func.t;
   mem : Memory.t;
-  layout : Layout.t;
-  ipdom : Value.label -> Value.label option;  (** immediate post-dominators *)
-  args : (Value.var * Eval.rvalue) list;      (** parameter bindings *)
+  args : (Value.var * Eval.rvalue) list;  (** parameter bindings *)
   block_dim : int;
   grid_dim : int;
   max_warp_cycles : int;  (** runaway-loop guard *)
-  tracer : Trace.t option;       (** shard-private execution trace *)
-  races : Racecheck.t option;    (** shard-private write-overlap collector *)
-  atomics : Atomics.t;           (** shard-private deferred atomics view *)
+  tracer : Trace.t option;  (** shard-private execution trace *)
+  atomics : Atomics.t;  (** shard-private deferred atomics view *)
 }
-(** Launch-wide state plus shard-private sinks: the plain fields are
-    immutable during the grid walk (or, for [mem], written at
-    block-disjoint cells), and {!Kernel} gives every shard its own env
-    copy with fresh [tracer]/[races]/[atomics], so no field is ever
-    mutated by two domains. The mutable per-block state — data cache,
-    icache residency, noise stream — is passed to {!make} per block,
-    matching the per-SM L1 of real devices. *)
+(** What both engines run under: launch-wide state, immutable during the
+    grid walk (or, for [mem], written at block-disjoint cells), plus
+    shard-private sinks — {!Kernel} gives every shard its own copy with
+    a fresh [tracer] and [atomics], so no field is ever mutated by two
+    domains. The per-block state — shared bank, caches, noise — is
+    owned by the launch loop and reaches a warp as [smem] and its
+    {!Cost.t}. *)
 
 val make :
-  launch_env ->
+  layout:Layout.t ->
+  ipdom:(Value.label -> Value.label option) ->
+  env ->
   smem:Memory.shared_bank ->
-  dcache:(int * int) Cache.t ->
-  icache:Layout.icache ->
-  noise:Rng.t option ->
+  Cost.t ->
   block_id:int ->
   warp_id:int ->
   lanes:int ->
   Scheduler.warp
-(** Create one resumable warp ([lanes] ≤ warp size active threads, lane 0
-    is thread [warp_id * warp_size] of the block). [smem] is the block's
-    shared-memory bank (zero-reset by the launcher at block entry),
-    [dcache] the block's L1 model over (buffer, segment) keys, [icache]
-    its instruction-cache residency, [noise] its private jitter stream
-    (one gaussian draw per warp, taken here at creation — create a
-    block's warps in ascending warp order) — all owned by the block so
-    warp metrics are a function of (launch, block) alone. The returned
+(** The reference engine. [make ~layout ~ipdom env ~smem] is a shard's
+    warp constructor: it creates one resumable warp of [lanes] ≤ warp
+    size threads (lane 0 is thread [warp_id * warp_size] of block
+    [block_id]), charging through [cost], which {!Cost.start} has armed
+    for it. [smem] is the block's shared-memory bank, [layout] gives each
+    block's icache lines, [ipdom] the immediate post-dominators. The
     warp's [step] raises [Failure] on interpreter errors (out-of-bounds
     access, type confusion, a barrier under a partial lane mask) or when
     [max_warp_cycles] is exceeded. *)
-
-(** {1 Decoded engine}
-
-    The same machine run over a pre-decoded flat program ({!Decode}):
-    unboxed per-class register files, dense int block ids, baked
-    post-dominators and icache extents. Charges, cache touches, RNG
-    draws, and failure messages replicate {!make} exactly. *)
-
-type decoded_env = {
-  d_device : Device.t;
-  prog : Decode.t;
-  d_mem : Memory.t;
-  d_args : (Value.var * Eval.rvalue) list;
-  d_block_dim : int;
-  d_grid_dim : int;
-  d_max_warp_cycles : int;
-  d_tracer : Trace.t option;
-  d_races : Racecheck.t option;
-  d_atomics : Atomics.t;
-}
-(** Launch-wide state plus shard-private sinks, like {!launch_env};
-    per-block caches and noise are arguments of {!make_decoded}. *)
-
-type decoded_state
-(** Per-warp scratch (flat register files, reconvergence stack,
-    coalescing staging), re-initialised by {!make_decoded} — allocate
-    one per warp slot of a block (they stay live across barrier
-    suspensions while sibling warps run) and reuse each across the whole
-    block range of a shard. *)
-
-val decoded_state : decoded_env -> decoded_state
-
-val make_decoded :
-  decoded_env ->
-  decoded_state ->
-  smem:Memory.shared_bank ->
-  dcache:int Cache.t ->
-  icache:Layout.icache ->
-  noise:Rng.t option ->
-  block_id:int ->
-  warp_id:int ->
-  lanes:int ->
-  Scheduler.warp
-(** Decoded counterpart of {!make}: identical metrics, memory effects,
-    and failures for any program both engines can execute. [dcache] is
-    the block's L1 over [(buffer lsl 32) lor segment] keys. Suspension
-    at a barrier stores only an instruction index — the flat register
-    files in [st] stay alive across suspensions, so nothing on the hot
-    path boxes. *)

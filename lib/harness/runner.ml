@@ -379,7 +379,7 @@ let respond ?(default_sim_jobs = 1) (r : Uu_serve.Request.t)
     in
     match body () with
     | ms -> finish (Uu_serve.Response.Measured ms)
-    | exception Failure msg -> Error msg)
+    | exception (Failure msg | Invalid_argument msg) -> Error msg)
 
 let run_request ?default_sim_jobs r =
   match compile_request r with

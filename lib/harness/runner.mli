@@ -146,8 +146,10 @@ val respond :
   Uu_serve.Response.t
 (** Answer one request from its compiled module: print IR for [Compile]
     mode, simulate every kernel with the synthetic-buffer protocol for
-    [Run] mode. [default_sim_jobs] (default 1) applies only when the
-    request leaves [sim_jobs] unset; it cannot change a response byte. *)
+    [Run] mode. A simulator failure or a rejected launch (e.g. a
+    non-positive grid or block) is an [Error], never an exception.
+    [default_sim_jobs] (default 1) applies only when the request leaves
+    [sim_jobs] unset; it cannot change a response byte. *)
 
 val run_request :
   ?default_sim_jobs:int -> Uu_serve.Request.t -> Uu_serve.Response.t

@@ -66,7 +66,27 @@ let test_launch_validation () =
          (Kernel.exec mem fn ~grid_dim:1 ~block_dim:32
             ~args:[ Kernel.Buf fbuf; Kernel.Int_arg 1L ]);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* A non-positive launch shape is rejected, not simulated as 0 cycles,
+     and the request funnel answers it with an [Error] (so the daemon
+     never caches it). *)
+  List.iter
+    (fun (grid_dim, block_dim) ->
+      let shape = Printf.sprintf "grid %d x block %d" grid_dim block_dim in
+      check bool (shape ^ " rejected") true
+        (try
+           ignore
+             (Kernel.exec mem fn ~grid_dim ~block_dim
+                ~args:[ Kernel.Buf out; Kernel.Int_arg 1L ]);
+           false
+         with Invalid_argument _ -> true);
+      let request =
+        Uu_serve.Request.make ~grid_dim ~block_dim (Uu_serve.Request.App "stencil1d")
+          Uu_core.Pipelines.Baseline
+      in
+      check bool (shape ^ " is an Error response") true
+        (Result.is_error (Uu_harness.Runner.run_request request)))
+    [ (4, 0); (0, 32); (4, -32) ]
 
 let test_thread_indexing () =
   let fn =
@@ -406,6 +426,61 @@ let broadcast =
       out[threadIdx.x + blockIdx.x * blockDim.x] = s[0];
     }|}
 
+(* The cost model called directly, against hand-computed charges for
+   canonical warp accesses: 32 active lanes, f64 elements, a cold L1,
+   noise off. Each case runs its accesses in order on one fresh warp and
+   checks what each adds to (cycles, mem_transactions,
+   shared_transactions, shared_bank_conflicts). *)
+let test_cost_model () =
+  let mem = Memory.create () in
+  let global = Memory.buffer_id (Memory.zeros_f64 mem 512) in
+  let smem = Memory.shared_create [ (Types.F64, 64) ] in
+  let shared = -2 in
+  let mask = Uu_support.Mask.bits (Uu_support.Mask.full ~width:32) in
+  let load streams cost = Cost.load cost ~mask ~bytes:8 ~streams in
+  let store cost = Cost.store cost ~mask ~bytes:8 in
+  let atomic cost = Cost.atomic cost ~mask in
+  let run (name, device, accesses) =
+    let cost =
+      Cost.create device ~mem ~smem
+        ~dcache:(Cache.create ~capacity:device.Device.l1_lines)
+        ~icache:(Layout.icache_create device) ~races:None ~fn_name:"k" ~warp_id:0
+    in
+    Cost.start cost ~noise:None ~block_id:0 ~lanes:32;
+    let m = Cost.metrics cost in
+    let counters () =
+      Metrics.
+        [ m.cycles; m.mem_transactions; m.shared_transactions; m.shared_bank_conflicts ]
+    in
+    List.iteri
+      (fun i (buffer, offset, charge, want) ->
+        for lane = 0 to 31 do
+          (Cost.addr_buf cost).(lane) <- buffer;
+          (Cost.addr_off cost).(lane) <- offset lane
+        done;
+        let before = counters () in
+        charge cost;
+        check (Alcotest.list int) (Printf.sprintf "%s, access %d" name i) want
+          (List.map2 ( - ) (counters ()) before))
+      accesses
+  in
+  List.iter run
+    [
+      ( "coalesced load, then again from L1",
+        Device.v100,
+        [ (global, Fun.id, load 1, [ 65; 2; 0; 0 ]); (global, Fun.id, load 1, [ 5; 2; 0; 0 ]) ]
+      );
+      ("stride-16 load", Device.v100, [ (global, (fun l -> 16 * l), load 1, [ 305; 32; 0; 0 ]) ]);
+      ("coalesced load, 2 streams", Device.v100, [ (global, Fun.id, load 2, [ 41; 2; 0; 0 ]) ]);
+      ( "coalesced load, 2 streams, pre-Volta",
+        Device.pre_volta,
+        [ (global, Fun.id, load 2, [ 65; 2; 0; 0 ]) ] );
+      ("shared load, stride 2", Device.v100, [ (shared, (fun l -> 2 * l), load 1, [ 9; 0; 2; 1 ]) ]);
+      ("shared broadcast", Device.v100, [ (shared, (fun _ -> 0), load 1, [ 7; 0; 1; 0 ]) ]);
+      ("coalesced store", Device.v100, [ (global, Fun.id, store, [ 17; 2; 0; 0 ]) ]);
+      ("global atomic", Device.v100, [ (global, Fun.id, atomic, [ 256; 32; 0; 0 ]) ]);
+    ]
+
 let test_shared_bank_conflicts () =
   List.iter
     (fun engine ->
@@ -589,6 +664,7 @@ let suite =
     ("pre-Volta ITS ablation", `Quick, test_pre_volta_ablation);
     ("kernel time concurrency model", `Quick, test_kernel_time_concurrency);
     ("shared memory reset per block", `Quick, test_shared_reset_per_block);
+    ("cost model table", `Quick, test_cost_model);
     ("shared bank conflicts", `Quick, test_shared_bank_conflicts);
     ("shared metrics engine agreement", `Quick, test_shared_engines_agree);
     ("shared out of bounds", `Quick, test_shared_out_of_bounds);
