@@ -359,7 +359,7 @@ let loop_region f ~header =
      escape the loop must already flow through LCSSA phis in dedicated
      exit blocks. *)
   match Uu_opt.Loop_utils.canonicalize f header with
-  | Some loop -> Some (Value.Label_set.remove header loop.blocks)
+  | Some (loop, _) -> Some (Value.Label_set.remove header loop.blocks)
   | None -> None
 
 let unmerge_loop ?selective f ~header ~budget =

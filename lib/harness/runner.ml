@@ -73,7 +73,7 @@ let compile ?target ?timeout (app : App.t) config =
      when one is given. Remarks and statistic deltas are collected across
      all kernels of the application. *)
   let sink = Remark.create () in
-  let deadline = Option.map (fun budget -> Unix.gettimeofday () +. budget) timeout in
+  let deadline = Option.map (fun budget -> Clock.now () +. budget) timeout in
   let work, stats =
     List.fold_left
       (fun (acc, stats) f ->
@@ -88,7 +88,7 @@ let compile ?target ?timeout (app : App.t) config =
           (* The budget spans all kernels: each kernel gets what is left
              of the job's deadline, not a fresh allowance. *)
           let timeout =
-            Option.map (fun d -> Float.max 0.001 (d -. Unix.gettimeofday ())) deadline
+            Option.map (fun d -> Float.max 0.001 (d -. Clock.now ())) deadline
           in
           { Uu_opt.Pass.default_options with remarks = Some sink; timeout }
         in

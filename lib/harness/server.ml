@@ -556,10 +556,10 @@ let serve_forever t =
       if not unflushed then true
       else begin
         (match !flush_deadline with
-        | None -> flush_deadline := Some (Unix.gettimeofday () +. drain_flush_grace)
+        | None -> flush_deadline := Some (Clock.now () +. drain_flush_grace)
         | Some _ -> ());
         match !flush_deadline with
-        | Some d -> Unix.gettimeofday () > d
+        | Some d -> Clock.now () > d
         | None -> false
       end
     in

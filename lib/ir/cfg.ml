@@ -14,6 +14,23 @@ let predecessors f =
 
 let preds_of f l = try Hashtbl.find (predecessors f) l with Not_found -> []
 
+let set_term preds b term =
+  let before = Block.successors b in
+  b.Block.term <- term;
+  let after = Block.successors b in
+  let l = b.Block.label in
+  let update s g =
+    Hashtbl.replace preds s (g (try Hashtbl.find preds s with Not_found -> []))
+  in
+  let rec insert = function
+    | [] -> [ l ]
+    | p :: rest as ps -> if l < p then l :: ps else p :: insert rest
+  in
+  List.iter
+    (fun s -> if not (List.mem s after) then update s (List.filter (fun p -> p <> l)))
+    before;
+  List.iter (fun s -> if not (List.mem s before) then update s insert) after
+
 let postorder f =
   let visited = Hashtbl.create 17 in
   let order = ref [] in

@@ -84,9 +84,11 @@ let try_convert f ~threshold preds x =
       in
       if diamond then begin
         let m = match tb.Block.term with Instr.Br m -> m | _ -> assert false in
-        xb.Block.term <- Instr.Br m;
+        Cfg.set_term preds xb (Instr.Br m);
         xb.Block.instrs <- xb.Block.instrs @ tb.Block.instrs @ fb.Block.instrs;
         collapse_phis f x cond m ~t_from:t ~f_from:fl;
+        Cfg.set_term preds tb Instr.Unreachable;
+        Cfg.set_term preds fb Instr.Unreachable;
         Func.remove_block f t;
         Func.remove_block f fl;
         Statistic.incr stat_diamonds;
@@ -98,9 +100,10 @@ let try_convert f ~threshold preds x =
       end
       else if triangle_t then begin
         let m = fl in
-        xb.Block.term <- Instr.Br m;
+        Cfg.set_term preds xb (Instr.Br m);
         xb.Block.instrs <- xb.Block.instrs @ tb.Block.instrs;
         collapse_phis f x cond m ~t_from:t ~f_from:x;
+        Cfg.set_term preds tb Instr.Unreachable;
         Func.remove_block f t;
         Statistic.incr stat_triangles;
         Remark.applied ~pass:"if-convert" ~func:f.Func.name ~block:x
@@ -111,9 +114,10 @@ let try_convert f ~threshold preds x =
       end
       else if triangle_f then begin
         let m = t in
-        xb.Block.term <- Instr.Br m;
+        Cfg.set_term preds xb (Instr.Br m);
         xb.Block.instrs <- xb.Block.instrs @ fb.Block.instrs;
         collapse_phis f x cond m ~t_from:x ~f_from:fl;
+        Cfg.set_term preds fb Instr.Unreachable;
         Func.remove_block f fl;
         Statistic.incr stat_triangles;
         Remark.applied ~pass:"if-convert" ~func:f.Func.name ~block:x
@@ -127,35 +131,39 @@ let try_convert f ~threshold preds x =
   | Instr.Cond_br _ | Instr.Br _ | Instr.Ret _ | Instr.Unreachable -> false
 
 let run ~threshold f =
-  (* Batch: one predecessor map per round; skip candidates overlapping a
-     conversion already performed this round. *)
+  (* Rounds of non-overlapping conversions in label order: a candidate
+     whose block or successors a conversion touched this round waits for
+     the next, which fixes the order selects are created in. One
+     predecessor map per call is kept current by [Cfg.set_term]. After
+     the first round only deferred candidates and the predecessors of
+     converted blocks are visited: a converted block is now a straight
+     side its predecessors may speculate, and nothing else a conversion
+     changes can let another candidate convert. *)
+  let preds = Cfg.predecessors f in
   let changed = ref false in
-  let continue = ref true in
-  while !continue do
-    continue := false;
-    let preds = Cfg.predecessors f in
-    let touched = Hashtbl.create 16 in
-    List.iter
-      (fun x ->
-        let parts =
-          x
-          ::
-          (match Func.find_block f x with
-          | Some b -> Block.successors b
-          | None -> [])
-        in
-        if List.for_all (fun l -> not (Hashtbl.mem touched l)) parts then
-          if try_convert f ~threshold preds x then begin
-            List.iter (fun l -> Hashtbl.replace touched l ()) parts;
-            (* The merge block's preds changed too. *)
-            (match Func.find_block f x with
-            | Some b -> List.iter (fun l -> Hashtbl.replace touched l ()) (Block.successors b)
-            | None -> ());
-            changed := true;
-            continue := true
-          end)
-      (Func.labels f)
-  done;
+  let rec round = function
+    | [] -> ()
+    | labels ->
+      let touched = Hashtbl.create 16 in
+      let next = ref [] in
+      List.iter
+        (fun x ->
+          match Func.find_block f x with
+          | None -> ()
+          | Some b ->
+            let parts = x :: Block.successors b in
+            if List.exists (Hashtbl.mem touched) parts then next := x :: !next
+            else if try_convert f ~threshold preds x then begin
+              List.iter (fun l -> Hashtbl.replace touched l ()) parts;
+              (* The merge block's preds changed too. *)
+              List.iter (fun l -> Hashtbl.replace touched l ()) (Block.successors b);
+              changed := true;
+              next := (try Hashtbl.find preds x with Not_found -> []) @ !next
+            end)
+        labels;
+      round (List.sort_uniq compare !next)
+  in
+  round (Func.labels f);
   !changed
 
 let pass_with_threshold threshold =

@@ -1,24 +1,29 @@
 open Uu_ir
 open Uu_analysis
 
-let retarget_terminator b ~from_ ~to_ =
-  b.Block.term <-
-    Instr.term_map_labels (fun l -> if l = from_ then to_ else l) b.Block.term
+(* The steps below share one predecessor map, built once per
+   [canonicalize] call and kept current by [Cfg.set_term]. *)
+let preds_of preds l = try Hashtbl.find preds l with Not_found -> []
 
-let ensure_preheader f (loop : Loops.loop) =
-  match Loops.preheader f loop with
-  | Some p -> p
-  | None ->
+let retarget preds b ~from_ ~to_ =
+  Cfg.set_term preds b
+    (Instr.term_map_labels (fun l -> if l = from_ then to_ else l) b.Block.term)
+
+let ensure_preheader f preds (loop : Loops.loop) =
+  let outside =
+    List.filter
+      (fun p -> not (Value.Label_set.mem p loop.blocks))
+      (preds_of preds loop.header)
+  in
+  let is_br p = match (Func.block f p).Block.term with Instr.Br _ -> true | _ -> false in
+  match outside with
+  | [ p ] when is_br p -> p
+  | _ ->
     let header = Func.block f loop.header in
-    let outside =
-      List.filter
-        (fun p -> not (Value.Label_set.mem p loop.blocks))
-        (Cfg.preds_of f loop.header)
-    in
     let ph = Func.fresh_block ~hint:"preheader" f in
-    ph.Block.term <- Instr.Br loop.header;
+    Cfg.set_term preds ph (Instr.Br loop.header);
     List.iter
-      (fun p -> retarget_terminator (Func.block f p) ~from_:loop.header ~to_:ph.Block.label)
+      (fun p -> retarget preds (Func.block f p) ~from_:loop.header ~to_:ph.Block.label)
       outside;
     (* Move outside phi entries into the preheader. *)
     header.Block.phis <-
@@ -45,26 +50,27 @@ let ensure_preheader f (loop : Loops.loop) =
     if f.Func.entry = loop.header then f.Func.entry <- ph.Block.label;
     ph.Block.label
 
-let ensure_dedicated_exits f (loop : Loops.loop) =
-  let changed = ref false in
+(* Returns the loop with its exit edges retargeted to the new blocks. *)
+let ensure_dedicated_exits f preds (loop : Loops.loop) =
+  let split = ref [] in
   let targets = List.sort_uniq compare (List.map snd loop.exits) in
   List.iter
     (fun s ->
-      let preds = Cfg.preds_of f s in
+      let ps = preds_of preds s in
       let outside =
-        List.filter (fun p -> not (Value.Label_set.mem p loop.blocks)) preds
+        List.filter (fun p -> not (Value.Label_set.mem p loop.blocks)) ps
       in
       if outside <> [] then begin
         let inside =
-          List.filter (fun p -> Value.Label_set.mem p loop.blocks) preds
+          List.filter (fun p -> Value.Label_set.mem p loop.blocks) ps
         in
         let sb = Func.block f s in
         let ex = Func.fresh_block ~hint:"loopexit" f in
-        ex.Block.term <- Instr.Br s;
+        Cfg.set_term preds ex (Instr.Br s);
         (* Loop preds now branch to the dedicated exit; phi entries from
            them move into new phis in the exit block. *)
         List.iter
-          (fun p -> retarget_terminator (Func.block f p) ~from_:s ~to_:ex.Block.label)
+          (fun p -> retarget preds (Func.block f p) ~from_:s ~to_:ex.Block.label)
           inside;
         sb.Block.phis <-
           List.map
@@ -83,12 +89,15 @@ let ensure_dedicated_exits f (loop : Loops.loop) =
                   ex.Block.phis @ [ { Instr.dst; ty = p.ty; incoming = from_loop } ];
                 { p with incoming = rest @ [ (ex.Block.label, Value.Var dst) ] })
             sb.Block.phis;
-        changed := true
+        split := (s, ex.Block.label) :: !split
       end)
     targets;
-  !changed
+  let exit_of s = Option.value ~default:s (List.assoc_opt s !split) in
+  { loop with
+    exits = List.sort_uniq compare (List.map (fun (l, s) -> (l, exit_of s)) loop.exits)
+  }
 
-let build_lcssa f (loop : Loops.loop) =
+let build_lcssa f preds (loop : Loops.loop) =
   (* Collect values defined inside the loop and used outside. A phi use
      counts at its incoming predecessor. *)
   let in_loop l = Value.Label_set.mem l loop.blocks in
@@ -133,10 +142,8 @@ let build_lcssa f (loop : Loops.loop) =
            (List.length exit_targets))
     | [ ex ] ->
       let exb = Func.block f ex in
-      let in_preds =
-        List.filter (fun p -> in_loop p) (Cfg.preds_of f ex)
-      in
-      assert (List.length in_preds = List.length (Cfg.preds_of f ex));
+      let in_preds = preds_of preds ex in
+      assert (List.for_all in_loop in_preds);
       (* One LCSSA phi per escaping value; outside uses retarget to it. *)
       let tys = Sccp.def_types f in
       let subst = ref Value.Var_map.empty in
@@ -190,16 +197,18 @@ let build_lcssa f (loop : Loops.loop) =
   end
 
 let canonicalize f header =
-  let find () =
+  match
     List.find_opt (fun (l : Loops.loop) -> l.header = header)
       (Loops.loops (Loops.analyze f))
-  in
-  match find () with
+  with
   | None -> None
   | Some loop ->
-    ignore (ensure_preheader f loop);
-    let loop = match find () with Some l -> l | None -> loop in
-    let changed = ensure_dedicated_exits f loop in
-    let loop = if changed then (match find () with Some l -> l | None -> loop) else loop in
-    ignore (build_lcssa f loop);
-    find ()
+    let preds = Cfg.predecessors f in
+    (* A new preheader lies outside the loop and only outside blocks are
+       retargeted to it, so the loop itself is unchanged; a dedicated exit
+       changes only the exit edges, which [ensure_dedicated_exits]
+       rewrites. LCSSA adds phis, not edges. *)
+    let preheader = ensure_preheader f preds loop in
+    let loop = ensure_dedicated_exits f preds loop in
+    ignore (build_lcssa f preds loop);
+    Some (loop, preheader)

@@ -14,23 +14,12 @@
 open Uu_ir
 open Uu_analysis
 
-val ensure_preheader : Func.t -> Loops.loop -> Value.label
-(** Returns the preheader label, creating the block (and updating header
-    phis) if necessary. The loop analysis must be recomputed afterwards
-    when a block was created. *)
-
-val ensure_dedicated_exits : Func.t -> Loops.loop -> bool
-(** Split exit targets that also have out-of-loop predecessors. Returns
-    true when the CFG changed. *)
-
-val build_lcssa : Func.t -> Loops.loop -> bool
-(** Insert LCSSA phis for loop-defined values used outside. Requires
-    dedicated exits. Returns true when phis were inserted.
+val canonicalize : Func.t -> Value.label -> (Loops.loop * Value.label) option
+(** Give the loop with the given header a preheader, dedicated exits, and
+    LCSSA phis. Returns the loop and its preheader, or [None] if the
+    header no longer heads a loop. The function's loops are analyzed
+    once, before any change; the returned loop is what a fresh analysis
+    would find (only its exit edges move).
     @raise Failure if a value is used outside a loop with multiple
     distinct exit targets (not needed by any kernel in this project; see
     DESIGN.md). *)
-
-val canonicalize : Func.t -> Value.label -> Loops.loop option
-(** Run all three on the loop with the given header, re-analyzing between
-    steps; returns the loop, freshly analyzed, or [None] if the header no
-    longer heads a loop. *)

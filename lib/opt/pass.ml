@@ -37,23 +37,23 @@ let verify_now f =
   Verifier.check_exn f;
   Uu_analysis.Ssa_check.check_exn f
 
-(* [deadline] is an absolute gettimeofday instant shared across the
+(* [deadline] is an absolute [Clock.now] instant shared across the
    functions of a module run, so the budget covers the whole pipeline. *)
 let run_passes ~verify ~budget ~deadline passes f =
   let changed = ref false in
   let times = ref [] in
   let work = ref 0 in
-  let t_start = Unix.gettimeofday () in
+  let t_start = Clock.now () in
   List.iter
     (fun pass ->
       (match deadline with
-      | Some d when Unix.gettimeofday () > d ->
+      | Some d when Clock.now () > d ->
         let budget = match budget with Some b -> b | None -> 0.0 in
         raise
           (Timeout
-             { pipeline = pass.name; elapsed = Unix.gettimeofday () -. t_start; budget })
+             { pipeline = pass.name; elapsed = Clock.now () -. t_start; budget })
       | _ -> ());
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now () in
       let c =
         try pass.run f
         with
@@ -63,7 +63,7 @@ let run_passes ~verify ~budget ~deadline passes f =
             (Printf.sprintf "pass %s raised on @%s: %s" pass.name f.Func.name
                (Printexc.to_string e))
       in
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Clock.now () -. t0 in
       times := (pass.name, dt) :: !times;
       (* Deterministic compile-cost metric: the instructions this pass
          just walked. Unlike the wall-clock times it is identical across
@@ -76,13 +76,13 @@ let run_passes ~verify ~budget ~deadline passes f =
         with Failure msg ->
           failwith (Printf.sprintf "after pass %s: %s" pass.name msg))
     passes;
-  (List.rev !times, Unix.gettimeofday () -. t_start, !work, !changed)
+  (List.rev !times, Clock.now () -. t_start, !work, !changed)
 
 let exec_with_deadline ~options:{ verify; remarks; timeout } ~deadline passes f =
   let deadline =
     match (deadline, timeout) with
     | Some d, _ -> Some d
-    | None, Some budget -> Some (Unix.gettimeofday () +. budget)
+    | None, Some budget -> Some (Clock.now () +. budget)
     | None, None -> None
   in
   let before = Statistic.snapshot () in
@@ -103,7 +103,7 @@ let exec ?(options = default_options) passes f =
 
 let exec_module ?(options = default_options) passes m =
   let deadline =
-    Option.map (fun budget -> Unix.gettimeofday () +. budget) options.timeout
+    Option.map (fun budget -> Clock.now () +. budget) options.timeout
   in
   let reports =
     List.map (fun f -> exec_with_deadline ~options ~deadline passes f) m.Func.funcs

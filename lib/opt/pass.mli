@@ -42,8 +42,9 @@ type options = {
   remarks : Remark.sink option;
       (** when set, the active optimization-remark sink for the whole run *)
   timeout : float option;
-      (** wall-clock budget in seconds for the whole pipeline, checked
-          cooperatively between passes; exceeding it raises {!Timeout} *)
+      (** budget in seconds for the whole pipeline, measured on the
+          monotonic [Uu_support.Clock] and checked cooperatively between
+          passes; exceeding it raises {!Timeout} *)
 }
 
 val default_options : options

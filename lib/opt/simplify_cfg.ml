@@ -50,11 +50,13 @@ let simplify_phis f =
       if Value.Label_set.mem b.Block.label reachable then begin
         let ps =
           (try Hashtbl.find preds b.Block.label with Not_found -> [])
-          |> List.filter (fun p -> Value.Label_set.mem p reachable)
+          |> Value.Label_set.of_list |> Value.Label_set.inter reachable
         in
         let simplify (p : Instr.phi) =
           (* Keep only entries from actual reachable predecessors. *)
-          let incoming = List.filter (fun (l, _) -> List.mem l ps) p.incoming in
+          let incoming =
+            List.filter (fun (l, _) -> Value.Label_set.mem l ps) p.incoming
+          in
           let values =
             List.filter_map
               (fun (_, v) -> if Value.equal v (Value.Var p.dst) then None else Some v)
@@ -82,110 +84,135 @@ let simplify_phis f =
   if not (Value.Var_map.is_empty !subst) then Clone.apply_subst f !subst;
   !changed
 
-let merge_straight_line f =
-  (* Batch per round: one predecessor map; a block consumed by a merge this
-     round cannot take part in another one until the next round (chains
-     shrink by half per round). *)
-  let changed = ref false in
-  let continue = ref true in
-  while !continue do
-    continue := false;
-    let preds = Cfg.predecessors f in
+(* [merge_straight_line] and [forward_empty_blocks] rewrite in rounds.
+   Within a round they visit blocks in label order and apply only
+   rewrites that do not overlap one already applied this round; a block
+   whose neighbourhood was touched waits for the next round. That order
+   decides phi-entry order and which of two conflicting rewrites wins, so
+   it is part of the output. Both keep one predecessor map per call
+   current with [Cfg.set_term], and each round after the first visits
+   only the blocks the previous round deferred or whose neighbourhood it
+   rewrote: a block that fails for any other reason fails again until
+   its neighbourhood changes. *)
+let rec rounds f visit = function
+  | [] -> ()
+  | labels ->
     let touched = Hashtbl.create 16 in
-    Func.iter_blocks
-      (fun b ->
-        if not (Hashtbl.mem touched b.Block.label) then
-          match b.Block.term with
-          | Instr.Br s
-            when s <> b.Block.label && s <> f.Func.entry
-                 && not (Hashtbl.mem touched s) -> (
-            match Hashtbl.find_opt preds s with
-            | Some [ p ] when p = b.Block.label -> (
-              match Func.find_block f s with
-              | Some sb when sb.Block.phis = [] ->
-                b.Block.instrs <- b.Block.instrs @ sb.Block.instrs;
-                b.Block.term <- sb.Block.term;
-                List.iter
-                  (fun succ ->
-                    match Func.find_block f succ with
-                    | Some succ_b ->
-                      Block.rename_incoming ~from_:s ~to_:b.Block.label succ_b
-                    | None -> ())
-                  (Block.successors sb);
-                Func.remove_block f s;
-                Hashtbl.replace touched b.Block.label ();
-                Hashtbl.replace touched s ();
-                Statistic.incr stat_merged;
-                changed := true;
-                continue := true
-              | Some _ | None -> ())
-            | Some _ | None -> ())
-          | Instr.Br _ | Instr.Cond_br _ | Instr.Ret _ | Instr.Unreachable -> ())
-      f
-  done;
+    let next = ref [] in
+    List.iter
+      (fun l ->
+        match Func.find_block f l with
+        | Some b -> next := visit touched b @ !next
+        | None -> ())
+      labels;
+    rounds f visit (List.sort_uniq compare !next)
+
+let merge_straight_line f =
+  (* A block consumed by a merge this round cannot take part in another
+     one until the next round (chains shrink by half per round). Merging
+     never reads phi entries, so the successors' entries from consumed
+     blocks are renamed once, at the end, through [merged_into]. *)
+  let preds = Cfg.predecessors f in
+  let merged_into = Hashtbl.create 16 in
+  let renamed = Hashtbl.create 16 in
+  let changed = ref false in
+  let visit touched b =
+    match b.Block.term with
+    | Instr.Br s when s <> b.Block.label && s <> f.Func.entry ->
+      if Hashtbl.mem touched b.Block.label || Hashtbl.mem touched s then
+        [ b.Block.label ]
+      else begin
+        match Hashtbl.find_opt preds s, Func.find_block f s with
+        | Some [ p ], Some sb when p = b.Block.label && sb.Block.phis = [] ->
+          b.Block.instrs <- b.Block.instrs @ sb.Block.instrs;
+          Cfg.set_term preds b sb.Block.term;
+          Hashtbl.replace merged_into s b.Block.label;
+          List.iter (fun succ -> Hashtbl.replace renamed succ ()) (Block.successors sb);
+          Cfg.set_term preds sb Instr.Unreachable;
+          Func.remove_block f s;
+          Hashtbl.replace touched b.Block.label ();
+          Hashtbl.replace touched s ();
+          Statistic.incr stat_merged;
+          changed := true;
+          [ b.Block.label ]
+        | _ -> []
+      end
+    | Instr.Br _ | Instr.Cond_br _ | Instr.Ret _ | Instr.Unreachable -> []
+  in
+  rounds f visit (Func.labels f);
+  let rec final l =
+    match Hashtbl.find_opt merged_into l with Some l' -> final l' | None -> l
+  in
+  Hashtbl.iter
+    (fun succ () ->
+      match Func.find_block f succ with
+      | Some b ->
+        b.Block.phis <-
+          List.map
+            (fun (p : Instr.phi) ->
+              { p with incoming = List.map (fun (l, v) -> (final l, v)) p.incoming })
+            b.Block.phis
+      | None -> ())
+    renamed;
   !changed
 
 let forward_empty_blocks f =
-  (* Batch per round with one predecessor map; skip blocks whose
-     neighborhood this round already rewrote. *)
+  let preds = Cfg.predecessors f in
+  let preds_of l = try Hashtbl.find preds l with Not_found -> [] in
   let changed = ref false in
-  let continue = ref true in
-  while !continue do
-    continue := false;
-    let preds = Cfg.predecessors f in
-    let touched = Hashtbl.create 16 in
-    Func.iter_blocks
-      (fun b ->
-        match b.Block.term with
-        | Instr.Br s
-          when b.Block.phis = [] && b.Block.instrs = []
-               && b.Block.label <> f.Func.entry && s <> b.Block.label
-               && (not (Hashtbl.mem touched b.Block.label))
-               && not (Hashtbl.mem touched s) -> (
-          let ps =
-            try Hashtbl.find preds b.Block.label with Not_found -> []
+  let visit touched b =
+    match b.Block.term with
+    | Instr.Br s
+      when b.Block.phis = [] && b.Block.instrs = []
+           && b.Block.label <> f.Func.entry && s <> b.Block.label -> (
+      if Hashtbl.mem touched b.Block.label || Hashtbl.mem touched s then
+        [ b.Block.label ]
+      else
+        let ps = preds_of b.Block.label in
+        match Func.find_block f s with
+        | None -> []
+        | Some sb ->
+          let s_preds = preds_of s in
+          let conflict =
+            sb.Block.phis <> [] && List.exists (fun p -> List.mem p s_preds) ps
           in
-          match Func.find_block f s with
-          | None -> ()
-          | Some sb ->
-            let s_preds = try Hashtbl.find preds s with Not_found -> [] in
-            let conflict =
-              sb.Block.phis <> [] && List.exists (fun p -> List.mem p s_preds) ps
-            in
-            let latch_like = List.mem s ps in
-            let ps_clean = List.for_all (fun p -> not (Hashtbl.mem touched p)) ps in
-            if ps <> [] && (not conflict) && (not latch_like) && ps_clean then begin
-              List.iter
-                (fun p ->
-                  match Func.find_block f p with
-                  | Some pb ->
-                    pb.Block.term <-
-                      Instr.term_map_labels
-                        (fun l -> if l = b.Block.label then sb.Block.label else l)
-                        pb.Block.term
-                  | None -> ())
-                ps;
-              sb.Block.phis <-
-                List.map
-                  (fun (phi : Instr.phi) ->
-                    match List.assoc_opt b.Block.label phi.incoming with
-                    | None -> phi
-                    | Some v ->
-                      let kept =
-                        List.filter (fun (l, _) -> l <> b.Block.label) phi.incoming
-                      in
-                      { phi with incoming = kept @ List.map (fun p -> (p, v)) ps })
-                  sb.Block.phis;
-              Func.remove_block f b.Block.label;
-              Hashtbl.replace touched b.Block.label ();
-              Hashtbl.replace touched s ();
-              List.iter (fun p -> Hashtbl.replace touched p ()) ps;
-              changed := true;
-              continue := true
-            end)
-        | Instr.Br _ | Instr.Cond_br _ | Instr.Ret _ | Instr.Unreachable -> ())
-      f
-  done;
+          let latch_like = List.mem s ps in
+          if ps = [] || conflict || latch_like then []
+          else if List.exists (Hashtbl.mem touched) ps then [ b.Block.label ]
+          else begin
+            List.iter
+              (fun p ->
+                match Func.find_block f p with
+                | Some pb ->
+                  Cfg.set_term preds pb
+                    (Instr.term_map_labels
+                       (fun l -> if l = b.Block.label then s else l)
+                       pb.Block.term)
+                | None -> ())
+              ps;
+            sb.Block.phis <-
+              List.map
+                (fun (phi : Instr.phi) ->
+                  match List.assoc_opt b.Block.label phi.incoming with
+                  | None -> phi
+                  | Some v ->
+                    let kept =
+                      List.filter (fun (l, _) -> l <> b.Block.label) phi.incoming
+                    in
+                    { phi with incoming = kept @ List.map (fun p -> (p, v)) ps })
+                sb.Block.phis;
+            Cfg.set_term preds b Instr.Unreachable;
+            Func.remove_block f b.Block.label;
+            Hashtbl.replace touched b.Block.label ();
+            Hashtbl.replace touched s ();
+            List.iter (fun p -> Hashtbl.replace touched p ()) ps;
+            changed := true;
+            (* s has new predecessors and each p a new target. *)
+            s :: ps
+          end)
+    | Instr.Br _ | Instr.Cond_br _ | Instr.Ret _ | Instr.Unreachable -> []
+  in
+  rounds f visit (Func.labels f);
   !changed
 
 let run f =

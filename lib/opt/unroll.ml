@@ -41,7 +41,7 @@ let unroll_loop ?(exact = false) f ~header ~factor =
       Remark.missed ~pass:"unroll" ~func:f.Func.name ~block:header
         "loop could not be canonicalized (no preheader/dedicated exits)";
       false
-    | Some loop ->
+    | Some (loop, _) ->
       if Loops.contains_convergent f loop then begin
         Remark.missed ~pass:"unroll" ~func:f.Func.name ~block:header
           "loop contains a convergent operation (syncthreads); unrolling \

@@ -321,6 +321,208 @@ kernel k(int* restrict out) {
   ignore (Pass.exec [ Mem2reg.pass; Simplify_cfg.pass ] fn);
   check int "collapsed to one block" 1 (List.length (Func.labels fn))
 
+(* Batching rules on hand-written IR. Simplify-cfg and if-convert apply
+   non-overlapping rewrites per round, in label order; that order decides
+   which of two conflicting rewrites wins and the order of phi entries and
+   selects. Each case pins the printed output and the statistic deltas. *)
+let pinned pass src ~expect ~stats () =
+  let fn = Parser_ir.parse_func src in
+  let r = Pass.exec [ pass ] fn in
+  check Alcotest.string "printed IR" expect (Printer.func_to_string fn);
+  check (Alcotest.list (Alcotest.pair Alcotest.string int)) "stats" stats r.Pass.stats
+
+(* bb1 and bb2 both forward into bb3 from bb0. The lower label goes
+   first; once bb0 reaches bb3 directly, bb2 conflicts with bb3's phi. *)
+let test_forward_lower_label_wins =
+  pinned Simplify_cfg.pass ~stats:[]
+    {|
+func @k(%c: i64) -> i64 {
+bb0:
+  %t.1 = cmp slt i64 %c.0, 0:i64
+  condbr %t.1, bb1, bb2
+bb1:
+  br bb3
+bb2:
+  br bb3
+bb3:
+  %x.2 = phi i64 [bb1: 1:i64], [bb2: 2:i64]
+  ret %x.2
+}
+|}
+    ~expect:
+      {|func @k(%c: i64) -> i64 {
+bb0:
+  %t.1 = cmp slt i64 %c.0, 0:i64
+  condbr %t.1, bb3, bb2
+bb2:
+  br bb3
+bb3:
+  %x.2 = phi i64 [bb2: 2:i64], [bb0: 1:i64]
+  ret %x.2
+}
+|}
+
+(* Empty bb3 and bb5 forward into empty bb7 over two rounds (bb7 is
+   touched by the first), then bb7 into the join bb8: the entries it
+   carried are appended in predecessor order after the join's own. *)
+let test_forward_chain_phi_order =
+  pinned Simplify_cfg.pass ~stats:[]
+    {|
+func @k(%c: i64) -> i64 {
+bb0:
+  %t.1 = cmp slt i64 %c.0, 0:i64
+  condbr %t.1, bb1, bb2
+bb1:
+  %u.2 = cmp slt i64 %c.0, 5:i64
+  condbr %u.2, bb3, bb4
+bb2:
+  %v.3 = cmp slt i64 %c.0, 9:i64
+  condbr %v.3, bb5, bb6
+bb3:
+  br bb7
+bb4:
+  %a.4 = add i64 %c.0, 1:i64
+  br bb8
+bb5:
+  br bb7
+bb6:
+  %b.5 = add i64 %c.0, 2:i64
+  br bb8
+bb7:
+  br bb8
+bb8:
+  %x.6 = phi i64 [bb7: 7:i64], [bb4: %a.4], [bb6: %b.5]
+  ret %x.6
+}
+|}
+    ~expect:
+      {|func @k(%c: i64) -> i64 {
+bb0:
+  %t.1 = cmp slt i64 %c.0, 0:i64
+  condbr %t.1, bb1, bb2
+bb2:
+  %v.3 = cmp slt i64 %c.0, 9:i64
+  condbr %v.3, bb8, bb6
+bb6:
+  %b.5 = add i64 %c.0, 2:i64
+  br bb8
+bb1:
+  %u.2 = cmp slt i64 %c.0, 5:i64
+  condbr %u.2, bb8, bb4
+bb4:
+  %a.4 = add i64 %c.0, 1:i64
+  br bb8
+bb8:
+  %x.6 = phi i64 [bb4: %a.4], [bb6: %b.5], [bb1: 7:i64], [bb2: 7:i64]
+  ret %x.6
+}
+|}
+
+(* Nine straight-line blocks: pairs merge per round (0+1, 2+3, 4+5, 6+7,
+   then 0+2, 4+6, then 0+4, then 0+8), eight merges in all. *)
+let test_merge_straight_line_chain =
+  pinned Simplify_cfg.pass
+    ~stats:[ ("simplifycfg.blocks_merged", 8) ]
+    {|
+func @k(%c: i64) -> i64 {
+bb0:
+  %a.1 = add i64 %c.0, 1:i64
+  br bb1
+bb1:
+  %a.2 = mul i64 %a.1, 3:i64
+  br bb2
+bb2:
+  %a.3 = add i64 %a.2, 5:i64
+  br bb3
+bb3:
+  %a.4 = mul i64 %a.3, 7:i64
+  br bb4
+bb4:
+  %a.5 = add i64 %a.4, 11:i64
+  br bb5
+bb5:
+  %a.6 = mul i64 %a.5, 13:i64
+  br bb6
+bb6:
+  %a.7 = add i64 %a.6, 17:i64
+  br bb7
+bb7:
+  %a.8 = mul i64 %a.7, 19:i64
+  br bb8
+bb8:
+  %a.9 = add i64 %a.8, 23:i64
+  ret %a.9
+}
+|}
+    ~expect:
+      {|func @k(%c: i64) -> i64 {
+bb0:
+  %a.1 = add i64 %c.0, 1:i64
+  %a.2 = mul i64 %a.1, 3:i64
+  %a.3 = add i64 %a.2, 5:i64
+  %a.4 = mul i64 %a.3, 7:i64
+  %a.5 = add i64 %a.4, 11:i64
+  %a.6 = mul i64 %a.5, 13:i64
+  %a.7 = add i64 %a.6, 17:i64
+  %a.8 = mul i64 %a.7, 19:i64
+  %a.9 = add i64 %a.8, 23:i64
+  ret %a.9
+}
+|}
+
+(* The first diamond's join bb3 branches into the second diamond. bb0
+   converts in the first round, which touches bb3; bb3 converts in the
+   second, so its select is numbered after bb0's. *)
+let test_if_convert_stacked_diamonds =
+  pinned (If_convert.pass_with_threshold 12)
+    ~stats:[ ("ifconvert.diamonds_converted", 2); ("ifconvert.selects_created", 2) ]
+    {|
+func @k(%c: i64) -> i64 {
+bb0:
+  %t.1 = cmp slt i64 %c.0, 0:i64
+  condbr %t.1, bb1, bb2
+bb1:
+  %a.2 = add i64 %c.0, 1:i64
+  br bb3
+bb2:
+  %b.3 = sub i64 %c.0, 1:i64
+  br bb3
+bb3:
+  %p.4 = phi i64 [bb1: %a.2], [bb2: %b.3]
+  %u.5 = cmp slt i64 %p.4, 4:i64
+  condbr %u.5, bb4, bb5
+bb4:
+  %d.6 = mul i64 %p.4, 3:i64
+  br bb6
+bb5:
+  %e.7 = add i64 %p.4, 9:i64
+  br bb6
+bb6:
+  %q.8 = phi i64 [bb4: %d.6], [bb5: %e.7]
+  ret %q.8
+}
+|}
+    ~expect:
+      {|func @k(%c: i64) -> i64 {
+bb0:
+  %t.1 = cmp slt i64 %c.0, 0:i64
+  %a.2 = add i64 %c.0, 1:i64
+  %b.3 = sub i64 %c.0, 1:i64
+  %sel.9 = select i64 %t.1, %a.2, %b.3
+  br bb3
+bb3:
+  %p.4 = phi i64 [bb0: %sel.9]
+  %u.5 = cmp slt i64 %p.4, 4:i64
+  %d.6 = mul i64 %p.4, 3:i64
+  %e.7 = add i64 %p.4, 9:i64
+  %sel.10 = select i64 %u.5, %d.6, %e.7
+  br bb6
+bb6:
+  %q.8 = phi i64 [bb3: %sel.10]
+  ret %q.8
+}
+|}
+
 let test_if_convert_diamond () =
   let fn =
     Ir_helpers.compile_one
@@ -485,12 +687,27 @@ kernel k(int* restrict out, int* a, int n) {
   in
   check bool "load not hoisted past the store" true (loads_in_loop >= 1)
 
+let test_pass_timeout () =
+  (* The budget is checked between passes, on the monotonic clock: the
+     first pass outlives it, so the manager refuses to start the second
+     and names it. *)
+  let slow = { Pass.name = "slow"; run = (fun _ -> Unix.sleepf 0.05; false) } in
+  let second = { Pass.name = "second"; run = (fun _ -> false) } in
+  let fn, _ = Ir_helpers.diamond_loop () in
+  match Pass.exec ~options:(Pass.options ~timeout:0.01 ()) [ slow; second ] fn with
+  | _ -> Alcotest.fail "the pipeline outlived its budget without a Timeout"
+  | exception Pass.Timeout { pipeline; elapsed; budget } ->
+    check Alcotest.string "names the pass it skipped" "second" pipeline;
+    check bool "elapsed covers the first pass" true (elapsed >= 0.05);
+    check (Alcotest.float 0.0) "budget" 0.01 budget
+
 let test_loop_utils_canonicalize () =
   let fn, header = Ir_helpers.diamond_loop () in
   (match Loop_utils.canonicalize fn header with
   | None -> Alcotest.fail "loop lost"
-  | Some loop ->
-    check bool "preheader exists" true (Uu_analysis.Loops.preheader fn loop <> None);
+  | Some (loop, preheader) ->
+    check (Alcotest.option int) "preheader" (Some preheader)
+      (Uu_analysis.Loops.preheader fn loop);
     List.iter
       (fun (_, s) ->
         let preds = Cfg.preds_of fn s in
@@ -521,6 +738,10 @@ let suite =
     ("dce keeps effects", `Quick, test_dce_keeps_effects);
     ("dce removes dead phi cycles", `Quick, test_dce_dead_phi_cycle);
     ("simplify-cfg folds constants", `Quick, test_simplify_cfg_folds);
+    ("simplify-cfg forwards the lower label", `Quick, test_forward_lower_label_wins);
+    ("simplify-cfg forward chain phi order", `Quick, test_forward_chain_phi_order);
+    ("simplify-cfg merges a straight-line chain", `Quick, test_merge_straight_line_chain);
+    ("if-convert stacked diamonds", `Quick, test_if_convert_stacked_diamonds);
     ("if-convert diamond", `Quick, test_if_convert_diamond);
     ("if-convert never speculates loads", `Quick, test_if_convert_skips_loads);
     ("if-convert threshold", `Quick, test_if_convert_threshold);
@@ -529,4 +750,5 @@ let suite =
     ("licm hoists invariants", `Quick, test_licm_hoists);
     ("licm never hoists loads", `Quick, test_licm_keeps_loads);
     ("loop canonicalization", `Quick, test_loop_utils_canonicalize);
+    ("pass manager timeout", `Quick, test_pass_timeout);
   ]

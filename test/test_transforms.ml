@@ -1,5 +1,7 @@
 (* Tests for the paper's transforms: loop unrolling, control-flow
-   unmerging, combined u&u, the heuristic, and the five pipelines. *)
+   unmerging, combined u&u, the heuristic, and the five pipelines; golden
+   digests pin the exact output of the transform and of whole pipelines
+   on the bundled apps. *)
 
 open Uu_ir
 open Uu_core
@@ -321,12 +323,18 @@ let test_provenance_labels () =
   check bool "entry is all X" true
     (Array.for_all (fun l -> l = Provenance.Unknown) entry_labels)
 
-(* Golden digests of the transform's exact output on the bundled apps:
-   the printed IR after the early passes and the transform, the pass
-   work, the statistic deltas, and the remark stream. The late pipeline
-   is left out to keep the cases fast. Any change to label or register
-   numbering, phi entry order, remarks, or stats shows up here. *)
-let transform_digest ~app ?loop config =
+(* Golden digests of exact compiler output on the bundled apps: the
+   printed IR after a pass list, the pass work, the statistic deltas, and
+   the remark stream. Most cases stop after the early passes and the
+   transform; the full-pipeline cases add the late cleanup, whose
+   batching rounds fix phi-entry and select order. Any change to label or
+   register numbering, phi entry order, remarks, or stats shows up here. *)
+let transform_only ~targets config =
+  Pipelines.early_passes @ Pipelines.transform ~targets config
+
+let full_pipeline ~targets config = Pipelines.pipeline ~targets config
+
+let transform_digest ~passes ~app ?loop config =
   let app = Option.get (Uu_benchmarks.Registry.find app) in
   let target =
     Option.map
@@ -349,11 +357,7 @@ let transform_digest ~app ?loop config =
         | Some _ -> Pipelines.Only []
       in
       let options = { Uu_opt.Pass.unverified with remarks = Some sink } in
-      let report =
-        Uu_opt.Pass.exec ~options
-          (Pipelines.early_passes @ Pipelines.transform ~targets config)
-          f
-      in
+      let report = Uu_opt.Pass.exec ~options (passes ~targets config) f in
       Buffer.add_string buf (Printer.func_to_string f);
       Buffer.add_string buf (Printf.sprintf "work %d\n" report.Uu_opt.Pass.work);
       Buffer.add_string buf (Uu_support.Statistic.render report.Uu_opt.Pass.stats);
@@ -371,13 +375,14 @@ let unmerge_duplicated remarks =
       if r.pass = "unmerge" then Uu_support.Remark.int_arg r "duplicated" else None)
     remarks
 
-let golden_case ~app ?loop ?(loop_copies = 0) config ~duplicated ~digest () =
-  let got, remarks, stats = transform_digest ~app ?loop config in
+let golden_case ?(passes = transform_only) ~app ?loop ?(loop_copies = 0) config
+    ~duplicated ~digest () =
+  let got, remarks, stats = transform_digest ~passes ~app ?loop config in
   check (Alcotest.list int) "unmerge duplicated counts" duplicated
     (unmerge_duplicated remarks);
   check int "nested-loop copies" loop_copies
     (Option.value ~default:0 (List.assoc_opt "unmerge.loops_duplicated" stats));
-  check Alcotest.string "transform output digest" digest got
+  check Alcotest.string "output digest" digest got
 
 let test_pipeline_configs_distinct () =
   check Alcotest.string "name" "u&u-4" (Pipelines.config_name (Pipelines.Uu 4));
@@ -432,4 +437,22 @@ let suite =
       `Quick,
       golden_case ~app:"rainflow" (Pipelines.Uu_selective 2) ~duplicated:[ 166 ]
         ~digest:"98f9ca31eeec85d496bea4c5768885ae" );
+    (* The whole pipeline on the largest function the late passes see. *)
+    ( "golden: rainflow loop u&u-4, full pipeline",
+      `Quick,
+      golden_case ~passes:full_pipeline ~app:"rainflow" ~loop:0 (Pipelines.Uu 4)
+        ~duplicated:[ 6466 ] ~digest:"514106faca2edebbc682495c3fc48c24" );
+    ( "golden: XSBench whole-app u&u-8, full pipeline",
+      `Quick,
+      golden_case ~passes:full_pipeline ~app:"XSBench" (Pipelines.Uu 8)
+        ~duplicated:[ 1272 ] ~digest:"f9703da4f0681f9a5246d556aa167a41" );
+    ( "golden: complex loop u&u-8, full pipeline",
+      `Quick,
+      golden_case ~passes:full_pipeline ~app:"complex" ~loop:0 (Pipelines.Uu 8)
+        ~duplicated:[ 1272 ] ~digest:"52b21be7f8a69b84babfdc427adf8af0" );
+    ( "golden: ccs whole-app u&u-2, full pipeline",
+      `Quick,
+      golden_case ~passes:full_pipeline ~app:"ccs" (Pipelines.Uu 2)
+        ~duplicated:[ 14; 72 ] ~loop_copies:3
+        ~digest:"2e296fca7aaef48b29f7e69d180d85d8" );
   ]
