@@ -2,10 +2,12 @@
    `experiments all` writes text renderings to stdout and CSV data under
    results/ (the artifact's equivalent of run_all.sh + plot scripts).
 
-   Execution goes through the Uu_harness.Jobs graph: measurements run on
-   a domain pool (--jobs) and are served from the on-disk result cache
-   under <out>/cache (disable with --no-cache); --stats prints the
-   scheduler's cache-hit counters after the run. *)
+   Every measurement is a Uu_serve.Request answered by
+   Uu_harness.Runner.run_request, the funnel `uu run` and `uu serve` use
+   too. The Uu_harness.Jobs graph runs them on a domain pool (--jobs) and
+   serves repeats from the on-disk response cache under <out>/cache
+   (disable with --no-cache); --stats prints the cache counters after
+   the run. *)
 
 open Cmdliner
 open Uu_harness
@@ -119,6 +121,7 @@ let print_scheduler_stats ctx extra =
         [
           ("harness.cache_hits", Result_cache.hits c);
           ("harness.cache_misses", Result_cache.misses c);
+          ("harness.cache_corrupt", Result_cache.corrupt c);
         ]
       | None -> [ ("harness.cache_hits", 0) ]
     in
@@ -161,9 +164,11 @@ let with_sweep ctx k =
     ~header:Figures.fig8_csv_header (Figures.fig8_csv sweep);
   k sweep
 
-let do_counters () =
+let do_counters ctx =
   print_endline "== In-depth counters (paper SV) ==";
-  print_string (Counters.render (Counters.analyze ()))
+  print_string
+    (Counters.render
+       (Counters.analyze ?jobs:ctx.jobs ?sim_jobs:ctx.sim_jobs ?cache:ctx.cache ()))
 
 let cmd name doc run = Cmd.v (Cmd.info name ~doc) Term.(const run $ ctx_term)
 
@@ -235,28 +240,31 @@ let sweep_cmd =
           --no-cache to force recomputation, --stats for cache counters)")
     Term.(const (fun ctx configs -> do_sweep ctx configs) $ ctx_term $ configs_arg)
 
-let counters_cmd = cmd "counters" "In-depth counter analysis (SV)" (fun _ -> do_counters ())
+let counters_cmd = cmd "counters" "In-depth counter analysis (SV)" do_counters
 
 (* One JSON document per application with the full remark stream and the
-   statistic-counter deltas of its heuristic-config compilation, so the
-   transform decisions behind Table I are machine-checkable. *)
+   statistic-counter deltas of its heuristic-config compilation — the
+   remarks and stats of a Compile response — so the transform decisions
+   behind Table I are machine-checkable. *)
 let do_remarks ctx =
   List.iter
     (fun (app : Uu_benchmarks.App.t) ->
-      let compiled = Runner.compile app Uu_core.Pipelines.Uu_heuristic in
-      let remarks = Runner.compiled_remarks compiled in
-      let stats = Runner.compiled_stats compiled in
-      let path =
-        Filename.concat ctx.out ("remarks_" ^ app.Uu_benchmarks.App.name ^ ".json")
+      let name = app.Uu_benchmarks.App.name in
+      let request =
+        Uu_serve.Request.make ~mode:Uu_serve.Request.Compile (Uu_serve.Request.App name)
+          Uu_core.Pipelines.Uu_heuristic
       in
-      Report.write_text ~path
-        (Printf.sprintf "{\"app\":\"%s\",\n\"config\":\"heuristic\",\n\"remarks\":%s,\n\"stats\":%s}\n"
-           app.Uu_benchmarks.App.name
-           (Uu_support.Remark.list_to_json remarks)
-           (Uu_support.Remark.stats_to_json stats));
-      Printf.printf "%-12s %3d remarks -> %s\n" app.Uu_benchmarks.App.name
-        (List.length remarks) path;
-      print_string (Report.render_stats stats))
+      match Runner.run_request request with
+      | Error msg -> failwith (name ^ ": " ^ msg)
+      | Ok { Uu_serve.Response.remarks; stats; _ } ->
+        let path = Filename.concat ctx.out ("remarks_" ^ name ^ ".json") in
+        Report.write_text ~path
+          (Printf.sprintf "{\"app\":\"%s\",\n\"config\":\"heuristic\",\n\"remarks\":%s,\n\"stats\":%s}\n"
+             name
+             (Uu_support.Remark.list_to_json remarks)
+             (Uu_support.Remark.stats_to_json stats));
+        Printf.printf "%-12s %3d remarks -> %s\n" name (List.length remarks) path;
+        print_string (Report.render_stats stats))
     ctx.apps
 
 let remarks_cmd =
@@ -289,7 +297,7 @@ let all_cmd =
           print_endline "== Fig 8b: u&u vs unmerge (per loop) ==";
           print_string (Figures.fig8b sweep);
           print_endline (Figures.geomean_summary sweep));
-      do_counters ();
+      do_counters ctx;
       do_ablations ctx;
       print_endline "== Optimization remarks (heuristic config) ==";
       do_remarks ctx;

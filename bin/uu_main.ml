@@ -73,7 +73,10 @@ let loop_arg =
   Arg.(
     value
     & opt (some int) None
-    & info [ "l"; "loop" ] ~docv:"ID" ~doc:"Apply the transform to this loop id only")
+    & info [ "l"; "loop" ] ~docv:"ID"
+        ~doc:
+          "Apply the transform to loop $(docv) of each kernel only (ids as $(b,uu loops) \
+           prints them); kernels without such a loop are left untransformed")
 
 let dot_arg = Arg.(value & flag & info [ "dot" ] ~doc:"Emit the CFG in Graphviz dot format")
 
@@ -151,31 +154,18 @@ let parse_config config_name factor =
   | Error m -> failwith m
   | Ok config -> config
 
-(* The local compile path used by the commands that need the actual IR
-   values (dot rendering, provenance analysis) rather than a response. *)
-let compile_with ?remarks source config_name factor loop =
-  let config = parse_config config_name factor in
-  let name, text = read_source source in
-  let m = Uu_frontend.Lower.compile ~name text in
-  let targets =
-    match loop with
-    | None -> Uu_core.Pipelines.All_loops
-    | Some id ->
-      let headers =
-        List.concat_map
-          (fun f ->
-            let forest = Uu_analysis.Loops.analyze f in
-            List.filter_map
-              (fun (l : Uu_analysis.Loops.loop) ->
-                if l.id = id then Some l.header else None)
-              (Uu_analysis.Loops.loops forest))
-          m.Func.funcs
-      in
-      Uu_core.Pipelines.Only headers
+(* The commands that need the actual IR values (dot rendering,
+   provenance analysis) rather than a response take the module from the
+   same compile step `uu compile` goes through. *)
+let compile_module source config_name factor loop =
+  let request =
+    Uu_serve.Request.make ~mode:Uu_serve.Request.Compile ?loop
+      (source_of_spec source)
+      (parse_config config_name factor)
   in
-  let options = Uu_opt.Pass.options ?remarks () in
-  let report = Uu_core.Pipelines.optimize_module ~targets ~options config m in
-  (m, report, config)
+  match Uu_harness.Runner.compile_request request with
+  | Ok c -> Uu_harness.Runner.modul c
+  | Error msg -> failwith msg
 
 let remark_format = function
   | None -> None
@@ -189,7 +179,7 @@ let compile_run source config factor loop dot remarks stats =
       let fmt = remark_format remarks in
       if dot then begin
         (* Graphviz needs the in-memory CFGs; this path stays local. *)
-        let m, _, _ = compile_with source config factor loop in
+        let m = compile_module source config factor loop in
         List.iter
           (fun f -> print_string (Format.asprintf "%a" Printer.pp_cfg_dot f))
           m.Func.funcs
@@ -204,12 +194,8 @@ let compile_run source config factor loop dot remarks stats =
         | Error msg ->
           Printf.eprintf "error: %s\n" msg;
           exit 1
-        | Ok
-            {
-              Uu_serve.Response.body = Measured _;
-              _;
-            } ->
-          assert false (* a Compile request never measures *)
+        | Ok { Uu_serve.Response.body = Measured _ | Scheduled _; _ } ->
+          assert false (* a Compile request never simulates *)
         | Ok
             {
               Uu_serve.Response.config = cfg;
@@ -287,7 +273,7 @@ let loops_cmd =
 let provenance_cmd =
   let run source config factor loop =
     handle_errors (fun () ->
-        let m, _, _ = compile_with source config factor loop in
+        let m = compile_module source config factor loop in
         List.iter
           (fun f ->
             Printf.printf "@%s\n" f.Func.name;

@@ -160,6 +160,3 @@ let pipeline ?(targets = All_loops) config =
 
 let optimize ?(targets = All_loops) ?options config f =
   Pass.exec ?options (pipeline ~targets config) f
-
-let optimize_module ?(targets = All_loops) ?options config m =
-  Pass.exec_module ?options (pipeline ~targets config) m

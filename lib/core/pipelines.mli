@@ -76,13 +76,6 @@ val optimize :
     [Uu_opt.Pass.options]); the report's [stats] field carries the
     statistic-counter deltas either way. *)
 
-val optimize_module :
-  ?targets:targets ->
-  ?options:Uu_opt.Pass.options ->
-  config ->
-  Func.modul ->
-  Uu_opt.Pass.report
-
 val early_passes : Uu_opt.Pass.t list
 (** The pipeline prefix run before the structural transform; apply these
     to a freshly lowered function before enumerating loop headers so the

@@ -43,7 +43,7 @@ let dup_stat = "ablation.duplicated_blocks"
 (* Build the transformed module and wrap it as a [Runner.compiled], so the
    job layer simulates, validates, and caches it exactly like a stock
    configuration. The duplicated-block count rides along in the
-   measurement's stats. *)
+   response's stats. *)
 let compile_variant (app : Uu_benchmarks.App.t) transform () =
   let m =
     Uu_frontend.Lower.compile ~name:app.Uu_benchmarks.App.name
@@ -62,7 +62,7 @@ let compile_variant (app : Uu_benchmarks.App.t) transform () =
       end
       else ignore (Pipelines.optimize Pipelines.Baseline f))
     m.Func.funcs;
-  Runner.make_compiled ~app ~config:Pipelines.Baseline ~stats:[ (dup_stat, !dup) ] m
+  Runner.make_compiled ~stats:[ (dup_stat, !dup) ] m
 
 let run ?(apps = [ "bezier-surface"; "rainflow"; "XSBench" ]) ?jobs ?sim_jobs ?cache () =
   let apps =

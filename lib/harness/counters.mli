@@ -16,5 +16,11 @@ type comparison = {
   speedup : float;
 }
 
-val analyze : unit -> comparison list
+val analyze :
+  ?jobs:int -> ?sim_jobs:int -> ?cache:Result_cache.t -> unit -> comparison list
+(** Runs as [Jobs] on the domain pool ([jobs] domains), with optional
+    result caching; the jobs are the sweep's own, so a warm sweep cache
+    serves them.
+    @raise Failure if a job fails after its retry. *)
+
 val render : comparison list -> string

@@ -1,69 +1,39 @@
 open Uu_support
-open Uu_core
+module Request = Uu_serve.Request
+module Response = Uu_serve.Response
 
-type protocol = Once | Noisy of { runs : int }
-
-type work =
-  | Pipeline
-  | Custom of { name : string; compile : unit -> Runner.compiled }
+type protocol = Request.protocol = Once | Noisy of { runs : int }
 
 type job = {
-  app : Uu_benchmarks.App.t;
-  config : Pipelines.config;
+  request : Request.t;
   target : Runner.loop_ref option;
-  protocol : protocol;
-  work : work;
+  custom : (unit -> Runner.compiled) option;
 }
 
-let job ?target ?(protocol = Once) app config =
-  { app; config; target; protocol; work = Pipeline }
+let job ?target ?protocol app config =
+  { request = Runner.schedule_request ?protocol ?target app config; target; custom = None }
 
-let custom ~name ~compile ?(protocol = Once) app config =
-  { app; config; target = None; protocol; work = Custom { name; compile } }
-
-let target_string = function
-  | None -> "-"
-  | Some (t : Runner.loop_ref) ->
-    Printf.sprintf "%s#%d@bb%d" t.Runner.kernel t.Runner.loop_id t.Runner.header
-
-let protocol_string = function
-  | Once -> "once"
-  | Noisy { runs } -> Printf.sprintf "noisy-%d" runs
-
-let work_string = function
-  | Pipeline -> "pipeline"
-  | Custom { name; _ } -> "custom:" ^ name
+let custom ~name ~compile ?protocol app config =
+  {
+    request = { (Runner.schedule_request ?protocol app config) with variant = Some name };
+    target = None;
+    custom = Some compile;
+  }
 
 let label j =
+  let r = j.request in
   let base =
-    Printf.sprintf "%s/%s" j.app.Uu_benchmarks.App.name
-      (match j.work with
-      | Pipeline -> Pipelines.config_to_string j.config
-      | Custom { name; _ } -> name)
+    Printf.sprintf "%s/%s" (Request.source_name r.source)
+      (match r.variant with
+      | Some name -> name
+      | None -> Uu_core.Pipelines.config_to_string r.config)
   in
-  match j.target with None -> base | Some t -> base ^ "@" ^ target_string (Some t)
+  match (r.kernel, r.loop) with
+  | Some k, Some id -> Printf.sprintf "%s@%s#%d" base k id
+  | _ -> base
 
-(* Two versions enter the spec: the pipeline version (what the compiler
-   does to the kernels) and the simulator-semantics version (what the
-   metrics of a given optimized kernel are). Keying only the former
-   served stale metrics across simulator changes like the per-block L1
-   switch — the cached bytes were valid for a machine that no longer
-   exists. *)
-let spec_v ?(sim_version = Uu_gpusim.Kernel.semantics_version) ~version j =
-  Printf.sprintf "v%s;sim=%s;app=%s;config=%s;target=%s;protocol=%s;work=%s"
-    version sim_version j.app.Uu_benchmarks.App.name
-    (Pipelines.config_to_string j.config)
-    (target_string j.target) (protocol_string j.protocol) (work_string j.work)
-
-let spec j = spec_v ~version:Pipelines.version j
-
-let key ?(version = Pipelines.version) ?sim_version j =
-  Digest.to_hex (Digest.string (spec_v ?sim_version ~version j))
-
-(* The canonical derivation lives in [Uu_serve.Request] so jobs and
-   serve requests seed noisy runs identically from their respective
-   content-hash keys. *)
-let noise_seed = Uu_serve.Request.noise_seed
+let key j = Request.key j.request
+let noise_seed = Request.noise_seed
 
 type failure = {
   job_label : string;
@@ -75,67 +45,56 @@ type failure = {
 type result = {
   rjob : job;
   rkey : string;
-  outcome : (Runner.measurement list, failure) Stdlib.result;
+  outcome : (Response.ok, failure) Stdlib.result;
   from_cache : bool;
 }
 
-let execute_once ?timeout ?engine ?sim_jobs j jkey =
-  let compiled =
-    match j.work with
-    | Pipeline -> Runner.compile ?target:j.target ?timeout j.app j.config
-    | Custom { compile; _ } -> compile ()
+(* One attempt: the job's request through the funnel, compiled by the
+   pipeline under the job's budget or by its hand-built variant. *)
+let attempt ?timeout ?engine ~sim_jobs j =
+  let compile =
+    match j.custom with
+    | None -> Runner.compile_request ?timeout
+    | Some build -> fun _ -> Ok (build ())
   in
-  let measurements =
-    match j.protocol with
-    | Once -> [ Runner.simulate ?engine ?sim_jobs compiled ]
-    | Noisy { runs } ->
-      List.init runs (fun i ->
-          Runner.simulate ?engine ?sim_jobs ~noise_seed:(noise_seed ~key:jkey i)
-            compiled)
+  let r =
+    {
+      j.request with
+      engine = Option.value engine ~default:j.request.engine;
+      sim_jobs = Some sim_jobs;
+    }
   in
-  List.iter
-    (fun (m : Runner.measurement) ->
-      match m.Runner.check with
-      | Ok () -> ()
-      | Error msg ->
-        failwith
-          (Printf.sprintf "%s: oracle check failed: %s" (label j) msg))
-    measurements;
-  measurements
+  try Runner.run_request ~compile r with e -> Error (Printexc.to_string e)
 
-let execute ?timeout ?engine ?sim_jobs ~retries j jkey =
-  let rec go attempt =
-    match execute_once ?timeout ?engine ?sim_jobs j jkey with
-    | measurements -> Ok measurements
-    | exception e ->
-      if attempt <= retries then go (attempt + 1)
-      else
-        Error
-          {
-            job_label = label j;
-            job_key = jkey;
-            message = Printexc.to_string e;
-            attempts = attempt;
-          }
+let execute ?timeout ?engine ~sim_jobs ~retries j jkey =
+  let rec go n =
+    match attempt ?timeout ?engine ~sim_jobs j with
+    | Ok ok -> Ok ok
+    | Error message ->
+      if n <= retries then go (n + 1)
+      else Error { job_label = label j; job_key = jkey; message; attempts = n }
   in
   go 1
 
+(* A cached entry is the [Response.to_string] text of an [Ok] response;
+   the cache hands back only bytes that pass its digest check, so a
+   parse failure can only mean an entry of another format — recompute. *)
+let lookup cache ~key =
+  match Option.map Response.of_string (Result_cache.lookup_raw cache ~key) with
+  | Some (Ok (Ok ok)) -> Some ok
+  | Some (Ok (Error _) | Error _) | None -> None
+
 let run_all ?jobs ?sim_jobs ?cache ?timeout ?engine ?(retries = 1) job_list =
   let arr = Array.of_list job_list in
-  let keys = Array.map (fun j -> key j) arr in
+  let keys = Array.map key arr in
   (* Cache I/O stays on the calling domain: probe everything up front,
      fan only the real work out to the pool, store new results after the
      pool has been joined. *)
   let cached =
-    Array.mapi
-      (fun i _ ->
-        match cache with
-        | None -> None
-        | Some c -> Result_cache.lookup c ~key:keys.(i))
-      arr
+    Array.map (fun k -> Option.bind cache (fun c -> lookup c ~key:k)) keys
   in
   let todo =
-    List.filter (fun i -> cached.(i) = None) (List.init (Array.length arr) Fun.id)
+    List.filter (fun i -> Option.is_none cached.(i)) (List.init (Array.length arr) Fun.id)
   in
   let sim_jobs =
     match sim_jobs with
@@ -156,15 +115,11 @@ let run_all ?jobs ?sim_jobs ?cache ?timeout ?engine ?(retries = 1) job_list =
       (fun i -> (i, execute ?timeout ?engine ~sim_jobs ~retries arr.(i) keys.(i)))
       todo
   in
-  let outcomes = Array.make (Array.length arr) None in
-  Array.iteri (fun i c ->
-      match c with Some ms -> outcomes.(i) <- Some (Ok ms, true) | None -> ())
-    cached;
+  let outcomes = Array.map (Option.map (fun ok -> (Ok ok, true))) cached in
   List.iter
     (fun (i, outcome) ->
       (match (outcome, cache) with
-      | Ok measurements, Some c ->
-        Result_cache.store c ~key:keys.(i) ~spec:(spec arr.(i)) measurements
+      | Ok ok, Some c -> Result_cache.store_raw c ~key:keys.(i) (Response.to_string (Ok ok))
       | _ -> ());
       outcomes.(i) <- Some (outcome, false))
     executed;
@@ -177,25 +132,8 @@ let run_all ?jobs ?sim_jobs ?cache ?timeout ?engine ?(retries = 1) job_list =
 
 let measurements_exn r =
   match r.outcome with
-  | Ok measurements -> measurements
+  | Ok ok -> Runner.measurements ok
   | Error f ->
     failwith
       (Printf.sprintf "job %s failed after %d attempts: %s" f.job_label f.attempts
          f.message)
-
-let summarize ?cache results =
-  let total = List.length results in
-  let hits = List.length (List.filter (fun r -> r.from_cache) results) in
-  let failed =
-    List.length (List.filter (fun r -> Stdlib.Result.is_error r.outcome) results)
-  in
-  [
-    ("harness.jobs_total", total);
-    ("harness.jobs_executed", total - hits);
-    ("harness.jobs_failed", failed);
-    ("harness.cache_hits", hits);
-  ]
-  @
-  match cache with
-  | None -> []
-  | Some c -> [ ("harness.cache_misses", Result_cache.misses c) ]

@@ -1,34 +1,34 @@
-(** On-disk cache of experiment measurements.
+(** On-disk cache of serialized responses.
 
-    Layout: one file per job under [<dir>/<ab>/<key>.json] (canonically
-    [results/cache/]), where [key] is the job's content hash (see
-    [Uu_harness.Jobs.key]) and [ab] its first two hex digits — a 256-way
-    directory fan-out, so the store stays a small-directory workload at
-    millions of entries. Entries written by pre-shard versions as flat
-    [<dir>/<key>.json] files are migrated into their shard transparently
-    on first lookup (a rename — the bytes are untouched, so warm reruns
-    remain byte-identical across the migration). Each file holds the
-    job's serialized
-    [Runner.measurement] list — every field, including metrics, remarks,
-    and statistic deltas — so a warm re-run reproduces the cold run's
-    results byte for byte without compiling or simulating anything.
+    Every cached answer — a daemon response, an experiment job's
+    schedule response — is the [Uu_serve.Response.to_string] text of an
+    [Ok] response, stored under its request's content hash
+    ([Uu_serve.Request.key]). One file per key under
+    [<dir>/<ab>/<key>.json] (canonically [results/cache/]), where [ab]
+    is the key's first two hex digits — a 256-way fan-out, so the store
+    stays a small-directory workload at millions of entries.
 
-    Entries never expire: the key already encodes everything a
-    measurement depends on (app, config, target, protocol,
-    [Uu_core.Pipelines.version], and the simulator-semantics version
-    [Uu_gpusim.Kernel.semantics_version]), so a stale entry is simply an
-    entry nobody looks up anymore. The two versions cover the two ways a
-    measurement can go stale: the compiler producing different code, and
-    the simulator charging the same code differently.
+    {b Entry format.} A one-line header, then the stored bytes verbatim:
+    {v uu-cache 1 <length> <md5-hex>\n<bytes> v}
+    {!lookup_raw} returns the bytes only when their length and MD5 match
+    the header. Anything else — a truncated, bit-flipped, empty or
+    foreign file, including entries written before this format — is
+    deleted, counted in {!corrupt}, and reported as a miss, so the
+    caller recomputes and stores a good entry. Callers never see bytes
+    the cache did not write.
 
-    Lookups and stores are performed by the job scheduler on the
-    coordinating domain only, never inside pool workers, so the mutable
-    hit/miss counters need no synchronization. Stores write to a
-    process-unique temporary file in the shard directory and rename, so
-    a crash mid-write never leaves a truncated entry behind and several
-    daemons can share one cache directory (identical keys always carry
-    identical bytes, so a lost rename race still installs the right
-    content). *)
+    Entries never expire: the key already encodes everything a response
+    depends on (including [Uu_core.Pipelines.version] and the
+    simulator-semantics version [Uu_gpusim.Kernel.semantics_version]),
+    so a stale entry is simply an entry nobody looks up anymore.
+
+    The counters are unsynchronized: each cache is used from one thread
+    at a time (the job graph's coordinating domain, the daemon's reactor
+    under its lock). Stores write to a process-unique temporary file in
+    the shard directory and rename, so a crash mid-write never leaves a
+    truncated entry behind and several daemons can share one cache
+    directory (identical keys always carry identical bytes, so a lost
+    rename race still installs the right content). *)
 
 type t
 
@@ -37,40 +37,17 @@ val create : dir:string -> t
 
 val dir : t -> string
 
-val lookup : t -> key:string -> Runner.measurement list option
-(** [Some measurements] on a hit; [None] (counted as a miss) when the
-    entry is absent or unreadable. A corrupt entry is deleted so the
-    next store can replace it. *)
-
-val store : t -> key:string -> spec:string -> Runner.measurement list -> unit
-(** Persist a job's measurements. [spec] is the human-readable job
-    description the key was hashed from; it is stored alongside the data
-    for debuggability and has no effect on lookups. *)
-
-val hits : t -> int
-val misses : t -> int
-(** Counters since [create], maintained across {!lookup} and
-    {!lookup_raw} calls. *)
-
-(** {1 Raw entries}
-
-    The serve daemon stores whole response documents (already-serialized
-    JSON) under its own content-hash keys, through the same directory,
-    counters, and atomic write-to-temp-then-rename discipline. The two
-    key namespaces cannot collide: serve keys hash a ["serve;"]-prefixed
-    spec, job keys a ["v<version>;"]-prefixed one. *)
-
 val lookup_raw : t -> key:string -> string option
-(** The entry's verbatim contents on a hit; [None] (counted as a miss)
-    when absent or unreadable. No validation — the caller owns the
-    format. *)
+(** Exactly the bytes {!store_raw} was given for [key], on a hit. [None]
+    (counted as a miss) when the entry is absent, unreadable or fails
+    its check; a failed check also deletes the entry and counts it in
+    {!corrupt}. *)
 
 val store_raw : t -> key:string -> string -> unit
 
-(** {1 Serialization}
+val hits : t -> int
+val misses : t -> int
 
-    Exposed for tests, which assert that a cache round-trip is
-    byte-identical. *)
-
-val encode : spec:string -> Runner.measurement list -> string
-val decode : string -> (Runner.measurement list, string) result
+val corrupt : t -> int
+(** Entries dropped since [create] because they failed their length or
+    digest check (each also counted as a miss). *)

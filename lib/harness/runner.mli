@@ -1,8 +1,12 @@
-(** The experiment runner: compiles an application under a configuration
-    (optionally restricted to one loop, as the paper does per-loop,
-    §IV-B), simulates its launch schedule, validates results against the
-    host oracle, and reports the measurements every table and figure is
-    built from. *)
+(** The one executor. Every compile-and-simulate entry point — [uu run],
+    [uu compile], [uu request], the serve daemon and the experiment job
+    graph behind Table I, the sweep, the ablations and the counters —
+    builds a [Uu_serve.Request.t] and comes through {!run_request}: the
+    request's bounds are checked, its source is compiled under its
+    configuration and target loop ({!compile_request}), and the compiled
+    module answers it ({!respond}): printed IR, synthetic-buffer runs,
+    or the bundled app's own launch schedule under its host oracle (the
+    paper's per-loop measurements, §IV-B). *)
 
 open Uu_core
 
@@ -15,96 +19,96 @@ type loop_ref = {
 val loop_inventory : Uu_benchmarks.App.t -> loop_ref list
 (** All loops of all kernels, after the pipeline's early phase (so headers
     match what the transform sees). Order: kernels in source order, loops
-    by id. *)
+    by id. {!compile_request} resolves a request's loop id the same way. *)
+
+val cycles_per_ms : float
+(** Conversion between simulated cycles and reported milliseconds. *)
+
+(** {1 The request funnel} *)
+
+type compiled
+(** An optimized module plus its compile report and warm decode cache,
+    reusable across every request sharing one
+    [Uu_serve.Request.compile_key]. The decode cache inside is
+    single-domain: callers sharing a [compiled] across domains must
+    serialize their {!respond} calls (the serve daemon holds a per-entry
+    lock). *)
+
+val compile_request :
+  ?timeout:float -> Uu_serve.Request.t -> (compiled, string) result
+(** Resolve the source (registry app or inline text), lower, resolve the
+    request's loop id per kernel in scope after the early phase, and
+    optimize every kernel: loop [N] of each kernel in scope gets the
+    transform, once; kernels out of scope get none. [timeout] is a
+    wall-clock budget in seconds for the whole module, enforced
+    cooperatively between passes (see [Uu_opt.Pass.Timeout]). All
+    frontend, pipeline and timeout failures come back as [Error] text,
+    never exceptions, as does a request naming a [variant] (no pipeline
+    can build one). *)
+
+val modul : compiled -> Uu_ir.Func.modul
+(** The optimized module, for callers that need the IR values (CFG dot
+    rendering, provenance). *)
+
+val make_compiled : ?stats:(string * int) list -> Uu_ir.Func.modul -> compiled
+(** Wrap a module optimized by hand (the ablation variants) so it goes
+    through {!respond}'s schedule arm and the result cache like a
+    pipeline compile. [stats] ride along in the response; the modeled
+    compile time is zero. *)
+
+val respond :
+  ?default_sim_jobs:int ->
+  Uu_serve.Request.t ->
+  compiled ->
+  Uu_serve.Response.t
+(** Answer one request from its compiled module: print IR for [Compile],
+    simulate every kernel with the synthetic-buffer protocol for [Run],
+    walk the bundled app's launch schedule for [Schedule] — fresh
+    workload from a fixed seed, every launch in order, the host oracle
+    checked after each run. Run [i] of a [Noisy] schedule is jittered
+    with [Request.noise_seed ~key:(Request.key r) i]. A simulator
+    failure, a rejected launch or an oracle mismatch is an [Error],
+    never an exception. [default_sim_jobs] (default 1) applies only when
+    the request leaves [sim_jobs] unset; it cannot change a response
+    byte. *)
+
+val run_request :
+  ?default_sim_jobs:int ->
+  ?compile:(Uu_serve.Request.t -> (compiled, string) result) ->
+  Uu_serve.Request.t ->
+  Uu_serve.Response.t
+(** The single funnel: [Request.check] the bounds, compile ([compile]
+    defaults to {!compile_request}; the daemon passes its module memo,
+    the job graph its budget or a hand-built variant), {!respond}. *)
+
+(** {1 Schedule measurements} *)
 
 type measurement = {
   config : Pipelines.config;
-  target : loop_ref option;        (** [None] = whole-application run *)
   kernel_ms : float;               (** simulated kernel time *)
   transfer_ms : float;             (** modeled host-transfer time *)
   code_bytes : int;                (** kernel code plus the app's rest-of-binary *)
   compile_seconds : float;
   metrics : Uu_gpusim.Metrics.t;
-  check : (unit, string) result;
-  remarks : Uu_support.Remark.t list;
-      (** optimization remarks emitted while compiling, all kernels *)
   stats : (string * int) list;
       (** statistic-counter deltas of the compilation, summed over kernels *)
 }
+(** One run of a schedule response, flattened with its compile report:
+    the read-only view Table I, the sweep, the ablations and the
+    counters take. *)
 
-val cycles_per_ms : float
-(** Conversion between simulated cycles and reported milliseconds. *)
+val measurements : Uu_serve.Response.ok -> measurement list
+(** One per run of a [Scheduled] response; [[]] for the other bodies. *)
 
-type compiled
-(** A compiled application (all kernels optimized under one
-    configuration), reusable across simulation runs. *)
-
-val compile :
-  ?target:loop_ref ->
-  ?timeout:float ->
-  Uu_benchmarks.App.t ->
-  Pipelines.config ->
-  compiled
-(** [timeout] is a wall-clock budget in seconds covering the whole
-    compilation (all kernels), enforced cooperatively between passes —
-    see [Uu_opt.Pass.Timeout]. *)
-
-val make_compiled :
-  ?target:loop_ref ->
-  ?compile_seconds:float ->
-  ?remarks:Uu_support.Remark.t list ->
-  ?stats:(string * int) list ->
-  app:Uu_benchmarks.App.t ->
-  config:Pipelines.config ->
-  Uu_ir.Func.modul ->
-  compiled
-(** Wrap an already-optimized module as a {!compiled} application so
-    hand-rolled transforms (the ablation variants) go through the same
-    simulation, measurement, and caching path as stock pipeline
-    configurations. [config] is recorded in the resulting measurements;
-    extra [stats] entries ride along in [measurement.stats]. *)
-
-val compiled_remarks : compiled -> Uu_support.Remark.t list
-val compiled_stats : compiled -> (string * int) list
-(** The remark stream / statistic deltas of a compilation, without
-    simulating (used by the [experiments remarks] subcommand). *)
-
-val simulate :
-  ?noise_seed:int64 ->
-  ?engine:Uu_gpusim.Kernel.engine ->
-  ?sim_jobs:int ->
-  compiled ->
-  measurement
-(** Simulate a previously compiled application; used by Table I's 20-run
-    protocol to avoid recompiling per run. [engine] defaults to
-    [Kernel.Decoded]; each {!compiled} carries its own decode cache, so
-    repeated simulations decode every kernel exactly once. [sim_jobs]
-    (default 1) shards each launch's blocks over that many domains —
-    measurements are byte-identical for any value (see
-    [Kernel.exec]). *)
-
-val race_audit :
-  ?engine:Uu_gpusim.Kernel.engine ->
-  compiled ->
-  (string * Uu_gpusim.Racecheck.t) list
-(** Replay the app's launch schedule with a write-set collector attached
-    to each launch — one [(kernel, collector)] pair per launch, in
-    schedule order. Empty [Racecheck.overlaps] on every collector means
-    block-order independence of final memory holds for this workload
-    (the assumption the parallel shard rests on). Always serial. *)
-
-val run :
-  ?noise_seed:int64 ->
-  ?engine:Uu_gpusim.Kernel.engine ->
-  ?sim_jobs:int ->
+val schedule_request :
+  ?protocol:Uu_serve.Request.protocol ->
   ?target:loop_ref ->
   Uu_benchmarks.App.t ->
   Pipelines.config ->
-  measurement
-(** Compile + simulate one configuration. [noise_seed] enables the memory
-    jitter model (used for Table I's 20-run statistics); without it the
-    simulation is deterministic. When [target] is set, the transform is
-    applied to that single loop only. *)
+  Uu_serve.Request.t
+(** The [Schedule] request for one app under one configuration
+    ([protocol] defaults to [Once]), restricted to [target]'s loop when
+    given — one job of the experiment graph. *)
 
 val run_exn :
   ?noise_seed:int64 ->
@@ -114,43 +118,6 @@ val run_exn :
   Uu_benchmarks.App.t ->
   Pipelines.config ->
   measurement
-(** Like {!run} but raises [Failure] if the oracle check fails. *)
-
-(** {1 The request funnel}
-
-    Every compile-and-simulate entry point — [uu run], [uu compile],
-    [uu request], and the serve daemon — builds a
-    [Uu_serve.Request.t] and comes through here. The split mirrors
-    {!compile}/{!simulate}: a request is compiled once (expensive,
-    cacheable by [Request.compile_key]) and responded to per request
-    identity (shape, races, noise). *)
-
-type request_compiled
-(** An optimized module plus its compile report and warm decode cache,
-    reusable across every request sharing one
-    [Uu_serve.Request.compile_key]. The decode cache inside is
-    single-domain: callers sharing a [request_compiled] across domains
-    must serialize their {!respond} calls (the serve daemon holds a
-    per-entry lock). *)
-
-val compile_request :
-  Uu_serve.Request.t -> (request_compiled, string) result
-(** Resolve the source (registry app or inline text), lower, and
-    optimize under the request's config and target loop. All frontend
-    and pipeline failures come back as [Error] text, never exceptions. *)
-
-val respond :
-  ?default_sim_jobs:int ->
-  Uu_serve.Request.t ->
-  request_compiled ->
-  Uu_serve.Response.t
-(** Answer one request from its compiled module: print IR for [Compile]
-    mode, simulate every kernel with the synthetic-buffer protocol for
-    [Run] mode. A simulator failure or a rejected launch (e.g. a
-    non-positive grid or block) is an [Error], never an exception.
-    [default_sim_jobs] (default 1) applies only when the request leaves
-    [sim_jobs] unset; it cannot change a response byte. *)
-
-val run_request :
-  ?default_sim_jobs:int -> Uu_serve.Request.t -> Uu_serve.Response.t
-(** [compile_request] + {!respond} — the single funnel. *)
+(** One [Schedule Once] request through {!run_request}, restricted to
+    [target]'s loop when given. [noise_seed] enables the jitter model.
+    @raise Failure with the [Error] text (e.g. an oracle mismatch). *)

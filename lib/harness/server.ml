@@ -4,12 +4,12 @@ open Uu_serve
 
 (* A compiled-module memo entry. [ce_lock] is held while compiling and
    while simulating with the entry's module: the decode cache inside a
-   [Runner.request_compiled] is single-domain, so simulations sharing
-   one compiled module are serialized on its entry (different modules
-   still run fully in parallel across the pool). *)
+   [Runner.compiled] is single-domain, so simulations sharing one
+   compiled module are serialized on its entry (different modules still
+   run fully in parallel across the pool). *)
 type compiled_entry = {
   ce_lock : Mutex.t;
-  mutable ce_result : (Runner.request_compiled, string) result option;
+  mutable ce_result : (Runner.compiled, string) result option;
 }
 
 (* One multiplexed connection. The reactor owns it exclusively: a codec
@@ -182,6 +182,7 @@ let stats_locked t =
     ("serve.compiled_modules", Hashtbl.length t.compiled);
     ("serve.cache_hits", Result_cache.hits t.cache);
     ("serve.cache_misses", Result_cache.misses t.cache);
+    ("serve.cache_corrupt", Result_cache.corrupt t.cache);
     ("serve.pool_domains", Parallel.Pool.size t.pool);
   ]
 
@@ -221,26 +222,25 @@ let compiled_entry t r =
   Mutex.unlock t.mutex;
   entry
 
+(* The request goes through the one funnel; only its compile step is
+   memoized. The first request for a compile identity compiles once, and
+   every later request sharing it reuses the module and its warm decode
+   cache. *)
 let execute_response t r =
   let entry = compiled_entry t r in
   Mutex.lock entry.ce_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock entry.ce_lock)
     (fun () ->
-      let compiled =
+      let compile r =
         match entry.ce_result with
         | Some res -> res
         | None ->
-          (* First request for this compile identity: compile once, keep
-             the module and its decode cache warm for every later
-             request that shares it. *)
           let res = Runner.compile_request r in
           entry.ce_result <- Some res;
           res
       in
-      match compiled with
-      | Error msg -> Error msg
-      | Ok c -> Runner.respond r c)
+      Runner.run_request ~compile r)
 
 (* Runs on a pool domain; must never raise and must always land a
    completion (the reactor's running count is balanced by it). The text
@@ -266,7 +266,10 @@ let run_job t ~key r () =
 (* The response travels as already-serialized bytes: re-parsing into a
    [Json.t] and letting the frame encoder print it again is byte-stable
    (parse-then-print is the identity on this printer's own output), so
-   executed, cache-served, and joined answers ship identical bytes. *)
+   executed, cache-served, and joined answers ship identical bytes. The
+   text is always checked: either [Response.to_string] output from a
+   pool worker or an entry [Result_cache.lookup_raw] verified against
+   its length and digest — the reactor never parses a raw file. *)
 let result_frame ~id ~served text =
   Protocol.encode_frame
     (Json.Obj

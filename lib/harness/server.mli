@@ -9,10 +9,12 @@
     - {b in-flight dedupe}: identical concurrent requests (same
       [Request.key]) join the one admitted job and all receive its
       result — N clients, one execution;
-    - {b response cache}: completed [Ok] responses are persisted as raw
-      documents in [Result_cache] (the job graph's sharded directory,
-      disjoint key namespace), so repeats across daemon restarts are
-      served without touching the pool.
+    - {b response cache}: completed [Ok] responses are persisted as
+      raw documents in [Result_cache] (the store the experiment job
+      graph uses too), so repeats across daemon restarts are served
+      without touching the pool. Entries are checked against their
+      length and digest on every hit; a corrupt one is dropped,
+      counted, and recomputed, never served and never fatal.
 
     Concurrency model: a single reactor thread multiplexes every
     connection — listeners and sockets are nonblocking, [Unix.select]
@@ -79,5 +81,5 @@ val stats : t -> (string * int) list
 (** The counters behind the [Stats] op: connections, requests by
     served-status, shed and errored requests, running/queued occupancy
     and their limits, in-flight and memoized-module population,
-    response-cache hits/misses, pool width. Safe to call from any
-    thread. *)
+    response-cache hits/misses/corrupt entries, pool width. Safe to call
+    from any thread. *)

@@ -73,36 +73,35 @@ let run ?(apps = Uu_benchmarks.Registry.all) ?jobs ?sim_jobs ?cache ?timeout
   let baselines = ref [] in
   let points = ref [] in
   let failures = ref [] in
+  (* Every job is a Once schedule: one run per response. *)
+  let first (r : Jobs.result) =
+    Result.map (fun ok -> List.hd (Runner.measurements ok)) r.Jobs.outcome
+  in
   List.iter
     (fun ((app : Uu_benchmarks.App.t), app_jobs) ->
       let name = app.Uu_benchmarks.App.name in
-      let app_results = List.map (fun _ -> take ()) app_jobs in
-      let record_failure (r : Jobs.result) =
-        match r.Jobs.outcome with
-        | Error f -> failures := f :: !failures
-        | Ok _ -> ()
-      in
-      match app_results with
+      match List.map (fun _ -> take ()) app_jobs with
       | baseline_r :: rest -> (
-        match baseline_r.Jobs.outcome with
+        match first baseline_r with
         | Error f ->
           (* No baseline, no ratios: every dependent point is dropped and
              the baseline failure reported once. *)
           failures := f :: !failures;
-          List.iter record_failure rest
-        | Ok (baseline :: _) ->
+          List.iter
+            (fun (r : Jobs.result) ->
+              Result.iter_error (fun f -> failures := f :: !failures) r.Jobs.outcome)
+            rest
+        | Ok baseline ->
           baselines := (name, baseline) :: !baselines;
           List.iter
             (fun (r : Jobs.result) ->
-              match r.Jobs.outcome with
+              match first r with
               | Error f -> failures := f :: !failures
-              | Ok (m :: _) ->
+              | Ok m ->
                 points :=
                   point_of ~app:name ~loop:r.Jobs.rjob.Jobs.target ~baseline m
-                  :: !points
-              | Ok [] -> ())
-            rest
-        | Ok [] -> ())
+                  :: !points)
+            rest)
       | [] -> ())
     per_app;
   {

@@ -37,8 +37,6 @@ let verify_now f =
   Verifier.check_exn f;
   Uu_analysis.Ssa_check.check_exn f
 
-(* [deadline] is an absolute [Clock.now] instant shared across the
-   functions of a module run, so the budget covers the whole pipeline. *)
 let run_passes ~verify ~budget ~deadline passes f =
   let changed = ref false in
   let times = ref [] in
@@ -78,13 +76,9 @@ let run_passes ~verify ~budget ~deadline passes f =
     passes;
   (List.rev !times, Clock.now () -. t_start, !work, !changed)
 
-let exec_with_deadline ~options:{ verify; remarks; timeout } ~deadline passes f =
-  let deadline =
-    match (deadline, timeout) with
-    | Some d, _ -> Some d
-    | None, Some budget -> Some (Clock.now () +. budget)
-    | None, None -> None
-  in
+let exec ?(options = default_options) passes f =
+  let { verify; remarks; timeout } = options in
+  let deadline = Option.map (fun budget -> Clock.now () +. budget) timeout in
   let before = Statistic.snapshot () in
   let body () = run_passes ~verify ~budget:timeout ~deadline passes f in
   let pass_times, total_time, work, changed =
@@ -96,24 +90,6 @@ let exec_with_deadline ~options:{ verify; remarks; timeout } ~deadline passes f 
     work;
     changed;
     stats = Statistic.diff ~before ~after:(Statistic.snapshot ());
-  }
-
-let exec ?(options = default_options) passes f =
-  exec_with_deadline ~options ~deadline:None passes f
-
-let exec_module ?(options = default_options) passes m =
-  let deadline =
-    Option.map (fun budget -> Clock.now () +. budget) options.timeout
-  in
-  let reports =
-    List.map (fun f -> exec_with_deadline ~options ~deadline passes f) m.Func.funcs
-  in
-  {
-    pass_times = List.concat_map (fun r -> r.pass_times) reports;
-    total_time = List.fold_left (fun acc r -> acc +. r.total_time) 0.0 reports;
-    work = List.fold_left (fun acc r -> acc + r.work) 0 reports;
-    changed = List.exists (fun r -> r.changed) reports;
-    stats = List.fold_left (fun acc r -> Statistic.merge acc r.stats) [] reports;
   }
 
 let fixpoint ?(max_rounds = 8) name passes =

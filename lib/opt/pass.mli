@@ -67,10 +67,6 @@ val exec : ?options:options -> t list -> Func.t -> report
 (** Run the pipeline once, in order, under the given options (default
     {!default_options}). *)
 
-val exec_module : ?options:options -> t list -> Func.modul -> report
-(** Run the pipeline on every function; times and stats are summed. The
-    timeout budget, when present, covers the whole module. *)
-
 val fixpoint : ?max_rounds:int -> string -> t list -> t
 (** A pass that repeats the given sub-pipeline until no sub-pass changes
     anything (or [max_rounds], default 8, is hit). Verification of the

@@ -10,9 +10,18 @@ type measurement = {
   trace : string option;
 }
 
+type run = {
+  kernel_ms : float;
+  transfer_ms : float;
+  code_bytes : int;
+  metrics : Uu_gpusim.Metrics.t;
+  launches : measurement list;
+}
+
 type body =
   | Compiled of { ir : string; instr_count : int }
   | Measured of measurement list
+  | Scheduled of run list
 
 type ok = {
   config : Pipelines.config;
@@ -42,6 +51,15 @@ let render_measurement ~config buf (m : measurement) =
   | None -> ()
   | Some t -> Buffer.add_string buf t
 
+let render_run ~config buf i (r : run) =
+  Buffer.add_string buf
+    (Printf.sprintf "run %d under %s: %.3f ms kernel, %.3f ms transfer, code %d bytes\n  %s\n"
+       i
+       (Pipelines.config_name config)
+       r.kernel_ms r.transfer_ms r.code_bytes
+       (Format.asprintf "%a" Uu_gpusim.Metrics.pp r.metrics));
+  List.iter (render_measurement ~config buf) r.launches
+
 let render = function
   | Error msg -> Printf.sprintf "error: %s\n" msg
   | Ok { body = Compiled { ir; _ }; _ } -> ir
@@ -49,10 +67,14 @@ let render = function
     let buf = Buffer.create 256 in
     List.iter (render_measurement ~config buf) ms;
     Buffer.contents buf
+  | Ok { body = Scheduled runs; config; _ } ->
+    let buf = Buffer.create 256 in
+    List.iteri (render_run ~config buf) runs;
+    Buffer.contents buf
 
 (* --- JSON codec ----------------------------------------------------- *)
 
-let measurement_to_json m =
+let measurement_to_json (m : measurement) =
   Json.Obj
     [
       ("label", Json.Str m.label);
@@ -61,6 +83,16 @@ let measurement_to_json m =
       ("metrics", Uu_gpusim.Metrics.to_json m.metrics);
       ("races", match m.races with None -> Json.Null | Some r -> Json.Str r);
       ("trace", match m.trace with None -> Json.Null | Some t -> Json.Str t);
+    ]
+
+let run_to_json (r : run) =
+  Json.Obj
+    [
+      ("kernel_ms", Json.Float r.kernel_ms);
+      ("transfer_ms", Json.Float r.transfer_ms);
+      ("code_bytes", Json.Int r.code_bytes);
+      ("metrics", Uu_gpusim.Metrics.to_json r.metrics);
+      ("launches", Json.Arr (List.map measurement_to_json r.launches));
     ]
 
 let to_json = function
@@ -72,6 +104,7 @@ let to_json = function
         [ ("ir", Json.Str ir); ("instr_count", Json.Int instr_count) ]
       | Measured ms ->
         [ ("measurements", Json.Arr (List.map measurement_to_json ms)) ]
+      | Scheduled runs -> [ ("runs", Json.Arr (List.map run_to_json runs)) ]
     in
     Json.Obj
       ([ ("config", Json.Str (Pipelines.config_to_string config)) ]
@@ -96,15 +129,16 @@ let rec map_result f = function
     let* ys = map_result f rest in
     Ok (y :: ys)
 
+let metrics_field j =
+  match Json.member "metrics" j with
+  | None -> Error "response: missing field \"metrics\""
+  | Some m -> Uu_gpusim.Metrics.of_json m
+
 let measurement_of_json j =
   let* label = field "label" Json.to_str j in
   let* kernel_cycles = field "kernel_cycles" Json.to_float j in
   let* code_bytes = field "code_bytes" Json.to_int j in
-  let* metrics =
-    match Json.member "metrics" j with
-    | None -> Error "response: missing field \"metrics\""
-    | Some m -> Uu_gpusim.Metrics.of_json m
-  in
+  let* metrics = metrics_field j in
   let* races =
     match Json.member "races" j with
     | None | Some Json.Null -> Ok None
@@ -124,6 +158,17 @@ let measurement_of_json j =
   in
   Ok { label; kernel_cycles; code_bytes; metrics; races; trace }
 
+let run_of_json j =
+  let* kernel_ms = field "kernel_ms" Json.to_float j in
+  let* transfer_ms = field "transfer_ms" Json.to_float j in
+  let* code_bytes = field "code_bytes" Json.to_int j in
+  let* metrics = metrics_field j in
+  let* launches =
+    let* items = field "launches" Json.to_list j in
+    map_result measurement_of_json items
+  in
+  Ok { kernel_ms; transfer_ms; code_bytes; metrics; launches }
+
 let of_json j =
   match Option.bind (Json.member "error" j) Json.to_str with
   | Some msg -> Ok (Error msg)
@@ -133,14 +178,16 @@ let of_json j =
       Pipelines.config_of_string s
     in
     let* body =
-      match Json.member "measurements" j with
-      | Some ms -> (
-        match Json.to_list ms with
-        | None -> Error "response: bad field \"measurements\""
-        | Some ms ->
-          let* ms = map_result measurement_of_json ms in
-          Ok (Measured ms))
-      | None ->
+      match (Json.member "measurements" j, Json.member "runs" j) with
+      | Some _, _ ->
+        let* ms = field "measurements" Json.to_list j in
+        let* ms = map_result measurement_of_json ms in
+        Ok (Measured ms)
+      | None, Some _ ->
+        let* runs = field "runs" Json.to_list j in
+        let* runs = map_result run_of_json runs in
+        Ok (Scheduled runs)
+      | None, None ->
         let* ir = field "ir" Json.to_str j in
         let* instr_count = field "instr_count" Json.to_int j in
         Ok (Compiled { ir; instr_count })

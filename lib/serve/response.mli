@@ -22,11 +22,27 @@ type measurement = {
           request asked *)
 }
 
+type run = {
+  kernel_ms : float;
+      (** simulated time of the whole launch schedule, with this run's
+          clock jitter *)
+  transfer_ms : float;  (** modeled host-device transfer time *)
+  code_bytes : int;
+      (** every launched kernel's code plus the app's rest-of-binary *)
+  metrics : Uu_gpusim.Metrics.t;  (** summed over the schedule's launches *)
+  launches : measurement list;
+      (** one entry per launch, in schedule order, when the request
+          checks races or traces; empty otherwise *)
+}
+(** One simulation of a bundled app's launch schedule. *)
+
 type body =
   | Compiled of { ir : string; instr_count : int }
       (** [mode = Compile]: the optimized IR of every kernel, printed *)
   | Measured of measurement list
       (** [mode = Run]: one entry per kernel, in source order *)
+  | Scheduled of run list
+      (** [mode = Schedule]: one entry per protocol run *)
 
 type ok = {
   config : Pipelines.config;

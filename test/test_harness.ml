@@ -47,13 +47,14 @@ let test_loop_inventory () =
   (* Deterministic across calls. *)
   check bool "stable ids" true (Runner.loop_inventory bezier = loops)
 
+(* [run_exn] returns only when the host oracle passed: a mismatch is an
+   [Error] response, which it raises. *)
 let test_runner_baseline () =
   let m = Runner.run_exn bezier Pipelines.Baseline in
   check bool "kernel time positive" true (m.Runner.kernel_ms > 0.0);
   check bool "transfer modeled" true (m.Runner.transfer_ms > 0.0);
   check bool "code size includes rest bytes" true
-    (m.Runner.code_bytes > bezier.Uu_benchmarks.App.rest_bytes);
-  check bool "oracle passed" true (m.Runner.check = Ok ())
+    (m.Runner.code_bytes > bezier.Uu_benchmarks.App.rest_bytes)
 
 let test_runner_determinism () =
   let a = Runner.run_exn bezier Pipelines.Baseline in
@@ -64,11 +65,101 @@ let test_runner_determinism () =
 let test_runner_per_loop_targeting () =
   let loop = List.hd (Runner.loop_inventory bezier) in
   let targeted = Runner.run_exn ~target:loop bezier (Pipelines.Uu 2) in
-  check bool "targeted run validates" true (targeted.Runner.check = Ok ());
   (* Targeting a loop under u&u changes the code relative to baseline. *)
   let base = Runner.run_exn bezier Pipelines.Baseline in
   check bool "transform changed code size" true
     (targeted.Runner.code_bytes <> base.Runner.code_bytes)
+
+
+(* --- loop ids are per kernel ----------------------------------------- *)
+
+let quicksort =
+  match Uu_benchmarks.Registry.find "quicksort" with
+  | Some a -> a
+  | None -> assert false
+
+(* The (kernel, block) of every [pass] remark applied by compiling
+   [source] under [config], restricted to loop [loop]. *)
+let applied ~pass source config loop =
+  let request =
+    Uu_serve.Request.make ~mode:Uu_serve.Request.Compile ~loop source config
+  in
+  match Runner.run_request request with
+  | Error e -> Alcotest.fail e
+  | Ok { Uu_serve.Response.remarks; _ } ->
+    List.filter_map
+      (fun (r : Uu_support.Remark.t) ->
+        if r.kind = Uu_support.Remark.Applied && r.pass = pass then
+          Some (r.func, Option.value r.block ~default:(-1))
+        else None)
+      remarks
+
+let sites = Alcotest.(list (pair string int))
+
+(* [-l N] is loop N of each kernel that has one, transformed once:
+   quicksort's two kernels each get exactly one u&u-2 and one unroll-4. *)
+let test_loop_per_kernel () =
+  List.iter
+    (fun (config, pass) ->
+      check sites
+        (Pipelines.config_to_string config ^ ": one transform per kernel")
+        [ ("qs_partition", 3); ("qs_rank", 3) ]
+        (applied ~pass (Uu_serve.Request.App "quicksort") config 0))
+    [ (Pipelines.Uu 2, "unroll-and-unmerge"); (Pipelines.Unroll 4, "unroll") ]
+
+(* Two kernels whose loops share a header label: ka has loops at bb1 and
+   bb7, kb one loop at bb7 after three ifs. Each id names only its own
+   kernel's loop. *)
+let collision =
+  {|kernel ka(float* restrict out, int n) {
+  int tid = blockIdx.x * blockDim.x + threadIdx.x;
+  float acc = 0.0;
+  for (int i = 0; i < n; i++) {
+    if (i < tid) { acc = acc + 1.0; }
+  }
+  for (int j = 0; j < n; j++) {
+    if (j < tid) { acc = acc + 2.0; } else { acc = acc - 1.0; }
+  }
+  out[tid] = acc;
+}
+kernel kb(float* restrict out, int n) {
+  int tid = blockIdx.x * blockDim.x + threadIdx.x;
+  float acc = 0.0;
+  if (tid < 1) { acc = 1.0; }
+  if (tid < 2) { acc = acc + 1.0; }
+  if (tid < 3) { acc = acc + 2.0; }
+  for (int i = 0; i < n; i++) {
+    if (i < tid) { acc = acc + 1.0; } else { acc = acc * 0.5; }
+  }
+  out[tid] = acc;
+}
+|}
+
+let test_loop_ids_do_not_collide () =
+  let source = Uu_serve.Request.Inline { name = "collide.cu"; text = collision } in
+  let uu loop = applied ~pass:"unroll-and-unmerge" source (Pipelines.Uu 2) loop in
+  check sites "loop 0: each kernel's first loop" [ ("ka", 1); ("kb", 7) ] (uu 0);
+  check sites "loop 1: only ka has one" [ ("ka", 7) ] (uu 1)
+
+(* The sweep's job for quicksort's qs_partition loop 0 is a schedule
+   request scoped to that kernel; it measures what the sweep measured
+   before jobs became requests. *)
+let test_kernel_scoped_schedule () =
+  let target =
+    List.find
+      (fun (l : Runner.loop_ref) -> l.kernel = "qs_partition" && l.loop_id = 0)
+      (Runner.loop_inventory quicksort)
+  in
+  let request = Runner.schedule_request ~target quicksort (Pipelines.Uu 2) in
+  check (Alcotest.option Alcotest.string) "scoped to the kernel" (Some "qs_partition")
+    request.Uu_serve.Request.kernel;
+  check Alcotest.string "the sweep's job is this request"
+    (Uu_serve.Request.key request)
+    (Jobs.key (Jobs.job ~target quicksort (Pipelines.Uu 2)));
+  let m = Runner.run_exn ~target quicksort (Pipelines.Uu 2) in
+  check (Alcotest.float 1e-12) "kernel_ms" 1.63645 m.Runner.kernel_ms;
+  check int "code_bytes" 17104 m.Runner.code_bytes;
+  check (Alcotest.float 1e-12) "compile_seconds" 0.006415 m.Runner.compile_seconds
 
 let test_uu_beats_baseline_on_bezier () =
   let base = Runner.run_exn bezier Pipelines.Baseline in
@@ -175,6 +266,9 @@ let suite =
     ("runner baseline", `Quick, test_runner_baseline);
     ("runner determinism", `Quick, test_runner_determinism);
     ("per-loop targeting", `Quick, test_runner_per_loop_targeting);
+    ("loop N of each kernel, once", `Quick, test_loop_per_kernel);
+    ("loop ids do not collide across kernels", `Quick, test_loop_ids_do_not_collide);
+    ("kernel-scoped schedule = sweep job", `Quick, test_kernel_scoped_schedule);
     ("u&u speeds up bezier", `Quick, test_uu_beats_baseline_on_bezier);
     ("u&u slows down complex", `Slow, test_uu_slows_complex);
     ("divergence-aware heuristic", `Slow, test_divergence_heuristic_protects_complex);

@@ -1,15 +1,19 @@
 (* Tests for the parallel job graph: the domain pool (deterministic
    ordering, actual multi-domain execution, fault capture), the job
    abstraction (content-hash keys, failure records, retries), the
-   on-disk result cache (byte-identical hits, key invalidation), and the
-   parallel-equals-serial guarantee of the sweep. *)
+   on-disk result cache (validated entries, byte-identical hits, key
+   invalidation), and the parallel-equals-serial guarantee of the
+   sweep. *)
 
 open Uu_core
 open Uu_harness
+module Request = Uu_serve.Request
+module Response = Uu_serve.Response
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
+let string = Alcotest.string
 
 let bezier =
   match Uu_benchmarks.Registry.find "bezier-surface" with
@@ -64,7 +68,9 @@ let test_map_result_captures () =
 
 let test_job_keys () =
   let j = Jobs.job bezier Pipelines.Baseline in
-  check Alcotest.string "key is stable" (Jobs.key j) (Jobs.key j);
+  check string "key is stable" (Jobs.key j) (Jobs.key j);
+  check string "a job's key is its request's key" (Request.key j.Jobs.request)
+    (Jobs.key j);
   let differs j' = Jobs.key j <> Jobs.key j' in
   check bool "config changes key" true (differs (Jobs.job bezier (Pipelines.Uu 2)));
   check bool "factor changes key" true
@@ -75,8 +81,32 @@ let test_job_keys () =
     (differs (Jobs.job ~target:loop bezier Pipelines.Baseline));
   check bool "protocol changes key" true
     (differs (Jobs.job ~protocol:(Jobs.Noisy { runs = 3 }) bezier Pipelines.Baseline));
+  check bool "variant changes key" true
+    (differs
+       (Jobs.custom ~name:"v" ~compile:(fun () -> assert false) bezier
+          Pipelines.Baseline));
   check bool "pipeline version changes key" true
-    (Jobs.key ~version:"test-bump" j <> Jobs.key j);
+    (Request.key ~version:"test-bump" j.Jobs.request <> Jobs.key j);
+  check string "engine and sim_jobs stay out of the key" (Jobs.key j)
+    (Request.key
+       {
+         j.Jobs.request with
+         engine = Uu_gpusim.Kernel.Reference;
+         sim_jobs = Some 7;
+       });
+  (* Table I's keys, and with them its noise seeds, are the job-spec
+     hashes they were before jobs became requests. *)
+  List.iter
+    (fun (protocol, config, want) ->
+      check string
+        (Request.spec (Jobs.job ~protocol bezier config).Jobs.request)
+        want
+        (Jobs.key (Jobs.job ~protocol bezier config)))
+    [
+      (Jobs.Once, Pipelines.Baseline, "be8beb84a223c4052cde08b4fcfda3ad");
+      (Jobs.Noisy { runs = 20 }, Pipelines.Baseline, "0b4528f277578ca7a1fdfcbf1eaa4981");
+      (Jobs.Noisy { runs = 20 }, Pipelines.Uu_heuristic, "13e33d7af04685faf4d0a1398302c2c1");
+    ];
   (* Noise seeds are pure functions of (key, run index). *)
   let k = Jobs.key j in
   check bool "noise seed deterministic" true
@@ -100,7 +130,7 @@ let test_failure_record () =
         (Astring.String.is_infix ~affix:"bezier-surface" f.Jobs.job_label)
     | Ok _ -> Alcotest.fail "raising job did not fail");
     check bool "sibling job unaffected" true
-      (match good_r.Jobs.outcome with Ok (_ :: _) -> true | _ -> false);
+      (Jobs.measurements_exn good_r <> []);
     (match
        Jobs.run_all [ boom ] |> List.map (fun r -> Jobs.measurements_exn r)
      with
@@ -108,80 +138,91 @@ let test_failure_record () =
     | _ -> Alcotest.fail "measurements_exn did not raise")
   | _ -> Alcotest.fail "expected two results"
 
+let entry_path cache key =
+  Filename.concat
+    (Filename.concat (Result_cache.dir cache) (String.sub key 0 2))
+    (key ^ ".json")
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+(* A Table-I-shaped noisy job and a kernel-scoped sweep job: the warm
+   rerun is served from the cache, byte for byte what the cold run
+   computed. *)
 let test_cache_round_trip () =
   let cache = Result_cache.create ~dir:(fresh_cache_dir ()) in
-  let j = Jobs.job ~protocol:(Jobs.Noisy { runs = 2 }) bezier (Pipelines.Uu 2) in
-  let cold = Jobs.run_all ~cache [ j ] in
-  let warm = Jobs.run_all ~cache [ j ] in
-  (match (cold, warm) with
-  | [ c ], [ w ] ->
-    check bool "cold run executed" false c.Jobs.from_cache;
-    check bool "warm run served from cache" true w.Jobs.from_cache;
-    let spec = Jobs.spec j in
-    (* Byte-identical: re-encoding the decoded measurements reproduces
-       the cold run's encoding exactly. *)
-    check Alcotest.string "cache round-trip is byte-identical"
-      (Result_cache.encode ~spec (Jobs.measurements_exn c))
-      (Result_cache.encode ~spec (Jobs.measurements_exn w));
-    check bool "measurements equal" true
-      (Jobs.measurements_exn c = Jobs.measurements_exn w)
-  | _ -> Alcotest.fail "expected one result each");
-  check int "one hit" 1 (Result_cache.hits cache);
-  check int "one miss" 1 (Result_cache.misses cache);
-  (* decode . encode is the identity on the wire format too. *)
-  let ms = Jobs.measurements_exn (List.hd warm) in
-  (match Result_cache.decode (Result_cache.encode ~spec:(Jobs.spec j) ms) with
-  | Ok ms' ->
-    check Alcotest.string "decode(encode) round-trips"
-      (Result_cache.encode ~spec:"x" ms)
-      (Result_cache.encode ~spec:"x" ms')
-  | Error e -> Alcotest.fail ("decode failed: " ^ e));
+  let loop = List.hd (Runner.loop_inventory bezier) in
+  let jobs =
+    [
+      Jobs.job ~protocol:(Jobs.Noisy { runs = 20 }) bezier Pipelines.Uu_heuristic;
+      Jobs.job ~target:loop bezier (Pipelines.Uu 2);
+    ]
+  in
+  let bytes (r : Jobs.result) =
+    match r.Jobs.outcome with
+    | Ok ok -> Response.to_string (Ok ok)
+    | Error f -> Alcotest.fail f.Jobs.message
+  in
+  let cold = Jobs.run_all ~cache jobs in
+  let warm = Jobs.run_all ~cache jobs in
+  List.iter2
+    (fun c w ->
+      check bool "cold run executed" false c.Jobs.from_cache;
+      check bool "warm run served from cache" true w.Jobs.from_cache;
+      check string "warm bytes = cold bytes" (bytes c) (bytes w);
+      check bool "measurements equal" true
+        (Jobs.measurements_exn c = Jobs.measurements_exn w))
+    cold warm;
+  check int "twenty noisy runs" 20
+    (List.length (Jobs.measurements_exn (List.hd warm)));
+  check int "two hits" 2 (Result_cache.hits cache);
+  check int "two misses" 2 (Result_cache.misses cache);
   (* A corrupt entry is a miss, not a crash. Entries live sharded under
      the first two hex digits of their key. *)
-  let key = Jobs.key j in
-  let shard = Filename.concat (Result_cache.dir cache) (String.sub key 0 2) in
-  let path = Filename.concat shard (key ^ ".json") in
+  let key = Jobs.key (List.hd jobs) in
+  let path = entry_path cache key in
   check bool "entry stored in its shard" true (Sys.file_exists path);
-  let oc = open_out path in
-  output_string oc "{not json";
-  close_out oc;
-  check bool "corrupt entry ignored" true (Result_cache.lookup cache ~key = None)
+  write_file path "{not json";
+  check bool "corrupt entry ignored" true (Result_cache.lookup_raw cache ~key = None);
+  check int "corrupt entry counted" 1 (Result_cache.corrupt cache);
+  check bool "corrupt entry deleted" false (Sys.file_exists path)
 
-(* Entries written by pre-shard versions sit flat at [<dir>/<key>.json];
-   the first lookup must migrate them into their shard and serve the
-   same bytes. *)
-let test_cache_legacy_migration () =
-  let dir = fresh_cache_dir () in
-  let cache = Result_cache.create ~dir in
-  let j = Jobs.job ~protocol:(Jobs.Noisy { runs = 2 }) bezier (Pipelines.Uu 2) in
-  let cold = Jobs.run_all ~cache [ j ] in
-  let key = Jobs.key j in
-  let sharded =
-    Filename.concat
-      (Filename.concat dir (String.sub key 0 2))
-      (key ^ ".json")
+(* The entry format: a hit returns exactly the stored bytes; a
+   truncated, bit-flipped, empty or headerless entry is dropped and
+   counted, and never returned. *)
+let test_cache_entries_validated () =
+  let cache = Result_cache.create ~dir:(fresh_cache_dir ()) in
+  let key = Digest.to_hex (Digest.string "entry") in
+  let payload = "{\"config\":\"baseline\",\"x\":[1,2,3]}" in
+  Result_cache.store_raw cache ~key payload;
+  check (Alcotest.option string) "hit returns the stored bytes" (Some payload)
+    (Result_cache.lookup_raw cache ~key);
+  let path = entry_path cache key in
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  let flip s i =
+    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s
   in
-  let legacy = Filename.concat dir (key ^ ".json") in
-  (* Reconstruct the pre-shard layout: move the entry to the flat path. *)
-  let bytes = In_channel.with_open_bin sharded In_channel.input_all in
-  Sys.rename sharded legacy;
-  let warm = Result_cache.create ~dir in
-  (match Result_cache.lookup warm ~key with
-  | Some ms ->
-    check Alcotest.string "migrated bytes identical"
-      bytes
-      (Result_cache.encode ~spec:(Jobs.spec j) ms);
-    check bool "cold bytes identical" true
-      (match cold with
-      | [ c ] ->
-        bytes = Result_cache.encode ~spec:(Jobs.spec j) (Jobs.measurements_exn c)
-      | _ -> false)
-  | None -> Alcotest.fail "legacy entry not found");
-  check bool "entry migrated into shard" true (Sys.file_exists sharded);
-  check bool "flat entry gone" false (Sys.file_exists legacy);
-  (* And raw lookups see the same migrated entry. *)
-  check bool "raw lookup reads migrated entry" true
-    (Result_cache.lookup_raw warm ~key = Some bytes)
+  List.iteri
+    (fun n (what, text) ->
+      write_file path text;
+      check (Alcotest.option string) (what ^ " is a miss") None
+        (Result_cache.lookup_raw cache ~key);
+      check int (what ^ " counted") (n + 1) (Result_cache.corrupt cache);
+      check bool (what ^ " deleted") false (Sys.file_exists path))
+    [
+      ("truncated entry", String.sub good 0 (String.length good - 5));
+      ("bit-flipped payload", flip good (String.length good - 3));
+      ("empty entry", "");
+      ("headerless entry", payload);
+      ("padded entry", good ^ "\n");
+    ];
+  check int "one hit" 1 (Result_cache.hits cache);
+  check int "five misses" 5 (Result_cache.misses cache);
+  Result_cache.store_raw cache ~key payload;
+  check (Alcotest.option string) "a fresh store serves again" (Some payload)
+    (Result_cache.lookup_raw cache ~key)
 
 let test_sweep_parallel_equals_serial () =
   let serial = Sweep.run ~apps:[ bezier ] ~jobs:1 () in
@@ -234,7 +275,7 @@ let suite =
     ("job keys", `Quick, test_job_keys);
     ("failure record with retry", `Quick, test_failure_record);
     ("cache round-trip", `Quick, test_cache_round_trip);
-    ("cache legacy-entry migration", `Quick, test_cache_legacy_migration);
+    ("cache entries are validated", `Quick, test_cache_entries_validated);
     ("parallel sweep = serial sweep", `Slow, test_sweep_parallel_equals_serial);
     ("config round-trip", `Quick, test_config_round_trip);
     ("points_for parsed config", `Slow, test_points_for_parsed_config);

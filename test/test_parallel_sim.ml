@@ -431,23 +431,35 @@ let test_shared_report_absent () =
           (Racecheck.report races)))
 
 (* Every registry app honours CUDA's disjoint-writes contract — the
-   assumption the parallel shard rests on, audited empirically. *)
+   assumption the parallel shard rests on, audited empirically: each
+   app's schedule, race-checked, reports one clean collector per
+   launch. *)
 let test_registry_race_audit () =
   List.iter
     (fun (app : App.t) ->
-      let compiled = Runner.compile app Pipelines.Baseline in
-      List.iter
-        (fun (kernel, races) ->
-          check bool
-            (Printf.sprintf "%s/%s recorded writes" app.App.name kernel)
-            true
-            (Racecheck.writes races > 0);
-          match Racecheck.overlaps races with
-          | [] -> ()
-          | os ->
-            Alcotest.failf "%s/%s: %d cells written by multiple blocks"
-              app.App.name kernel (List.length os))
-        (Runner.race_audit compiled))
+      let request =
+        {
+          (Runner.schedule_request app Pipelines.Baseline) with
+          Uu_serve.Request.check_races = true;
+        }
+      in
+      match Runner.run_request request with
+      | Ok { Uu_serve.Response.body = Scheduled [ run ]; _ } ->
+        check bool (app.App.name ^ " reports every launch") true (run.launches <> []);
+        List.iter
+          (fun (l : Uu_serve.Response.measurement) ->
+            let report = Option.value l.races ~default:"" in
+            let name = Printf.sprintf "%s/%s" app.App.name l.label in
+            check bool (name ^ " recorded writes") true
+              (not (Astring.String.is_infix ~affix:"(0 writes" report));
+            if
+              not
+                (Astring.String.is_prefix
+                   ~affix:"race check: no inter-block write overlaps" report)
+            then Alcotest.failf "%s: cells written by multiple blocks:\n%s" name report)
+          run.launches
+      | Ok _ -> Alcotest.failf "%s: expected one schedule run" app.App.name
+      | Error msg -> Alcotest.failf "%s: %s" app.App.name msg)
     Registry.all
 
 (* --- cache invalidation on simulator-semantics bumps ---------------- *)
@@ -464,14 +476,16 @@ let test_sim_version_in_key () =
   check bool "semantics version covers deferred atomics and arenas" true
     (Kernel.semantics_version >= "5");
   let j = Jobs.job bezier Pipelines.Baseline in
+  let r = j.Jobs.request in
   check bool "spec names the simulator version" true
     (Astring.String.is_infix
        ~affix:("sim=" ^ Kernel.semantics_version)
-       (Jobs.spec j));
+       (Uu_serve.Request.spec r));
   check bool "sim version changes key" true
-    (Jobs.key ~sim_version:"test-bump" j <> Jobs.key j);
+    (Uu_serve.Request.key ~sim_version:"test-bump" r <> Jobs.key j);
   check bool "sim and pipeline bumps are distinct keys" true
-    (Jobs.key ~sim_version:"test-bump" j <> Jobs.key ~version:"test-bump" j)
+    (Uu_serve.Request.key ~sim_version:"test-bump" r
+    <> Uu_serve.Request.key ~version:"test-bump" r)
 
 let test_sim_version_invalidates_cache () =
   let dir = Filename.temp_file "uu_simcache" "" in
@@ -482,11 +496,13 @@ let test_sim_version_invalidates_cache () =
   | [ r ] -> check bool "cold run executed" false r.Jobs.from_cache
   | _ -> Alcotest.fail "expected one result");
   check bool "current semantics hits" true
-    (Result_cache.lookup cache ~key:(Jobs.key j) <> None);
+    (Result_cache.lookup_raw cache ~key:(Jobs.key j) <> None);
   (* After a semantics bump the harness computes a different key, so the
      entry stored under the old machine is never served again. *)
   check bool "bumped semantics misses" true
-    (Result_cache.lookup cache ~key:(Jobs.key ~sim_version:"next" j) = None)
+    (Result_cache.lookup_raw cache
+       ~key:(Uu_serve.Request.key ~sim_version:"next" j.Jobs.request)
+    = None)
 
 let suite =
   [

@@ -85,15 +85,19 @@ let test_rainflow_load_elimination () =
     | Some a -> a
     | None -> Alcotest.fail "rainflow not registered"
   in
-  let compiled = Uu_harness.Runner.compile app Pipelines.Uu_heuristic in
-  let stats = Uu_harness.Runner.compiled_stats compiled in
-  check bool "gvn.loads_eliminated > 0" true
-    (match List.assoc_opt "gvn.loads_eliminated" stats with
-    | Some n -> n > 0
-    | None -> false);
-  let remarks = Uu_harness.Runner.compiled_remarks compiled in
-  check bool "compilation explains a u&u decision" true
-    (heuristic_decisions remarks <> [])
+  let request =
+    Uu_serve.Request.make ~mode:Uu_serve.Request.Compile
+      (Uu_serve.Request.App app.Uu_benchmarks.App.name) Pipelines.Uu_heuristic
+  in
+  match Uu_harness.Runner.run_request request with
+  | Error msg -> Alcotest.fail msg
+  | Ok { Uu_serve.Response.remarks; stats; _ } ->
+    check bool "gvn.loads_eliminated > 0" true
+      (match List.assoc_opt "gvn.loads_eliminated" stats with
+      | Some n -> n > 0
+      | None -> false);
+    check bool "compilation explains a u&u decision" true
+      (heuristic_decisions remarks <> [])
 
 let test_emit_without_sink () =
   (* Instrumentation must be free when nobody listens. *)

@@ -36,9 +36,16 @@ let request_gen =
           string_printable string_printable;
       ]
   in
-  let* mode = oneofl [ Request.Compile; Request.Run ] in
+  let* mode =
+    oneof
+      [
+        oneofl [ Request.Compile; Request.Run; Request.Schedule Request.Once ];
+        map (fun runs -> Request.Schedule (Request.Noisy { runs })) (int_range 1 20);
+      ]
+  in
   let* source = source_gen in
   let* config = oneofl configs in
+  let* kernel = opt (oneofl [ "qs_partition"; "k" ]) in
   let* loop = opt (int_bound 7) in
   let* grid_dim = int_range 1 512 in
   let* block_dim = int_range 1 256 in
@@ -46,6 +53,7 @@ let request_gen =
   let* check_races = bool in
   let* trace = bool in
   let* noise_seed = opt (map Int64.of_int int) in
+  let* variant = opt (oneofl [ "ablation:x"; "v" ]) in
   let* engine = oneofl [ Uu_gpusim.Kernel.Decoded; Uu_gpusim.Kernel.Reference ] in
   let* sim_jobs = opt (int_range 1 16) in
   return
@@ -53,6 +61,7 @@ let request_gen =
       Request.mode;
       source;
       config;
+      kernel;
       loop;
       grid_dim;
       block_dim;
@@ -60,6 +69,7 @@ let request_gen =
       check_races;
       trace;
       noise_seed;
+      variant;
       engine;
       sim_jobs;
     }
@@ -88,6 +98,15 @@ let measurement_gen =
   let* trace = opt string_printable in
   return { Response.label; kernel_cycles; code_bytes; metrics; races; trace }
 
+let run_gen =
+  let open QCheck2.Gen in
+  let* kernel_ms = float_range 0.0 1e6 in
+  let* transfer_ms = float_range 0.0 1e6 in
+  let* code_bytes = nat in
+  let* metrics = metrics_gen in
+  let* launches = list_size (int_bound 3) measurement_gen in
+  return { Response.kernel_ms; transfer_ms; code_bytes; metrics; launches }
+
 let response_gen =
   let open QCheck2.Gen in
   let ok_gen =
@@ -99,6 +118,7 @@ let response_gen =
             (fun ir instr_count -> Response.Compiled { ir; instr_count })
             string_printable nat;
           map (fun ms -> Response.Measured ms) (list_size (int_bound 4) measurement_gen);
+          map (fun runs -> Response.Scheduled runs) (list_size (int_range 1 4) run_gen);
         ]
     in
     let* compile_seconds = float_range 0.0 1e6 in
@@ -402,6 +422,67 @@ let test_noise_seed () =
   check bool "distinct keys, distinct seeds" true
     (Request.noise_seed ~key:"abcdef" 0 <> Request.noise_seed ~key:"abcdeg" 0)
 
+
+(* --- request bounds ------------------------------------------------- *)
+
+let stencil = Request.App "stencil1d"
+
+(* One store per thread and no shared memory, so a request at any bound
+   runs in well under a second. *)
+let tiny =
+  Request.Inline
+    {
+      name = "tiny.cu";
+      text =
+        "kernel k(float* restrict out, int n) { int i = blockIdx.x * blockDim.x \
+         + threadIdx.x; if (i < n) { out[i] = 2.0; } }";
+    }
+
+let bounds =
+  let baseline = Uu_core.Pipelines.Baseline in
+  [
+    ("grid", Request.max_grid, fun n -> Request.make ~grid_dim:n ~block_dim:1 ~elems:1 tiny baseline);
+    ("block", Request.max_block, fun n -> Request.make ~grid_dim:1 ~block_dim:n ~elems:1 tiny baseline);
+    ("elems", Request.max_elems, fun n -> Request.make ~grid_dim:1 ~block_dim:1 ~elems:n tiny baseline);
+    ( "runs",
+      Request.max_runs,
+      fun n ->
+        Request.make ~mode:(Request.Schedule (Request.Noisy { runs = n }))
+          (Request.App "stencil1d-256") baseline );
+  ]
+
+let names_limit field limit msg =
+  Astring.String.is_infix ~affix:field msg
+  && Astring.String.is_infix ~affix:(string_of_int limit) msg
+
+(* Each bound is answered at its limit; one past it, and at 0, the
+   funnel answers an [Error] naming the field and its limit, before
+   compiling anything. *)
+let test_request_bounds () =
+  check bool "the documented limits" true
+    (Request.max_grid = 65_535 && Request.max_block = 1_024
+    && Request.max_elems = 4_194_304 && Request.max_runs = 1_000);
+  List.iter
+    (fun (field, limit, make) ->
+      check bool (field ^ " at its limit runs") true
+        (Result.is_ok (Uu_harness.Runner.run_request (make limit)));
+      List.iter
+        (fun n ->
+          match Uu_harness.Runner.run_request (make n) with
+          | Error msg ->
+            check bool
+              (Printf.sprintf "%s %d: error names the field and limit" field n)
+              true (names_limit field limit msg)
+          | Ok _ -> Alcotest.failf "%s %d was accepted" field n)
+        [ limit + 1; 0 ])
+    bounds;
+  (* Only what the mode uses is bounded: a schedule ignores the shape. *)
+  check bool "a schedule's unused shape is not checked" true
+    (Request.check
+       (Request.make ~mode:(Request.Schedule Request.Once) ~grid_dim:0 stencil
+          Uu_core.Pipelines.Baseline)
+    = Ok ())
+
 (* --- the daemon end to end ------------------------------------------ *)
 
 let fresh_paths tag =
@@ -692,6 +773,167 @@ let test_drain_shutdown () =
   | None -> Alcotest.fail "request thread got no response");
   check bool "socket file removed" false (Sys.file_exists socket)
 
+
+(* Bounds over the wire: each limit is served; one past it is an
+   [Error] response naming the field, never cached, on a connection that
+   stays usable, from a daemon that stays up. *)
+let test_bounds_over_the_wire () =
+  with_server "bounds" (fun ~socket ~server ->
+      let client = Client.connect ~socket () in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          List.iter
+            (fun (field, limit, make) ->
+              check bool (field ^ " at its limit over the wire") true
+                (Result.is_ok (snd (Client.request client (make limit))));
+              let past = make (limit + 1) in
+              for attempt = 1 to 2 do
+                match Client.request client past with
+                | Protocol.Executed, Error msg ->
+                  check bool
+                    (Printf.sprintf "%s past its limit, attempt %d" field attempt)
+                    true (names_limit field limit msg)
+                | Protocol.Executed, Ok _ -> Alcotest.failf "%s past its limit accepted" field
+                | (Protocol.Cache | Protocol.Joined), _ ->
+                  Alcotest.failf "%s: an error response was served from the cache" field
+              done)
+            bounds);
+      let again = Client.connect ~socket () in
+      Client.ping again;
+      Client.close again;
+      check int "every error counted" (2 * List.length bounds)
+        (List.assoc "serve.errors" (Uu_harness.Server.stats server)))
+
+let cache_entry_path cache_dir key =
+  Filename.concat (Filename.concat cache_dir (String.sub key 0 2)) (key ^ ".json")
+
+(* Truncated, bit-flipped and empty entries under one key: each is
+   dropped and recomputed with the right bytes, while another
+   connection's cache-served bytes stay unchanged and the daemon stays
+   up. *)
+let test_corrupt_cache_entries () =
+  let socket, cache_dir = fresh_paths "corrupt" in
+  let server = Uu_harness.Server.create ~socket ~domains:1 ~cache_dir () in
+  let th = Thread.create Uu_harness.Server.serve_forever server in
+  Fun.protect
+    ~finally:(fun () ->
+      Uu_harness.Server.request_stop server;
+      Thread.join th)
+    (fun () ->
+      let victim =
+        Request.make ~grid_dim:64 ~block_dim:32 ~elems:2048 stencil
+          Uu_core.Pipelines.Baseline
+      in
+      let bystander =
+        Request.make ~grid_dim:16 ~block_dim:32 ~elems:2048 stencil
+          Uu_core.Pipelines.Baseline
+      in
+      let want r = Response.to_string (Uu_harness.Runner.run_request r) in
+      let want_victim = want victim and want_bystander = want bystander in
+      let a = Client.connect ~socket () and b = Client.connect ~socket () in
+      Fun.protect
+        ~finally:(fun () -> Client.close a; Client.close b)
+        (fun () ->
+          let ask c r = Response.to_string (snd (Client.request c r)) in
+          check string "victim executed" want_victim (ask a victim);
+          check string "bystander executed" want_bystander (ask b bystander);
+          let path = cache_entry_path cache_dir (Request.key victim) in
+          let good = In_channel.with_open_bin path In_channel.input_all in
+          let corruptions =
+            [
+              ("truncated", String.sub good 0 100);
+              ( "bit-flipped",
+                String.mapi
+                  (fun i c -> if i = String.length good - 10 then Char.chr (Char.code c lxor 4) else c)
+                  good );
+              ("empty", "");
+            ]
+          in
+          List.iter
+            (fun (what, text) ->
+              Out_channel.with_open_bin path (fun oc -> output_string oc text);
+              let served, resp = Client.request a victim in
+              check bool (what ^ ": recomputed, not served") true (served = Protocol.Executed);
+              check string (what ^ ": correct bytes") want_victim (Response.to_string resp);
+              let served, resp = Client.request b bystander in
+              check bool (what ^ ": bystander cache-served") true (served = Protocol.Cache);
+              check string (what ^ ": bystander bytes unchanged") want_bystander
+                (Response.to_string resp))
+            corruptions;
+          Client.ping a;
+          let stats = Uu_harness.Server.stats server in
+          check int "three corrupt entries counted" 3 (List.assoc "serve.cache_corrupt" stats);
+          check int "no errors" 0 (List.assoc "serve.errors" stats)))
+
+(* A schedule request — the unit the experiments are made of — answered
+   by the daemon is byte-identical to the local funnel, executed or
+   cache-served. *)
+let test_schedule_over_the_wire () =
+  with_server "schedule" (fun ~socket ~server:_ ->
+      let app = Option.get (Uu_benchmarks.Registry.find "quicksort") in
+      let target =
+        List.find
+          (fun (l : Uu_harness.Runner.loop_ref) -> l.kernel = "qs_partition")
+          (Uu_harness.Runner.loop_inventory app)
+      in
+      let r =
+        Uu_harness.Runner.schedule_request ~protocol:(Request.Noisy { runs = 3 }) ~target
+          app (Uu_core.Pipelines.Uu 2)
+      in
+      let local = Response.to_string (Uu_harness.Runner.run_request r) in
+      let client = Client.connect ~socket () in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          let served1, resp1 = Client.request client r in
+          let served2, resp2 = Client.request client r in
+          check bool "executed, then cache-served" true
+            (served1 = Protocol.Executed && served2 = Protocol.Cache);
+          check string "daemon = local run_request" local (Response.to_string resp1);
+          check string "cache-served bytes identical" local (Response.to_string resp2)))
+
+(* [Server.result_frame] re-parses response text and prints it again:
+   that is the identity on every response of perfbench's serve hit set
+   (4 apps x 2 configs x 2 shapes) and on a schedule response. *)
+let test_print_identity () =
+  let identity what text =
+    check string (what ^ ": parse then print") text
+      (Json.to_string (Json.of_string_exn text));
+    match Response.of_string text with
+    | Ok r -> check string (what ^ ": decode then encode") text (Response.to_string r)
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  List.iter
+    (fun app ->
+      List.iter
+        (fun config ->
+          let base = Request.make (Request.App app) config in
+          match Uu_harness.Runner.compile_request base with
+          | Error e -> Alcotest.fail e
+          | Ok c ->
+            List.iter
+              (fun (grid_dim, block_dim, elems) ->
+                let r = { base with Request.grid_dim; block_dim; elems } in
+                identity
+                  (Printf.sprintf "%s %s %dx%dx%d" app
+                     (Uu_core.Pipelines.config_to_string config)
+                     grid_dim block_dim elems)
+                  (Response.to_string (Uu_harness.Runner.respond r c)))
+              [ (64, 32, 2048); (128, 32, 4096) ])
+        [ Uu_core.Pipelines.Baseline; Uu_core.Pipelines.Uu 4 ])
+    [ "stencil1d"; "treduce"; "complex"; "bezier-surface" ];
+  let app = Option.get (Uu_benchmarks.Registry.find "quicksort") in
+  identity "quicksort schedule"
+    (Response.to_string
+       (Uu_harness.Runner.run_request
+          {
+            (Uu_harness.Runner.schedule_request ~protocol:(Request.Noisy { runs = 2 }) app
+               Uu_core.Pipelines.Uu_heuristic)
+            with
+            check_races = true;
+          }))
+
 let suite =
   List.map (QCheck_alcotest.to_alcotest ~long:false) props
   @ [
@@ -708,4 +950,9 @@ let suite =
       ("overload sheds with busy frames", `Quick, test_overload_shed);
       ("pipelined requests on one connection", `Quick, test_pipelined_requests);
       ("shutdown drains in-flight work", `Quick, test_drain_shutdown);
+      ("request bounds", `Quick, test_request_bounds);
+      ("request bounds over the wire", `Quick, test_bounds_over_the_wire);
+      ("corrupt cache entries are recomputed", `Quick, test_corrupt_cache_entries);
+      ("schedule request over the wire", `Quick, test_schedule_over_the_wire);
+      ("result text survives parse-then-print", `Slow, test_print_identity);
     ]
