@@ -163,13 +163,13 @@ let sim_throughput_report () =
   let measure name ~engine ?decode_cache ~reps () =
     (* one untimed warm-up simulation populates the decode cache *)
     ignore (simulate_module ~engine ?decode_cache cm);
-    let t0 = Unix.gettimeofday () in
+    let t0 = Uu_support.Clock.now () in
     let instrs = ref 0 in
     for _ = 1 to reps do
       let m = simulate_module ~engine ?decode_cache cm in
       instrs := !instrs + m.Uu_gpusim.Metrics.warp_instrs
     done;
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Uu_support.Clock.now () -. t0 in
     let wips = float_of_int !instrs /. dt in
     Printf.printf "  %-22s %10.2f Mwinstr/s  (%.3f s / %d reps)\n" name
       (wips /. 1e6) dt reps;
@@ -233,11 +233,11 @@ let sim_parallel_report path =
       Uu_benchmarks.Xsbench.setup_scaled ~n:scale_n (Uu_support.Rng.create 0x5EEDL)
     in
     let m0 = simulate_instance ~sim_jobs instance in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Uu_support.Clock.now () in
     for _ = 1 to reps do
       ignore (simulate_instance ~sim_jobs instance)
     done;
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Uu_support.Clock.now () -. t0 in
     Printf.printf "  sim-jobs %-3d %8.3f s / %d reps\n%!" sim_jobs dt reps;
     (sim_jobs, dt, m0)
   in
@@ -354,15 +354,26 @@ let run_bechamel () =
     (fun (name, pretty) -> Printf.printf "%-45s %12s\n" name pretty)
     (List.sort compare !rows)
 
+(* The CPUs this process may run on, as the [nproc] utility counts them
+   (it honours the affinity mask, which [available_domains] may not). *)
+let nproc () =
+  let avail = Uu_support.Parallel.available_domains () in
+  match Unix.open_process_in "nproc" with
+  | exception Unix.Unix_error _ -> avail
+  | ic ->
+    let line = In_channel.input_line ic in
+    ignore (Unix.close_process_in ic);
+    (match Option.bind line int_of_string_opt with Some n when n > 0 -> n | _ -> avail)
+
 (* Full-scale engine comparison recorded in BENCH_sim.json: wall-clock of
    Table I's complete 20-run protocol (all apps, no result cache) under
    each engine. This is the harness's dominant workload, so its ratio is
    the honest before/after number for the decoded-engine optimization. *)
 let sim_json path =
   let time_table1 engine =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Uu_support.Clock.now () in
     let rows = Uu_harness.Table1.compute ~runs:20 ~engine () in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Uu_support.Clock.now () -. t0 in
     Printf.printf "  table1 runs:20 %-10s %.2f s\n%!"
       (match engine with
       | Uu_gpusim.Kernel.Reference -> "reference"
@@ -379,6 +390,8 @@ let sim_json path =
   Printf.fprintf oc
     {|{
   "benchmark": "table1 --runs 20, all apps, no result cache",
+  "nproc": %d,
+  "available_domains": %d,
   "reference_engine_seconds": %.3f,
   "decoded_engine_seconds": %.3f,
   "speedup": %.2f,
@@ -390,7 +403,8 @@ let sim_json path =
   }
 }
 |}
-    reference_s decoded_s (reference_s /. decoded_s) reference_wips cold_wips
+    (nproc ()) (Uu_support.Parallel.available_domains ()) reference_s decoded_s
+    (reference_s /. decoded_s) reference_wips cold_wips
     warm_wips;
   close_out oc;
   Printf.printf "  speedup: %.2fx -> %s\n" (reference_s /. decoded_s) path
@@ -470,7 +484,7 @@ let serve_report path =
     let latencies = Array.make (nclients * n_mix) 0.0 in
     let served = Array.make (nclients * n_mix) Uu_serve.Protocol.Executed in
     let texts = Array.make (nclients * n_mix) "" in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Uu_support.Clock.now () in
     let worker c =
       let client = Uu_serve.Client.connect ~socket () in
       Fun.protect
@@ -479,16 +493,16 @@ let serve_report path =
           for k = 0 to n_mix - 1 do
             let i = (k + c) mod n_mix in
             let slot = (c * n_mix) + i in
-            let t = Unix.gettimeofday () in
+            let t = Uu_support.Clock.now () in
             let s, response = Uu_serve.Client.request client mix.(i) in
-            latencies.(slot) <- (Unix.gettimeofday () -. t) *. 1000.0;
+            latencies.(slot) <- (Uu_support.Clock.now () -. t) *. 1000.0;
             served.(slot) <- s;
             texts.(slot) <- Uu_serve.Response.to_string response
           done)
     in
     let threads = List.init nclients (fun c -> Thread.create worker c) in
     List.iter Thread.join threads;
-    (Unix.gettimeofday () -. t0, latencies, served, texts)
+    (Uu_support.Clock.now () -. t0, latencies, served, texts)
   in
   let percentile latencies p =
     let sorted = Array.copy latencies in

@@ -5,7 +5,7 @@ type t = {
   d : Device.t;
   mem : Memory.t;
   smem : Memory.shared_bank;
-  dcache : int Cache.t;
+  dcache : Cache.t;
   icache : Layout.icache;
   races : Racecheck.t option;
   fn_name : string;

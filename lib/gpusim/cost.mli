@@ -30,7 +30,7 @@ val create :
   Device.t ->
   mem:Memory.t ->
   smem:Memory.shared_bank ->
-  dcache:int Cache.t ->
+  dcache:Cache.t ->
   icache:Layout.icache ->
   races:Racecheck.t option ->
   fn_name:string ->

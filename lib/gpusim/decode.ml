@@ -8,10 +8,13 @@ open Uu_ir
    - blocks are densely renumbered, each with the icache line extent
      [Layout] gives the reference engine, so fetch behaviour matches it
      line for line;
-   - operands are resolved to a register slot or a pre-normalized
-     immediate, and every instruction is specialized by value class
+   - every operand is resolved to a register row: variables get a slot
+     in their value class's file, and each distinct immediate gets a
+     constant row that the executor fills once per launch, as it does
+     for parameters; every instruction is specialized by value class
      (float / int / pointer) so the executor keeps registers in unboxed
-     [float array] / [int array] lanes;
+     [float array] / [int array] lanes and never asks which shape an
+     operand has;
    - phi incomings become per-predecessor arrays indexed by dense block
      id;
    - the immediate post-dominator relation is baked into an int array
@@ -26,49 +29,52 @@ open Uu_ir
    corner cases (I64 unsigned division / logical shifts of negative
    values, shift counts of 63) where the 63-bit word would diverge. *)
 
-type fop = F_reg of int | F_imm of float
-type iop = I_reg of int | I_imm of int
-type pop = P_reg of int | P_imm of int * int  (* buffer, offset *)
+type row = int
+
+type const =
+  | C_int of { row : row; value : int }
+  | C_float of { row : row; value : float }
+  | C_ptr of { row : row; buffer : int; offset : int }
 
 type ity = W1 | W32 | W64
 
 type dphi =
-  | Phi_f of { dst : int; inc : fop option array }
-  | Phi_i of { dst : int; inc : iop option array }
-  | Phi_p of { dst : int; inc : pop option array }
+  | Phi_f of { dst : row; inc : row array }
+  | Phi_i of { dst : row; inc : row array }
+  | Phi_p of { dst : row; inc : row array }
 
 type dinstr =
-  | D_ibin of { dst : int; op : Instr.binop; w : ity; a : iop; b : iop; cost : int }
-  | D_fbin of { dst : int; op : Instr.binop; a : fop; b : fop; cost : int }
-  | D_icmp of { dst : int; op : Instr.cmpop; a : iop; b : iop }
-  | D_fcmp of { dst : int; op : Instr.cmpop; a : fop; b : fop }
-  | D_pcmp of { dst : int; negate : bool; a : pop; b : pop }
-  | D_iunop of { dst : int; op : Instr.unop; src : iop }
-  | D_sitofp of { dst : int; src : iop }
-  | D_fptosi of { dst : int; src : fop }
-  | D_fneg of { dst : int; src : fop }
-  | D_iselect of { dst : int; cond : iop; t : iop; f : iop }
-  | D_fselect of { dst : int; cond : iop; t : fop; f : fop }
-  | D_pselect of { dst : int; cond : iop; t : pop; f : pop }
-  | D_gep of { dst : int; base : pop; index : iop }
-  | D_iload of { dst : int; addr : pop; bytes : int }
-  | D_fload of { dst : int; addr : pop; bytes : int }
-  | D_pload of { dst : int; addr : pop; bytes : int }
-  | D_istore of { addr : pop; value : iop; bytes : int }
-  | D_fstore of { addr : pop; value : fop; bytes : int }
-  | D_pstore of { addr : pop; value : pop; bytes : int }
-  | D_iatomic of { dst : int; addr : pop; value : iop }
-  | D_fatomic of { dst : int; addr : pop; value : fop }
-  | D_fintrinsic of { dst : int; op : Instr.intrinsic; args : fop array }
-  | D_iintrinsic of { dst : int; op : Instr.intrinsic; args : iop array }
-  | D_special of { dst : int; op : Instr.special }
-  | D_alloca of { dst : int; ty : Types.t }
+  | D_ibin of { dst : row; op : Instr.binop; w : ity; a : row; b : row; cost : int }
+  | D_fbin of { dst : row; op : Instr.binop; a : row; b : row; cost : int }
+  | D_icmp of { dst : row; op : Instr.cmpop; a : row; b : row }
+  | D_fcmp of { dst : row; op : Instr.cmpop; a : row; b : row }
+  | D_pcmp of { dst : row; negate : bool; a : row; b : row }
+  | D_iunop of { dst : row; op : Instr.unop; src : row }
+  | D_sitofp of { dst : row; src : row }
+  | D_fptosi of { dst : row; src : row }
+  | D_fneg of { dst : row; src : row }
+  | D_iselect of { dst : row; cond : row; t : row; f : row }
+  | D_fselect of { dst : row; cond : row; t : row; f : row }
+  | D_pselect of { dst : row; cond : row; t : row; f : row }
+  | D_gep of { dst : row; base : row; index : row }
+  | D_iload of { dst : row; addr : row; bytes : int }
+  | D_fload of { dst : row; addr : row; bytes : int }
+  | D_pload of { dst : row; addr : row; bytes : int }
+  | D_istore of { addr : row; value : row; bytes : int }
+  | D_fstore of { addr : row; value : row; bytes : int }
+  | D_pstore of { addr : row; value : row; bytes : int }
+  | D_iatomic of { dst : row; addr : row; value : row }
+  | D_fatomic of { dst : row; addr : row; value : row }
+  | D_fintrinsic of { dst : row; op : Instr.intrinsic; args : row array }
+  | D_iintrinsic of { dst : row; op : Instr.intrinsic; args : row array }
+  | D_special of { dst : row; op : Instr.special }
+  | D_alloca of { dst : row; ty : Types.t }
   | D_sync
 
 type dterm =
   | T_ret
   | T_br of int
-  | T_cbr of { cond : iop; if_true : int; if_false : int }
+  | T_cbr of { cond : row; if_true : int; if_false : int }
   | T_unreachable
 
 type dblock = {
@@ -90,8 +96,8 @@ type t = {
   n_f : int;
   n_i : int;
   n_p : int;
-  cls : int array;
-  slot : int array;
+  row : row array;
+  consts : const list;
   max_phis : int;
 }
 
@@ -164,13 +170,36 @@ let decode (device : Device.t) (fn : Func.t) : t =
   (* Undefined-but-used variables behave like the interpreter's initial
      [Int 0L] registers: class int, initial value 0. *)
   Array.iteri (fun v c -> if c < 0 then cls.(v) <- cls_i) cls;
-  let slot = Array.make nvars 0 in
+  (* Rows: slot [s] of a class's file holds lanes [s * ws .. s * ws + ws - 1].
+     Variables take the first slots; constants are appended as operand
+     resolution meets them. *)
+  let ws = device.Device.warp_size in
   let counts = [| 0; 0; 0 |] in
-  Array.iteri
-    (fun v c ->
-      slot.(v) <- counts.(c);
-      counts.(c) <- counts.(c) + 1)
-    cls;
+  let new_row c =
+    let s = counts.(c) in
+    counts.(c) <- s + 1;
+    s * ws
+  in
+  let row = Array.map new_row cls in
+  let consts = ref [] in
+  let const_row tbl c key mk =
+    match Hashtbl.find_opt tbl key with
+    | Some r -> r
+    | None ->
+      let r = new_row c in
+      Hashtbl.replace tbl key r;
+      consts := mk r :: !consts;
+      r
+  in
+  let ints = Hashtbl.create 16 and floats = Hashtbl.create 16 and ptrs = Hashtbl.create 1 in
+  let int_row n = const_row ints cls_i n (fun row -> C_int { row; value = n }) in
+  (* Keyed by bit pattern, so 0.0 and -0.0 keep separate rows. *)
+  let float_row x =
+    const_row floats cls_f (Int64.bits_of_float x) (fun row -> C_float { row; value = x })
+  in
+  let ptr_row buffer offset =
+    const_row ptrs cls_p (buffer, offset) (fun row -> C_ptr { row; buffer; offset })
+  in
   (* Operand resolution. *)
   let cls_of_value = function
     | Value.Var x -> cls.(x)
@@ -182,111 +211,108 @@ let decode (device : Device.t) (fn : Func.t) : t =
     | Value.Var x ->
       if cls.(x) <> cls_i then fail name "v%d used as an integer but holds %s" x
           (if cls.(x) = cls_f then "a float" else "a pointer");
-      I_reg slot.(x)
-    | Value.Imm_int (n, ty) -> I_imm (Int64.to_int (Eval.normalize ty n))
+      row.(x)
+    | Value.Imm_int (n, ty) -> int_row (Int64.to_int (Eval.normalize ty n))
     | Value.Imm_float _ -> fail name "float immediate in an integer position"
-    | Value.Undef _ -> I_imm 0
+    | Value.Undef _ -> int_row 0
   in
   let fopv = function
     | Value.Var x ->
       if cls.(x) <> cls_f then fail name "v%d used as a float but holds %s" x
           (if cls.(x) = cls_i then "an integer" else "a pointer");
-      F_reg slot.(x)
-    | Value.Imm_float x -> F_imm x
+      row.(x)
+    | Value.Imm_float x -> float_row x
     | Value.Imm_int _ -> fail name "integer immediate in a float position"
-    | Value.Undef _ -> F_imm 0.0
+    | Value.Undef _ -> float_row 0.0
   in
   let popv = function
     | Value.Var x ->
       if cls.(x) <> cls_p then fail name "v%d used as a pointer but holds %s" x
           (if cls.(x) = cls_i then "an integer" else "a float");
-      P_reg slot.(x)
-    | Value.Undef _ -> P_imm (-1, 0)
+      row.(x)
+    | Value.Undef _ -> ptr_row (-1) 0
     | Value.Imm_int _ | Value.Imm_float _ ->
       fail name "immediate in a pointer position"
-  in
-  let opv_of_cls c v =
-    if c = cls_f then `F (fopv v) else if c = cls_p then `P (popv v) else `I (iopv v)
   in
   let decode_instr = function
     | Instr.Binop { dst; op; ty; lhs; rhs } -> (
       let cost = Cost.binop_cost device op in
       match op with
       | Instr.Fadd | Instr.Fsub | Instr.Fmul | Instr.Fdiv ->
-        D_fbin { dst = slot.(dst); op; a = fopv lhs; b = fopv rhs; cost }
+        D_fbin { dst = row.(dst); op; a = fopv lhs; b = fopv rhs; cost }
       | _ ->
         D_ibin
-          { dst = slot.(dst); op; w = ity_of_ty name ty; a = iopv lhs; b = iopv rhs; cost })
+          { dst = row.(dst); op; w = ity_of_ty name ty; a = iopv lhs; b = iopv rhs; cost })
     | Instr.Cmp { dst; op; lhs; rhs; _ } -> (
       match op with
       | Instr.Foeq | Instr.Fone | Instr.Folt | Instr.Fole | Instr.Fogt | Instr.Foge ->
-        D_fcmp { dst = slot.(dst); op; a = fopv lhs; b = fopv rhs }
+        D_fcmp { dst = row.(dst); op; a = fopv lhs; b = fopv rhs }
       | Instr.Eq | Instr.Ne
         when cls_of_value lhs = cls_p || cls_of_value rhs = cls_p ->
-        D_pcmp { dst = slot.(dst); negate = op = Instr.Ne; a = popv lhs; b = popv rhs }
-      | _ -> D_icmp { dst = slot.(dst); op; a = iopv lhs; b = iopv rhs })
+        D_pcmp { dst = row.(dst); negate = op = Instr.Ne; a = popv lhs; b = popv rhs }
+      | _ -> D_icmp { dst = row.(dst); op; a = iopv lhs; b = iopv rhs })
     | Instr.Unop { dst; op; src } -> (
       match op with
-      | Instr.Sitofp -> D_sitofp { dst = slot.(dst); src = iopv src }
-      | Instr.Fptosi -> D_fptosi { dst = slot.(dst); src = fopv src }
-      | Instr.Fneg -> D_fneg { dst = slot.(dst); src = fopv src }
+      | Instr.Sitofp -> D_sitofp { dst = row.(dst); src = iopv src }
+      | Instr.Fptosi -> D_fptosi { dst = row.(dst); src = fopv src }
+      | Instr.Fneg -> D_fneg { dst = row.(dst); src = fopv src }
       | Instr.Trunc_i32 | Instr.Sext_i64 | Instr.Zext_i64 | Instr.Not ->
-        D_iunop { dst = slot.(dst); op; src = iopv src })
+        D_iunop { dst = row.(dst); op; src = iopv src })
     | Instr.Select { dst; ty; cond; if_true; if_false } -> (
       let cond = iopv cond in
       match cls_of_ty ty with
       | c when c = cls_f ->
-        D_fselect { dst = slot.(dst); cond; t = fopv if_true; f = fopv if_false }
+        D_fselect { dst = row.(dst); cond; t = fopv if_true; f = fopv if_false }
       | c when c = cls_p ->
-        D_pselect { dst = slot.(dst); cond; t = popv if_true; f = popv if_false }
-      | _ -> D_iselect { dst = slot.(dst); cond; t = iopv if_true; f = iopv if_false })
-    | Instr.Alloca { dst; ty } -> D_alloca { dst = slot.(dst); ty }
+        D_pselect { dst = row.(dst); cond; t = popv if_true; f = popv if_false }
+      | _ -> D_iselect { dst = row.(dst); cond; t = iopv if_true; f = iopv if_false })
+    | Instr.Alloca { dst; ty } -> D_alloca { dst = row.(dst); ty }
     | Instr.Load { dst; ty; addr } -> (
       let addr = popv addr and bytes = Types.size_bytes ty in
       match cls_of_ty ty with
-      | c when c = cls_f -> D_fload { dst = slot.(dst); addr; bytes }
-      | c when c = cls_p -> D_pload { dst = slot.(dst); addr; bytes }
-      | _ -> D_iload { dst = slot.(dst); addr; bytes })
+      | c when c = cls_f -> D_fload { dst = row.(dst); addr; bytes }
+      | c when c = cls_p -> D_pload { dst = row.(dst); addr; bytes }
+      | _ -> D_iload { dst = row.(dst); addr; bytes })
     | Instr.Store { ty; addr; value } -> (
       let addr = popv addr and bytes = Types.size_bytes ty in
-      match opv_of_cls (cls_of_ty ty) value with
-      | `F v -> D_fstore { addr; value = v; bytes }
-      | `P v -> D_pstore { addr; value = v; bytes }
-      | `I v -> D_istore { addr; value = v; bytes })
+      match cls_of_ty ty with
+      | c when c = cls_f -> D_fstore { addr; value = fopv value; bytes }
+      | c when c = cls_p -> D_pstore { addr; value = popv value; bytes }
+      | _ -> D_istore { addr; value = iopv value; bytes })
     | Instr.Gep { dst; base; index; _ } ->
-      D_gep { dst = slot.(dst); base = popv base; index = iopv index }
+      D_gep { dst = row.(dst); base = popv base; index = iopv index }
     | Instr.Intrinsic { dst; op; args } -> (
       let arity = match op with Instr.Pow | Instr.Fmin | Instr.Fmax | Instr.Imin | Instr.Imax -> 2 | _ -> 1 in
       if List.length args <> arity then fail name "intrinsic arity mismatch";
       match op with
       | Instr.Imin | Instr.Imax | Instr.Iabs ->
-        D_iintrinsic { dst = slot.(dst); op; args = Array.of_list (List.map iopv args) }
+        D_iintrinsic { dst = row.(dst); op; args = Array.of_list (List.map iopv args) }
       | _ ->
-        D_fintrinsic { dst = slot.(dst); op; args = Array.of_list (List.map fopv args) })
-    | Instr.Special { dst; op } -> D_special { dst = slot.(dst); op }
+        D_fintrinsic { dst = row.(dst); op; args = Array.of_list (List.map fopv args) })
+    | Instr.Special { dst; op } -> D_special { dst = row.(dst); op }
     | Instr.Atomic_add { dst; ty; addr; value } -> (
       let addr = popv addr in
       match cls_of_ty ty with
-      | c when c = cls_f -> D_fatomic { dst = slot.(dst); addr; value = fopv value }
+      | c when c = cls_f -> D_fatomic { dst = row.(dst); addr; value = fopv value }
       | c when c = cls_p -> fail name "atomic_add on a pointer type"
-      | _ -> D_iatomic { dst = slot.(dst); addr; value = iopv value })
+      | _ -> D_iatomic { dst = row.(dst); addr; value = iopv value })
     | Instr.Syncthreads -> D_sync
   in
   let decode_phi (p : Instr.phi) =
     let with_inc mk conv =
-      let inc = Array.make n_blocks None in
+      let inc = Array.make n_blocks (-1) in
       List.iter
         (fun (pred, v) ->
           match Hashtbl.find_opt dense pred with
-          | Some pi -> inc.(pi) <- Some (conv v)
+          | Some pi -> inc.(pi) <- conv v
           | None -> ())  (* stale edge: never a runtime predecessor *)
         p.Instr.incoming;
       mk inc
     in
     match cls_of_ty p.Instr.ty with
-    | c when c = cls_f -> with_inc (fun inc -> Phi_f { dst = slot.(p.Instr.dst); inc }) fopv
-    | c when c = cls_p -> with_inc (fun inc -> Phi_p { dst = slot.(p.Instr.dst); inc }) popv
-    | _ -> with_inc (fun inc -> Phi_i { dst = slot.(p.Instr.dst); inc }) iopv
+    | c when c = cls_f -> with_inc (fun inc -> Phi_f { dst = row.(p.Instr.dst); inc }) fopv
+    | c when c = cls_p -> with_inc (fun inc -> Phi_p { dst = row.(p.Instr.dst); inc }) popv
+    | _ -> with_inc (fun inc -> Phi_i { dst = row.(p.Instr.dst); inc }) iopv
   in
   let decode_term = function
     | Instr.Ret _ -> T_ret
@@ -335,8 +361,8 @@ let decode (device : Device.t) (fn : Func.t) : t =
     n_f = counts.(cls_f);
     n_i = counts.(cls_i);
     n_p = counts.(cls_p);
-    cls;
-    slot;
+    row;
+    consts = List.rev !consts;
     max_phis;
   }
 

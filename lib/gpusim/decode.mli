@@ -1,8 +1,9 @@
 (** Pre-decoded warp programs: the simulator's fast execution path.
 
     [decode] compiles a function once per (function, device) into a flat
-    program — dense int block ids, operands resolved to register slots or
-    pre-normalized immediates, instructions specialized by value class
+    program — dense int block ids, every operand resolved to a register
+    row (immediates included: each distinct immediate owns a constant row
+    of pre-normalized values), instructions specialized by value class
     (float / int / pointer), phi incomings as per-predecessor arrays, the
     immediate post-dominator relation and the per-block icache line
     extents baked into int arrays. {!Decoded_warp} executes this
@@ -25,54 +26,59 @@
 
 open Uu_ir
 
-(** Operands, resolved per value class: a register slot in that class's
-    file, or an immediate. *)
-type fop = F_reg of int | F_imm of float
+(** A register operand: the index of lane 0's cell in its value class's
+    register file ([slot * warp_size]); lane [l] is at [row + l]. Every
+    operand is a row — variables and immediates alike. *)
+type row = int
 
-type iop = I_reg of int | I_imm of int
-type pop = P_reg of int | P_imm of int * int  (** buffer, offset *)
+(** A constant row's contents, the same in every lane. The executor
+    writes these once per launch, as it writes the parameters. *)
+type const =
+  | C_int of { row : row; value : int }
+  | C_float of { row : row; value : float }
+  | C_ptr of { row : row; buffer : int; offset : int }
 
 type ity = W1 | W32 | W64  (** integer width tag, for normalization *)
 
 type dphi =
-  | Phi_f of { dst : int; inc : fop option array }
-  | Phi_i of { dst : int; inc : iop option array }
-  | Phi_p of { dst : int; inc : pop option array }
-      (** [inc] is indexed by dense predecessor id; [None] replicates the
+  | Phi_f of { dst : row; inc : row array }
+  | Phi_i of { dst : row; inc : row array }
+  | Phi_p of { dst : row; inc : row array }
+      (** [inc] is indexed by dense predecessor id; [-1] replicates the
           interpreter's missing-incoming failure. *)
 
 type dinstr =
-  | D_ibin of { dst : int; op : Instr.binop; w : ity; a : iop; b : iop; cost : int }
-  | D_fbin of { dst : int; op : Instr.binop; a : fop; b : fop; cost : int }
-  | D_icmp of { dst : int; op : Instr.cmpop; a : iop; b : iop }
-  | D_fcmp of { dst : int; op : Instr.cmpop; a : fop; b : fop }
-  | D_pcmp of { dst : int; negate : bool; a : pop; b : pop }
-  | D_iunop of { dst : int; op : Instr.unop; src : iop }
-  | D_sitofp of { dst : int; src : iop }
-  | D_fptosi of { dst : int; src : fop }
-  | D_fneg of { dst : int; src : fop }
-  | D_iselect of { dst : int; cond : iop; t : iop; f : iop }
-  | D_fselect of { dst : int; cond : iop; t : fop; f : fop }
-  | D_pselect of { dst : int; cond : iop; t : pop; f : pop }
-  | D_gep of { dst : int; base : pop; index : iop }
-  | D_iload of { dst : int; addr : pop; bytes : int }
-  | D_fload of { dst : int; addr : pop; bytes : int }
-  | D_pload of { dst : int; addr : pop; bytes : int }
-  | D_istore of { addr : pop; value : iop; bytes : int }
-  | D_fstore of { addr : pop; value : fop; bytes : int }
-  | D_pstore of { addr : pop; value : pop; bytes : int }
-  | D_iatomic of { dst : int; addr : pop; value : iop }
-  | D_fatomic of { dst : int; addr : pop; value : fop }
-  | D_fintrinsic of { dst : int; op : Instr.intrinsic; args : fop array }
-  | D_iintrinsic of { dst : int; op : Instr.intrinsic; args : iop array }
-  | D_special of { dst : int; op : Instr.special }
-  | D_alloca of { dst : int; ty : Types.t }
+  | D_ibin of { dst : row; op : Instr.binop; w : ity; a : row; b : row; cost : int }
+  | D_fbin of { dst : row; op : Instr.binop; a : row; b : row; cost : int }
+  | D_icmp of { dst : row; op : Instr.cmpop; a : row; b : row }
+  | D_fcmp of { dst : row; op : Instr.cmpop; a : row; b : row }
+  | D_pcmp of { dst : row; negate : bool; a : row; b : row }
+  | D_iunop of { dst : row; op : Instr.unop; src : row }
+  | D_sitofp of { dst : row; src : row }
+  | D_fptosi of { dst : row; src : row }
+  | D_fneg of { dst : row; src : row }
+  | D_iselect of { dst : row; cond : row; t : row; f : row }
+  | D_fselect of { dst : row; cond : row; t : row; f : row }
+  | D_pselect of { dst : row; cond : row; t : row; f : row }
+  | D_gep of { dst : row; base : row; index : row }
+  | D_iload of { dst : row; addr : row; bytes : int }
+  | D_fload of { dst : row; addr : row; bytes : int }
+  | D_pload of { dst : row; addr : row; bytes : int }
+  | D_istore of { addr : row; value : row; bytes : int }
+  | D_fstore of { addr : row; value : row; bytes : int }
+  | D_pstore of { addr : row; value : row; bytes : int }
+  | D_iatomic of { dst : row; addr : row; value : row }
+  | D_fatomic of { dst : row; addr : row; value : row }
+  | D_fintrinsic of { dst : row; op : Instr.intrinsic; args : row array }
+  | D_iintrinsic of { dst : row; op : Instr.intrinsic; args : row array }
+  | D_special of { dst : row; op : Instr.special }
+  | D_alloca of { dst : row; ty : Types.t }
   | D_sync
 
 type dterm =
   | T_ret
   | T_br of int
-  | T_cbr of { cond : iop; if_true : int; if_false : int }
+  | T_cbr of { cond : row; if_true : int; if_false : int }
   | T_unreachable
 
 type dblock = {
@@ -91,11 +97,11 @@ type t = {
   blocks : dblock array;  (** indexed by dense block id *)
   ipdom : int array;  (** dense immediate post-dominator; -1 = virtual exit *)
   code_bytes : int;
-  n_f : int;  (** register slots per class *)
+  n_f : int;  (** register slots per class, constants included *)
   n_i : int;
   n_p : int;
-  cls : int array;  (** variable -> class (0 int, 1 float, 2 pointer) *)
-  slot : int array;  (** variable -> slot within its class *)
+  row : row array;  (** variable -> its row in its class's file *)
+  consts : const list;  (** every constant row, filled once per launch *)
   max_phis : int;  (** widest phi row, sizes the executor's scratch *)
 }
 

@@ -25,7 +25,7 @@ let compute (device : Device.t) f =
 
 let code_bytes t = t.total
 
-type icache = int Cache.t
+type icache = Cache.t
 
 let icache_create (device : Device.t) =
   Cache.create

@@ -16,7 +16,7 @@ val compute : Device.t -> Func.t -> t
 val code_bytes : t -> int
 (** Total laid-out code size of the function. *)
 
-type icache = int Cache.t
+type icache = Cache.t
 (** LRU over line addresses, charged by {!Cost.fetch}. *)
 
 val icache_create : Device.t -> icache

@@ -84,15 +84,22 @@ let straight_line () =
   fn
 
 (* Run a function on the simulator with one i64 output buffer of [elems]
-   cells and the given extra scalar arguments; returns the buffer. *)
-let run_kernel ?(grid = 1) ?(block = 32) ?(elems = 64) fn scalars =
+   cells and the given extra scalar arguments; returns the buffer and the
+   launch's metrics. *)
+let exec_kernel ?(grid = 1) ?(block = 32) ?(elems = 64) ?engine fn scalars =
   let mem = Uu_gpusim.Memory.create () in
   let out = Uu_gpusim.Memory.zeros_i64 mem elems in
   let args =
     Uu_gpusim.Kernel.Buf out :: List.map (fun v -> Uu_gpusim.Kernel.Int_arg v) scalars
   in
-  let _result = Uu_gpusim.Kernel.exec mem fn ~grid_dim:grid ~block_dim:block ~args in
-  Uu_gpusim.Memory.read_i64 out
+  let result =
+    Uu_gpusim.Kernel.exec ~config:(Uu_gpusim.Kernel.config ?engine ()) mem fn ~grid_dim:grid
+      ~block_dim:block ~args
+  in
+  (Uu_gpusim.Memory.read_i64 out, result.Uu_gpusim.Kernel.metrics)
+
+(* [exec_kernel]'s buffer alone. *)
+let run_kernel ?grid ?block ?elems fn scalars = fst (exec_kernel ?grid ?block ?elems fn scalars)
 
 (* Compile MiniCUDA source to a single function. *)
 let compile_one src =

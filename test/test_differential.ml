@@ -5,6 +5,11 @@
    every midend pass, unroll, unmerge, u&u, the heuristic, and the SIMT
    executor together. Integer-only programs keep equality exact.
 
+   Every program and configuration also runs on both simulator engines,
+   which must agree on memory and on every metric, at block 32 (one full
+   warp) and block 48 (a second warp of 16 lanes, so the decoded engine's
+   full-mask loops run over a warp narrower than [warp_size]).
+
    The generator builds structured programs: straight-line integer
    arithmetic over a pool of locals, data- and tid-dependent ifs, counted
    while loops (possibly nested, with optional break/continue), and reads
@@ -143,12 +148,31 @@ let gen_kernel seed =
       @ [ s (Store_stmt (var "out", var "tid", result)) ];
   }
 
-let run_config kernel config =
+let blocks = [ 32; 48 ]
+
+(* Print the offending program for reproduction, then fail. *)
+let fail_on kernel what =
+  let fn = Uu_frontend.Lower.lower_kernel kernel in
+  Printf.printf "--- %s ---\n%s\n" what (Uu_ir.Printer.func_to_string fn);
+  check bool what true false
+
+(* The output buffer at each of [blocks], after checking that the
+   reference and decoded engines agree on it and on the metrics. *)
+let run_config ~what kernel config =
   let fn = Uu_frontend.Lower.lower_kernel kernel in
   (match config with
   | None -> () (* unoptimized reference *)
   | Some c -> ignore (Uu_core.Pipelines.optimize c fn));
-  Ir_helpers.run_kernel ~elems:32 fn [ 5L ]
+  List.map
+    (fun block ->
+      let run engine = Ir_helpers.exec_kernel ~block ~elems:48 ~engine fn [ 5L ] in
+      let out_r, m_r = run Uu_gpusim.Kernel.Reference in
+      let out_d, m_d = run Uu_gpusim.Kernel.Decoded in
+      let json m = Uu_support.Json.to_string (Uu_gpusim.Metrics.to_json m) in
+      if out_r <> out_d || json m_r <> json m_d then
+        fail_on kernel (Printf.sprintf "%s, block %d: engines disagree" what block);
+      out_d)
+    blocks
 
 let configs_for seed =
   (* Factor-4 u&u is by far the most expensive configuration (its
@@ -161,21 +185,14 @@ let configs_for seed =
 
 let test_differential_seed seed () =
   let kernel = gen_kernel seed in
-  let reference = run_config kernel None in
+  let reference = run_config ~what:(Printf.sprintf "seed %d unoptimized" seed) kernel None in
   List.iter
     (fun config ->
-      let got = run_config kernel (Some config) in
-      if got <> reference then begin
-        (* Print the offending program for reproduction. *)
-        let fn = Uu_frontend.Lower.lower_kernel kernel in
-        Printf.printf "--- seed %d under %s ---\n%s\n" seed
-          (Uu_core.Pipelines.config_name config)
-          (Uu_ir.Printer.func_to_string fn);
-        check bool
-          (Printf.sprintf "seed %d: %s output matches unoptimized" seed
-             (Uu_core.Pipelines.config_name config))
-          true false
-      end)
+      let what =
+        Printf.sprintf "seed %d under %s" seed (Uu_core.Pipelines.config_name config)
+      in
+      if run_config ~what kernel (Some config) <> reference then
+        fail_on kernel (what ^ ": output differs from unoptimized"))
     (configs_for seed)
 
 let suite =

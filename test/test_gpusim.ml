@@ -48,6 +48,78 @@ let test_cache_lru () =
   check bool "2 was evicted" true (Cache.touch c 2);
   check bool "3 survived? (1 evicted when 2 came back)" true (Cache.mem c 3 || Cache.mem c 1)
 
+(* The cache against a list-based LRU, most recent first. Each case
+   draws its keys from a pool about 1.5x the capacity, so sequences both
+   hit and evict. Pool keys mix small signed ints, L1-shaped
+   [(buffer lsl 32) lor granule] keys (negative for shared buffers, above
+   2^32 for global ones) and arbitrary ints, which collide in the index
+   as often as random keys do and so exercise probing and deletion. *)
+type cache_op = Touch of int | Mem of int | Reset
+
+let cache_model_prop capacity count =
+  let key =
+    QCheck2.Gen.(
+      frequency
+        [
+          (4, int_range (-capacity) capacity);
+          ( 4,
+            map2
+              (fun buffer granule -> (buffer lsl 32) lor granule)
+              (int_range (-3) 3)
+              (int_bound capacity) );
+          (4, int);
+          (1, oneofl [ min_int; max_int; 1 lsl 32; -(1 lsl 32) ]);
+        ])
+  in
+  let ops =
+    QCheck2.Gen.(
+      let* pool = array_size (return ((3 * capacity / 2) + 4)) key in
+      let key = oneofa pool in
+      (* Resets are rare enough that a case fills the cache and evicts. *)
+      list_size
+        (int_range 0 ((6 * capacity) + 50))
+        (frequency
+           [
+             ((8 * capacity) + 20, map (fun k -> Touch k) key);
+             ((2 * capacity) + 4, map (fun k -> Mem k) key);
+             (1, return Reset);
+           ]))
+  in
+  let print_op = function
+    | Touch k -> Printf.sprintf "touch %d" k
+    | Mem k -> Printf.sprintf "mem %d" k
+    | Reset -> "reset"
+  in
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "LRU cache matches a list model at capacity %d" capacity)
+    ~count
+    ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+    (* No shrinking: a failing case at capacity 1,024 is thousands of ops,
+       and shrinking it re-runs the list model for minutes. *)
+    (QCheck2.Gen.no_shrink ops)
+    (fun ops ->
+      let c = Cache.create ~capacity in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          match op with
+          | Touch k ->
+            let miss = not (List.mem k !model) in
+            let rest = List.filter (( <> ) k) !model in
+            let rest =
+              if List.length rest >= capacity then List.filteri (fun i _ -> i < capacity - 1) rest
+              else rest
+            in
+            model := k :: rest;
+            Cache.touch c k = miss
+          | Mem k -> Cache.mem c k = List.mem k !model
+          | Reset ->
+            Cache.reset c;
+            model := [];
+            true)
+        ops
+      && List.for_all (Cache.mem c) !model)
+
 let test_launch_validation () =
   let fn =
     Ir_helpers.compile_one "kernel k(int* restrict out, int n) { out[0] = n; }"
@@ -671,3 +743,11 @@ let suite =
     ("barrier wait accounting", `Quick, test_barrier_wait_accounted);
     ("divergent barrier traps", `Quick, test_divergent_barrier_traps);
   ]
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~long:false)
+      [
+        cache_model_prop 1 300;
+        cache_model_prop 2 300;
+        cache_model_prop 96 100;
+        cache_model_prop 1024 30;
+      ]
