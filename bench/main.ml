@@ -367,8 +367,10 @@ let nproc () =
 
 (* Full-scale engine comparison recorded in BENCH_sim.json: wall-clock of
    Table I's complete 20-run protocol (all apps, no result cache) under
-   each engine. This is the harness's dominant workload, so its ratio is
-   the honest before/after number for the decoded-engine optimization. *)
+   each engine. The 20 noisy runs of a schedule share one simulation
+   (noise reaches only time), so compilation is a large share of this
+   wall time and the ratio understates the engines' own gap; the
+   warp-instruction throughputs beside it compare the engines alone. *)
 let sim_json path =
   let time_table1 engine =
     let t0 = Uu_support.Clock.now () in

@@ -15,7 +15,13 @@
     scratch: while performing lane [l]'s access, the engine writes the
     buffer id and offset to [(addr_buf t).(l)] and [(addr_off t).(l)],
     then calls {!load}, {!store}, or {!atomic} once with the
-    instruction's lane mask (an int, lane [i] = bit [i]). *)
+    instruction's lane mask (an int, lane [i] = bit [i]).
+
+    A slot keeps one clock per run of a multi-run launch ({!Kernel.exec_runs}).
+    Noise reaches only the DRAM charge, so run 0's clock is the warp's
+    {!metrics}, charged inline as a one-run launch would, and runs 1..N−1
+    are settled from a per-interval histogram of accesses by miss count
+    at each barrier release and at warp exit. *)
 
 open Uu_ir
 open Uu_support
@@ -27,6 +33,7 @@ type t
     {!start} for every warp that runs in the slot. *)
 
 val create :
+  ?runs:int ->
   Device.t ->
   mem:Memory.t ->
   smem:Memory.shared_bank ->
@@ -38,12 +45,19 @@ val create :
   t
 (** [dcache] is the block's L1 over [(buffer lsl 32) lor segment] keys,
     [icache] its instruction-line residency, [races] the shard's
-    collector; the slot's warps are warp [warp_id] of their block. *)
+    collector; the slot's warps are warp [warp_id] of their block.
+    [runs] (default 1) is the number of clocks the slot keeps; its
+    per-run arrays are allocated here, once per slot. *)
 
 val start : t -> noise:Rng.t option -> block_id:int -> lanes:int -> unit
-(** Begin a warp of [lanes] threads: fresh {!metrics} and one gaussian
-    jitter draw from [noise] — start a block's warps in ascending warp
-    order so the draws are a function of (block, warp). *)
+(** Begin a warp of [lanes] threads: fresh {!metrics}, every run's clock
+    at zero, and run 0's gaussian jitter draw from [noise] — start a
+    block's warps in ascending warp order so the draws are a function of
+    (block, warp). *)
+
+val draw : t -> run:int -> Rng.t option -> unit
+(** After {!start}: run [run]'s (≥ 1) jitter draw from that run's block
+    stream. *)
 
 val metrics : t -> Metrics.t
 (** The current warp's counters. *)
@@ -106,3 +120,42 @@ val store : t -> mask:int -> bytes:int -> unit
 val atomic : t -> mask:int -> unit
 (** An atomic add: serialized, one transaction per lane. Records shared
     writes and global atomic updates. *)
+
+(** {1 Clocks}
+
+    The barrier scheduler's view of a slot's runs. Run 0's clock is
+    [(metrics t).cycles]; the others differ from it only by their DRAM
+    jitter and their barrier waits. *)
+
+val settle : t -> unit
+(** Fold the interval's DRAM histogram into runs 1..N−1's clocks; call
+    at a barrier, before {!clock}, and at warp exit. *)
+
+val clock : t -> run:int -> int
+(** Run [run]'s cycles as of the last {!settle}. *)
+
+val release : t -> run:int -> int -> unit
+(** [release t ~run time] advances run [run]'s clock to the barrier's
+    release [time], charging the difference as barrier wait. Release
+    run 0 first, then the others in ascending order. *)
+
+val add_run : t -> run:int -> Metrics.t -> unit
+(** Add the settled warp's metrics as run [run] saw them into an
+    accumulator: {!metrics} with run [run]'s cycles and barrier wait. *)
+
+(** {1 The runaway guard} *)
+
+val guard : t -> limit:int -> unit
+(** The per-warp cycle budget, checked at every block entry. Run 0 is
+    checked exactly: over [limit], it raises [Failure] with
+    {!overrun_message}, as a one-run launch does. Runs 1..N−1 are
+    bounded by one inline lead, charged at the largest live jitter; when
+    that bound trips, each live run is checked exactly and the ones over
+    [limit] are marked {!overran} instead of raising, so run 0's own
+    failures keep their order. *)
+
+val overran : t -> run:int -> bool
+(** Run [run] (≥ 1) exceeded the budget in a warp of this slot. *)
+
+val overrun_message : limit:int -> string -> string
+(** The [Failure] text of a warp of the named kernel over [limit]. *)

@@ -262,7 +262,6 @@ let copy_f (r : float array) ~src (d : float array) ~dst ~mask ~full n =
 let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes =
   let ws = env.device.Device.warp_size in
   let blocks = p.Decode.blocks in
-  let m = Cost.metrics cost in
   let fregs = st.fregs and iregs = st.iregs in
   let pbuf = st.pregs_buf and poff = st.pregs_off in
   let abuf = Cost.addr_buf cost and aoff = Cost.addr_off cost in
@@ -844,11 +843,7 @@ let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes
       if !depth = 0 then status := Some Scheduler.Exited
       else begin
         let ti = !depth - 1 in
-        if m.Metrics.cycles > env.max_warp_cycles then
-          failwith
-            (Printf.sprintf
-               "simulator: warp exceeded %d cycles in @%s (infinite loop?)"
-               env.max_warp_cycles p.Decode.fn_name);
+        Cost.guard cost ~limit:env.max_warp_cycles;
         let mask = st.st_msk.(ti) land lnot !retired in
         let cur = st.st_blk.(ti) in
         let rpc = st.st_rpc.(ti) in
@@ -950,7 +945,7 @@ let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes
     done;
     Option.get !status
   in
-  { Scheduler.step; metrics = m }
+  { Scheduler.step; cost }
 
 let shard p (env : Warp.env) ~smem =
   let ws = env.device.Device.warp_size in

@@ -62,12 +62,14 @@ let shared_bank fn =
 
 type engine = Reference | Decoded
 
-(* One shard's result: the metrics sum plus the shard-private sinks its
-   warps recorded into. [Parallel.map_range] returns chunks in ascending
-   range order, so reducing the shard list front to back IS ascending
-   block order. *)
+(* One shard's result: the metrics sum of each run, the runs whose
+   runaway guard tripped, plus the shard-private sinks its warps
+   recorded into. [Parallel.map_range] returns chunks in ascending range
+   order, so reducing the shard list front to back IS ascending block
+   order. *)
 type shard = {
-  s_metrics : Metrics.t;
+  s_metrics : Metrics.t array;
+  s_over : bool array;
   s_atomics : Atomics.t;
   s_races : Racecheck.t option;
   s_trace : Trace.t option;
@@ -100,10 +102,10 @@ let config ?(device = Device.v100) ?noise ?(max_warp_cycles = 200_000_000)
     ?tracer ?races ?(engine = Decoded) ?decode_cache ?(sim_jobs = 1) () =
   { device; noise; max_warp_cycles; tracer; races; engine; decode_cache; sim_jobs }
 
-let exec ?(config = default_config) mem fn ~grid_dim ~block_dim ~args =
+let exec_runs ?(config = default_config) ~noises mem fn ~grid_dim ~block_dim ~args =
   let {
     device;
-    noise;
+    noise = _;
     max_warp_cycles;
     tracer;
     races;
@@ -117,6 +119,8 @@ let exec ?(config = default_config) mem fn ~grid_dim ~block_dim ~args =
     invalid_arg
       (Printf.sprintf "launch @%s: grid %d x block %d is not a positive shape"
          fn.Func.name grid_dim block_dim);
+  let runs = Array.length noises in
+  if runs < 1 then invalid_arg (Printf.sprintf "launch @%s: no runs" fn.Func.name);
   let bound = bind_args fn args in
   (* The engine's per-shard warp constructor and the code size it lays
      out; everything else below is shared by both engines. *)
@@ -138,14 +142,15 @@ let exec ?(config = default_config) mem fn ~grid_dim ~block_dim ~args =
   let fn_name = fn.Func.name and ws = device.Device.warp_size in
   let wpb = (block_dim + ws - 1) / ws in
   (* The per-launch noise draw keeps [Runner]'s cross-launch rng
-     sequencing (one [next] per launch), and each block derives a private
-     stream from it — warp jitter is a function of (launch, block, warp),
-     never of which domain simulated the block or in what order. *)
-  let launch_seed = Option.map Rng.next noise in
+     sequencing (one [next] per launch and run), and each block derives
+     a private stream per run from it — warp jitter is a function of
+     (run, launch, block, warp), never of which domain simulated the
+     block or in what order. *)
+  let launch_seeds = Array.map (Option.map Rng.next) noises in
   (* Run one shard of blocks with worker-private sinks and per-block
      state — a shared bank, L1 and icache reset at every block entry (the
      per-SM model, so every block starts cold) and one [Cost] slot per
-     warp of a block. *)
+     warp of a block, holding every run's clock. *)
   let run_shard ~lo ~hi =
     let s_atomics = Atomics.create mem in
     let s_races = Option.map (fun _ -> Racecheck.create ()) races in
@@ -171,25 +176,38 @@ let exec ?(config = default_config) mem fn ~grid_dim ~block_dim ~args =
     let dcache = Cache.create ~capacity:device.Device.l1_lines in
     let costs =
       Array.init wpb (fun warp_id ->
-          Cost.create device ~mem ~smem ~dcache ~icache ~races:s_races ~fn_name ~warp_id)
+          Cost.create ~runs device ~mem ~smem ~dcache ~icache ~races:s_races ~fn_name
+            ~warp_id)
     in
-    let acc = Metrics.create () in
+    let streams = Array.make runs None in
+    let accs = Array.init runs (fun _ -> Metrics.create ()) in
     for block_id = lo to hi - 1 do
       Cache.reset icache;
       Cache.reset dcache;
       Memory.shared_reset smem;
-      let noise = Option.map (fun seed -> Rng.stream seed block_id) launch_seed in
-      (* Ascending warp order: [Cost.start] draws the per-warp noise, so
-         the RNG sequence stays a function of (block, warp). *)
+      for run = 0 to runs - 1 do
+        streams.(run) <-
+          (match launch_seeds.(run) with
+          | Some seed -> Some (Rng.stream seed block_id)
+          | None -> None)
+      done;
+      (* Ascending warp order: [Cost.start] and [Cost.draw] draw the
+         per-warp noise, so each run's RNG sequence stays a function of
+         (block, warp). *)
       let warps =
         Array.init wpb (fun warp_id ->
+            let cost = costs.(warp_id) in
             let lanes = min ws (block_dim - (warp_id * ws)) in
-            Cost.start costs.(warp_id) ~noise ~block_id ~lanes;
-            make_warp costs.(warp_id) ~block_id ~warp_id ~lanes)
+            Cost.start cost ~noise:streams.(0) ~block_id ~lanes;
+            for run = 1 to runs - 1 do
+              Cost.draw cost ~run streams.(run)
+            done;
+            make_warp cost ~block_id ~warp_id ~lanes)
       in
-      Metrics.add acc (Scheduler.run_block ~fn_name ~block_id warps)
+      Scheduler.run_block ~fn_name ~block_id ~into:accs warps
     done;
-    { s_metrics = acc; s_atomics; s_races; s_trace }
+    let s_over = Array.init runs (fun run -> Array.exists (Cost.overran ~run) costs) in
+    { s_metrics = accs; s_over; s_atomics; s_races; s_trace }
   in
   (* No serial gates: tracing, race checking, atomics, and allocas are
      all deterministic under sharding, so every launch shards freely.
@@ -203,10 +221,12 @@ let exec ?(config = default_config) mem fn ~grid_dim ~block_dim ~args =
     if sim_jobs <= 1 then [ run_shard ~lo:0 ~hi:grid_dim ]
     else Parallel.map_range ~jobs:sim_jobs ~n:grid_dim run_shard
   in
-  let total = Metrics.create () in
+  let totals = Array.init runs (fun _ -> Metrics.create ()) in
+  let over = Array.make runs false in
   List.iter
     (fun s ->
-      Metrics.add total s.s_metrics;
+      Array.iteri (fun run m -> Metrics.add totals.(run) m) s.s_metrics;
+      Array.iteri (fun run o -> over.(run) <- over.(run) || o) s.s_over;
       Atomics.commit s.s_atomics;
       (match races, s.s_races with
       | Some into, Some src -> Racecheck.merge ~into src
@@ -215,4 +235,13 @@ let exec ?(config = default_config) mem fn ~grid_dim ~block_dim ~args =
       | Some into, Some src -> Trace.append ~into src
       | _ -> ())
     shards;
-  { metrics = total; kernel_cycles = Metrics.kernel_time total ~device; code_bytes }
+  Array.mapi
+    (fun run total ->
+      if over.(run) then Error (Cost.overrun_message ~limit:max_warp_cycles fn_name)
+      else Ok { metrics = total; kernel_cycles = Metrics.kernel_time total ~device; code_bytes })
+    totals
+
+let exec ?(config = default_config) mem fn ~grid_dim ~block_dim ~args =
+  match (exec_runs ~config ~noises:[| config.noise |] mem fn ~grid_dim ~block_dim ~args).(0) with
+  | Ok result -> result
+  | Error msg -> failwith msg

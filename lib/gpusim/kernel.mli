@@ -38,7 +38,8 @@ type engine =
 type launch_config = {
   device : Device.t;           (** simulated GPU model (default v100) *)
   noise : Rng.t option;        (** memory-latency jitter stream; [None]
-                                   (the default) is fully deterministic *)
+                                   (the default) is fully deterministic;
+                                   {!exec_runs} takes one per run instead *)
   max_warp_cycles : int;       (** per-warp cycle budget before the
                                    runaway-kernel guard trips *)
   tracer : Trace.t option;     (** instruction trace recorder; sharded
@@ -127,4 +128,29 @@ val exec :
 
     @raise Invalid_argument when [grid_dim] or [block_dim] is below 1 or
     the arguments do not match the kernel's parameters; @raise Failure
-    on interpreter errors or on a divergent [__syncthreads()]. *)
+    on interpreter errors, on a divergent [__syncthreads()], or when a
+    warp exceeds [config.max_warp_cycles]. *)
+
+val exec_runs :
+  ?config:launch_config ->
+  noises:Rng.t option array ->
+  Memory.t ->
+  Func.t ->
+  grid_dim:int ->
+  block_dim:int ->
+  args:arg list ->
+  (result, string) Stdlib.result array
+(** One functional simulation timed for every run: run [k] is jittered
+    by [noises.(k)] (one [Rng.next] per launch, then one stream per
+    block), in place of [config.noise], and entry [k] is what
+    {!exec} would return under that noise alone. Noise reaches only
+    time, so the launch executes once: one final memory, one race
+    report, one trace, and the runs' metrics differ only in [cycles] and
+    [barrier_wait_cycles]. {!exec} is the one-run case.
+
+    Failures are [exec]'s and raise as it does, with one exception: run
+    [k ≥ 1] exceeding [config.max_warp_cycles] does not stop the launch
+    (run 0 may still fail first, as it would in a run-by-run schedule);
+    its entry is [Error msg], with [msg] the [Failure] text of its
+    one-run launch.
+    @raise Invalid_argument when [noises] is empty. *)

@@ -19,7 +19,12 @@
    [barrier_wait_cycles] (its [cycles] advance to the release time, so
    post-barrier work is timed from a common origin). A single-warp
    block never waits, which keeps its metrics bit-identical to the
-   pre-scheduler engines. *)
+   pre-scheduler engines.
+
+   A multi-run launch releases each barrier once per run: every run has
+   its own clocks ([Cost.clock]), so its own release time and waits,
+   while the warps' control flow, and so the barriers themselves, are
+   the same in every run. *)
 
 type status =
   | Arrived  (** suspended at a [__syncthreads()] barrier *)
@@ -29,11 +34,11 @@ type warp = {
   step : epoch:int -> status;
       (** run the warp until its next suspension; [epoch] is the current
           barrier interval, used for shared-memory race recording *)
-  metrics : Metrics.t;  (** the warp's live counters, owned by the warp *)
+  cost : Cost.t;  (** the warp's clocks and counters *)
 }
 
-let run_block ~fn_name ~block_id warps =
-  let n = Array.length warps in
+let run_block ~fn_name ~block_id ~into warps =
+  let n = Array.length warps and runs = Array.length into in
   let live = Array.make n true in
   let epoch = ref 0 in
   let running = ref (n > 0) in
@@ -43,7 +48,9 @@ let run_block ~fn_name ~block_id warps =
       if live.(w) then
         match warps.(w).step ~epoch:!epoch with
         | Arrived -> incr arrived
-        | Exited -> live.(w) <- false
+        | Exited ->
+          live.(w) <- false;
+          Cost.settle warps.(w).cost
     done;
     if !arrived = 0 then running := false
     else begin
@@ -59,21 +66,23 @@ let run_block ~fn_name ~block_id warps =
              "simulator: divergent __syncthreads() in @%s: %d of %d warps of \
               block %d reached barrier %d (the rest exited)"
              fn_name !arrived n block_id !epoch);
-      let release = ref 0 in
       for w = 0 to n - 1 do
-        release := max !release warps.(w).metrics.Metrics.cycles
+        Cost.settle warps.(w).cost
       done;
-      for w = 0 to n - 1 do
-        let m = warps.(w).metrics in
-        m.Metrics.barrier_wait_cycles <-
-          m.Metrics.barrier_wait_cycles + (!release - m.Metrics.cycles);
-        m.Metrics.cycles <- !release
+      for run = 0 to runs - 1 do
+        let release = ref 0 in
+        for w = 0 to n - 1 do
+          release := max !release (Cost.clock warps.(w).cost ~run)
+        done;
+        for w = 0 to n - 1 do
+          Cost.release warps.(w).cost ~run !release
+        done
       done;
       incr epoch
     end
   done;
-  let total = Metrics.create () in
   for w = 0 to n - 1 do
-    Metrics.add total warps.(w).metrics
-  done;
-  total
+    for run = 0 to runs - 1 do
+      Cost.add_run warps.(w).cost ~run into.(run)
+    done
+  done

@@ -23,16 +23,20 @@ type warp = {
       (** resume the warp until its next suspension. [epoch] is the
           current barrier interval (number of barriers released so far in
           this block), threaded to shared-memory race recording. *)
-  metrics : Metrics.t;
-      (** the warp's live counters — read (and, at barrier release,
-          adjusted) by the scheduler between steps *)
+  cost : Cost.t;
+      (** the warp's clocks and counters — read (and, at barrier
+          release, advanced) by the scheduler between steps *)
 }
 
-val run_block : fn_name:string -> block_id:int -> warp array -> Metrics.t
+val run_block :
+  fn_name:string -> block_id:int -> into:Metrics.t array -> warp array -> unit
 (** Run one block's warps to completion under barrier scheduling and
-    return the summed metrics (warp order). Within each barrier interval
-    warps run in ascending warp order, each until it arrives at the
-    barrier or exits.
+    add the block's metrics as run [k] saw them into [into.(k)], one
+    accumulator per run of the launch (warp order). Within each barrier
+    interval warps run in ascending warp order, each until it arrives at
+    the barrier or exits. Each barrier is released once per run, at the
+    maximum of that run's clocks; only [cycles] and
+    [barrier_wait_cycles] differ between the runs' metrics.
 
     @raise Failure on a divergent [__syncthreads()]: a barrier some
     warps of the block arrive at while at least one other warp has

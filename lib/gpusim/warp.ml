@@ -33,7 +33,6 @@ let default_of_ty = function
 let make ~layout ~ipdom env ~smem cost ~block_id ~warp_id ~lanes =
   let d = env.device in
   let fn = env.fn in
-  let m = Cost.metrics cost in
   let nvars = fn.Func.next_var in
   let regs = Array.init d.Device.warp_size (fun _ -> Array.make nvars (Eval.Int 0L)) in
   List.iter
@@ -214,11 +213,7 @@ let make ~layout ~ipdom env ~smem cost ~block_id ~warp_id ~lanes =
       match !stack with
       | [] -> status := Some Scheduler.Exited
       | top :: _ ->
-        if m.Metrics.cycles > env.max_warp_cycles then
-          failwith
-            (Printf.sprintf
-               "simulator: warp exceeded %d cycles in @%s (infinite loop?)"
-               env.max_warp_cycles fn.Func.name);
+        Cost.guard cost ~limit:env.max_warp_cycles;
         let mask = Mask.diff top.mask !retired in
         if Mask.is_empty mask then pop ()
         else if Some top.block = top.rpc then pop ()
@@ -292,4 +287,4 @@ let make ~layout ~ipdom env ~smem cost ~block_id ~warp_id ~lanes =
     done;
     Option.get !status
   in
-  { Scheduler.step; metrics = m }
+  { Scheduler.step; cost }

@@ -62,4 +62,4 @@ val make :
     block's icache lines, [ipdom] the immediate post-dominators. The
     warp's [step] raises [Failure] on interpreter errors (out-of-bounds
     access, type confusion, a barrier under a partial lane mask) or when
-    [max_warp_cycles] is exceeded. *)
+    run 0 exceeds [max_warp_cycles] ({!Cost.guard}). *)

@@ -53,8 +53,8 @@ type compiled = {
   stats : (string * int) list;
   decode : Decode.cache;
       (* per-(function, device) decode memo: the module is frozen after
-         compilation, so repeated simulations (Table I's 20-run
-         protocol, a warm daemon) decode each kernel once *)
+         compilation, so repeated simulations (a kernel launched more
+         than once, a warm daemon) decode each kernel once *)
 }
 
 let modul c = c.modul
@@ -125,11 +125,13 @@ let compile_request ?timeout (r : Request.t) =
 
 (* --- responding ------------------------------------------------------ *)
 
-(* One launch of [f], shared by the synthetic-buffer and the schedule
-   arms: the request's engine, races and tracing, a fresh collector per
-   launch. *)
-let launch (r : Request.t) (c : compiled) ~sim_jobs ~noise mem (f : Func.t) ~grid_dim
-    ~block_dim ~args : Response.measurement =
+(* One launch of [f] under every run's noise stream, shared by the
+   synthetic-buffer and the schedule arms: the request's engine, races
+   and tracing, a fresh collector per launch. Races and traces do not
+   depend on noise, so every run shares one report. Run [k]'s entry is
+   [Error] when its runaway guard tripped (see [Kernel.exec_runs]). *)
+let launch (r : Request.t) (c : compiled) ~sim_jobs ~noises mem (f : Func.t) ~grid_dim
+    ~block_dim ~args =
   let races = if r.check_races then Some (Racecheck.create ()) else None in
   let tracer = if r.trace then Some (Trace.create ()) else None in
   let config =
@@ -139,19 +141,23 @@ let launch (r : Request.t) (c : compiled) ~sim_jobs ~noise mem (f : Func.t) ~gri
       races;
       tracer;
       sim_jobs;
-      noise;
       decode_cache = Some c.decode;
     }
   in
-  let result = Kernel.exec ~config mem f ~grid_dim ~block_dim ~args in
-  {
-    label = f.Func.name;
-    kernel_cycles = result.Kernel.kernel_cycles;
-    code_bytes = result.Kernel.code_bytes;
-    metrics = result.Kernel.metrics;
-    races = Option.map Racecheck.report races;
-    trace = Option.map (Trace.render f) tracer;
-  }
+  let results = Kernel.exec_runs ~config ~noises mem f ~grid_dim ~block_dim ~args in
+  let races = Option.map Racecheck.report races in
+  let trace = Option.map (Trace.render f) tracer in
+  Array.map
+    (Result.map (fun (result : Kernel.result) : Response.measurement ->
+         {
+           label = f.Func.name;
+           kernel_cycles = result.Kernel.kernel_cycles;
+           code_bytes = result.Kernel.code_bytes;
+           metrics = result.Kernel.metrics;
+           races;
+           trace;
+         }))
+    results
 
 (* The synthetic-buffer argument protocol `uu run` has always used: one
    shared rng (seed 7) across all kernels of the module, f64 buffers
@@ -171,22 +177,32 @@ let synthetic_args ~elems rng mem (f : Func.t) =
         failwith ("unsupported parameter type for " ^ p.pname))
     f.Func.params
 
-(* One run of the app's launch schedule: a fresh workload from the fixed
-   seed, every launch in order, then the host oracle. *)
-let schedule_run (r : Request.t) (c : compiled) ~sim_jobs (app : App.t) noise_seed :
-    Response.run =
+(* Every run of the app's launch schedule in one pass: a fresh workload
+   from the fixed seed, every launch in order under all runs' noise
+   streams, then the host oracle once — noise reaches only time, so the
+   runs share one final memory. Each run's rng draws its run factor
+   first, then one [next] per launch inside [Kernel], exactly as when
+   the runs were simulated one by one. A run over the cycle budget fails
+   the request only once the earlier runs would have passed: after the
+   oracle, with the lowest such run's message. *)
+let schedule_runs (r : Request.t) (c : compiled) ~sim_jobs (app : App.t) noise_seeds :
+    Response.run list =
   let instance = app.App.setup (Rng.create workload_seed) in
-  let noise = Option.map Rng.create noise_seed in
+  let noises = Array.of_list (List.map (Option.map Rng.create) noise_seeds) in
   (* Run-level clock/DVFS jitter on top of the per-warp memory jitter;
      together they give the paper's run-to-run RSDs (SIV-B footnote on
      nvidia-smi clock pinning). *)
-  let run_factor =
-    match noise with
-    | Some rng -> Float.max 0.9 (Rng.gaussian rng ~mean:1.0 ~stddev:0.015)
-    | None -> 1.0
+  let run_factors =
+    Array.map
+      (function
+        | Some rng -> Float.max 0.9 (Rng.gaussian rng ~mean:1.0 ~stddev:0.015)
+        | None -> 1.0)
+      noises
   in
-  let metrics = Metrics.create () in
-  let cycles = ref 0.0 in
+  let runs = Array.length noises in
+  let totals = Array.init runs (fun _ -> Metrics.create ()) in
+  let cycles = Array.make runs 0.0 in
+  let overrun = Array.make runs None in
   let code = ref app.App.rest_bytes in
   let seen_kernels = Hashtbl.create 7 in
   let launches =
@@ -197,29 +213,40 @@ let schedule_run (r : Request.t) (c : compiled) ~sim_jobs (app : App.t) noise_se
           | Some f -> f
           | None -> failwith (Printf.sprintf "%s: unknown kernel %s" app.App.name l.App.kernel)
         in
-        let m =
-          launch r c ~sim_jobs ~noise instance.App.mem f ~grid_dim:l.App.grid_dim
+        let results =
+          launch r c ~sim_jobs ~noises instance.App.mem f ~grid_dim:l.App.grid_dim
             ~block_dim:l.App.block_dim ~args:l.App.args
         in
-        Metrics.add metrics m.metrics;
-        cycles := !cycles +. m.kernel_cycles;
-        if not (Hashtbl.mem seen_kernels l.App.kernel) then begin
+        Array.iteri
+          (fun run -> function
+            | Ok (m : Response.measurement) ->
+              Metrics.add totals.(run) m.metrics;
+              cycles.(run) <- cycles.(run) +. m.kernel_cycles
+            | Error msg -> if overrun.(run) = None then overrun.(run) <- Some msg)
+          results;
+        (match results.(0) with
+        | Ok m when not (Hashtbl.mem seen_kernels l.App.kernel) ->
           Hashtbl.replace seen_kernels l.App.kernel ();
           code := !code + m.code_bytes
-        end;
-        m)
+        | Ok _ | Error _ -> ());
+        results)
       instance.App.launches
   in
   (match instance.App.check () with
   | Ok () -> ()
   | Error msg -> failwith (Printf.sprintf "%s: oracle check failed: %s" app.App.name msg));
-  {
-    kernel_ms = !cycles *. run_factor /. cycles_per_ms;
-    transfer_ms = float_of_int instance.App.transfer_bytes /. transfer_bytes_per_ms;
-    code_bytes = !code;
-    metrics;
-    launches = (if r.check_races || r.trace then launches else []);
-  }
+  Array.iter (Option.iter failwith) overrun;
+  List.init runs (fun run : Response.run ->
+      {
+        kernel_ms = cycles.(run) *. run_factors.(run) /. cycles_per_ms;
+        transfer_ms = float_of_int instance.App.transfer_bytes /. transfer_bytes_per_ms;
+        code_bytes = !code;
+        metrics = totals.(run);
+        launches =
+          (if r.check_races || r.trace then
+             List.map (fun results -> Result.get_ok results.(run)) launches
+           else []);
+      })
 
 let respond ?(default_sim_jobs = 1) (r : Request.t) (c : compiled) : Response.t =
   let sim_jobs =
@@ -237,12 +264,16 @@ let respond ?(default_sim_jobs = 1) (r : Request.t) (c : compiled) : Response.t 
     | Request.Run ->
       let mem = Memory.create () in
       let rng = Rng.create 7L in
-      let noise = Option.map Rng.create r.noise_seed in
+      let noises = [| Option.map Rng.create r.noise_seed |] in
       Response.Measured
         (List.map
            (fun f ->
-             launch r c ~sim_jobs ~noise mem f ~grid_dim:r.grid_dim ~block_dim:r.block_dim
-               ~args:(synthetic_args ~elems:r.elems rng mem f))
+             match
+               (launch r c ~sim_jobs ~noises mem f ~grid_dim:r.grid_dim
+                  ~block_dim:r.block_dim ~args:(synthetic_args ~elems:r.elems rng mem f)).(0)
+             with
+             | Ok m -> m
+             | Error msg -> failwith msg)
            c.modul.Func.funcs)
     | Request.Schedule protocol ->
       let app =
@@ -265,7 +296,7 @@ let respond ?(default_sim_jobs = 1) (r : Request.t) (c : compiled) : Response.t 
           let key = Request.key r in
           List.init runs (fun i -> Some (Request.noise_seed ~key i))
       in
-      Response.Scheduled (List.map (schedule_run r c ~sim_jobs app) seeds)
+      Response.Scheduled (schedule_runs r c ~sim_jobs app seeds)
   in
   match body () with
   | body ->

@@ -64,9 +64,12 @@ val respond :
 (** Answer one request from its compiled module: print IR for [Compile],
     simulate every kernel with the synthetic-buffer protocol for [Run],
     walk the bundled app's launch schedule for [Schedule] — fresh
-    workload from a fixed seed, every launch in order, the host oracle
-    checked after each run. Run [i] of a [Noisy] schedule is jittered
-    with [Request.noise_seed ~key:(Request.key r) i]. A simulator
+    workload from a fixed seed, every launch in order, then the host
+    oracle. Run [i] of a [Noisy] schedule is jittered with
+    [Request.noise_seed ~key:(Request.key r) i]; noise reaches only
+    time, so all runs share one simulation of the schedule
+    ({!Uu_gpusim.Kernel.exec_runs}) and one oracle check, and each run's
+    bytes equal simulating its seed alone. A simulator
     failure, a rejected launch or an oracle mismatch is an [Error],
     never an exception. [default_sim_jobs] (default 1) applies only when
     the request leaves [sim_jobs] unset; it cannot change a response

@@ -15,8 +15,8 @@ type row = {
 
 (* Three jobs per application: a deterministic baseline run (for the
    compute fraction) and the two noisy 20-run protocols, which compile
-   once and re-simulate with per-job-key noise seeds (SIV-B). All apps'
-   jobs go to the pool as one batch. *)
+   once and time one simulation under per-job-key noise seeds (SIV-B).
+   All apps' jobs go to the pool as one batch. *)
 let compute ?(runs = 20) ?(apps = Uu_benchmarks.Registry.all) ?jobs ?sim_jobs
     ?cache ?engine () =
   let per_app =

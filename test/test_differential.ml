@@ -8,7 +8,9 @@
    Every program and configuration also runs on both simulator engines,
    which must agree on memory and on every metric, at block 32 (one full
    warp) and block 48 (a second warp of 16 lanes, so the decoded engine's
-   full-mask loops run over a warp narrower than [warp_size]).
+   full-mask loops run over a warp narrower than [warp_size]). On each
+   engine, three noise seeds timed in one pass ([Kernel.exec_runs]) must
+   equal the three one-seed runs in metrics and memory.
 
    The generator builds structured programs: straight-line integer
    arithmetic over a pool of locals, data- and tid-dependent ifs, counted
@@ -150,6 +152,27 @@ let gen_kernel seed =
 
 let blocks = [ 32; 48 ]
 
+let noise_seeds = [ 11L; 22L; 33L ]
+
+(* One launch over a fresh output buffer, timed under one noise stream
+   per seed: the buffer and each run's metrics. *)
+let exec_runs ~block ~engine fn seeds =
+  let open Uu_gpusim in
+  let mem = Memory.create () in
+  let out = Memory.zeros_i64 mem 48 in
+  let noises = Array.of_list (List.map (fun s -> Some (Uu_support.Rng.create s)) seeds) in
+  let results =
+    Kernel.exec_runs ~config:(Kernel.config ~engine ()) ~noises mem fn ~grid_dim:1
+      ~block_dim:block ~args:[ Kernel.Buf out; Kernel.Int_arg 5L ]
+  in
+  ( Memory.read_i64 out,
+    Array.to_list
+      (Array.map
+         (function
+           | Ok (r : Kernel.result) -> Uu_support.Json.to_string (Metrics.to_json r.Kernel.metrics)
+           | Error msg -> failwith msg)
+         results) )
+
 (* Print the offending program for reproduction, then fail. *)
 let fail_on kernel what =
   let fn = Uu_frontend.Lower.lower_kernel kernel in
@@ -171,6 +194,19 @@ let run_config ~what kernel config =
       let json m = Uu_support.Json.to_string (Uu_gpusim.Metrics.to_json m) in
       if out_r <> out_d || json m_r <> json m_d then
         fail_on kernel (Printf.sprintf "%s, block %d: engines disagree" what block);
+      List.iter
+        (fun engine ->
+          let out, runs = exec_runs ~block ~engine fn noise_seeds in
+          let one = List.map (fun seed -> exec_runs ~block ~engine fn [ seed ]) noise_seeds in
+          if
+            out <> out_d
+            || List.exists (fun (o, _) -> o <> out) one
+            || runs <> List.concat_map snd one
+          then
+            fail_on kernel
+              (Printf.sprintf "%s, block %d: runs in one pass differ from one-seed runs" what
+                 block))
+        [ Uu_gpusim.Kernel.Reference; Uu_gpusim.Kernel.Decoded ];
       out_d)
     blocks
 

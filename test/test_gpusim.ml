@@ -356,6 +356,69 @@ kernel k(int* restrict out, int n) {
        false
      with Failure msg -> Astring.String.is_infix ~affix:"cycles" msg)
 
+(* A multi-run launch keeps each run's runaway guard. With the budget
+   between the seeds' peak warp clocks, the seed over budget fails as
+   its one-run launch does: run 0 raises the same [Failure], a later run
+   gets [Error] with the same text while the others complete exactly as
+   their one-run launches. With the budget at the highest peak, no run
+   fails. *)
+let test_runaway_guard_runs () =
+  let app = Option.get (Uu_benchmarks.Registry.find "treduce-128") in
+  let m = Uu_frontend.Lower.compile ~name:app.Uu_benchmarks.App.name app.Uu_benchmarks.App.source in
+  let exec ~limit noises =
+    let instance = app.Uu_benchmarks.App.setup (Uu_support.Rng.create 0x5EEDL) in
+    let l = List.hd instance.Uu_benchmarks.App.launches in
+    let f = Option.get (Func.find_func m l.Uu_benchmarks.App.kernel) in
+    Kernel.exec_runs
+      ~config:(Kernel.config ~max_warp_cycles:limit ())
+      ~noises:(Array.map (fun s -> Some (Uu_support.Rng.create s)) noises)
+      instance.Uu_benchmarks.App.mem f ~grid_dim:l.Uu_benchmarks.App.grid_dim
+      ~block_dim:l.Uu_benchmarks.App.block_dim ~args:l.Uu_benchmarks.App.args
+  in
+  let one ~limit seed =
+    match (exec ~limit [| seed |]).(0) with
+    | r -> r
+    | exception Failure msg -> Error msg
+  in
+  (* The smallest budget a seed's one-run launch survives. *)
+  let peak seed =
+    let lo = ref 0 and hi = ref 200_000_000 in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if Result.is_ok (one ~limit:mid seed) then hi := mid else lo := mid
+    done;
+    !hi
+  in
+  let seeds = [| 1L; 2L; 5L |] in
+  let peaks = Array.map peak seeds in
+  let top = Array.fold_left max 0 peaks in
+  check bool "some seed stays under the highest peak" true (Array.exists (fun p -> p < top) peaks);
+  let limit = top - 1 in
+  let same what a b =
+    match (a, b) with
+    | Ok (a : Kernel.result), Ok (b : Kernel.result) ->
+      check bool (what ^ ": metrics") true (a.Kernel.metrics = b.Kernel.metrics);
+      check bool (what ^ ": kernel cycles") true (a.Kernel.kernel_cycles = b.Kernel.kernel_cycles)
+    | Error a, Error b -> check Alcotest.string what b a
+    | _ -> Alcotest.failf "%s: one fails, the other does not" what
+  in
+  (* Every rotation of the seeds, so the failing seed is run 0 in one of
+     them and a later run in the others. *)
+  for r = 0 to 2 do
+    let order = Array.init 3 (fun i -> seeds.((i + r) mod 3)) in
+    let singles = Array.map (one ~limit) order in
+    match exec ~limit order with
+    | runs ->
+      check bool "run 0 completed" true (Result.is_ok singles.(0));
+      Array.iteri (fun i run -> same (Printf.sprintf "rotation %d, run %d" r i) run singles.(i)) runs
+    | exception Failure msg ->
+      check bool "run 0 over budget" true (Result.is_error singles.(0));
+      same (Printf.sprintf "rotation %d, run 0" r) (Error msg) singles.(0)
+  done;
+  Array.iter
+    (fun run -> check bool "under the highest peak, every run completes" true (Result.is_ok run))
+    (exec ~limit:top seeds)
+
 (* Both runs still validate: [run_exn] raises on an oracle mismatch. *)
 let test_noise_changes_cycles_not_results () =
   let app = Uu_benchmarks.Bezier_surface.app in
@@ -730,6 +793,7 @@ let suite =
     ("icache pressure from duplication", `Quick, test_icache_pressure);
     ("atomics across warps", `Quick, test_atomics_across_warps);
     ("runaway loop guard", `Quick, test_runaway_guard);
+    ("runaway guard per run", `Quick, test_runaway_guard_runs);
     ("noise affects time not results", `Quick, test_noise_changes_cycles_not_results);
     ("execution trace", `Quick, test_trace_records_schedule);
     ("pre-Volta ITS ablation", `Quick, test_pre_volta_ablation);
