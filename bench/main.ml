@@ -1,93 +1,23 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation and times each regeneration with Bechamel.
+(* Benchmark modes behind the CI gates that time the simulator and the
+   daemon. Each mode is one command:
 
-   Structure:
-   - one Bechamel [Test.make] per table/figure (Table I, Fig 6a/6b/6c,
-     Fig 7, Fig 8a/8b), each wrapping its generator at a reduced scale so
-     Bechamel can sample it repeatedly;
-   - ablation benches for the design decisions DESIGN.md calls out
-     (unroll-then-unmerge vs unmerge-then-unroll; whole-path duplication
-     vs one-level DBDS; transactional budget rollback cost) plus
-     compile-time benches of the pipelines themselves;
-   - after timing, the harness regenerates everything at full scale once
-     and prints the paper-shaped rows/series (this is the output recorded
-     in bench_output.txt and compared against the paper in
-     EXPERIMENTS.md). *)
+   - [sim-throughput]: warp-instructions/second per engine on XSBench;
+     fails unless the warm decoded engine beats the reference engine;
+   - [sim-parallel [PATH]]: the --sim-jobs scaling sweep; fails unless
+     every width reproduces the serial metrics (BENCH_sim_parallel.json);
+   - [sim-json [PATH]]: Table I's 20-run protocol per engine plus the
+     throughputs (BENCH_sim.json);
+   - [serve [PATH]]: the daemon load generator; fails unless responses
+     are byte-identical and warm throughput is at least 5x cold
+     (BENCH_serve.json).
 
-open Bechamel
-open Toolkit
+   The paper's tables and figures regenerate with
+   [dune exec bin/experiments_main.exe -- all]. *)
 
 let app name =
   match Uu_benchmarks.Registry.find name with
   | Some a -> a
   | None -> failwith ("unknown app " ^ name)
-
-(* Reduced-scale inputs for the timed section. *)
-let bench_apps = [ app "bezier-surface"; app "complex" ]
-let sweep_app = [ app "mandelbrot" ]
-
-let table1_test =
-  Test.make ~name:"table1"
-    (Staged.stage (fun () ->
-         ignore (Uu_harness.Table1.compute ~runs:2 ~apps:bench_apps ())))
-
-let sweep () = Uu_harness.Sweep.run ~apps:sweep_app ()
-
-let fig_test name render =
-  Test.make ~name
-    (Staged.stage (fun () ->
-         let s = sweep () in
-         ignore (render s)))
-
-let fig6a_test = fig_test "fig6a" Uu_harness.Figures.fig6a
-let fig6b_test = fig_test "fig6b" Uu_harness.Figures.fig6b
-let fig6c_test = fig_test "fig6c" Uu_harness.Figures.fig6c
-let fig7_test = fig_test "fig7" Uu_harness.Figures.fig7
-let fig8a_test = fig_test "fig8a" Uu_harness.Figures.fig8a
-let fig8b_test = fig_test "fig8b" Uu_harness.Figures.fig8b
-
-(* Ablation benches: the structure of the core transform itself. *)
-
-let rainflow_fn () =
-  let m =
-    Uu_frontend.Lower.compile ~name:"rainflow"
-      (app "rainflow").Uu_benchmarks.App.source
-  in
-  let f = List.hd m.Uu_ir.Func.funcs in
-  ignore (Uu_opt.Pass.exec ~options:Uu_opt.Pass.unverified Uu_core.Pipelines.early_passes f);
-  let forest = Uu_analysis.Loops.analyze f in
-  (f, (List.hd (Uu_analysis.Loops.loops forest)).Uu_analysis.Loops.header)
-
-let ablation_uu_order =
-  Test.make ~name:"ablation:unroll-then-unmerge"
-    (Staged.stage (fun () ->
-         let f, header = rainflow_fn () in
-         ignore (Uu_core.Uu.uu_loop f ~header ~factor:2)))
-
-let ablation_unmerge_then_unroll =
-  Test.make ~name:"ablation:unmerge-then-unroll"
-    (Staged.stage (fun () ->
-         let f, header = rainflow_fn () in
-         ignore (Uu_core.Unmerge.unmerge_loop f ~header ~budget:16384);
-         ignore (Uu_opt.Unroll.unroll_loop f ~header ~factor:2)))
-
-let ablation_dbds =
-  Test.make ~name:"ablation:dbds-one-level"
-    (Staged.stage (fun () ->
-         let f, header = rainflow_fn () in
-         ignore (Uu_core.Unmerge.dbds_unmerge_loop f ~header ~budget:16384)))
-
-let ablation_selective =
-  Test.make ~name:"ablation:selective-unmerge"
-    (Staged.stage (fun () ->
-         let f, header = rainflow_fn () in
-         ignore (Uu_core.Uu.uu_loop ~selective:true f ~header ~factor:2)))
-
-let ablation_rollback =
-  Test.make ~name:"ablation:budget-rollback"
-    (Staged.stage (fun () ->
-         let f, header = rainflow_fn () in
-         ignore (Uu_core.Uu.uu_loop ~budget:64 f ~header ~factor:8)))
 
 (* Simulator engine throughput: the pre-decoded warp engine vs the
    tree-walking reference interpreter, and decode-cold (fresh decode per
@@ -104,8 +34,10 @@ let sim_module config =
     m.Uu_ir.Func.funcs;
   (a, m)
 
-let simulate_module ~engine ?decode_cache ?sim_jobs ((a : Uu_benchmarks.App.t), m) =
-  let instance = a.Uu_benchmarks.App.setup (Uu_support.Rng.create 0x5EEDL) in
+(* Run an instance's launch schedule over module [m] and sum the
+   launches' metrics. *)
+let simulate_module ~engine ?decode_cache ?(sim_jobs = 1) m
+    (instance : Uu_benchmarks.App.instance) =
   let total = Uu_gpusim.Metrics.create () in
   List.iter
     (fun (l : Uu_benchmarks.App.launch) ->
@@ -116,13 +48,7 @@ let simulate_module ~engine ?decode_cache ?sim_jobs ((a : Uu_benchmarks.App.t), 
       in
       let r =
         Uu_gpusim.Kernel.exec
-          ~config:
-            {
-              Uu_gpusim.Kernel.default_config with
-              engine;
-              decode_cache;
-              sim_jobs = Option.value sim_jobs ~default:1;
-            }
+          ~config:{ Uu_gpusim.Kernel.default_config with engine; decode_cache; sim_jobs }
           instance.Uu_benchmarks.App.mem f
           ~grid_dim:l.Uu_benchmarks.App.grid_dim
           ~block_dim:l.Uu_benchmarks.App.block_dim ~args:l.Uu_benchmarks.App.args
@@ -131,42 +57,23 @@ let simulate_module ~engine ?decode_cache ?sim_jobs ((a : Uu_benchmarks.App.t), 
     instance.Uu_benchmarks.App.launches;
   total
 
-let sim_reference_test =
-  let cm = lazy (sim_module (Uu_core.Pipelines.Uu 4)) in
-  Test.make ~name:"sim:reference"
-    (Staged.stage (fun () ->
-         ignore (simulate_module ~engine:Uu_gpusim.Kernel.Reference (Lazy.force cm))))
-
-let sim_decoded_cold_test =
-  let cm = lazy (sim_module (Uu_core.Pipelines.Uu 4)) in
-  Test.make ~name:"sim:decoded-cold"
-    (Staged.stage (fun () ->
-         (* no cache: every launch re-decodes its kernel *)
-         ignore (simulate_module ~engine:Uu_gpusim.Kernel.Decoded (Lazy.force cm))))
-
-let sim_decoded_warm_test =
-  let cm = lazy (sim_module (Uu_core.Pipelines.Uu 4)) in
-  let cache = Uu_gpusim.Decode.create_cache () in
-  Test.make ~name:"sim:decoded-warm"
-    (Staged.stage (fun () ->
-         ignore
-           (simulate_module ~engine:Uu_gpusim.Kernel.Decoded ~decode_cache:cache
-              (Lazy.force cm))))
-
-let sim_tests = [ sim_reference_test; sim_decoded_cold_test; sim_decoded_warm_test ]
-
 (* Directly measured warp-instructions/second per engine (the number the
    ROADMAP's perf item is tracked by), on XSBench under u&u-4. *)
 let sim_throughput_report () =
-  let cm = sim_module (Uu_core.Pipelines.Uu 4) in
+  let a, m = sim_module (Uu_core.Pipelines.Uu 4) in
   let cache = Uu_gpusim.Decode.create_cache () in
+  (* A fresh workload per simulation, set up inside the timed region. *)
+  let simulate ~engine ?decode_cache () =
+    simulate_module ~engine ?decode_cache m
+      (a.Uu_benchmarks.App.setup (Uu_support.Rng.create 0x5EEDL))
+  in
   let measure name ~engine ?decode_cache ~reps () =
     (* one untimed warm-up simulation populates the decode cache *)
-    ignore (simulate_module ~engine ?decode_cache cm);
+    ignore (simulate ~engine ?decode_cache ());
     let t0 = Uu_support.Clock.now () in
     let instrs = ref 0 in
     for _ = 1 to reps do
-      let m = simulate_module ~engine ?decode_cache cm in
+      let m = simulate ~engine ?decode_cache () in
       instrs := !instrs + m.Uu_gpusim.Metrics.warp_instrs
     done;
     let dt = Uu_support.Clock.now () -. t0 in
@@ -206,36 +113,20 @@ let sim_parallel_report path =
   Printf.printf "  available domains: %d, grid %d blocks per launch\n%!" avail
     (scale_n / 128);
   let reps = 3 in
-  let simulate_instance ~sim_jobs (instance : Uu_benchmarks.App.instance) =
-    let total = Uu_gpusim.Metrics.create () in
-    List.iter
-      (fun (l : Uu_benchmarks.App.launch) ->
-        let f =
-          match Uu_ir.Func.find_func m l.Uu_benchmarks.App.kernel with
-          | Some f -> f
-          | None -> failwith ("unknown kernel " ^ l.Uu_benchmarks.App.kernel)
-        in
-        let r =
-          Uu_gpusim.Kernel.exec
-            ~config:(Uu_gpusim.Kernel.config ~decode_cache:cache ~sim_jobs ())
-            instance.Uu_benchmarks.App.mem f
-            ~grid_dim:l.Uu_benchmarks.App.grid_dim
-            ~block_dim:l.Uu_benchmarks.App.block_dim ~args:l.Uu_benchmarks.App.args
-        in
-        Uu_gpusim.Metrics.add total r.Uu_gpusim.Kernel.metrics)
-      instance.Uu_benchmarks.App.launches;
-    total
-  in
   let measure sim_jobs =
     (* Fresh scaled instance per width (setup outside the timed region);
        one untimed warm-up populates the decode cache and spawn paths. *)
     let instance =
       Uu_benchmarks.Xsbench.setup_scaled ~n:scale_n (Uu_support.Rng.create 0x5EEDL)
     in
-    let m0 = simulate_instance ~sim_jobs instance in
+    let simulate () =
+      simulate_module ~engine:Uu_gpusim.Kernel.Decoded ~decode_cache:cache ~sim_jobs m
+        instance
+    in
+    let m0 = simulate () in
     let t0 = Uu_support.Clock.now () in
     for _ = 1 to reps do
-      ignore (simulate_instance ~sim_jobs instance)
+      ignore (simulate ())
     done;
     let dt = Uu_support.Clock.now () -. t0 in
     Printf.printf "  sim-jobs %-3d %8.3f s / %d reps\n%!" sim_jobs dt reps;
@@ -306,54 +197,6 @@ let sim_parallel_report path =
     if mismatches <> [] then exit 1
   end
 
-let compile_bench config =
-  Test.make
-    ~name:(Printf.sprintf "compile:xsbench:%s" (Uu_core.Pipelines.config_name config))
-    (Staged.stage (fun () ->
-         let m =
-           Uu_frontend.Lower.compile ~name:"xs" (app "XSBench").Uu_benchmarks.App.source
-         in
-         List.iter (fun f -> ignore (Uu_core.Pipelines.optimize config f)) m.Uu_ir.Func.funcs))
-
-let tests =
-  Test.make_grouped ~name:"uu"
-    ([
-      table1_test; fig6a_test; fig6b_test; fig6c_test; fig7_test; fig8a_test;
-      fig8b_test; ablation_uu_order; ablation_unmerge_then_unroll; ablation_dbds;
-      ablation_selective; ablation_rollback;
-      compile_bench Uu_core.Pipelines.Baseline;
-      compile_bench (Uu_core.Pipelines.Uu 4);
-      compile_bench Uu_core.Pipelines.Uu_heuristic;
-    ]
-    @ sim_tests)
-
-let run_bechamel () =
-  let cfg = Benchmark.cfg ~limit:8 ~quota:(Time.second 2.0) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let pretty =
-        match Analyze.OLS.estimates ols with
-        | Some [ t ] ->
-          if t > 1e9 then Printf.sprintf "%8.2f s " (t /. 1e9)
-          else if t > 1e6 then Printf.sprintf "%8.2f ms" (t /. 1e6)
-          else Printf.sprintf "%8.2f us" (t /. 1e3)
-        | Some _ | None -> "     n/a"
-      in
-      rows := (name, pretty) :: !rows)
-    results;
-  Printf.printf "%-45s %12s\n" "benchmark" "time/run";
-  Printf.printf "%s\n" (String.make 58 '-');
-  List.iter
-    (fun (name, pretty) -> Printf.printf "%-45s %12s\n" name pretty)
-    (List.sort compare !rows)
-
 (* The CPUs this process may run on, as the [nproc] utility counts them
    (it honours the affinity mask, which [available_domains] may not). *)
 let nproc () =
@@ -410,34 +253,6 @@ let sim_json path =
     warm_wips;
   close_out oc;
   Printf.printf "  speedup: %.2fx -> %s\n" (reference_s /. decoded_s) path
-
-let main () =
-  print_endline "== Bechamel: one benchmark per table/figure (reduced scale) ==";
-  run_bechamel ();
-  print_newline ();
-  print_endline "== Table I (full scale, 20 runs per configuration) ==";
-  let rows = Uu_harness.Table1.compute ~runs:20 () in
-  print_string (Uu_harness.Table1.render rows);
-  print_endline "== Per-loop sweep (full scale) ==";
-  let s = Uu_harness.Sweep.run () in
-  print_endline "== Fig 6a: per-loop u&u speedup ==";
-  print_string (Uu_harness.Figures.fig6a s);
-  print_endline "== Fig 6b: per-loop code size increase ==";
-  print_string (Uu_harness.Figures.fig6b s);
-  print_endline "== Fig 6c: per-loop compile time increase ==";
-  print_string (Uu_harness.Figures.fig6c s);
-  print_endline "== Fig 7: per-app best speedup per configuration ==";
-  print_string (Uu_harness.Figures.fig7 s);
-  print_endline "== Fig 8a: u&u vs unroll, per loop ==";
-  print_string (Uu_harness.Figures.fig8a s);
-  print_endline "== Fig 8b: u&u vs unmerge, per loop ==";
-  print_string (Uu_harness.Figures.fig8b s);
-  print_endline (Uu_harness.Figures.geomean_summary s);
-  print_endline "== In-depth counters (paper SV) ==";
-  print_string (Uu_harness.Counters.render (Uu_harness.Counters.analyze ()));
-  print_endline "== Ablations: transform design decisions ==";
-  print_string (Uu_harness.Ablation.render (Uu_harness.Ablation.run ()))
-
 
 (* --- serve daemon load generator ------------------------------------ *)
 
@@ -654,11 +469,15 @@ let serve_report path =
     exit 1
   end
 
+let usage =
+  "usage: bench MODE\n\
+  \  sim-throughput      warp-instructions/second per engine (XSBench, u&u-4)\n\
+  \  sim-parallel [PATH] the --sim-jobs scaling sweep (BENCH_sim_parallel.json)\n\
+  \  sim-json [PATH]     Table I per engine and the throughputs (BENCH_sim.json)\n\
+  \  serve [PATH]        the serve daemon load generator (BENCH_serve.json)\n\
+   The paper's tables and figures: dune exec bin/experiments_main.exe -- all\n"
+
 let () =
-  (* `bench sim-throughput` (CI smoke), `bench sim-json [PATH]`,
-     `bench sim-parallel [PATH]`, and `bench serve [PATH]` run only the
-     engine/daemon benchmarks; no argument runs the full paper
-     harness. *)
   match Array.to_list Sys.argv with
   | _ :: "sim-parallel" :: rest ->
     sim_parallel_report (match rest with p :: _ -> p | [] -> "BENCH_sim_parallel.json")
@@ -675,4 +494,6 @@ let () =
     sim_json (match rest with p :: _ -> p | [] -> "BENCH_sim.json")
   | _ :: "serve" :: rest ->
     serve_report (match rest with p :: _ -> p | [] -> "BENCH_serve.json")
-  | _ -> main ()
+  | _ ->
+    prerr_string usage;
+    exit 2

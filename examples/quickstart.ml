@@ -52,10 +52,10 @@ let run config =
           Uu_gpusim.Kernel.Int_arg 2L; Uu_gpusim.Kernel.Float_arg 1.5;
         ]
   in
-  Printf.printf "%-14s: %7.0f cycles, %5d bytes of code, compile %.1f ms\n"
+  Printf.printf "%-14s: %7.0f cycles, %5d bytes of code, compile work %d\n"
     (Uu_core.Pipelines.config_name config)
     result.Uu_gpusim.Kernel.kernel_cycles result.Uu_gpusim.Kernel.code_bytes
-    (1000.0 *. report.Uu_opt.Pass.total_time);
+    report.Uu_opt.Pass.work;
   Uu_gpusim.Memory.read_f64 y
 
 let () =

@@ -23,8 +23,8 @@ let compute_generic ~order ~preds ~fpreds =
   let n = Array.length order in
   let index = Hashtbl.create (2 * n) in
   Array.iteri (fun i l -> Hashtbl.replace index l i) order;
-  let idom = Array.make n (-2) in
-  (* -2 = undefined *)
+  let undefined = -2 in
+  let idom = Array.make n undefined in
   if n > 0 then idom.(0) <- 0;
   let rec intersect a b =
     if a = b then a
@@ -39,7 +39,7 @@ let compute_generic ~order ~preds ~fpreds =
         List.filter_map
           (fun p ->
             match Hashtbl.find_opt index p with
-            | Some j when idom.(j) <> -2 -> Some j
+            | Some j when idom.(j) <> undefined -> Some j
             | Some _ | None -> None)
           (preds order.(i))
       in

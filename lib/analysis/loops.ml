@@ -104,18 +104,6 @@ let innermost_first forest =
   in
   List.concat_map post (top_level forest)
 
-let loop_of_block forest l =
-  let containing = List.filter (fun lp -> Value.Label_set.mem l lp.blocks) forest.all in
-  List.fold_left
-    (fun best lp ->
-      match best with
-      | None -> Some lp
-      | Some b ->
-        if Value.Label_set.cardinal lp.blocks < Value.Label_set.cardinal b.blocks then
-          Some lp
-        else best)
-    None containing
-
 let preheader f loop =
   let preds = Cfg.preds_of f loop.header in
   let outside = List.filter (fun p -> not (Value.Label_set.mem p loop.blocks)) preds in

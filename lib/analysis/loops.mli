@@ -33,9 +33,6 @@ val innermost_first : forest -> loop list
 (** Post-order over the forest: children before parents — the order the
     u&u heuristic visits loops in (§III-C). *)
 
-val loop_of_block : forest -> Value.label -> loop option
-(** Innermost loop containing the block. *)
-
 val preheader : Func.t -> loop -> Value.label option
 (** The unique out-of-loop predecessor of the header, if the header has
     exactly one and it branches only to the header. *)

@@ -1,15 +1,19 @@
 open Uu_ir
 
-(* Deferred-commit view of global Atomic_add targets.
+(* Atomic adds over a shard's memory view.
 
-   Each simulation shard owns one collector. During the grid walk no
-   atomic ever mutates global memory: the first atomic touching a cell
-   snapshots its pristine value, and every update only grows the current
-   block's private delta. The old value an [Atomic_add] returns is
-   therefore [pristine + the block's own accumulated delta] — a pure
-   function of the block's deterministic execution, independent of which
-   domain simulated which other blocks, at any [sim_jobs] width
-   (including 1: Kernel uses this path unconditionally).
+   A shared cell is private to its block, and a block runs on one
+   shard, so a shared add applies in place at once.
+
+   A global add is deferred. Each simulation shard owns one collector.
+   During the grid walk no atomic ever mutates global memory: the first
+   atomic touching a cell snapshots its pristine value, and every update
+   only grows the current block's private delta. The old value an
+   [Atomic_add] returns is therefore [pristine + the block's own
+   accumulated delta] — a pure function of the block's deterministic
+   execution, independent of which domain simulated which other blocks,
+   at any [sim_jobs] width (including 1: Kernel uses this path
+   unconditionally).
 
    After the shard join, [commit] applies the per-block deltas to global
    memory; Kernel commits shards in ascending order and each shard's
@@ -37,7 +41,7 @@ type cell = {
   mutable flushed : (int * int * float) list;
 }
 
-type t = { mem : Memory.t; cells : (int * int, cell) Hashtbl.t }
+type t = { mem : Memory.view; cells : (int * int, cell) Hashtbl.t }
 
 let create mem = { mem; cells = Hashtbl.create 64 }
 
@@ -81,29 +85,37 @@ let cell t ~block_id ~buffer ~offset ~is_float =
     c
 
 let addi t ~block_id ~buffer ~offset v =
-  let c = cell t ~block_id ~buffer ~offset ~is_float:false in
-  let old = c.base_i + c.cur_i in
-  c.cur_i <- c.cur_i + v;
-  old
+  if Memory.is_shared buffer then Memory.atomic_addi t.mem ~buffer_id:buffer ~offset v
+  else begin
+    let c = cell t ~block_id ~buffer ~offset ~is_float:false in
+    let old = c.base_i + c.cur_i in
+    c.cur_i <- c.cur_i + v;
+    old
+  end
 
 let addf t ~block_id ~buffer ~offset v =
-  let c = cell t ~block_id ~buffer ~offset ~is_float:true in
-  let old = c.base_f +. c.cur_f in
-  c.cur_f <- c.cur_f +. v;
-  old
+  if Memory.is_shared buffer then Memory.atomic_addf t.mem ~buffer_id:buffer ~offset v
+  else begin
+    let c = cell t ~block_id ~buffer ~offset ~is_float:true in
+    let old = c.base_f +. c.cur_f in
+    c.cur_f <- c.cur_f +. v;
+    old
+  end
 
 let add t ~block_id ~buffer ~offset v =
   match v with
   | Eval.Int x ->
-    (* Cell lookup first, narrowing second: unknown-buffer, OOB, and
-       type-mismatch failures precede the 63-bit fit failure, matching
-       [Memory.atomic_add]'s check order. *)
-    let c = cell t ~block_id ~buffer ~offset ~is_float:false in
-    let old = c.base_i + c.cur_i in
-    c.cur_i <- c.cur_i + Memory.fit x;
-    Eval.Int (Int64.of_int old)
+    (* The cell's unknown-buffer, out-of-bounds and type-mismatch
+       failures precede the 63-bit fit failure: adding 0 first runs
+       those checks and changes nothing. *)
+    ignore (addi t ~block_id ~buffer ~offset 0);
+    Eval.Int (Int64.of_int (addi t ~block_id ~buffer ~offset (Memory.fit x)))
   | Eval.Float x -> Eval.Float (addf t ~block_id ~buffer ~offset x)
-  | Eval.Ptr _ -> failwith "simulated memory: atomic_add type mismatch"
+  | Eval.Ptr _ ->
+    (* An in-place add checks its cell before the value's type; a
+       deferred one fails at once. *)
+    if Memory.is_shared buffer then ignore (addi t ~block_id ~buffer ~offset 0);
+    failwith "simulated memory: atomic_add type mismatch"
 
 let commit t =
   Hashtbl.iter

@@ -3,8 +3,7 @@ open Uu_support
 
 type t = {
   d : Device.t;
-  mem : Memory.t;
-  smem : Memory.shared_bank;
+  mem : Memory.view;
   dcache : Cache.t;
   icache : Layout.icache;
   races : Racecheck.t option;
@@ -34,12 +33,11 @@ type t = {
   mutable lead : int;  (* >= every live run's clock minus [m.cycles] *)
 }
 
-let create ?(runs = 1) d ~mem ~smem ~dcache ~icache ~races ~fn_name ~warp_id =
+let create ?(runs = 1) d ~mem ~dcache ~icache ~races ~fn_name ~warp_id =
   let ws = d.Device.warp_size in
   {
     d;
     mem;
-    smem;
     dcache;
     icache;
     races;
@@ -150,11 +148,10 @@ let sync t ~mask =
          t.fn_name t.warp_id t.block_id active t.lanes);
   issue t ~cycles:t.d.Device.sync_cost ~active
 
-let record_shared t r lane ~write =
-  let buffer = t.buf.(lane) in
+let record_shared t r lane access =
   Racecheck.record_shared r ~block_id:t.block_id
     ~thread_id:((t.warp_id * t.d.Device.warp_size) + lane)
-    ~slot:(-2 - buffer) ~offset:t.off.(lane) ~epoch:t.epoch ~write
+    ~slot:(Memory.shared_slot t.buf.(lane)) ~offset:t.off.(lane) ~epoch:t.epoch access
 
 (* The DRAM charge of an access that missed [misses] segments. *)
 let[@inline] dram_cycles d jitter misses =
@@ -176,31 +173,39 @@ let tally t misses ~dram =
    word); lanes with the same key share one transaction, or one
    broadcast word. Keys are deduplicated in first-touching-lane order, so
    the L1's LRU touch sequence is deterministic, and each distinct
-   shared word queues on its bank. Global keys are non-negative and
-   shared keys negative (shared ids are below -1), so one [seen] list
-   serves both spaces. *)
+   shared word queues on its bank. Buffer ids are distinct across the
+   two spaces, so one [seen] list serves both. Lanes of an access mostly
+   name one buffer, so [Memory] is asked a buffer's space and element
+   size once per run of lanes on it. *)
 let access t ~mask ~bytes ~write ~streams =
   let d = t.d in
   let active = ref 0 and shared = ref 0 and replays = ref 0 in
   let hits = ref 0 and misses = ref 0 and nseen = ref 0 in
+  (* The buffer last asked about (none yet: no id is [min_int]). *)
+  let cur = ref min_int and cur_shared = ref false and cur_esz = ref 0 in
   let mm = ref mask and l = ref 0 in
   while !mm <> 0 do
     if !mm land 1 <> 0 then begin
       incr active;
       let buffer = t.buf.(!l) and offset = t.off.(!l) in
-      let in_shared = buffer < -1 in
+      if buffer <> !cur then begin
+        cur := buffer;
+        cur_shared := Memory.is_shared buffer;
+        cur_esz := Memory.elt_size t.mem ~buffer_id:buffer
+      end;
+      let in_shared = !cur_shared in
       (match t.races with
-      | Some r when in_shared -> record_shared t r !l ~write
+      | Some r when in_shared ->
+        record_shared t r !l (if write then Racecheck.Write else Racecheck.Read)
       | Some r when write -> Racecheck.record r ~block_id:t.block_id ~buffer ~offset
       | _ -> ());
       let granule =
         if in_shared then begin
           if !shared = 0 then Array.fill t.banks 0 (Array.length t.banks) 0;
           incr shared;
-          let esz = Memory.shared_elt_size t.smem ~buffer_id:buffer in
-          offset * esz / d.Device.shared_bank_bytes
+          offset * !cur_esz / d.Device.shared_bank_bytes
         end
-        else offset * Memory.elt_size t.mem ~buffer_id:buffer / d.Device.transaction_bytes
+        else offset * !cur_esz / d.Device.transaction_bytes
       in
       let key = (buffer lsl 32) lor granule in
       let k = ref 0 in
@@ -269,7 +274,7 @@ let atomic t ~mask =
     while !mm <> 0 do
       if !mm land 1 <> 0 then begin
         let buffer = t.buf.(!l) in
-        if buffer < -1 then record_shared t r !l ~write:true
+        if Memory.is_shared buffer then record_shared t r !l Racecheck.Atomic
         else Racecheck.record_atomic r ~block_id:t.block_id ~buffer ~offset:t.off.(!l)
       end;
       incr l;

@@ -35,17 +35,17 @@ type t
 val create :
   ?runs:int ->
   Device.t ->
-  mem:Memory.t ->
-  smem:Memory.shared_bank ->
+  mem:Memory.view ->
   dcache:Cache.t ->
   icache:Layout.icache ->
   races:Racecheck.t option ->
   fn_name:string ->
   warp_id:int ->
   t
-(** [dcache] is the block's L1 over [(buffer lsl 32) lor segment] keys,
-    [icache] its instruction-line residency, [races] the shard's
-    collector; the slot's warps are warp [warp_id] of their block.
+(** [mem] is the shard's memory view, [dcache] the block's L1 over
+    [(buffer lsl 32) lor segment] keys, [icache] its instruction-line
+    residency, [races] the shard's collector; the slot's warps are warp
+    [warp_id] of their block.
     [runs] (default 1) is the number of clocks the slot keeps; its
     per-run arrays are allocated here, once per slot. *)
 
@@ -119,7 +119,7 @@ val store : t -> mask:int -> bytes:int -> unit
 
 val atomic : t -> mask:int -> unit
 (** An atomic add: serialized, one transaction per lane. Records shared
-    writes and global atomic updates. *)
+    and global atomic updates. *)
 
 (** {1 Clocks}
 

@@ -72,11 +72,6 @@ let popcount62 m =
   let m = (m + (m lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
   (m * 0x0101_0101_0101_0101) lsr 56
 
-let oob buffer offset len =
-  failwith
-    (Printf.sprintf "simulated memory: buffer %d access out of bounds (%d of %d)"
-       buffer offset len)
-
 (* Native-int integer ops, value-identical to [Eval.binop] over the
    sign-extended range the benchmarks live in. [Int64] fallbacks cover
    the corners where a 63-bit word could diverge (I64 unsigned division
@@ -259,7 +254,7 @@ let copy_f (r : float array) ~src (d : float array) ~dst ~mask ~full n =
     done
   end
 
-let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes =
+let make (env : Warp.env) (p : Decode.t) st cost ~block_id ~warp_id ~lanes =
   let ws = env.device.Device.warp_size in
   let blocks = p.Decode.blocks in
   let fregs = st.fregs and iregs = st.iregs in
@@ -514,9 +509,7 @@ let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes
       while !mm <> 0 do
         if !mm land 1 <> 0 then begin
           let buffer = Array.unsafe_get abuf !l and offset = Array.unsafe_get aoff !l in
-          Array.unsafe_set iregs (dst + !l)
-            (if buffer < -1 then Memory.shared_loadi smem ~buffer_id:buffer ~offset
-             else Memory.loadi env.mem ~buffer_id:buffer ~offset)
+          Array.unsafe_set iregs (dst + !l) (Memory.loadi env.mem ~buffer_id:buffer ~offset)
         end;
         incr l;
         mm := !mm lsr 1
@@ -528,12 +521,9 @@ let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes
       while !mm <> 0 do
         if !mm land 1 <> 0 then begin
           let buffer = Array.unsafe_get abuf !l and offset = Array.unsafe_get aoff !l in
-          let a =
-            if buffer < -1 then Memory.shared_fdata smem ~buffer_id:buffer
-            else Memory.fdata env.mem ~buffer_id:buffer
-          in
+          let a = Memory.fdata env.mem ~buffer_id:buffer in
           if offset < 0 || offset >= Array.length a then
-            oob buffer offset (Array.length a);
+            Memory.out_of_bounds buffer offset (Array.length a);
           Array.unsafe_set fregs (dst + !l) (Array.unsafe_get a offset)
         end;
         incr l;
@@ -541,18 +531,12 @@ let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes
       done;
       Cost.load cost ~mask ~bytes ~streams:!depth
     | Decode.D_pload { dst; addr; bytes } ->
-      (* Shared declarations hold only f64/i64 elements (see the
-         verifier), but alloca arenas may hold pointers; the bank raises
-         the usual type confusion on a non-P slot. *)
       stage mask addr;
       let mm = ref mask and l = ref 0 in
       while !mm <> 0 do
         if !mm land 1 <> 0 then begin
           let buffer = Array.unsafe_get abuf !l and offset = Array.unsafe_get aoff !l in
-          let vb, vo =
-            if buffer < -1 then Memory.shared_loadp smem ~buffer_id:buffer ~offset
-            else Memory.loadp env.mem ~buffer_id:buffer ~offset
-          in
+          let vb, vo = Memory.loadp env.mem ~buffer_id:buffer ~offset in
           Array.unsafe_set pbuf (dst + !l) vb;
           Array.unsafe_set poff (dst + !l) vo
         end;
@@ -566,9 +550,7 @@ let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes
       while !mm <> 0 do
         if !mm land 1 <> 0 then begin
           let buffer = Array.unsafe_get abuf !l and offset = Array.unsafe_get aoff !l in
-          let v = Array.unsafe_get iregs (value + !l) in
-          if buffer < -1 then Memory.shared_storei smem ~buffer_id:buffer ~offset v
-          else Memory.storei env.mem ~buffer_id:buffer ~offset v
+          Memory.storei env.mem ~buffer_id:buffer ~offset (Array.unsafe_get iregs (value + !l))
         end;
         incr l;
         mm := !mm lsr 1
@@ -580,12 +562,9 @@ let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes
       while !mm <> 0 do
         if !mm land 1 <> 0 then begin
           let buffer = Array.unsafe_get abuf !l and offset = Array.unsafe_get aoff !l in
-          let a =
-            if buffer < -1 then Memory.shared_fdata smem ~buffer_id:buffer
-            else Memory.fdata env.mem ~buffer_id:buffer
-          in
+          let a = Memory.fdata env.mem ~buffer_id:buffer in
           if offset < 0 || offset >= Array.length a then
-            oob buffer offset (Array.length a);
+            Memory.out_of_bounds buffer offset (Array.length a);
           Array.unsafe_set a offset (Array.unsafe_get fregs (value + !l))
         end;
         incr l;
@@ -593,18 +572,13 @@ let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes
       done;
       Cost.store cost ~mask ~bytes
     | Decode.D_pstore { addr; value; bytes } ->
-      (* Shared declarations hold only f64/i64 elements, but alloca
-         arenas may hold pointers; [shared_storep] raises the reference
-         engine's type confusion on a non-P slot. *)
       stage mask addr;
       let mm = ref mask and l = ref 0 in
       while !mm <> 0 do
         if !mm land 1 <> 0 then begin
           let buffer = Array.unsafe_get abuf !l and offset = Array.unsafe_get aoff !l in
           let vb = Array.unsafe_get pbuf (value + !l) and vo = Array.unsafe_get poff (value + !l) in
-          if buffer < -1 then
-            Memory.shared_storep smem ~buffer_id:buffer ~offset ~pbuffer:vb ~poffset:vo
-          else Memory.storep env.mem ~buffer_id:buffer ~offset ~pbuffer:vb ~poffset:vo
+          Memory.storep env.mem ~buffer_id:buffer ~offset ~pbuffer:vb ~poffset:vo
         end;
         incr l;
         mm := !mm lsr 1
@@ -617,9 +591,7 @@ let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes
         if !mm land 1 <> 0 then begin
           let buffer = Array.unsafe_get abuf !l and offset = Array.unsafe_get aoff !l in
           let v = Array.unsafe_get iregs (value + !l) in
-          Array.unsafe_set iregs (dst + !l)
-            (if buffer < -1 then Memory.shared_atomic_addi smem ~buffer_id:buffer ~offset v
-             else Atomics.addi env.atomics ~block_id ~buffer ~offset v)
+          Array.unsafe_set iregs (dst + !l) (Atomics.addi env.atomics ~block_id ~buffer ~offset v)
         end;
         incr l;
         mm := !mm lsr 1
@@ -632,9 +604,7 @@ let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes
         if !mm land 1 <> 0 then begin
           let buffer = Array.unsafe_get abuf !l and offset = Array.unsafe_get aoff !l in
           let v = Array.unsafe_get fregs (value + !l) in
-          Array.unsafe_set fregs (dst + !l)
-            (if buffer < -1 then Memory.shared_atomic_addf smem ~buffer_id:buffer ~offset v
-             else Atomics.addf env.atomics ~block_id ~buffer ~offset v)
+          Array.unsafe_set fregs (dst + !l) (Atomics.addf env.atomics ~block_id ~buffer ~offset v)
         end;
         incr l;
         mm := !mm lsr 1
@@ -700,7 +670,7 @@ let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes
          (block, allocation index within the block), so they are
          identical at any shard width, and the bank drops them wholesale
          at the next block entry. *)
-      let bid = Memory.bank_alloca smem ty ws in
+      let bid = Memory.alloca env.mem ty ws in
       let mm = ref mask and l = ref 0 in
       while !mm <> 0 do
         if !mm land 1 <> 0 then begin
@@ -947,11 +917,11 @@ let make (env : Warp.env) (p : Decode.t) st ~smem cost ~block_id ~warp_id ~lanes
   in
   { Scheduler.step; cost }
 
-let shard p (env : Warp.env) ~smem =
+let shard p (env : Warp.env) =
   let ws = env.device.Device.warp_size in
   (* One state per warp slot: the warps of a block are live concurrently
      under barrier scheduling, and each state is reused across every
      block of the shard. *)
   let states = Array.init ((env.block_dim + ws - 1) / ws) (fun _ -> state p env) in
   fun cost ~block_id ~warp_id ~lanes ->
-    make env p states.(warp_id) ~smem cost ~block_id ~warp_id ~lanes
+    make env p states.(warp_id) cost ~block_id ~warp_id ~lanes

@@ -8,13 +8,12 @@
 val shard :
   Decode.t ->
   Warp.env ->
-  smem:Memory.shared_bank ->
   Cost.t ->
   block_id:int ->
   warp_id:int ->
   lanes:int ->
   Scheduler.warp
-(** [shard prog env ~smem] allocates one register-file state per warp
+(** [shard prog env] allocates one register-file state per warp
     slot of a block and returns the shard's warp constructor, with
     {!Warp.make}'s contract. The states are reused by every block of the
     shard; suspension at a barrier stores only an instruction index, so

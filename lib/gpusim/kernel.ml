@@ -48,17 +48,13 @@ let bind_args fn args =
           (Printf.sprintf "launch @%s: scalar argument mismatch for %s (%s)"
              fn.Func.name p.pname (Types.to_string ty)))
     params args
-  (* Shared declarations bind like extra pointer params: slot [k] points
-     at shared buffer [-2 - k], constant for the whole launch (the bank
+  (* Shared declarations bind like extra pointer params: declaration [k]
+     points at bank slot [k], constant for the whole launch (the bank
      itself is per-shard and zero-reset at block entry). *)
   @ List.mapi
       (fun k (s : Func.shared) ->
-        (s.Func.s_var, Eval.Ptr { buffer = -2 - k; offset = 0 }))
+        (s.Func.s_var, Eval.Ptr { buffer = Memory.shared_id k; offset = 0 }))
       fn.Func.shared
-
-let shared_bank fn =
-  Memory.shared_create
-    (List.map (fun (s : Func.shared) -> (s.Func.s_elt, s.Func.s_size)) fn.Func.shared)
 
 type engine = Reference | Decoded
 
@@ -147,12 +143,16 @@ let exec_runs ?(config = default_config) ~noises mem fn ~grid_dim ~block_dim ~ar
      (run, launch, block, warp), never of which domain simulated the
      block or in what order. *)
   let launch_seeds = Array.map (Option.map Rng.next) noises in
+  let shared_decls =
+    List.map (fun (s : Func.shared) -> (s.Func.s_elt, s.Func.s_size)) fn.Func.shared
+  in
   (* Run one shard of blocks with worker-private sinks and per-block
      state — a shared bank, L1 and icache reset at every block entry (the
      per-SM model, so every block starts cold) and one [Cost] slot per
      warp of a block, holding every run's clock. *)
   let run_shard ~lo ~hi =
-    let s_atomics = Atomics.create mem in
+    let view = Memory.view mem shared_decls in
+    let s_atomics = Atomics.create view in
     let s_races = Option.map (fun _ -> Racecheck.create ()) races in
     (* A shard's trace copies the destination's limit so sharded
        truncation matches serial truncation (see [Trace.append]). *)
@@ -161,7 +161,7 @@ let exec_runs ?(config = default_config) ~noises mem fn ~grid_dim ~block_dim ~ar
       {
         Warp.device;
         fn;
-        mem;
+        mem = view;
         args = bound;
         block_dim;
         grid_dim;
@@ -170,13 +170,12 @@ let exec_runs ?(config = default_config) ~noises mem fn ~grid_dim ~block_dim ~ar
         atomics = s_atomics;
       }
     in
-    let smem = shared_bank fn in
-    let make_warp = engine_shard env ~smem in
+    let make_warp = engine_shard env in
     let icache = Layout.icache_create device in
     let dcache = Cache.create ~capacity:device.Device.l1_lines in
     let costs =
       Array.init wpb (fun warp_id ->
-          Cost.create ~runs device ~mem ~smem ~dcache ~icache ~races:s_races ~fn_name
+          Cost.create ~runs device ~mem:view ~dcache ~icache ~races:s_races ~fn_name
             ~warp_id)
     in
     let streams = Array.make runs None in
@@ -184,7 +183,7 @@ let exec_runs ?(config = default_config) ~noises mem fn ~grid_dim ~block_dim ~ar
     for block_id = lo to hi - 1 do
       Cache.reset icache;
       Cache.reset dcache;
-      Memory.shared_reset smem;
+      Memory.shared_reset view;
       for run = 0 to runs - 1 do
         streams.(run) <-
           (match launch_seeds.(run) with

@@ -91,8 +91,8 @@ val exec :
 (** Execute the kernel over [grid_dim] blocks of [block_dim] threads
     under the given configuration (default {!default_config}).
     Every block gets its own cold L1 data cache, icache residency,
-    zeroed shared-memory bank (one [Memory.shared_bank] per worker,
-    reset at block entry), and noise stream (the per-SM model), so block
+    zeroed shared-memory bank (one per shard's {!Memory.view}, reset at
+    block entry), and noise stream (the per-SM model), so block
     results are independent of grid execution order. Within a block the
     warps are resumable computations driven by the barrier scheduler
     ({!Scheduler.run_block}): they run in ascending warp order until

@@ -19,9 +19,22 @@
    barrier scheduler advances a block-global epoch each time it releases
    a __syncthreads barrier, and two threads of the same block conflict
    iff they touch the same shared cell in the same epoch with at least
-   one write from a thread the other is not. *)
+   one write from a thread the other is not. Atomic updates are logged
+   apart: they commute with each other, so a cell only atomics touched
+   never races, but an atomic and a plain access by another thread do. *)
 
-type shared_cell = { mutable s_writers : int list; mutable s_readers : int list }
+(* Bump whenever the report a launch produces for the same inputs
+   changes; race-checked request keys fold it in. "2": a shared cell
+   that only atomics touch never races. *)
+let version = "2"
+
+type access = Read | Write | Atomic
+
+type shared_cell = {
+  mutable s_writers : int list;
+  mutable s_readers : int list;
+  mutable s_atomics : int list;
+}
 
 type t = {
   (* cell -> distinct blocks that plain-wrote it, most recent first *)
@@ -68,23 +81,23 @@ let record_atomic t ~block_id ~buffer ~offset =
   t.atomic_updates <- t.atomic_updates + 1;
   add_block t.atomics (buffer, offset) block_id
 
-let record_shared t ~block_id ~thread_id ~slot ~offset ~epoch ~write =
+let add_thread l thread_id = if List.mem thread_id l then l else thread_id :: l
+
+let record_shared t ~block_id ~thread_id ~slot ~offset ~epoch access =
   t.shared_accesses <- t.shared_accesses + 1;
   let key = (block_id, slot, offset, epoch) in
   let cell =
     match Hashtbl.find_opt t.shared key with
     | Some c -> c
     | None ->
-      let c = { s_writers = []; s_readers = [] } in
+      let c = { s_writers = []; s_readers = []; s_atomics = [] } in
       Hashtbl.add t.shared key c;
       c
   in
-  if write then begin
-    if not (List.mem thread_id cell.s_writers) then
-      cell.s_writers <- thread_id :: cell.s_writers
-  end
-  else if not (List.mem thread_id cell.s_readers) then
-    cell.s_readers <- thread_id :: cell.s_readers
+  match access with
+  | Write -> cell.s_writers <- add_thread cell.s_writers thread_id
+  | Read -> cell.s_readers <- add_thread cell.s_readers thread_id
+  | Atomic -> cell.s_atomics <- add_thread cell.s_atomics thread_id
 
 let writes t = t.writes
 let cells t = Hashtbl.length t.writers
@@ -131,17 +144,13 @@ let merge ~into src =
     (fun key c ->
       match Hashtbl.find_opt into.shared key with
       | Some dst ->
-        List.iter
-          (fun w ->
-            if not (List.mem w dst.s_writers) then dst.s_writers <- w :: dst.s_writers)
-          (List.rev c.s_writers);
-        List.iter
-          (fun r ->
-            if not (List.mem r dst.s_readers) then dst.s_readers <- r :: dst.s_readers)
-          (List.rev c.s_readers)
+        let merge into src = List.fold_left add_thread into (List.rev src) in
+        dst.s_writers <- merge dst.s_writers c.s_writers;
+        dst.s_readers <- merge dst.s_readers c.s_readers;
+        dst.s_atomics <- merge dst.s_atomics c.s_atomics
       | None ->
         Hashtbl.add into.shared key
-          { s_writers = c.s_writers; s_readers = c.s_readers })
+          { s_writers = c.s_writers; s_readers = c.s_readers; s_atomics = c.s_atomics })
     src.shared
 
 let shared_races t =
@@ -150,19 +159,25 @@ let shared_races t =
       let racy_readers =
         List.filter (fun r -> not (List.mem r c.s_writers)) c.s_readers
       in
-      let conflict =
+      let plain_conflict =
         match c.s_writers with
         | [] -> false
         | [ _ ] -> racy_readers <> []
         | _ :: _ :: _ -> true
       in
-      if conflict then
+      let plain = c.s_writers @ c.s_readers in
+      let atomic_conflict =
+        List.exists (fun a -> List.exists (fun p -> p <> a) plain) c.s_atomics
+      in
+      if plain_conflict || atomic_conflict then
         {
           s_block = block;
           s_slot = slot;
           s_offset = offset;
           s_epoch = epoch;
-          s_threads = List.sort_uniq compare (c.s_writers @ racy_readers);
+          s_threads =
+            List.sort_uniq compare
+              (c.s_writers @ racy_readers @ if atomic_conflict then c.s_atomics else []);
         }
         :: acc
       else acc)

@@ -16,7 +16,9 @@
     check instead: every shared access is logged against the barrier
     interval ("epoch") it happened in, and {!shared_races} lists the
     cells where two threads of one block conflicted between barriers
-    (two distinct writers, or a writer plus an independent reader).
+    (two distinct writers, a writer plus an independent reader, or an
+    atomic update plus a plain access by another thread). Atomic updates
+    commute, so a cell only atomics touched never races.
 
     Race checking no longer forces a serial launch: a sharded launch
     gives every shard a fresh private collector and {!merge}s them into
@@ -25,6 +27,15 @@
     serial run's at any [sim_jobs] width. *)
 
 type t
+
+val version : string
+(** Bumped whenever the report a launch produces for the same inputs
+    changes; the keys of race-checked requests fold it in, so a cached
+    report from older rules is never served. *)
+
+type access = Read | Write | Atomic
+(** How a shared access touched its cell: a plain load, a plain store, or
+    an atomic update. *)
 
 type overlap = {
   buffer : int;
@@ -45,13 +56,13 @@ type shared_race = {
 val create : unit -> t
 
 val record : t -> block_id:int -> buffer:int -> offset:int -> unit
-(** Called by the warp engines on every global plain store, once per
-    active lane. Shared stores must NOT be recorded here — their ids
-    repeat across blocks and would report false overlaps. *)
+(** Called by {!Cost} on every global plain store, once per active
+    lane. Shared stores must NOT be recorded here — their ids repeat
+    across blocks and would report false overlaps. *)
 
 val record_atomic : t -> block_id:int -> buffer:int -> offset:int -> unit
-(** Called by the warp engines on every global [Atomic_add], once per
-    active lane. Atomic-only cells never count as overlaps; a cell both
+(** Called by {!Cost} on every global [Atomic_add], once per active
+    lane. Atomic-only cells never count as overlaps; a cell both
     plain-written and atomically updated by distinct blocks does. *)
 
 val merge : into:t -> t -> unit
@@ -67,10 +78,10 @@ val record_shared :
   slot:int ->
   offset:int ->
   epoch:int ->
-  write:bool ->
+  access ->
   unit
-(** Called by the warp engines on every shared load, store, and atomic
-    update, once per active lane. [thread_id] is the flat thread index
+(** Called by {!Cost} on every shared load, store, and atomic update,
+    once per active lane. [thread_id] is the flat thread index
     within the block ([warp_id * warp_size + lane]); [epoch] is the
     block-global barrier interval maintained by the scheduler — the
     number of [__syncthreads] barriers the block has released so far. *)
@@ -88,7 +99,8 @@ val atomic_cells : t -> int
 (** Distinct global (buffer, offset) cells atomically updated. *)
 
 val shared_accesses : t -> int
-(** Total shared accesses recorded (lane grain, reads and writes). *)
+(** Total shared accesses recorded (lane grain: reads, writes and
+    atomic updates). *)
 
 val overlaps : t -> overlap list
 (** Cells plain-written by ≥ 2 distinct blocks, plus cells plain-written
@@ -99,10 +111,13 @@ val overlaps : t -> overlap list
 
 val shared_races : t -> shared_race list
 (** Shared cells touched by conflicting threads of one block within a
-    single barrier interval: at least two distinct writers, or one
-    writer plus a reader that is not the writer. Sorted by
-    (block, slot, offset, epoch). Empty means the kernel's shared
-    accesses are properly synchronized for this input. *)
+    single barrier interval: at least two distinct plain writers, one
+    writer plus a reader that is not the writer, or an atomic update
+    plus a plain access by another thread. [s_threads] names the plain
+    writers and readers, and the atomic updaters when an atomic
+    conflicted. Sorted by (block, slot, offset, epoch). Empty means the
+    kernel's shared accesses are properly synchronized for this
+    input. *)
 
 val report : t -> string
 (** Human-readable summary covering both checks, one line per

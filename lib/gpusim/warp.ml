@@ -1,15 +1,15 @@
 open Uu_ir
 open Uu_support
 
-(* Launch-wide state that is immutable (or, for [mem], written at
-   block-disjoint cells) during the grid walk, plus the shard-private
-   sinks: [Kernel] builds one base env per launch and one copy per shard
-   with a fresh [tracer] and [atomics], so nothing here is ever mutated
-   by two domains. *)
+(* Launch-wide state that is immutable during the grid walk, plus the
+   shard's memory view and private sinks: [Kernel] builds one env per
+   shard with its own [mem] view, [tracer] and [atomics], so nothing here
+   is ever mutated by two domains (global memory is written only at
+   block-disjoint cells). *)
 type env = {
   device : Device.t;
   fn : Func.t;
-  mem : Memory.t;
+  mem : Memory.view;
   args : (Value.var * Eval.rvalue) list;
   block_dim : int;
   grid_dim : int;
@@ -30,7 +30,7 @@ let default_of_ty = function
   | Types.Ptr _ -> Eval.Ptr { buffer = -1; offset = 0 }
   | Types.Void -> Eval.Int 0L
 
-let make ~layout ~ipdom env ~smem cost ~block_id ~warp_id ~lanes =
+let make ~layout ~ipdom env cost ~block_id ~warp_id ~lanes =
   let d = env.device in
   let fn = env.fn in
   let nvars = fn.Func.next_var in
@@ -103,10 +103,7 @@ let make ~layout ~ipdom env ~smem cost ~block_id ~warp_id ~lanes =
       Mask.iter
         (fun lane ->
           let buffer, offset = address lane addr in
-          regs.(lane).(dst) <-
-            (if Memory.is_shared buffer then
-               Memory.shared_load smem ~buffer_id:buffer ~offset
-             else Memory.load env.mem ~buffer_id:buffer ~offset))
+          regs.(lane).(dst) <- Memory.load env.mem ~buffer_id:buffer ~offset)
         mask;
       Cost.load cost ~mask:(Mask.bits mask) ~bytes:(Types.size_bytes ty)
         ~streams:(List.length !stack)
@@ -114,19 +111,14 @@ let make ~layout ~ipdom env ~smem cost ~block_id ~warp_id ~lanes =
       Mask.iter
         (fun lane ->
           let buffer, offset = address lane addr in
-          if Memory.is_shared buffer then
-            Memory.shared_store smem ~buffer_id:buffer ~offset (eval lane value)
-          else Memory.store env.mem ~buffer_id:buffer ~offset (eval lane value))
+          Memory.store env.mem ~buffer_id:buffer ~offset (eval lane value))
         mask;
       Cost.store cost ~mask:(Mask.bits mask) ~bytes:(Types.size_bytes ty)
     | Instr.Atomic_add { dst; addr; value; _ } ->
       Mask.iter
         (fun lane ->
           let buffer, offset = address lane addr in
-          regs.(lane).(dst) <-
-            (if Memory.is_shared buffer then
-               Memory.shared_atomic_add smem ~buffer_id:buffer ~offset (eval lane value)
-             else Atomics.add env.atomics ~block_id ~buffer ~offset (eval lane value)))
+          regs.(lane).(dst) <- Atomics.add env.atomics ~block_id ~buffer ~offset (eval lane value))
         mask;
       Cost.atomic cost ~mask:(Mask.bits mask)
     | Instr.Intrinsic { dst; op; args } ->
@@ -154,7 +146,7 @@ let make ~layout ~ipdom env ~smem cost ~block_id ~warp_id ~lanes =
          (block, allocation index within the block), so they are
          identical at any shard width, and the bank drops them wholesale
          at the next block entry. *)
-      let bid = Memory.bank_alloca smem ty d.Device.warp_size in
+      let bid = Memory.alloca env.mem ty d.Device.warp_size in
       Mask.iter
         (fun lane -> regs.(lane).(dst) <- Eval.Ptr { buffer = bid; offset = lane })
         mask;

@@ -28,7 +28,7 @@ open Uu_ir
 type env = {
   device : Device.t;
   fn : Func.t;
-  mem : Memory.t;
+  mem : Memory.view;  (** global memory and the shard's shared bank *)
   args : (Value.var * Eval.rvalue) list;  (** parameter bindings *)
   block_dim : int;
   grid_dim : int;
@@ -37,29 +37,28 @@ type env = {
   atomics : Atomics.t;  (** shard-private deferred atomics view *)
 }
 (** What both engines run under: launch-wide state, immutable during the
-    grid walk (or, for [mem], written at block-disjoint cells), plus
-    shard-private sinks — {!Kernel} gives every shard its own copy with
-    a fresh [tracer] and [atomics], so no field is ever mutated by two
-    domains. The per-block state — shared bank, caches, noise — is
-    owned by the launch loop and reaches a warp as [smem] and its
-    {!Cost.t}. *)
+    grid walk, plus the shard's memory view and private sinks — {!Kernel}
+    gives every shard its own copy with a fresh [mem] view, [tracer] and
+    [atomics], so no field is ever mutated by two domains (global memory
+    is written only at block-disjoint cells). The per-block state —
+    caches, noise — is owned by the launch loop and reaches a warp
+    through its {!Cost.t}. *)
 
 val make :
   layout:Layout.t ->
   ipdom:(Value.label -> Value.label option) ->
   env ->
-  smem:Memory.shared_bank ->
   Cost.t ->
   block_id:int ->
   warp_id:int ->
   lanes:int ->
   Scheduler.warp
-(** The reference engine. [make ~layout ~ipdom env ~smem] is a shard's
-    warp constructor: it creates one resumable warp of [lanes] ≤ warp
-    size threads (lane 0 is thread [warp_id * warp_size] of block
+(** The reference engine. [make ~layout ~ipdom env] is a shard's warp
+    constructor: it creates one resumable warp of [lanes] ≤ warp size
+    threads (lane 0 is thread [warp_id * warp_size] of block
     [block_id]), charging through [cost], which {!Cost.start} has armed
-    for it. [smem] is the block's shared-memory bank, [layout] gives each
-    block's icache lines, [ipdom] the immediate post-dominators. The
+    for it. [layout] gives each block's icache lines, [ipdom] the
+    immediate post-dominators. The
     warp's [step] raises [Failure] on interpreter errors (out-of-bounds
     access, type confusion, a barrier under a partial lane mask) or when
     run 0 exceeds [max_warp_cycles] ({!Cost.guard}). *)

@@ -14,14 +14,6 @@ let defs b =
   List.map (fun (p : Instr.phi) -> p.dst) b.phis
   @ List.filter_map Instr.def b.instrs
 
-let phi_incoming b pred =
-  let lookup (p : Instr.phi) =
-    match List.assoc_opt pred p.incoming with
-    | Some v -> (p, v)
-    | None -> raise Not_found
-  in
-  List.map lookup b.phis
-
 let map_values f b =
   let map_phi (p : Instr.phi) =
     { p with incoming = List.map (fun (l, v) -> (l, f v)) p.incoming }
@@ -29,12 +21,6 @@ let map_values f b =
   b.phis <- List.map map_phi b.phis;
   b.instrs <- List.map (Instr.map_values f) b.instrs;
   b.term <- Instr.term_map_values f b.term
-
-let rename_incoming ~from_ ~to_ b =
-  let rename (p : Instr.phi) =
-    { p with incoming = List.map (fun (l, v) -> ((if l = from_ then to_ else l), v)) p.incoming }
-  in
-  b.phis <- List.map rename b.phis
 
 let remove_incoming pred b =
   let drop (p : Instr.phi) =

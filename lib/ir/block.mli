@@ -17,15 +17,8 @@ val successors : t -> Value.label list
 val defs : t -> Value.var list
 (** Registers defined by the block's phis and instructions, in order. *)
 
-val phi_incoming : t -> Value.label -> (Instr.phi * Value.t) list
-(** For each phi, the value flowing in from the given predecessor.
-    @raise Not_found if some phi has no entry for that predecessor. *)
-
 val map_values : (Value.t -> Value.t) -> t -> unit
 (** Rewrite every operand in phis, instructions, and the terminator. *)
-
-val rename_incoming : from_:Value.label -> to_:Value.label -> t -> unit
-(** Retarget phi incoming entries from one predecessor label to another. *)
 
 val remove_incoming : Value.label -> t -> unit
 (** Drop phi incoming entries for a predecessor that no longer branches

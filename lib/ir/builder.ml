@@ -54,10 +54,3 @@ let cond_br b cond if_true if_false =
     Instr.Cond_br { cond; if_true = if_true.Block.label; if_false = if_false.Block.label }
 
 let ret b v = b.cur.Block.term <- Instr.Ret v
-
-let global_thread_id b =
-  let bid = special ~hint:"bid" b Instr.Block_idx in
-  let bdim = special ~hint:"bdim" b Instr.Block_dim in
-  let tid = special ~hint:"tid" b Instr.Thread_idx in
-  let base = binop ~hint:"blk_base" b Instr.Mul Types.I32 bid bdim in
-  binop ~hint:"gtid" b Instr.Add Types.I32 base tid

@@ -37,7 +37,3 @@ val phi : ?hint:string -> t -> Types.t -> (Value.label * Value.t) list -> Value.
 val br : t -> Block.t -> unit
 val cond_br : t -> Value.t -> Block.t -> Block.t -> unit
 val ret : t -> Value.t option -> unit
-
-val global_thread_id : t -> Value.t
-(** Emits [block_idx * block_dim + thread_idx] as an i32 value — the
-    CUDA global thread id idiom used throughout the benchmarks. *)

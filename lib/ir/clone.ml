@@ -84,9 +84,6 @@ let replace_uses_with_values f subst =
         | Value.Imm_int _ | Value.Imm_float _ | Value.Undef _ -> v)
       f
 
-let replace_uses f subst =
-  replace_uses_with_values f (Value.Var_map.map (fun v -> Value.Var v) subst)
-
 let apply_subst f subst =
   let rec resolve seen v =
     match v with

@@ -21,11 +21,9 @@ val map_label : mapping -> Value.label -> Value.label
 
 val map_value : mapping -> Value.t -> Value.t
 
-val replace_uses : Func.t -> Value.var Value.Var_map.t -> unit
+val replace_uses_with_values : Func.t -> Value.t Value.Var_map.t -> unit
 (** Substitute register uses throughout the function (definitions are not
     renamed). *)
-
-val replace_uses_with_values : Func.t -> Value.t Value.Var_map.t -> unit
 
 val apply_subst : Func.t -> Value.t Value.Var_map.t -> unit
 (** Like {!replace_uses_with_values} but first resolves substitution

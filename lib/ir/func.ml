@@ -136,9 +136,7 @@ let fold_blocks g f init =
     (fun acc l -> match find_block f l with Some b -> g b acc | None -> acc)
     init (labels f)
 let var_hint f v = Hashtbl.find_opt f.var_hints v
-let set_var_hint f v h = Hashtbl.replace f.var_hints v h
 let param_vars f = List.map (fun p -> p.pvar) f.params
-let param_of_var f v = List.find_opt (fun p -> p.pvar = v) f.params
 
 (* Append a shared declaration; the register is ready to use as a
    [Ptr s_elt]. When [var] is given (the IR parser round-tripping a
@@ -156,8 +154,6 @@ let declare_shared ?var f ~name ~elt ~size =
   let s = { s_var = v; s_elt = elt; s_size = size; s_name = name } in
   f.shared <- f.shared @ [ s ];
   s
-
-let shared_of_var f v = List.find_opt (fun s -> s.s_var = v) f.shared
 
 let instr_count f =
   fold_blocks

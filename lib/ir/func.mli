@@ -76,18 +76,13 @@ val iter_blocks : (Block.t -> unit) -> t -> unit
 
 val fold_blocks : (Block.t -> 'a -> 'a) -> t -> 'a -> 'a
 val var_hint : t -> Value.var -> string option
-val set_var_hint : t -> Value.var -> string -> unit
 val param_vars : t -> Value.var list
-
-val param_of_var : t -> Value.var -> param option
 
 val declare_shared :
   ?var:Value.var -> t -> name:string -> elt:Types.t -> size:int -> shared
 (** Append a shared-array declaration, allocating a fresh pointer
     register for it (or registering [var] when the IR parser supplies
     one). @raise Invalid_argument on a non-positive size. *)
-
-val shared_of_var : t -> Value.var -> shared option
 
 val instr_count : t -> int
 (** Total instruction count (phis and terminators included), the basis of

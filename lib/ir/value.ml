@@ -26,12 +26,6 @@ let is_const = function
 
 let as_var = function Var v -> Some v | Imm_int _ | Imm_float _ | Undef _ -> None
 
-let const_ty = function
-  | Var _ -> None
-  | Imm_int (_, ty) -> Some ty
-  | Imm_float _ -> Some Types.F64
-  | Undef ty -> Some ty
-
 module Int_ord = struct
   type t = int
 

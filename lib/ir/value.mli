@@ -27,9 +27,6 @@ val is_const : t -> bool
 
 val as_var : t -> var option
 
-val const_ty : t -> Types.t option
-(** Type of an immediate or [Undef]; [None] for variables. *)
-
 module Var_map : Map.S with type key = var
 module Var_set : Set.S with type elt = var
 module Label_map : Map.S with type key = label

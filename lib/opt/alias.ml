@@ -43,8 +43,6 @@ let rec decompose t v =
       | Some _ | None -> (Unknown, Value.i64 0L)))
   | Value.Imm_int _ | Value.Imm_float _ | Value.Undef _ -> (Unknown, Value.i64 0L)
 
-let must_alias _t a b = Value.equal a b
-
 let const_index = function
   | Value.Imm_int (n, _) -> Some n
   | Value.Var _ | Value.Imm_float _ | Value.Undef _ -> None

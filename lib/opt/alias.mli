@@ -15,7 +15,4 @@ val create : Func.t -> t
 (** Snapshot the function's definitions (call again after passes that
     change address computations). *)
 
-val must_alias : t -> Value.t -> Value.t -> bool
-(** Same SSA pointer value. *)
-
 val may_alias : t -> Value.t -> Value.t -> bool

@@ -4,8 +4,6 @@ open Uu_ir
 type t = { name : string; run : Func.t -> bool }
 
 type report = {
-  pass_times : (string * float) list;
-  total_time : float;
   work : int;
   changed : bool;
   stats : (string * int) list;
@@ -37,9 +35,11 @@ let verify_now f =
   Verifier.check_exn f;
   Uu_analysis.Ssa_check.check_exn f
 
+(* Run [passes] once, in order: the loop behind [exec] and each round of
+   a [fixpoint]. Returns the instructions walked and whether any pass
+   changed [f]. *)
 let run_passes ~verify ~budget ~deadline passes f =
   let changed = ref false in
-  let times = ref [] in
   let work = ref 0 in
   let t_start = Clock.now () in
   List.iter
@@ -51,7 +51,6 @@ let run_passes ~verify ~budget ~deadline passes f =
           (Timeout
              { pipeline = pass.name; elapsed = Clock.now () -. t_start; budget })
       | _ -> ());
-      let t0 = Clock.now () in
       let c =
         try pass.run f
         with
@@ -61,10 +60,8 @@ let run_passes ~verify ~budget ~deadline passes f =
             (Printf.sprintf "pass %s raised on @%s: %s" pass.name f.Func.name
                (Printexc.to_string e))
       in
-      let dt = Clock.now () -. t0 in
-      times := (pass.name, dt) :: !times;
       (* Deterministic compile-cost metric: the instructions this pass
-         just walked. Unlike the wall-clock times it is identical across
+         just walked. Unlike wall-clock time it is identical across
          machines, domains, and reruns, so downstream consumers (the
          harness's compile-time ratios) stay reproducible. *)
       work := !work + Func.instr_count f;
@@ -74,31 +71,25 @@ let run_passes ~verify ~budget ~deadline passes f =
         with Failure msg ->
           failwith (Printf.sprintf "after pass %s: %s" pass.name msg))
     passes;
-  (List.rev !times, Clock.now () -. t_start, !work, !changed)
+  (!work, !changed)
 
 let exec ?(options = default_options) passes f =
   let { verify; remarks; timeout } = options in
   let deadline = Option.map (fun budget -> Clock.now () +. budget) timeout in
   let before = Statistic.snapshot () in
   let body () = run_passes ~verify ~budget:timeout ~deadline passes f in
-  let pass_times, total_time, work, changed =
+  let work, changed =
     match remarks with Some sink -> Remark.with_sink sink body | None -> body ()
   in
-  {
-    pass_times;
-    total_time;
-    work;
-    changed;
-    stats = Statistic.diff ~before ~after:(Statistic.snapshot ());
-  }
+  { work; changed; stats = Statistic.diff ~before ~after:(Statistic.snapshot ()) }
 
 let fixpoint ?(max_rounds = 8) name passes =
   let run f =
     let rec go round any =
       if round >= max_rounds then any
       else begin
-        let r = exec ~options:unverified passes f in
-        if r.changed then go (round + 1) true else any
+        let _, changed = run_passes ~verify:false ~budget:None ~deadline:None passes f in
+        if changed then go (round + 1) true else any
       end
     in
     go 0 false

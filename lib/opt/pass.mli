@@ -1,8 +1,9 @@
 (** Passes and the pass manager.
 
     A pass is a named function-level transform reporting whether it
-    changed anything. The manager runs a pipeline, times every pass (the
-    basis of the paper's compile-time measurements, Fig. 6c), and — unless
+    changed anything. The manager runs a pipeline, counts the work of
+    every pass (the basis of the paper's compile-time measurements,
+    Fig. 6c), and — unless
     disabled — verifies structural, type, and SSA-dominance well-formedness
     after each pass, failing fast on the first broken invariant.
 
@@ -23,12 +24,10 @@ open Uu_ir
 type t = { name : string; run : Func.t -> bool }
 
 type report = {
-  pass_times : (string * float) list;  (** seconds per executed pass, in order *)
-  total_time : float;
   work : int;
       (** deterministic compile-cost metric: instructions walked, summed
-          over executed passes. Unlike the wall-clock fields it is
-          identical across machines, domains, and reruns — the harness's
+          over executed passes. Unlike wall-clock time it is identical
+          across machines, domains, and reruns — the harness's
           compile-time ratios (Fig. 6c) are computed from it so parallel
           and serial sweeps agree bit for bit *)
   changed : bool;
@@ -69,8 +68,10 @@ val exec : ?options:options -> t list -> Func.t -> report
 
 val fixpoint : ?max_rounds:int -> string -> t list -> t
 (** A pass that repeats the given sub-pipeline until no sub-pass changes
-    anything (or [max_rounds], default 8, is hit). Verification of the
-    sub-passes happens at the granularity of the combined pass. *)
+    anything (or [max_rounds], default 8, is hit). Each round runs the
+    sub-passes through {!exec}'s loop, without its statistics snapshot;
+    verification of the sub-passes happens at the granularity of the
+    combined pass. *)
 
 val verify_now : Func.t -> unit
 (** The checks the manager runs between passes.

@@ -320,15 +320,6 @@ let server_of_json j =
   | None -> Error "frame without a frame tag"
 
 let write_client oc msg = write_frame oc (client_to_json msg)
-let write_server oc msg = write_frame oc (server_to_json msg)
-
-let read_client ic =
-  match read_frame ic with
-  | None -> None
-  | Some j -> (
-    match client_of_json j with
-    | Ok msg -> Some msg
-    | Error e -> fail "%s" e)
 
 let read_server ic =
   match read_frame ic with

@@ -108,9 +108,6 @@ val server_to_json : server_msg -> Uu_support.Json.t
 val server_of_json : Uu_support.Json.t -> (server_msg, string) result
 
 val write_client : out_channel -> client_msg -> unit
-val write_server : out_channel -> server_msg -> unit
-
-val read_client : in_channel -> client_msg option
 val read_server : in_channel -> server_msg option
 (** Framing + codec in one step; [None] on clean EOF.
     @raise Protocol_error on malformed traffic. *)

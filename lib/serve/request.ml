@@ -118,9 +118,11 @@ let work_string r =
    A schedule spec is the job graph's spec, field for field, so the
    keys of untargeted jobs (and Table I's noise seeds, derived from
    them) stay where they were; knobs a job never set are appended only
-   when set. *)
+   when set. A race-checked request names the race report's version, so
+   only its key moves when the report's rules change. *)
 let spec ?(version = Pipelines.version)
     ?(sim_version = Uu_gpusim.Kernel.semantics_version) r =
+  let races = if r.check_races then "v" ^ Uu_gpusim.Racecheck.version else "false" in
   match r.mode with
   | Schedule protocol ->
     let app = match r.source with App name -> name | s -> source_spec s in
@@ -133,15 +135,15 @@ let spec ?(version = Pipelines.version)
         (match r.noise_seed with
         | None -> ""
         | Some s -> ";noise=" ^ Int64.to_string s);
-        (if r.check_races then ";races=true" else "");
+        (if r.check_races then ";races=" ^ races else "");
         (if r.trace then ";trace=true" else "");
       ]
   | Compile | Run ->
     Printf.sprintf
-      "serve;v%s;sim=%s;mode=%s;source=%s;config=%s;loop=%s;shape=%dx%dx%d;races=%b;trace=%b;noise=%s;work=%s"
+      "serve;v%s;sim=%s;mode=%s;source=%s;config=%s;loop=%s;shape=%dx%dx%d;races=%s;trace=%b;noise=%s;work=%s"
       version sim_version (mode_string r.mode) (source_spec r.source)
       (Pipelines.config_to_string r.config)
-      (target_string r) r.grid_dim r.block_dim r.elems r.check_races r.trace
+      (target_string r) r.grid_dim r.block_dim r.elems races r.trace
       (match r.noise_seed with None -> "-" | Some s -> Int64.to_string s)
       (work_string r)
 

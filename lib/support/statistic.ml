@@ -56,8 +56,6 @@ let merge a b =
   Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let reset_all () = Hashtbl.iter (fun _ r -> r := 0) (Domain.DLS.get registry_key)
-
 let render stats =
   match stats with
   | [] -> "(no statistics collected)\n"

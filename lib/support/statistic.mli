@@ -35,8 +35,5 @@ val diff : before:(string * int) list -> after:(string * int) list -> (string * 
 val merge : (string * int) list -> (string * int) list -> (string * int) list
 (** Pointwise sum of two deltas, sorted by name. *)
 
-val reset_all : unit -> unit
-(** Zero every registered counter (test isolation only). *)
-
 val render : (string * int) list -> string
 (** Aligned [name  value] lines, one per counter. *)

@@ -15,28 +15,28 @@ let test_memory_round_trip () =
   check (Alcotest.array (Alcotest.float 0.0)) "read back" [| 1.5; 2.5 |] (Memory.read_f64 b);
   let bi = Memory.alloc_i64 mem [| 7L |] in
   check Alcotest.int64 "i64" 7L (Memory.read_i64 bi).(0);
-  check int "distinct ids" 1 (Memory.buffer_id bi);
-  check bool "bytes tracked" true (Memory.bytes_moved mem > 0)
+  check int "distinct ids" 1 (Memory.buffer_id bi)
 
 let test_memory_bounds () =
   let mem = Memory.create () in
   let b = Memory.alloc_i64 mem [| 1L; 2L |] in
+  let view = Memory.view mem [] in
   check bool "out of bounds load fails" true
     (try
-       ignore (Memory.load mem ~buffer_id:(Memory.buffer_id b) ~offset:5);
+       ignore (Memory.load view ~buffer_id:(Memory.buffer_id b) ~offset:5);
        false
      with Failure _ -> true);
   check bool "unknown buffer fails" true
     (try
-       ignore (Memory.load mem ~buffer_id:99 ~offset:0);
+       ignore (Memory.load view ~buffer_id:99 ~offset:0);
        false
      with Failure _ -> true)
 
 let test_memory_atomic () =
   let mem = Memory.create () in
   let b = Memory.alloc_i64 mem [| 10L |] in
-  let old = Memory.atomic_add mem ~buffer_id:(Memory.buffer_id b) ~offset:0 (Uu_ir.Eval.Int 5L) in
-  check bool "returns old" true (old = Uu_ir.Eval.Int 10L);
+  let old = Memory.atomic_addi (Memory.view mem []) ~buffer_id:(Memory.buffer_id b) ~offset:0 5 in
+  check int "returns old" 10 old;
   check Alcotest.int64 "added" 15L (Memory.read_i64 b).(0)
 
 let test_cache_lru () =
@@ -502,13 +502,14 @@ let test_kernel_time_concurrency () =
 
 (* Promote locals first: alloca arenas live in the shared bank too, and
    these tests pin exact counters for the declared arrays alone. *)
-let run_shared ?(engine = Kernel.Decoded) ?(grid = 2) src =
+let run_shared ?(engine = Kernel.Decoded) ?(grid = 2) ?(sim_jobs = 1) ?(cells = 32) src =
   let fn = Ir_helpers.compile_one src in
   ignore (Uu_opt.Pass.exec [ Uu_opt.Mem2reg.pass ] fn);
   let mem = Memory.create () in
-  let out = Memory.zeros_f64 mem (grid * 32) in
+  let out = Memory.zeros_f64 mem (grid * cells) in
   let r =
-    Kernel.exec ~config:(Kernel.config ~engine ()) mem fn ~grid_dim:grid ~block_dim:32
+    Kernel.exec ~config:(Kernel.config ~engine ~sim_jobs ()) mem fn ~grid_dim:grid
+      ~block_dim:32
       ~args:[ Kernel.Buf out; Kernel.Int_arg (Int64.of_int (grid * 32)) ]
   in
   (r.Kernel.metrics, Memory.read_f64 out)
@@ -568,15 +569,15 @@ let broadcast =
 let test_cost_model () =
   let mem = Memory.create () in
   let global = Memory.buffer_id (Memory.zeros_f64 mem 512) in
-  let smem = Memory.shared_create [ (Types.F64, 64) ] in
-  let shared = -2 in
+  let view = Memory.view mem [ (Types.F64, 64) ] in
+  let shared = Memory.shared_id 0 in
   let mask = Uu_support.Mask.bits (Uu_support.Mask.full ~width:32) in
   let load streams cost = Cost.load cost ~mask ~bytes:8 ~streams in
   let store cost = Cost.store cost ~mask ~bytes:8 in
   let atomic cost = Cost.atomic cost ~mask in
   let run (name, device, accesses) =
     let cost =
-      Cost.create device ~mem ~smem
+      Cost.create device ~mem:view
         ~dcache:(Cache.create ~capacity:device.Device.l1_lines)
         ~icache:(Layout.icache_create device) ~races:None ~fn_name:"k" ~warp_id:0
     in
@@ -613,6 +614,7 @@ let test_cost_model () =
       ("shared broadcast", Device.v100, [ (shared, (fun _ -> 0), load 1, [ 7; 0; 1; 0 ]) ]);
       ("coalesced store", Device.v100, [ (global, Fun.id, store, [ 17; 2; 0; 0 ]) ]);
       ("global atomic", Device.v100, [ (global, Fun.id, atomic, [ 256; 32; 0; 0 ]) ]);
+      ("shared atomic", Device.v100, [ (shared, Fun.id, atomic, [ 256; 32; 0; 0 ]) ]);
     ]
 
 let test_shared_bank_conflicts () =
@@ -630,16 +632,83 @@ let test_shared_bank_conflicts () =
         (Array.for_all (fun v -> v = 3.0) out))
     [ Kernel.Reference; Kernel.Decoded ]
 
+(* Int and float atomicAdd into shared arrays. Thread [t] of a block
+   stores the old values it got back at out[gid] and out[n + gid]; after
+   the barrier the first lanes copy the final cells to out[2n + 12b ..].
+   So a launch of [grid] blocks fills [shared_atomics_cells * grid]
+   cells. *)
+let shared_atomics =
+  {|kernel k(float* restrict out, int n) {
+      __shared__ int si[4];
+      __shared__ float sf[8];
+      int lid = threadIdx.x;
+      int gid = lid + blockIdx.x * blockDim.x;
+      int oi = atomicAdd(&si[lid % 4], lid + 1);
+      float of = atomicAdd(&sf[lid % 8], 0.5 * (float)lid);
+      __syncthreads();
+      out[gid] = (float)oi;
+      out[n + gid] = of;
+      int fin = 2 * n + blockIdx.x * 12;
+      if (lid < 4) { out[fin + lid] = (float)si[lid]; }
+      if (lid < 8) { out[fin + 4 + lid] = sf[lid]; }
+    }|}
+
+let shared_atomics_cells = 32 + 32 + 12
+
 (* Both engines must agree on the shared-memory counters exactly, like
    every other metric. *)
 let test_shared_engines_agree () =
   List.iter
-    (fun src ->
-      let mr, outr = run_shared ~engine:Kernel.Reference src in
-      let md, outd = run_shared ~engine:Kernel.Decoded src in
+    (fun (src, cells) ->
+      let mr, outr = run_shared ~engine:Kernel.Reference ~cells src in
+      let md, outd = run_shared ~engine:Kernel.Decoded ~cells src in
       check bool "metrics byte-identical" true (mr = md);
       check bool "memory byte-identical" true (outr = outd))
-    [ stride2; broadcast ]
+    [ (stride2, 32); (broadcast, 32); (shared_atomics, shared_atomics_cells) ]
+
+(* Within a block, shared atomic updates land in ascending thread
+   order, so thread [t] sees the sum of the increments of the threads
+   below it on its cell, and the final cell holds them all. Every block
+   starts from a zeroed bank, whatever the shard width. *)
+let test_shared_atomics_oracle () =
+  let grid = 3 in
+  let n = grid * 32 in
+  let expected = Array.make (grid * shared_atomics_cells) 0.0 in
+  let upto cells incr t =
+    let acc = ref 0.0 in
+    for u = 0 to t - 1 do
+      if u mod cells = t mod cells then acc := !acc +. incr u
+    done;
+    !acc
+  in
+  let int_incr u = float_of_int (u + 1) and float_incr u = 0.5 *. float_of_int u in
+  for b = 0 to grid - 1 do
+    for t = 0 to 31 do
+      expected.((b * 32) + t) <- upto 4 int_incr t;
+      expected.(n + (b * 32) + t) <- upto 8 float_incr t
+    done;
+    for c = 0 to 3 do
+      expected.((2 * n) + (b * 12) + c) <- upto 4 int_incr (32 + c)
+    done;
+    for c = 0 to 7 do
+      expected.((2 * n) + (b * 12) + 4 + c) <- upto 8 float_incr (32 + c)
+    done
+  done;
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun sim_jobs ->
+          let _, out =
+            run_shared ~engine ~grid ~sim_jobs ~cells:shared_atomics_cells shared_atomics
+          in
+          Array.iteri
+            (fun i want ->
+              check (Alcotest.float 0.0)
+                (Printf.sprintf "out[%d] at sim_jobs %d" i sim_jobs)
+                want out.(i))
+            expected)
+        [ 1; 2 ])
+    [ Kernel.Reference; Kernel.Decoded ]
 
 let test_shared_out_of_bounds () =
   let src =
@@ -802,6 +871,7 @@ let suite =
     ("cost model table", `Quick, test_cost_model);
     ("shared bank conflicts", `Quick, test_shared_bank_conflicts);
     ("shared metrics engine agreement", `Quick, test_shared_engines_agree);
+    ("shared atomics against a host oracle", `Quick, test_shared_atomics_oracle);
     ("shared out of bounds", `Quick, test_shared_out_of_bounds);
     ("cross-warp shared dataflow", `Quick, test_cross_warp_dataflow);
     ("barrier wait accounting", `Quick, test_barrier_wait_accounted);

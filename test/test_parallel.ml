@@ -87,6 +87,12 @@ let test_job_keys () =
           Pipelines.Baseline));
   check bool "pipeline version changes key" true
     (Request.key ~version:"test-bump" j.Jobs.request <> Jobs.key j);
+  (* Race reports are response bytes: a race-checked key names the
+     report's version, and only race-checked keys do. *)
+  let raced = { j.Jobs.request with Request.check_races = true } in
+  check string "race-checked spec names the report version"
+    (Request.spec j.Jobs.request ^ ";races=v" ^ Uu_gpusim.Racecheck.version)
+    (Request.spec raced);
   check string "engine and sim_jobs stay out of the key" (Jobs.key j)
     (Request.key
        {

@@ -247,9 +247,56 @@ let shared_clean =
       if (tid < n) { out[tid] = s[lid]; }
     }|}
 
+(* Only atomics touch the shared cells before the barrier: atomic
+   updates of one cell never race each other. *)
+let shared_atomics_only =
+  {|kernel k(float* restrict out, int n) {
+      __shared__ int ci[4];
+      __shared__ float cf[4];
+      int lid = threadIdx.x;
+      atomicAdd(&ci[lid % 4], 1);
+      atomicAdd(&cf[lid % 4], 1.0);
+      __syncthreads();
+      int tid = lid + blockIdx.x * blockDim.x;
+      if (tid < n) { out[tid] = cf[lid % 4] + (float)ci[lid % 4]; }
+    }|}
+
+(* An atomic beside a plain access by another thread in the same
+   interval races: s[1] (plain write by 0, atomic by 1) and s[2] (atomic
+   by 2, plain read by 3). s[0] is atomic-only, and on s[3] one thread
+   both adds and reads, so neither races. *)
+let shared_atomic_mixed =
+  {|kernel k(float* restrict out, int n) {
+      __shared__ float s[4];
+      int lid = threadIdx.x;
+      float v = 0.0;
+      atomicAdd(&s[0], 1.0);
+      if (lid == 0) { s[1] = 5.0; }
+      if (lid == 1) { atomicAdd(&s[1], 1.0); }
+      if (lid == 2) { atomicAdd(&s[2], 1.0); }
+      if (lid == 3) { v = s[2]; }
+      if (lid == 4) { atomicAdd(&s[3], 1.0); v = v + s[3]; }
+      __syncthreads();
+      int tid = lid + blockIdx.x * blockDim.x;
+      if (tid < n) { out[tid] = v + s[lid % 4]; }
+    }|}
+
 let test_shared_racecheck () =
   List.iter
     (fun engine ->
+      let _, races = launch_with_races ~engine ~block:64 shared_atomics_only in
+      check bool "atomics-only kernel recorded accesses" true
+        (Racecheck.shared_accesses races > 0);
+      check int "atomic-only cells never race" 0
+        (List.length (Racecheck.shared_races races));
+      let _, races = launch_with_races ~engine shared_atomic_mixed in
+      check
+        (Alcotest.list (Alcotest.pair int (Alcotest.list int)))
+        "an atomic races a plain access by another thread"
+        (List.concat_map (fun _ -> [ (1, [ 0; 1 ]); (2, [ 2; 3 ]) ]) [ 0; 1; 2; 3 ])
+        (List.map
+           (fun r -> (r.Racecheck.s_offset, r.Racecheck.s_threads))
+           (Racecheck.shared_races races));
       let _, races = launch_with_races ~engine shared_racy_writes in
       (match Racecheck.shared_races races with
       | [] -> Alcotest.fail "32 same-epoch writers reported as race-free"
@@ -366,7 +413,7 @@ let test_report_bytes_deterministic () =
                 want
                 (Racecheck.report sharded))
             [ 2; 3 ])
-        [ racy; shared_racy_writes; shared_clean; atomic_mix ])
+        [ racy; shared_racy_writes; shared_clean; atomic_mix; shared_atomic_mixed ])
     [ Kernel.Reference; Kernel.Decoded ];
   (* The atomics line is present exactly when atomics ran. *)
   let _, races = launch_with_races atomic_mix in
