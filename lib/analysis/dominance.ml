@@ -87,11 +87,17 @@ let compute_generic ~order ~preds ~fpreds =
   if n > 0 then dfs order.(0);
   { idom_tbl; children_tbl; tin; tout; fpreds }
 
+type Func.analysis += Dominators of t
+
 let compute f =
-  let order = Array.of_list (Cfg.reverse_postorder f) in
-  let preds_tbl = Cfg.predecessors f in
-  let preds l = try Hashtbl.find preds_tbl l with Not_found -> [] in
-  compute_generic ~order ~preds ~fpreds:preds_tbl
+  Func.cached f
+    (function Dominators t -> Some t | _ -> None)
+    (fun t -> Dominators t)
+    (fun f ->
+      let order = Array.of_list (Cfg.reverse_postorder f) in
+      let preds_tbl = Cfg.predecessors f in
+      let preds l = try Hashtbl.find preds_tbl l with Not_found -> [] in
+      compute_generic ~order ~preds ~fpreds:preds_tbl)
 
 let compute_post f =
   let reachable = Cfg.reverse_postorder f in

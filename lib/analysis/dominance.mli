@@ -11,7 +11,8 @@ type t
 (** A dominator tree over the reachable blocks of a function. *)
 
 val compute : Func.t -> t
-(** Forward dominator tree rooted at the entry block. *)
+(** Forward dominator tree rooted at the entry block; cached while the
+    CFG generation holds (see [Func.with_analyses]). *)
 
 val compute_post : Func.t -> t
 (** Post-dominator tree over the reverse CFG, rooted at a virtual exit

@@ -13,7 +13,9 @@ type loop = {
 
 type forest = { all : loop list }
 
-let analyze f =
+type Func.analysis += Forest of forest
+
+let build f =
   let dom = Dominance.compute f in
   let rpo = Cfg.reverse_postorder f in
   let preds = Cfg.predecessors f in
@@ -93,6 +95,9 @@ let analyze f =
   in
   List.iter (fun l -> if l.parent = None then set_depth 1 l) all;
   { all }
+
+let analyze f =
+  Func.cached f (function Forest t -> Some t | _ -> None) (fun t -> Forest t) build
 
 let loops forest = forest.all
 let find forest id = List.find_opt (fun l -> l.id = id) forest.all

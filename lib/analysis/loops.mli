@@ -23,6 +23,10 @@ type loop = {
 type forest
 
 val analyze : Func.t -> forest
+(** The loop forest; cached while the CFG generation holds (see
+    [Func.with_analyses]). Its loops' mutable fields are set here and
+    must not be written by callers. *)
+
 val loops : forest -> loop list
 (** All loops ordered by id. *)
 

@@ -31,21 +31,22 @@ let check f =
     | Value.Var x ->
       if not (Value.Var_set.mem x params) then (
         match Hashtbl.find_opt def_site x with
-        | None -> err "%s: use of undefined register %%%d" where x
+        | None -> err "%s: use of undefined register %%%d" (where ()) x
         | Some (def_block, def_pos) ->
           if def_block = use_block then begin
             if def_pos >= use_pos then
-              err "%s: register %%%d used before its definition" where x
+              err "%s: register %%%d used before its definition" (where ()) x
           end
           else if not (Dominance.dominates dom def_block use_block) then
-            err "%s: use of %%%d not dominated by its definition (bb%d)" where x
+            err "%s: use of %%%d not dominated by its definition (bb%d)" (where ()) x
               def_block)
   in
   let reachable = Cfg.reachable f in
   Func.iter_blocks
     (fun b ->
       if Value.Label_set.mem b.Block.label reachable then begin
-        let where = Format.asprintf "%a" (Printer.pp_label f) b.Block.label in
+        (* The block's name is formatted only when an error names it. *)
+        let where () = Format.asprintf "%a" (Printer.pp_label f) b.Block.label in
         (* A phi use must be dominated by its def at the end of the
            corresponding predecessor. *)
         List.iter

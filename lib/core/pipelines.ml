@@ -96,7 +96,7 @@ let uu_all_pass ?(selective = false) ~factor () =
         List.fold_left
           (fun changed (l : Uu_analysis.Loops.loop) ->
             let o = Uu.uu_loop ~selective f ~header:l.header ~factor in
-            o.Uu.applied || changed)
+            o.Uu.edited || changed)
           false
           (Uu_analysis.Loops.innermost_first forest));
   }
@@ -130,7 +130,7 @@ let transform ~targets config =
               List.fold_left
                 (fun changed h ->
                   let o = Uu.uu_loop ~selective:true f ~header:h ~factor:u in
-                  o.Uu.applied || changed)
+                  o.Uu.edited || changed)
                 false hs);
         } ])
   | Uu_heuristic -> [ Uu.heuristic_pass Uu.default_params ]

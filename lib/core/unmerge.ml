@@ -8,6 +8,7 @@ let stat_budget = Statistic.counter "unmerge.budget_exhausted"
 
 type outcome = {
   changed : bool;
+  edited : bool;
   duplicated_blocks : int;
   budget_exhausted : bool;
 }
@@ -84,14 +85,14 @@ let duplicate_merge st f b_label preds =
             indexed;
         copy.Block.instrs <-
           List.map (fun i -> Instr.map_def rename (Instr.map_values value i)) b.Block.instrs;
-        copy.Block.term <- Instr.term_map_values value b.Block.term;
+        Cfg.set_term f copy (Instr.term_map_values value b.Block.term);
         Hashtbl.replace st.subst_of copy.Block.label sigma;
         Option.iter
           (fun (pb : Block.t) ->
-            pb.Block.term <-
-              Instr.term_map_labels
-                (fun l -> if l = b_label then copy.Block.label else l)
-                pb.Block.term)
+            Cfg.set_term f pb
+              (Instr.term_map_labels
+                 (fun l -> if l = b_label then copy.Block.label else l)
+                 pb.Block.term))
           (Func.find_block f p);
         (copy.Block.label, sigma))
       preds
@@ -136,16 +137,7 @@ let duplicate_loop_for_pred st f (loop : Loops.loop) p =
       let cl = Clone.map_label m l in
       Hashtbl.replace st.subst_of cl sigma_c;
       (* Rewrite references to values defined upstream of the loop. *)
-      let b = Func.block f cl in
-      b.Block.phis <-
-        List.map
-          (fun (ph : Instr.phi) ->
-            { ph with
-              incoming = List.map (fun (pr, v) -> (pr, subst_value sigma_p v)) ph.incoming
-            })
-          b.Block.phis;
-      b.Block.instrs <- List.map (Instr.map_values (subst_value sigma_p)) b.Block.instrs;
-      b.Block.term <- Instr.term_map_values (subst_value sigma_p) b.Block.term)
+      Block.map_values (subst_value sigma_p) (Func.block f cl))
     region;
   (* The copy's header is entered only from [p]: keep p's entries and the
      (already remapped) latch entries. *)
@@ -178,10 +170,10 @@ let duplicate_loop_for_pred st f (loop : Loops.loop) p =
   (* Retarget p's entry edge. *)
   (match Func.find_block f p with
   | Some pb ->
-    pb.Block.term <-
-      Instr.term_map_labels
-        (fun l -> if l = loop.header then copy_header else l)
-        pb.Block.term
+    Cfg.set_term f pb
+      (Instr.term_map_labels
+         (fun l -> if l = loop.header then copy_header else l)
+         pb.Block.term)
   | None -> ());
   List.map (Clone.map_label m) region
 
@@ -352,20 +344,31 @@ let unmerge_region ?(selective = false) f ~region ~budget =
       ~args:[ ("duplicated", Remark.Int st.created) ]
       "tail-duplicated every merge point in the region; each path is now \
        straight-line code";
-  { changed = !changed; duplicated_blocks = st.created; budget_exhausted = st.exhausted }
+  {
+    changed = !changed;
+    edited = !changed;
+    duplicated_blocks = st.created;
+    budget_exhausted = st.exhausted;
+  }
 
+let untouched = { changed = false; edited = false; duplicated_blocks = 0; budget_exhausted = false }
+
+(* The loop body minus its header, and whether canonicalizing edited. *)
 let loop_region f ~header =
   (* Canonicalize first: unmerging duplicates exit paths, so values that
      escape the loop must already flow through LCSSA phis in dedicated
      exit blocks. *)
   match Uu_opt.Loop_utils.canonicalize f header with
-  | Some (loop, _) -> Some (Value.Label_set.remove header loop.blocks)
+  | Some { Uu_opt.Loop_utils.loop; edited; _ } ->
+    Some (Value.Label_set.remove header loop.blocks, edited)
   | None -> None
 
 let unmerge_loop ?selective f ~header ~budget =
   match loop_region f ~header with
-  | None -> { changed = false; duplicated_blocks = 0; budget_exhausted = false }
-  | Some region -> unmerge_region ?selective f ~region ~budget
+  | None -> untouched
+  | Some (region, canonicalized) ->
+    let o = unmerge_region ?selective f ~region ~budget in
+    { o with edited = o.edited || canonicalized }
 
 (* One-level duplication is only sound for a merge whose definitions do
    not escape past its successors' phis: without the cascade there is
@@ -421,8 +424,8 @@ let dbds_unmerge_loop f ~header ~budget =
      §II-d). The per-copy substitution machinery still applies because a
      merge's predecessor may be another original block. *)
   match loop_region f ~header with
-  | None -> { changed = false; duplicated_blocks = 0; budget_exhausted = false }
-  | Some region ->
+  | None -> untouched
+  | Some (region, canonicalized) ->
     let header_set =
       List.fold_left
         (fun acc (l : Loops.loop) -> Value.Label_set.add l.header acc)
@@ -455,4 +458,9 @@ let dbds_unmerge_loop f ~header ~budget =
           changed := true
         end)
       initial_merges;
-    { changed = !changed; duplicated_blocks = st.created; budget_exhausted = st.exhausted }
+    {
+      changed = !changed;
+      edited = !changed || canonicalized;
+      duplicated_blocks = st.created;
+      budget_exhausted = st.exhausted;
+    }

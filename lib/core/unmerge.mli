@@ -22,7 +22,10 @@
 open Uu_ir
 
 type outcome = {
-  changed : bool;
+  changed : bool;  (** a merge was duplicated *)
+  edited : bool;
+      (** the function changed: [changed], or canonicalizing the loop
+          (see [Uu_opt.Loop_utils.canonicalize]) edited it *)
   duplicated_blocks : int;
   budget_exhausted : bool;  (** the paper's "compilation timed out" analogue *)
 }

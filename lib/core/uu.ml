@@ -9,6 +9,7 @@ let stat_rejected = Statistic.counter "uu.heuristic_rejected"
 
 type outcome = {
   applied : bool;
+  edited : bool;
   factor : int;
   duplicated_blocks : int;
   budget_exhausted : bool;
@@ -16,7 +17,8 @@ type outcome = {
 
 let default_block_budget = 16384
 
-let no_outcome = { applied = false; factor = 1; duplicated_blocks = 0; budget_exhausted = false }
+let no_outcome =
+  { applied = false; edited = false; factor = 1; duplicated_blocks = 0; budget_exhausted = false }
 
 let find_loop f header =
   List.find_opt (fun (l : Loops.loop) -> l.header = header)
@@ -45,13 +47,17 @@ let uu_loop ?(budget = default_block_budget) ?(selective = false)
               else None)
             (Loops.innermost_first (Loops.analyze f))
         in
+        (* The target loop is unrolled below whenever these are, so its
+           outcome covers their edits. *)
         List.iter
           (fun h -> ignore (Uu_opt.Unroll.unroll_loop f ~header:h ~factor))
           inner_headers
       end;
-      let unrolled =
-        if factor >= 2 then Uu_opt.Unroll.unroll_loop f ~header ~factor else false
+      let unroll =
+        if factor >= 2 then Uu_opt.Unroll.unroll_loop f ~header ~factor
+        else { Uu_opt.Unroll.unrolled = false; edited = false }
       in
+      let unrolled = unroll.unrolled in
       (* After unrolling, the natural loop of [header] spans all copies
          (the back edge now comes from the last copy's latches). *)
       let um = Unmerge.unmerge_loop ~selective f ~header ~budget in
@@ -81,6 +87,7 @@ let uu_loop ?(budget = default_block_budget) ?(selective = false)
         end;
         {
           applied;
+          edited = unroll.edited || um.Unmerge.edited;
           factor = (if unrolled then factor else 1);
           duplicated_blocks = um.Unmerge.duplicated_blocks;
           budget_exhausted = false;
@@ -184,7 +191,7 @@ let uu_pass ?budget ~headers () =
     List.fold_left
       (fun changed (header, factor) ->
         let o = uu_loop ?budget f ~header ~factor in
-        o.applied || changed)
+        o.edited || changed)
       false headers
   in
   { Uu_opt.Pass.name = "unroll-and-unmerge"; run }
@@ -195,7 +202,7 @@ let heuristic_pass ?budget params =
     List.fold_left
       (fun changed (header, factor) ->
         let o = uu_loop ?budget f ~header ~factor in
-        o.applied || changed)
+        o.edited || changed)
       false plan
   in
   { Uu_opt.Pass.name = "uu-heuristic"; run }

@@ -22,6 +22,9 @@ open Uu_ir
 
 type outcome = {
   applied : bool;
+  edited : bool;
+      (** the function changed: [applied], or canonicalization alone (a
+          pass must report this as a change); false after a rollback *)
   factor : int;               (** unroll factor used; 1 = unmerge only *)
   duplicated_blocks : int;
   budget_exhausted : bool;

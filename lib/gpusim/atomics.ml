@@ -41,14 +41,31 @@ type cell = {
   mutable flushed : (int * int * float) list;
 }
 
-type t = { mem : Memory.view; cells : (int * int, cell) Hashtbl.t }
+(* Cells keyed by one int, so a lane's lookup allocates nothing. *)
+module Cells = Hashtbl.Make (struct
+  type t = int
 
-let create mem = { mem; cells = Hashtbl.create 64 }
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+type t = { mem : Memory.view; cells : cell Cells.t }
+
+let create mem = { mem; cells = Cells.create 64 }
+
+(* Global buffer ids are small non-negative allocation indices and a
+   real cell's offset fits in 32 bits, so [(buffer lsl 32) lor offset]
+   names each cell once. Any other pair is out of bounds: it gets -1,
+   which names no cell, and the pristine read reports its failure. *)
+let key ~buffer ~offset =
+  if buffer >= 0 && buffer < 1 lsl 30 && offset >= 0 && offset < 1 lsl 32 then
+    (buffer lsl 32) lor offset
+  else -1
 
 let cell t ~block_id ~buffer ~offset ~is_float =
-  let key = (buffer, offset) in
-  match Hashtbl.find_opt t.cells key with
-  | Some c ->
+  let key = key ~buffer ~offset in
+  match Cells.find t.cells key with
+  | c ->
     if c.is_float <> is_float then
       failwith "simulated memory: atomic_add type mismatch";
     if c.cur_block <> block_id then begin
@@ -58,7 +75,7 @@ let cell t ~block_id ~buffer ~offset ~is_float =
       c.cur_f <- 0.0
     end;
     c
-  | None ->
+  | exception Not_found ->
     (* The pristine read carries the unknown-buffer, out-of-bounds, and
        type-mismatch failures of the in-place atomics. *)
     let base_i =
@@ -81,7 +98,7 @@ let cell t ~block_id ~buffer ~offset ~is_float =
         flushed = [];
       }
     in
-    Hashtbl.add t.cells key c;
+    Cells.add t.cells key c;
     c
 
 let addi t ~block_id ~buffer ~offset v =
@@ -118,7 +135,7 @@ let add t ~block_id ~buffer ~offset v =
     failwith "simulated memory: atomic_add type mismatch"
 
 let commit t =
-  Hashtbl.iter
+  Cells.iter
     (fun _ c ->
       List.iter
         (fun (_, di, df) ->

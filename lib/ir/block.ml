@@ -14,13 +14,15 @@ let defs b =
   List.map (fun (p : Instr.phi) -> p.dst) b.phis
   @ List.filter_map Instr.def b.instrs
 
+let map_term_values f b = b.term <- Instr.term_map_values f b.term
+
 let map_values f b =
   let map_phi (p : Instr.phi) =
     { p with incoming = List.map (fun (l, v) -> (l, f v)) p.incoming }
   in
   b.phis <- List.map map_phi b.phis;
   b.instrs <- List.map (Instr.map_values f) b.instrs;
-  b.term <- Instr.term_map_values f b.term
+  map_term_values f b
 
 let remove_incoming pred b =
   let drop (p : Instr.phi) =

@@ -20,6 +20,10 @@ val defs : t -> Value.var list
 val map_values : (Value.t -> Value.t) -> t -> unit
 (** Rewrite every operand in phis, instructions, and the terminator. *)
 
+val map_term_values : (Value.t -> Value.t) -> t -> unit
+(** Rewrite the terminator's operands. Successors cannot change, so this
+    is the one terminator write outside [Cfg.set_term]. *)
+
 val remove_incoming : Value.label -> t -> unit
 (** Drop phi incoming entries for a predecessor that no longer branches
     here. *)

@@ -47,10 +47,10 @@ let phi ?hint b ty incoming =
   b.cur.Block.phis <- b.cur.Block.phis @ [ { Instr.dst; ty; incoming } ];
   Value.Var dst
 
-let br b target = b.cur.Block.term <- Instr.Br target.Block.label
+let br b target = Cfg.set_term b.fn b.cur (Instr.Br target.Block.label)
 
 let cond_br b cond if_true if_false =
-  b.cur.Block.term <-
-    Instr.Cond_br { cond; if_true = if_true.Block.label; if_false = if_false.Block.label }
+  Cfg.set_term b.fn b.cur
+    (Instr.Cond_br { cond; if_true = if_true.Block.label; if_false = if_false.Block.label })
 
-let ret b v = b.cur.Block.term <- Instr.Ret v
+let ret b v = Cfg.set_term b.fn b.cur (Instr.Ret v)

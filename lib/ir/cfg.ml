@@ -1,4 +1,9 @@
-let predecessors f =
+type Func.analysis +=
+  | Predecessors of (Value.label, Value.label list) Hashtbl.t
+  | Reverse_postorder of Value.label list
+  | Reachable of Value.Label_set.t
+
+let build_predecessors f =
   let preds = Hashtbl.create 17 in
   Func.iter_blocks (fun b -> Hashtbl.replace preds b.Block.label []) f;
   Func.iter_blocks
@@ -12,24 +17,36 @@ let predecessors f =
   Hashtbl.iter (fun l ps -> Hashtbl.replace preds l (List.sort compare ps)) preds;
   preds
 
+let predecessors f =
+  Func.cached f
+    (function Predecessors p -> Some p | _ -> None)
+    (fun p -> Predecessors p)
+    build_predecessors
+
 let preds_of f l = try Hashtbl.find (predecessors f) l with Not_found -> []
 
-let set_term preds b term =
+let set_term ?preds f b term =
   let before = Block.successors b in
   b.Block.term <- term;
   let after = Block.successors b in
-  let l = b.Block.label in
-  let update s g =
-    Hashtbl.replace preds s (g (try Hashtbl.find preds s with Not_found -> []))
-  in
-  let rec insert = function
-    | [] -> [ l ]
-    | p :: rest as ps -> if l < p then l :: ps else p :: insert rest
-  in
-  List.iter
-    (fun s -> if not (List.mem s after) then update s (List.filter (fun p -> p <> l)))
-    before;
-  List.iter (fun s -> if not (List.mem s before) then update s insert) after
+  if before <> after then begin
+    Func.cfg_changed f;
+    match preds with
+    | None -> ()
+    | Some preds ->
+      let l = b.Block.label in
+      let update s g =
+        Hashtbl.replace preds s (g (try Hashtbl.find preds s with Not_found -> []))
+      in
+      let rec insert = function
+        | [] -> [ l ]
+        | p :: rest as ps -> if l < p then l :: ps else p :: insert rest
+      in
+      List.iter
+        (fun s -> if not (List.mem s after) then update s (List.filter (fun p -> p <> l)))
+        before;
+      List.iter (fun s -> if not (List.mem s before) then update s insert) after
+  end
 
 let postorder f =
   let visited = Hashtbl.create 17 in
@@ -46,12 +63,21 @@ let postorder f =
   dfs f.Func.entry;
   List.rev !order
 
-let reverse_postorder f = List.rev (postorder f)
+let reverse_postorder f =
+  Func.cached f
+    (function Reverse_postorder o -> Some o | _ -> None)
+    (fun o -> Reverse_postorder o)
+    (fun f -> List.rev (postorder f))
 
 let reachable f =
-  List.fold_left
-    (fun acc l -> Value.Label_set.add l acc)
-    Value.Label_set.empty (postorder f)
+  Func.cached f
+    (function Reachable r -> Some r | _ -> None)
+    (fun r -> Reachable r)
+    (fun f ->
+      List.fold_left
+        (fun acc l -> Value.Label_set.add l acc)
+        Value.Label_set.empty
+        (List.rev (reverse_postorder f)))
 
 let remove_unreachable f =
   let live = reachable f in

@@ -1,25 +1,33 @@
 (** Control-flow graph queries over a function.
 
-    Every query recomputes its result from the function. A pass that
-    rewrites many edges builds one {!predecessors} map and keeps it
-    current with {!set_term} instead of re-querying. Orders are
-    deterministic. *)
+    Inside [Func.with_analyses] the predecessor map, reverse postorder
+    and reachable set are cached on the function until its CFG
+    generation moves; outside it every query recomputes. Either way a
+    result is shared and must not be mutated: a pass that rewrites many
+    edges takes a [Hashtbl.copy] of {!predecessors} and keeps the copy
+    current with {!set_term}. Orders are deterministic, and a cached
+    result is the one a fresh build gives. *)
 
 val predecessors : Func.t -> (Value.label, Value.label list) Hashtbl.t
 (** Map from each block to its predecessors, in sorted order. Blocks with
-    no predecessors map to []. *)
+    no predecessors map to []. Shared: do not mutate. *)
 
 val preds_of : Func.t -> Value.label -> Value.label list
-(** Predecessors of one block (recomputes the full map; use
-    {!predecessors} in loops). *)
+(** Predecessors of one block, from {!predecessors}. *)
 
 val set_term :
-  (Value.label, Value.label list) Hashtbl.t -> Block.t -> Instr.terminator -> unit
-(** [set_term preds b term] replaces [b]'s terminator and updates a
-    {!predecessors} map to match: [b] leaves the lists of the targets it
-    no longer reaches and joins, in sorted position, those it now
-    reaches. Before deleting a block, set its terminator to
-    [Unreachable] so it leaves its successors' lists. *)
+  ?preds:(Value.label, Value.label list) Hashtbl.t ->
+  Func.t ->
+  Block.t ->
+  Instr.terminator ->
+  unit
+(** [set_term ?preds f b term] replaces [b]'s terminator: the one way to
+    write a terminator whose successors may differ. When they do, it
+    bumps [f]'s CFG generation and updates [preds], a caller's own copy
+    of {!predecessors}: [b] leaves the lists of the targets it no longer
+    reaches and joins, in sorted position, those it now reaches. Before
+    deleting a block, set its terminator to [Unreachable] so it leaves
+    its successors' lists. *)
 
 val reverse_postorder : Func.t -> Value.label list
 (** Reverse postorder from the entry block, visiting [Cond_br] true

@@ -68,9 +68,9 @@ let clone_region f region =
         List.map
           (fun i -> Instr.map_def remap_def (Instr.map_values remap_value i))
           orig.Block.instrs;
-      copy.Block.term <-
-        Instr.term_map_labels (map_label m)
-          (Instr.term_map_values remap_value orig.Block.term))
+      Cfg.set_term f copy
+        (Instr.term_map_labels (map_label m)
+           (Instr.term_map_values remap_value orig.Block.term)))
     region;
   m
 

@@ -19,6 +19,8 @@ type shared = {
   s_name : string;
 }
 
+type analysis = ..
+
 type t = {
   name : string;
   params : param list;
@@ -30,6 +32,9 @@ type t = {
   mutable next_label : int;
   var_hints : (Value.var, string) Hashtbl.t;
   pragmas : (Value.label, pragma) Hashtbl.t;
+  mutable sorted_labels : Value.label list option;
+  mutable cfg_generation : int;
+  mutable analyses : analysis list option;
 }
 
 let create ~name ~params ~ret_ty =
@@ -53,6 +58,9 @@ let create ~name ~params ~ret_ty =
       next_label = 0;
       var_hints;
       pragmas = Hashtbl.create 3;
+      sorted_labels = None;
+      cfg_generation = 0;
+      analyses = None;
     }
   in
   let entry = Block.create ~hint:"entry" f.next_label in
@@ -70,6 +78,18 @@ let copy_block (b : Block.t) =
     hint = b.Block.hint;
   }
 
+(* Everything below that adds or removes a block, moves the entry or
+   rewrites a terminator's successors calls [cfg_changed]: it bumps the
+   generation and drops the cached analyses, which described the old
+   CFG. Writes to the block table all live in this file. *)
+let cfg_changed f =
+  f.cfg_generation <- f.cfg_generation + 1;
+  match f.analyses with Some (_ :: _) -> f.analyses <- Some [] | Some [] | None -> ()
+
+let blocks_changed f =
+  f.sorted_labels <- None;
+  cfg_changed f
+
 let copy f =
   let blocks = Hashtbl.create (Hashtbl.length f.blocks) in
   Hashtbl.iter (fun l b -> Hashtbl.replace blocks l (copy_block b)) f.blocks;
@@ -78,9 +98,12 @@ let copy f =
     blocks;
     var_hints = Hashtbl.copy f.var_hints;
     pragmas = Hashtbl.copy f.pragmas;
+    cfg_generation = 0;
+    analyses = None;
   }
 
 let restore f ~from_ =
+  blocks_changed f;
   f.shared <- from_.shared;
   f.entry <- from_.entry;
   f.next_var <- from_.next_var;
@@ -103,6 +126,7 @@ let fresh_block ?(hint = "") f =
   f.next_label <- f.next_label + 1;
   let b = Block.create ~hint l in
   Hashtbl.replace f.blocks l b;
+  blocks_changed f;
   b
 
 let insert_block ?(hint = "") f l =
@@ -110,6 +134,7 @@ let insert_block ?(hint = "") f l =
     invalid_arg (Printf.sprintf "Func.insert_block: bb%d already exists" l);
   let b = Block.create ~hint l in
   Hashtbl.replace f.blocks l b;
+  blocks_changed f;
   if l >= f.next_label then f.next_label <- l + 1;
   b
 
@@ -119,10 +144,21 @@ let note_var ?hint f v =
 
 let block f l = Hashtbl.find f.blocks l
 let find_block f l = Hashtbl.find_opt f.blocks l
-let remove_block f l = Hashtbl.remove f.blocks l
+let remove_block f l =
+  Hashtbl.remove f.blocks l;
+  blocks_changed f
+
+let set_entry f l =
+  f.entry <- l;
+  cfg_changed f
 
 let labels f =
-  Hashtbl.fold (fun l _ acc -> l :: acc) f.blocks [] |> List.sort compare
+  match f.sorted_labels with
+  | Some ls -> ls
+  | None ->
+    let ls = Hashtbl.fold (fun l _ acc -> l :: acc) f.blocks [] |> List.sort compare in
+    f.sorted_labels <- Some ls;
+    ls
 
 (* Iteration snapshots the label list first, then skips any block a
    callback removed, so passes may delete blocks while iterating. *)
@@ -135,6 +171,31 @@ let fold_blocks g f init =
   List.fold_left
     (fun acc l -> match find_block f l with Some b -> g b acc | None -> acc)
     init (labels f)
+
+(* An analysis is cached only while [with_analyses] runs, so a function
+   kept after compilation holds none. [compute] may itself fill the
+   cache (a dominator tree needs the predecessor map), so the entry is
+   added to the cache as it stands after [compute] returns. *)
+let cached f find inject compute =
+  match f.analyses with
+  | None -> compute f
+  | Some entries -> (
+    match List.find_map find entries with
+    | Some a -> a
+    | None ->
+      let a = compute f in
+      (match f.analyses with
+      | Some entries -> f.analyses <- Some (inject a :: entries)
+      | None -> ());
+      a)
+
+let with_analyses f body =
+  match f.analyses with
+  | Some _ -> body ()
+  | None ->
+    f.analyses <- Some [];
+    Fun.protect ~finally:(fun () -> f.analyses <- None) body
+
 let var_hint f v = Hashtbl.find_opt f.var_hints v
 let param_vars f = List.map (fun p -> p.pvar) f.params
 

@@ -405,12 +405,12 @@ let parse_func_lines lines start =
             match parse_statement f lineno raw with
             | `Phi p -> b.Block.phis <- b.Block.phis @ [ p ]
             | `Instr ins -> b.Block.instrs <- b.Block.instrs @ [ ins ]
-            | `Term t -> b.Block.term <- t)
+            | `Term t -> Cfg.set_term f b t)
         end
   done;
   match !fn, !first_block with
   | Some f, Some entry ->
-    f.Func.entry <- entry;
+    Func.set_entry f entry;
     Verifier.check_exn f;
     (f, !i)
   | Some _, None -> fail start "function has no blocks"

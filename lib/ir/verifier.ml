@@ -8,14 +8,16 @@ let value_ty tys v =
 let check f =
   let errs = ref [] in
   let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
-  let pp_l = Printer.pp_label f in
+  (* [where] names the site of an error; a block's name is formatted
+     only when one is reported. *)
+  let block_where l () = Format.asprintf "%a" (Printer.pp_label f) l in
   (* Collect definitions and check uniqueness. *)
   let tys : (Value.var, Types.t) Hashtbl.t = Hashtbl.create 64 in
   let define where v ty =
-    if Hashtbl.mem tys v then err "%s: register %%%d defined more than once" where v
+    if Hashtbl.mem tys v then err "%s: register %%%d defined more than once" (where ()) v
     else Hashtbl.replace tys v ty
   in
-  List.iter (fun (p : Func.param) -> define "param" p.pvar p.pty) f.Func.params;
+  List.iter (fun (p : Func.param) -> define (fun () -> "param") p.pvar p.pty) f.Func.params;
   List.iter
     (fun (s : Func.shared) ->
       if s.s_size <= 0 then
@@ -25,11 +27,11 @@ let check f =
       | other ->
         err "shared: array %s has element type %s (only f64/i64 are bankable)"
           s.s_name (Types.to_string other));
-      define "shared" s.s_var (Types.Ptr s.s_elt))
+      define (fun () -> "shared") s.s_var (Types.Ptr s.s_elt))
     f.Func.shared;
   Func.iter_blocks
     (fun b ->
-      let where = Format.asprintf "%a" pp_l b.Block.label in
+      let where = block_where b.Block.label in
       List.iter (fun (p : Instr.phi) -> define where p.dst p.ty) b.Block.phis;
       List.iter
         (fun i ->
@@ -47,11 +49,11 @@ let check f =
   let reachable = Cfg.reachable f in
   Func.iter_blocks
     (fun b ->
-      let where = Format.asprintf "%a" pp_l b.Block.label in
+      let where = block_where b.Block.label in
       List.iter
         (fun s ->
           if Func.find_block f s = None then
-            err "%s: branch to nonexistent block bb%d" where s)
+            err "%s: branch to nonexistent block bb%d" (where ()) s)
         (Block.successors b);
       if Value.Label_set.mem b.Block.label reachable then begin
         let ps = try Hashtbl.find preds b.Block.label with Not_found -> [] in
@@ -61,7 +63,7 @@ let check f =
             let inc = List.map fst p.incoming in
             let inc_sorted = List.sort_uniq compare inc in
             if List.length inc <> List.length inc_sorted then
-              err "%s: phi %%%d has duplicate incoming labels" where p.dst;
+              err "%s: phi %%%d has duplicate incoming labels" (where ()) p.dst;
             (* Entries from unreachable predecessors are tolerated (branch
                folding leaves them; simplify-cfg prunes them); every
                reachable predecessor must be covered exactly. *)
@@ -69,7 +71,7 @@ let check f =
               List.filter (fun l -> Value.Label_set.mem l reachable) inc_sorted
             in
             if live_inc <> ps then
-              err "%s: phi %%%d incoming %s do not match predecessors %s" where p.dst
+              err "%s: phi %%%d incoming %s do not match predecessors %s" (where ()) p.dst
                 (String.concat "," (List.map string_of_int live_inc))
                 (String.concat "," (List.map string_of_int ps)))
           b.Block.phis
@@ -80,22 +82,22 @@ let check f =
     match value_ty tys v with
     | None -> (
       match v with
-      | Value.Var x -> err "%s: use of undefined register %%%d in %s" where x what
+      | Value.Var x -> err "%s: use of undefined register %%%d in %s" (where ()) x what
       | Value.Imm_int _ | Value.Imm_float _ | Value.Undef _ -> ())
     | Some got ->
       if not (Types.equal got want) then
-        err "%s: %s has type %s, expected %s" where what (Types.to_string got)
+        err "%s: %s has type %s, expected %s" (where ()) what (Types.to_string got)
           (Types.to_string want)
   in
   let expect_int where what v =
     match value_ty tys v with
     | None -> (
       match v with
-      | Value.Var x -> err "%s: use of undefined register %%%d in %s" where x what
+      | Value.Var x -> err "%s: use of undefined register %%%d in %s" (where ()) x what
       | Value.Imm_int _ | Value.Imm_float _ | Value.Undef _ -> ())
     | Some (Types.I1 | Types.I32 | Types.I64) -> ()
     | Some got ->
-      err "%s: %s has type %s, expected an integer" where what (Types.to_string got)
+      err "%s: %s has type %s, expected an integer" (where ()) what (Types.to_string got)
   in
   let is_float_binop (op : Instr.binop) =
     match op with
@@ -112,16 +114,16 @@ let check f =
     match i with
     | Instr.Binop { op; ty; lhs; rhs; _ } ->
       if is_float_binop op && not (Types.equal ty Types.F64) then
-        err "%s: float binop on %s" where (Types.to_string ty);
+        err "%s: float binop on %s" (where ()) (Types.to_string ty);
       if (not (is_float_binop op)) && not (Types.is_int ty) then
-        err "%s: integer binop on %s" where (Types.to_string ty);
+        err "%s: integer binop on %s" (where ()) (Types.to_string ty);
       expect where "binop lhs" ty lhs;
       expect where "binop rhs" ty rhs
     | Instr.Cmp { op; ty; lhs; rhs; _ } ->
       if is_float_cmp op && not (Types.equal ty Types.F64) then
-        err "%s: float cmp on %s" where (Types.to_string ty);
+        err "%s: float cmp on %s" (where ()) (Types.to_string ty);
       if (not (is_float_cmp op)) && not (Types.is_int ty || Types.is_pointer ty) then
-        err "%s: integer cmp on %s" where (Types.to_string ty);
+        err "%s: integer cmp on %s" (where ()) (Types.to_string ty);
       expect where "cmp lhs" ty lhs;
       expect where "cmp rhs" ty rhs
     | Instr.Unop { op; src; _ } -> (
@@ -160,7 +162,7 @@ let check f =
   in
   Func.iter_blocks
     (fun b ->
-      let where = Format.asprintf "%a" pp_l b.Block.label in
+      let where = block_where b.Block.label in
       List.iter
         (fun (p : Instr.phi) ->
           List.iter (fun (_, v) -> expect where "phi incoming" p.ty v) p.incoming)
@@ -171,7 +173,7 @@ let check f =
       | Instr.Cond_br { cond; _ } -> expect where "branch cond" Types.I1 cond
       | Instr.Ret None ->
         if not (Types.equal f.Func.ret_ty Types.Void) then
-          err "%s: ret void in non-void function" where
+          err "%s: ret void in non-void function" (where ())
       | Instr.Ret (Some v) -> expect where "ret value" f.Func.ret_ty v)
     f;
   match !errs with [] -> Ok () | es -> Error (List.rev es)

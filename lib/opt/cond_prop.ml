@@ -253,7 +253,7 @@ let run f =
     | Instr.Cond_br { cond = Value.Var c; if_true; if_false } -> (
       match Value.Var_map.find_opt c !facts.bools with
       | Some value ->
-        b.Block.term <- Instr.Br (if value then if_true else if_false);
+        Cfg.set_term f b (Instr.Br (if value then if_true else if_false));
         let dead = if value then if_false else if_true in
         (match Func.find_block f dead with
         | Some db when dead <> (if value then if_true else if_false) ->

@@ -84,11 +84,11 @@ let try_convert f ~threshold preds x =
       in
       if diamond then begin
         let m = match tb.Block.term with Instr.Br m -> m | _ -> assert false in
-        Cfg.set_term preds xb (Instr.Br m);
+        Cfg.set_term ~preds f xb (Instr.Br m);
         xb.Block.instrs <- xb.Block.instrs @ tb.Block.instrs @ fb.Block.instrs;
         collapse_phis f x cond m ~t_from:t ~f_from:fl;
-        Cfg.set_term preds tb Instr.Unreachable;
-        Cfg.set_term preds fb Instr.Unreachable;
+        Cfg.set_term ~preds f tb Instr.Unreachable;
+        Cfg.set_term ~preds f fb Instr.Unreachable;
         Func.remove_block f t;
         Func.remove_block f fl;
         Statistic.incr stat_diamonds;
@@ -100,10 +100,10 @@ let try_convert f ~threshold preds x =
       end
       else if triangle_t then begin
         let m = fl in
-        Cfg.set_term preds xb (Instr.Br m);
+        Cfg.set_term ~preds f xb (Instr.Br m);
         xb.Block.instrs <- xb.Block.instrs @ tb.Block.instrs;
         collapse_phis f x cond m ~t_from:t ~f_from:x;
-        Cfg.set_term preds tb Instr.Unreachable;
+        Cfg.set_term ~preds f tb Instr.Unreachable;
         Func.remove_block f t;
         Statistic.incr stat_triangles;
         Remark.applied ~pass:"if-convert" ~func:f.Func.name ~block:x
@@ -114,10 +114,10 @@ let try_convert f ~threshold preds x =
       end
       else if triangle_f then begin
         let m = t in
-        Cfg.set_term preds xb (Instr.Br m);
+        Cfg.set_term ~preds f xb (Instr.Br m);
         xb.Block.instrs <- xb.Block.instrs @ fb.Block.instrs;
         collapse_phis f x cond m ~t_from:x ~f_from:fl;
-        Cfg.set_term preds fb Instr.Unreachable;
+        Cfg.set_term ~preds f fb Instr.Unreachable;
         Func.remove_block f fl;
         Statistic.incr stat_triangles;
         Remark.applied ~pass:"if-convert" ~func:f.Func.name ~block:x
@@ -139,7 +139,7 @@ let run ~threshold f =
      converted blocks are visited: a converted block is now a straight
      side its predecessors may speculate, and nothing else a conversion
      changes can let another candidate convert. *)
-  let preds = Cfg.predecessors f in
+  let preds = Hashtbl.copy (Cfg.predecessors f) in
   let changed = ref false in
   let rec round = function
     | [] -> ()

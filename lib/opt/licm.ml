@@ -17,7 +17,7 @@ let hoistable = function
 let run_on_loop f header =
   match Loop_utils.canonicalize f header with
   | None -> false
-  | Some (loop, pre) ->
+  | Some { Loop_utils.loop; preheader = pre; edited } ->
     (* A value is invariant if defined outside the loop (or a constant),
        or defined in the loop by an already-hoisted instruction. *)
     let defs_in_loop =
@@ -67,7 +67,7 @@ let run_on_loop f header =
           end)
         loop.Loops.blocks
     done;
-    if !moved = [] then false
+    if !moved = [] then edited
     else begin
       let pb = Func.block f pre in
       pb.Block.instrs <- pb.Block.instrs @ !moved;

@@ -5,8 +5,8 @@ open Uu_analysis
    [canonicalize] call and kept current by [Cfg.set_term]. *)
 let preds_of preds l = try Hashtbl.find preds l with Not_found -> []
 
-let retarget preds b ~from_ ~to_ =
-  Cfg.set_term preds b
+let retarget f preds b ~from_ ~to_ =
+  Cfg.set_term ~preds f b
     (Instr.term_map_labels (fun l -> if l = from_ then to_ else l) b.Block.term)
 
 let ensure_preheader f preds (loop : Loops.loop) =
@@ -21,9 +21,9 @@ let ensure_preheader f preds (loop : Loops.loop) =
   | _ ->
     let header = Func.block f loop.header in
     let ph = Func.fresh_block ~hint:"preheader" f in
-    Cfg.set_term preds ph (Instr.Br loop.header);
+    Cfg.set_term ~preds f ph (Instr.Br loop.header);
     List.iter
-      (fun p -> retarget preds (Func.block f p) ~from_:loop.header ~to_:ph.Block.label)
+      (fun p -> retarget f preds (Func.block f p) ~from_:loop.header ~to_:ph.Block.label)
       outside;
     (* Move outside phi entries into the preheader. *)
     header.Block.phis <-
@@ -47,7 +47,7 @@ let ensure_preheader f preds (loop : Loops.loop) =
     (* The function entry cannot be a loop header with an out-of-loop
        predecessor, but if the header was the entry, the preheader becomes
        the new entry. *)
-    if f.Func.entry = loop.header then f.Func.entry <- ph.Block.label;
+    if f.Func.entry = loop.header then Func.set_entry f ph.Block.label;
     ph.Block.label
 
 (* Returns the loop with its exit edges retargeted to the new blocks. *)
@@ -66,11 +66,11 @@ let ensure_dedicated_exits f preds (loop : Loops.loop) =
         in
         let sb = Func.block f s in
         let ex = Func.fresh_block ~hint:"loopexit" f in
-        Cfg.set_term preds ex (Instr.Br s);
+        Cfg.set_term ~preds f ex (Instr.Br s);
         (* Loop preds now branch to the dedicated exit; phi entries from
            them move into new phis in the exit block. *)
         List.iter
-          (fun p -> retarget preds (Func.block f p) ~from_:s ~to_:ex.Block.label)
+          (fun p -> retarget f preds (Func.block f p) ~from_:s ~to_:ex.Block.label)
           inside;
         sb.Block.phis <-
           List.map
@@ -189,12 +189,13 @@ let build_lcssa f preds (loop : Loops.loop) =
           if not (in_loop b.Block.label) then begin
             b.Block.instrs <-
               List.map (Instr.map_values (rewrite b.Block.label)) b.Block.instrs;
-            b.Block.term <-
-              Instr.term_map_values (rewrite b.Block.label) b.Block.term
+            Block.map_term_values (rewrite b.Block.label) b
           end)
         f;
       true
   end
+
+type canonical = { loop : Loops.loop; preheader : Value.label; edited : bool }
 
 let canonicalize f header =
   match
@@ -203,12 +204,14 @@ let canonicalize f header =
   with
   | None -> None
   | Some loop ->
-    let preds = Cfg.predecessors f in
+    let preds = Hashtbl.copy (Cfg.predecessors f) in
+    let generation = f.Func.cfg_generation in
     (* A new preheader lies outside the loop and only outside blocks are
        retargeted to it, so the loop itself is unchanged; a dedicated exit
        changes only the exit edges, which [ensure_dedicated_exits]
-       rewrites. LCSSA adds phis, not edges. *)
+       rewrites. LCSSA adds phis, not edges. The first two edit only by
+       adding a block, which moves the CFG generation. *)
     let preheader = ensure_preheader f preds loop in
     let loop = ensure_dedicated_exits f preds loop in
-    ignore (build_lcssa f preds loop);
-    Some (loop, preheader)
+    let lcssa = build_lcssa f preds loop in
+    Some { loop; preheader; edited = lcssa || f.Func.cfg_generation <> generation }

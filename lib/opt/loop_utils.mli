@@ -14,12 +14,19 @@
 open Uu_ir
 open Uu_analysis
 
-val canonicalize : Func.t -> Value.label -> (Loops.loop * Value.label) option
+type canonical = {
+  loop : Loops.loop;
+      (** what a fresh analysis would find (only its exit edges move) *)
+  preheader : Value.label;
+  edited : bool;
+      (** a preheader, dedicated exit or LCSSA phi was added: the caller's
+          pass must report a change even if it then declines *)
+}
+
+val canonicalize : Func.t -> Value.label -> canonical option
 (** Give the loop with the given header a preheader, dedicated exits, and
-    LCSSA phis. Returns the loop and its preheader, or [None] if the
-    header no longer heads a loop. The function's loops are analyzed
-    once, before any change; the returned loop is what a fresh analysis
-    would find (only its exit edges move).
+    LCSSA phis, or return [None] if the header no longer heads a loop.
+    The function's loops are analyzed once, before any change.
     @raise Failure if a value is used outside a loop with multiple
     distinct exit targets (not needed by any kernel in this project; see
     DESIGN.md). *)

@@ -1,11 +1,20 @@
 (** Passes and the pass manager.
 
     A pass is a named function-level transform reporting whether it
-    changed anything. The manager runs a pipeline, counts the work of
-    every pass (the basis of the paper's compile-time measurements,
-    Fig. 6c), and — unless
+    changed anything. That report must be honest: the manager verifies
+    only after a pass that reports a change, and {!fixpoint} skips a pass
+    that reported none until another pass changes the IR. The manager
+    runs a pipeline, counts the work of every pass (the basis of the
+    paper's compile-time measurements, Fig. 6c), and — unless
     disabled — verifies structural, type, and SSA-dominance well-formedness
-    after each pass, failing fast on the first broken invariant.
+    after each changing pass, failing fast on the first broken invariant.
+
+    Analyses: {!exec} runs the pipeline under [Func.with_analyses], so
+    predecessor maps, dominator trees and loop forests are built once
+    per CFG generation and shared by passes and checks alike. A pass
+    declares nothing: one that does not touch the CFG keeps the cache
+    valid by not bumping the generation. The cache is dropped when
+    {!exec} returns.
 
     Observability: the manager snapshots the (domain-local)
     [Uu_support.Statistic] registry around the run and reports the
@@ -68,10 +77,11 @@ val exec : ?options:options -> t list -> Func.t -> report
 
 val fixpoint : ?max_rounds:int -> string -> t list -> t
 (** A pass that repeats the given sub-pipeline until no sub-pass changes
-    anything (or [max_rounds], default 8, is hit). Each round runs the
-    sub-passes through {!exec}'s loop, without its statistics snapshot;
-    verification of the sub-passes happens at the granularity of the
-    combined pass. *)
+    anything (or [max_rounds], default 8, is hit). Within one run, a
+    sub-pass that reported no change is not run again until another
+    sub-pass reports one: passes are deterministic, so the rerun could
+    only report no change again. Verification and [work] happen at the
+    granularity of the combined pass. *)
 
 val verify_now : Func.t -> unit
 (** The checks the manager runs between passes.

@@ -11,7 +11,7 @@ let fold_branches f =
       match b.Block.term with
       | Instr.Cond_br { cond; if_true; if_false } ->
         if if_true = if_false then begin
-          b.Block.term <- Instr.Br if_true;
+          Cfg.set_term f b (Instr.Br if_true);
           changed := true
         end
         else begin
@@ -21,14 +21,14 @@ let fold_branches f =
               if Int64.equal (Int64.logand n 1L) 0L then if_false, if_true
               else if_true, if_false
             in
-            b.Block.term <- Instr.Br live;
+            Cfg.set_term f b (Instr.Br live);
             (match Func.find_block f dead with
             | Some db -> Block.remove_incoming b.Block.label db
             | None -> ());
             Statistic.incr stat_branches;
             changed := true
           | Value.Undef _ ->
-            b.Block.term <- Instr.Br if_true;
+            Cfg.set_term f b (Instr.Br if_true);
             (match Func.find_block f if_false with
             | Some db ->
               if if_false <> if_true then Block.remove_incoming b.Block.label db
@@ -112,7 +112,7 @@ let merge_straight_line f =
      one until the next round (chains shrink by half per round). Merging
      never reads phi entries, so the successors' entries from consumed
      blocks are renamed once, at the end, through [merged_into]. *)
-  let preds = Cfg.predecessors f in
+  let preds = Hashtbl.copy (Cfg.predecessors f) in
   let merged_into = Hashtbl.create 16 in
   let renamed = Hashtbl.create 16 in
   let changed = ref false in
@@ -125,10 +125,10 @@ let merge_straight_line f =
         match Hashtbl.find_opt preds s, Func.find_block f s with
         | Some [ p ], Some sb when p = b.Block.label && sb.Block.phis = [] ->
           b.Block.instrs <- b.Block.instrs @ sb.Block.instrs;
-          Cfg.set_term preds b sb.Block.term;
+          Cfg.set_term ~preds f b sb.Block.term;
           Hashtbl.replace merged_into s b.Block.label;
           List.iter (fun succ -> Hashtbl.replace renamed succ ()) (Block.successors sb);
-          Cfg.set_term preds sb Instr.Unreachable;
+          Cfg.set_term ~preds f sb Instr.Unreachable;
           Func.remove_block f s;
           Hashtbl.replace touched b.Block.label ();
           Hashtbl.replace touched s ();
@@ -157,7 +157,7 @@ let merge_straight_line f =
   !changed
 
 let forward_empty_blocks f =
-  let preds = Cfg.predecessors f in
+  let preds = Hashtbl.copy (Cfg.predecessors f) in
   let preds_of l = try Hashtbl.find preds l with Not_found -> [] in
   let changed = ref false in
   let visit touched b =
@@ -184,7 +184,7 @@ let forward_empty_blocks f =
               (fun p ->
                 match Func.find_block f p with
                 | Some pb ->
-                  Cfg.set_term preds pb
+                  Cfg.set_term ~preds f pb
                     (Instr.term_map_labels
                        (fun l -> if l = b.Block.label then s else l)
                        pb.Block.term)
@@ -201,7 +201,7 @@ let forward_empty_blocks f =
                     in
                     { phi with incoming = kept @ List.map (fun p -> (p, v)) ps })
                 sb.Block.phis;
-            Cfg.set_term preds b Instr.Unreachable;
+            Cfg.set_term ~preds f b Instr.Unreachable;
             Func.remove_block f b.Block.label;
             Hashtbl.replace touched b.Block.label ();
             Hashtbl.replace touched s ();

@@ -33,20 +33,24 @@ let fix_clone_header_phis f (loop : Loops.loop) ~orig_header ~prev_map ~cur_map 
         { cp with incoming = latch_entries })
       orig_phis hb.Block.phis
 
+type outcome = { unrolled : bool; edited : bool }
+
+let declined = { unrolled = false; edited = false }
+
 let unroll_loop ?(exact = false) f ~header ~factor =
-  if factor < 2 then false
+  if factor < 2 then declined
   else
     match Loop_utils.canonicalize f header with
     | None ->
       Remark.missed ~pass:"unroll" ~func:f.Func.name ~block:header
         "loop could not be canonicalized (no preheader/dedicated exits)";
-      false
-    | Some (loop, _) ->
+      declined
+    | Some { Loop_utils.loop; edited; _ } ->
       if Loops.contains_convergent f loop then begin
         Remark.missed ~pass:"unroll" ~func:f.Func.name ~block:header
           "loop contains a convergent operation (syncthreads); unrolling \
            would break reconvergence";
-        false
+        { unrolled = false; edited }
       end
       else begin
         let region = Value.Label_set.elements loop.blocks in
@@ -71,10 +75,10 @@ let unroll_loop ?(exact = false) f ~header ~factor =
                 | Some m -> Clone.map_label m latch
               in
               let lb = Func.block f latch_i in
-              lb.Block.term <-
-                Instr.term_map_labels
-                  (fun l -> if l = own_header then next_header else l)
-                  lb.Block.term)
+              Cfg.set_term f lb
+                (Instr.term_map_labels
+                   (fun l -> if l = own_header then next_header else l)
+                   lb.Block.term))
             loop.latches
         done;
         (* Headers of copies 1..u-1 receive control only from the previous
@@ -179,10 +183,10 @@ let unroll_loop ?(exact = false) f ~header ~factor =
             List.iter
               (fun ll ->
                 let lb = Func.block f ll in
-                lb.Block.term <-
-                  Instr.term_map_labels
-                    (fun l -> if l = header then e else l)
-                    lb.Block.term)
+                Cfg.set_term f lb
+                  (Instr.term_map_labels
+                     (fun l -> if l = header then e else l)
+                     lb.Block.term))
               last_latches;
             hb.Block.phis <-
               List.map
@@ -199,7 +203,7 @@ let unroll_loop ?(exact = false) f ~header ~factor =
         Remark.applied ~pass:"unroll" ~func:f.Func.name ~block:header
           ~args:[ ("factor", Remark.Int factor); ("exact", Remark.Bool exact) ]
           "unrolled loop by whole-body cloning";
-        true
+        { unrolled = true; edited = true }
       end
 
 let baseline_full_unroll ?(max_trip = 16) ?(size_budget = 320) () =
@@ -229,13 +233,14 @@ let baseline_full_unroll ?(max_trip = 16) ?(size_budget = 320) () =
           | Some n -> n
           | None -> assert false
         in
-        if unroll_loop ~exact:true f ~header:l.header ~factor:n then begin
+        let o = unroll_loop ~exact:true f ~header:l.header ~factor:n in
+        if o.edited then changed := true;
+        if o.unrolled then begin
           Hashtbl.replace f.Func.pragmas l.header Func.Pragma_nounroll;
           Statistic.incr stat_full;
           Remark.applied ~pass:"full-unroll" ~func:f.Func.name ~block:l.header
             ~args:[ ("trip_count", Remark.Int n) ]
             "constant-trip-count loop fully unrolled; back edge eliminated";
-          changed := true;
           continue := true
         end
         else Hashtbl.replace f.Func.pragmas l.header Func.Pragma_nounroll
@@ -255,9 +260,9 @@ let unroll_only_pass ~factor ~headers =
     in
     List.fold_left
       (fun changed h ->
-        let c = unroll_loop f ~header:h ~factor in
-        if c then Hashtbl.replace f.Func.pragmas h Func.Pragma_nounroll;
-        c || changed)
+        let o = unroll_loop f ~header:h ~factor in
+        if o.unrolled then Hashtbl.replace f.Func.pragmas h Func.Pragma_nounroll;
+        o.edited || changed)
       false selected
   in
   { Pass.name = Printf.sprintf "unroll-x%d" factor; run }

@@ -15,13 +15,20 @@
 
 open Uu_ir
 
-val unroll_loop : ?exact:bool -> Func.t -> header:Value.label -> factor:int -> bool
-(** Unroll the loop whose header is [header]. Returns false (and leaves
-    the function untouched) when [factor < 2], the header heads no loop,
-    or the loop contains convergent operations. With [exact] (the trip
-    count is known to equal [factor]) the never-taken back edge is
-    redirected to the header's exit, letting the cleanup pipeline dissolve
-    the loop entirely — true full unrolling. *)
+type outcome = {
+  unrolled : bool;
+  edited : bool;
+      (** the function changed: [unrolled], or the loop was canonicalized
+          (see [Loop_utils.canonicalize]) before unrolling declined *)
+}
+
+val unroll_loop : ?exact:bool -> Func.t -> header:Value.label -> factor:int -> outcome
+(** Unroll the loop whose header is [header]. Declines when [factor < 2]
+    or the header heads no loop (the function is untouched), or when the
+    loop contains convergent operations (after canonicalizing it). With
+    [exact] (the trip count is known to equal [factor]) the never-taken
+    back edge is redirected to the header's exit, letting the cleanup
+    pipeline dissolve the loop entirely — true full unrolling. *)
 
 val baseline_full_unroll :
   ?max_trip:int -> ?size_budget:int -> unit -> Pass.t

@@ -705,7 +705,7 @@ let test_loop_utils_canonicalize () =
   let fn, header = Ir_helpers.diamond_loop () in
   (match Loop_utils.canonicalize fn header with
   | None -> Alcotest.fail "loop lost"
-  | Some (loop, preheader) ->
+  | Some { Loop_utils.loop; preheader; _ } ->
     check (Alcotest.option int) "preheader" (Some preheader)
       (Uu_analysis.Loops.preheader fn loop);
     List.iter
@@ -716,6 +716,116 @@ let test_loop_utils_canonicalize () =
       loop.Uu_analysis.Loops.exits);
   Verifier.check_exn fn;
   Uu_analysis.Ssa_check.check_exn fn
+
+(* LCSSA alone is an edit: a loop whose sum is read after the exit and
+   which has nothing to hoist still gains an exit phi, so LICM must
+   report a change (the manager verifies only changing passes). *)
+let test_licm_reports_canonicalization () =
+  let fn =
+    Ir_helpers.compile_one
+      {|
+kernel k(int* restrict out, int n) {
+  int tid = threadIdx.x;
+  int s = 0;
+  int i = 0;
+  while (i < n) { s = s + i * tid; i = i + 1; }
+  out[tid] = s;
+}
+|}
+  in
+  ignore (Pass.exec Uu_core.Pipelines.early_passes fn);
+  let before = Printer.func_to_string fn in
+  let report = Pass.exec [ Licm.pass ] fn in
+  check bool "nothing hoisted" false
+    (List.mem_assoc "licm.instrs_hoisted" report.Pass.stats);
+  check bool "canonicalization edited the loop" true
+    (Printer.func_to_string fn <> before);
+  check bool "reported as a change" true report.Pass.changed;
+  Pass.verify_now fn
+
+(* Every analysis cached on a function must be what a fresh build gives.
+   Each pipeline element runs in one [Pass.exec] with a checking pass
+   after it, so the check reads the cache the element left behind;
+   [Func.copy] caches nothing and serves as the fresh build. A fixpoint
+   element hides its sub-passes, and a later sub-pass that moves the
+   generation would mask a bump an earlier one missed, so after every
+   element each cleanup pass also runs on its own, checked, over a copy
+   of the function. These probes skip the IR checks: out of pipeline
+   order they may leave phi entries from unreachable blocks, which the
+   pipeline prunes before it verifies. *)
+let analyses f =
+  let module Loops = Uu_analysis.Loops in
+  let dom = Uu_analysis.Dominance.compute f in
+  ( Hashtbl.fold (fun l ps acc -> (l, ps) :: acc) (Cfg.predecessors f) [],
+    Cfg.reverse_postorder f,
+    Value.Label_set.elements (Cfg.reachable f),
+    List.map (fun l -> (l, Uu_analysis.Dominance.idom dom l)) (Func.labels f),
+    List.map
+      (fun (l : Loops.loop) ->
+        ( (l.id, l.header, Value.Label_set.elements l.blocks, l.latches),
+          (l.exits, l.parent, l.children, l.depth) ))
+      (Loops.loops (Loops.analyze f)) )
+
+let test_analysis_cache_coherent () =
+  let checker where =
+    {
+      Pass.name = "coherence";
+      run =
+        (fun f ->
+          if analyses f <> analyses (Func.copy f) then
+            Alcotest.failf "%s: cached analyses of @%s differ from a fresh build"
+              where f.Func.name;
+          false);
+    }
+  in
+  let probes =
+    [ Simplify_cfg.pass; Cond_prop.pass; Instcombine.pass; Gvn.pass; Sccp.pass;
+      Dce.pass; Licm.pass; If_convert.pass; Dce.dead_load_pass ]
+  in
+  let run_elements what f elements =
+    List.iter
+      (fun (p : Pass.t) ->
+        let where = what ^ " after " ^ p.Pass.name in
+        ignore (Pass.exec [ p; checker where ] f);
+        let g = Func.copy f in
+        List.iter
+          (fun (q : Pass.t) ->
+            ignore
+              (Pass.exec ~options:Pass.unverified
+                 [ q; checker (where ^ ", then " ^ q.Pass.name) ]
+                 g))
+          probes)
+      elements
+  in
+  let early = List.length Uu_core.Pipelines.early_passes in
+  let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
+  List.iter
+    (fun (app : Uu_benchmarks.App.t) ->
+      List.iter
+        (fun (name, config, loop0) ->
+          let m = Uu_frontend.Lower.compile ~name:app.name app.source in
+          List.iter
+            (fun f ->
+              let what = app.name ^ "/" ^ name in
+              run_elements what f Uu_core.Pipelines.early_passes;
+              let targets =
+                if not loop0 then Uu_core.Pipelines.All_loops
+                else
+                  Uu_core.Pipelines.Only
+                    (List.filter_map
+                       (fun (l : Uu_analysis.Loops.loop) ->
+                         if l.id = 0 then Some l.header else None)
+                       (Uu_analysis.Loops.loops (Uu_analysis.Loops.analyze f)))
+              in
+              run_elements what f
+                (drop early (Uu_core.Pipelines.pipeline ~targets config)))
+            m.Func.funcs)
+        [
+          ("baseline", Uu_core.Pipelines.Baseline, false);
+          ("heuristic", Uu_core.Pipelines.Uu_heuristic, false);
+          ("u&u-4 loop 0", Uu_core.Pipelines.Uu 4, true);
+        ])
+    Uu_benchmarks.Registry.all
 
 let suite =
   [
@@ -750,5 +860,7 @@ let suite =
     ("licm hoists invariants", `Quick, test_licm_hoists);
     ("licm never hoists loads", `Quick, test_licm_keeps_loads);
     ("loop canonicalization", `Quick, test_loop_utils_canonicalize);
+    ("licm reports canonicalization", `Quick, test_licm_reports_canonicalization);
+    ("analysis cache matches a fresh build", `Slow, test_analysis_cache_coherent);
     ("pass manager timeout", `Quick, test_pass_timeout);
   ]

@@ -46,7 +46,7 @@ let test_unroll_semantics () =
       ignore
         (run_both counted_loop_src [ 13L ] ~transform:(fun fn header ->
              check bool "unroll applied" true
-               (Uu_opt.Unroll.unroll_loop fn ~header ~factor))))
+               (Uu_opt.Unroll.unroll_loop fn ~header ~factor).unrolled)))
     [ 2; 3; 4; 8 ]
 
 let test_unroll_structure () =
@@ -66,9 +66,10 @@ let test_unroll_structure () =
 let test_unroll_rejects () =
   let fn = Ir_helpers.compile_one counted_loop_src in
   let header = first_loop fn in
-  check bool "factor 1 refused" false (Uu_opt.Unroll.unroll_loop fn ~header ~factor:1);
-  check bool "bogus header refused" false
-    (Uu_opt.Unroll.unroll_loop fn ~header:9999 ~factor:2)
+  let untouched = { Uu_opt.Unroll.unrolled = false; edited = false } in
+  check bool "factor 1 refused" true (Uu_opt.Unroll.unroll_loop fn ~header ~factor:1 = untouched);
+  check bool "bogus header refused" true
+    (Uu_opt.Unroll.unroll_loop fn ~header:9999 ~factor:2 = untouched)
 
 let test_unmerge_semantics () =
   ignore
