@@ -25,6 +25,7 @@ let check f =
           | None -> ())
         b.Block.instrs)
     f;
+  let reachable = Cfg.reachable f in
   let check_use ~where ~use_block ~use_pos v =
     match v with
     | Value.Imm_int _ | Value.Imm_float _ | Value.Undef _ -> ()
@@ -37,11 +38,16 @@ let check f =
             if def_pos >= use_pos then
               err "%s: register %%%d used before its definition" (where ()) x
           end
-          else if not (Dominance.dominates dom def_block use_block) then
+          else if
+            (not (Dominance.dominates dom def_block use_block))
+            (* A phi entry is used in its predecessor. An entry from an
+               unreachable predecessor is never taken, and the verifier
+               tolerates it. *)
+            && Value.Label_set.mem use_block reachable
+          then
             err "%s: use of %%%d not dominated by its definition (bb%d)" (where ()) x
               def_block)
   in
-  let reachable = Cfg.reachable f in
   Func.iter_blocks
     (fun b ->
       if Value.Label_set.mem b.Block.label reachable then begin

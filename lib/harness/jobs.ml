@@ -76,13 +76,20 @@ let execute ?timeout ?engine ~sim_jobs ~retries j jkey =
   in
   go 1
 
-(* A cached entry is the [Response.to_string] text of an [Ok] response;
-   the cache hands back only bytes that pass its digest check, so a
-   parse failure can only mean an entry of another format — recompute. *)
+(* A cached entry is the [Response.to_string] text of an [Ok] response.
+   The cache hands back only bytes that pass its digest check; bytes that
+   still do not decode to an [Ok] response are well-formed wrong text
+   (another writer of the directory), dropped like a torn entry so the
+   job recomputes and stores a good one. *)
 let lookup cache ~key =
-  match Option.map Response.of_string (Result_cache.lookup_raw cache ~key) with
-  | Some (Ok (Ok ok)) -> Some ok
-  | Some (Ok (Error _) | Error _) | None -> None
+  match Result_cache.lookup_raw cache ~key with
+  | None -> None
+  | Some text -> (
+    match Response.of_string text with
+    | Ok (Ok ok) -> Some ok
+    | Ok (Error _) | Error _ ->
+      Result_cache.reject cache ~key;
+      None)
 
 let run_all ?jobs ?sim_jobs ?cache ?timeout ?engine ?(retries = 1) job_list =
   let arr = Array.of_list job_list in

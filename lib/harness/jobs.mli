@@ -108,7 +108,9 @@ val run_all :
     enter the key; [retries] (default 1) is how many times a failed job
     is re-attempted before a {!failure} is recorded. Responses are
     serialized only when [cache] is given: lookups and stores of
-    [Response.to_string] bytes happen on the calling domain only.
+    [Response.to_string] bytes happen on the calling domain only. A
+    cached entry that does not decode to an [Ok] response is dropped
+    with [Result_cache.reject] and recomputed.
     Results are in input order. *)
 
 val measurements_exn : result -> Runner.measurement list

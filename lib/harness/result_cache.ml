@@ -27,7 +27,10 @@ let md5 s = Digest.to_hex (Digest.string s)
 let wrap payload =
   Printf.sprintf "uu-cache 1 %d %s\n%s" (String.length payload) (md5 payload) payload
 
-(* The payload, if the header is ours and the length and digest match. *)
+type entry = { payload : string; digest : string }
+
+(* The payload and its digest, if the header is ours and the length and
+   digest match. *)
 let unwrap text =
   match String.index_opt text '\n' with
   | None -> None
@@ -36,7 +39,7 @@ let unwrap text =
     match String.split_on_char ' ' (String.sub text 0 nl) with
     | [ "uu-cache"; "1"; len; digest ] when int_of_string_opt len = Some body ->
       let payload = String.sub text (nl + 1) body in
-      if md5 payload = digest then Some payload else None
+      if md5 payload = digest then Some { payload; digest } else None
     | _ -> None)
 
 (* --- the store ----------------------------------------------------- *)
@@ -47,22 +50,32 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let lookup_raw t ~key =
+let drop t path =
+  Printf.eprintf "warning: dropping corrupt cache entry %s\n%!" path;
+  (try Sys.remove path with Sys_error _ -> ());
+  t.corrupt_count <- t.corrupt_count + 1;
+  t.miss_count <- t.miss_count + 1
+
+let lookup t ~key =
   let path = path_of t ~key in
-  let entry = try Some (read_file path) with Sys_error _ -> None in
-  match Option.map unwrap entry with
-  | Some (Some payload) ->
+  let file = try Some (read_file path) with Sys_error _ -> None in
+  match Option.map unwrap file with
+  | Some (Some entry) ->
     t.hit_count <- t.hit_count + 1;
-    Some payload
+    Some entry
   | Some None ->
-    Printf.eprintf "warning: dropping corrupt cache entry %s\n%!" path;
-    (try Sys.remove path with Sys_error _ -> ());
-    t.corrupt_count <- t.corrupt_count + 1;
-    t.miss_count <- t.miss_count + 1;
+    drop t path;
     None
   | None ->
     t.miss_count <- t.miss_count + 1;
     None
+
+let lookup_raw t ~key = Option.map (fun e -> e.payload) (lookup t ~key)
+
+(* The hit [lookup] just counted becomes a corrupt miss. *)
+let reject t ~key =
+  t.hit_count <- t.hit_count - 1;
+  drop t (path_of t ~key)
 
 (* Atomic store: write to a process-unique temporary in the shard
    directory, then rename. Several daemons may share one cache

@@ -10,12 +10,15 @@
 
     {b Entry format.} A one-line header, then the stored bytes verbatim:
     {v uu-cache 1 <length> <md5-hex>\n<bytes> v}
-    {!lookup_raw} returns the bytes only when their length and MD5 match
+    {!lookup} returns the bytes only when their length and MD5 match
     the header. Anything else — a truncated, bit-flipped, empty or
     foreign file, including entries written before this format — is
     deleted, counted in {!corrupt}, and reported as a miss, so the
-    caller recomputes and stores a good entry. Callers never see bytes
-    the cache did not write.
+    caller recomputes and stores a good entry. The digest proves only
+    that the bytes are whole, not that they are a response: any process
+    sharing the directory can store well-formed wrong text. So a caller
+    whose reader fails on a hit hands it back with {!reject}, which
+    drops it the same way.
 
     Entries never expire: the key already encodes everything a response
     depends on (including [Uu_core.Pipelines.version] and the
@@ -37,11 +40,27 @@ val create : dir:string -> t
 
 val dir : t -> string
 
+type entry = {
+  payload : string;  (** exactly the bytes {!store_raw} was given *)
+  digest : string;
+      (** their MD5 in hex, from the entry's header, which [payload]
+          was checked against *)
+}
+
+val lookup : t -> key:string -> entry option
+(** The entry for [key], on a hit. [None] (counted as a miss) when the
+    entry is absent, unreadable or fails its check; a failed check also
+    deletes the entry and counts it in {!corrupt}. *)
+
 val lookup_raw : t -> key:string -> string option
-(** Exactly the bytes {!store_raw} was given for [key], on a hit. [None]
-    (counted as a miss) when the entry is absent, unreadable or fails
-    its check; a failed check also deletes the entry and counts it in
-    {!corrupt}. *)
+(** {!lookup}'s payload. *)
+
+val reject : t -> key:string -> unit
+(** Drop the entry a {!lookup} of [key] just returned, because its bytes
+    passed the digest check but failed the caller's reader: delete the
+    file and count the lookup in {!corrupt} and {!misses} instead of
+    {!hits}. The caller then recomputes and stores, as after a failed
+    digest. *)
 
 val store_raw : t -> key:string -> string -> unit
 
@@ -50,4 +69,4 @@ val misses : t -> int
 
 val corrupt : t -> int
 (** Entries dropped since [create] because they failed their length or
-    digest check (each also counted as a miss). *)
+    digest check, or were {!reject}ed (each also counted as a miss). *)

@@ -1,3 +1,13 @@
+(* The daemon: one reactor thread owns every connection, the admission
+   queues and the result cache, under [t.mutex]; pool domains execute
+   admitted requests and hand back serialized responses. Result frames
+   are built by splicing those bytes, or a validated cache entry's, into
+   a fixed frame prefix and suffix, so the reactor parses no response it
+   ships. Every locked section takes the mutex through [Mutex.protect],
+   and a step that raises for one connection fails that connection
+   only, so no exception leaves the lock held or the other clients
+   waiting. *)
+
 open Uu_support
 open Uu_core
 open Uu_serve
@@ -68,6 +78,9 @@ type t = {
          skip compilation, so they run before cold keys *)
   q_cold : string Queue.t;
   compiled : (string, compiled_entry) Hashtbl.t;
+  validated : (string, string) Hashtbl.t;
+      (* key -> digest of the cache entry last found to reprint as itself
+         (see [cached]); only keys and digests, never response bytes *)
   mutable next_conn_id : int;
   mutable n_running : int;
   mutable n_queued : int;
@@ -147,6 +160,7 @@ let create ?socket ?tcp ?domains ?(cache_dir = Filename.concat "results" "cache"
     q_warm = Queue.create ();
     q_cold = Queue.create ();
     compiled = Hashtbl.create 31;
+    validated = Hashtbl.create 31;
     next_conn_id = 0;
     n_running = 0;
     n_queued = 0;
@@ -186,11 +200,7 @@ let stats_locked t =
     ("serve.pool_domains", Parallel.Pool.size t.pool);
   ]
 
-let stats t =
-  Mutex.lock t.mutex;
-  let s = stats_locked t in
-  Mutex.unlock t.mutex;
-  s
+let stats t = Mutex.protect t.mutex (fun () -> stats_locked t)
 
 let wake t =
   try ignore (Unix.write_substring t.wake_w "x" 0 1)
@@ -201,26 +211,20 @@ let wake t =
   | Unix.Unix_error (Unix.EPIPE, _, _) -> ()
 
 let request_stop t =
-  Mutex.lock t.mutex;
-  t.stop <- true;
-  Mutex.unlock t.mutex;
+  Mutex.protect t.mutex (fun () -> t.stop <- true);
   wake t
 
 (* --- executing one request (on a pool domain) ----------------------- *)
 
 let compiled_entry t r =
   let ckey = Request.compile_key r in
-  Mutex.lock t.mutex;
-  let entry =
-    match Hashtbl.find_opt t.compiled ckey with
-    | Some e -> e
-    | None ->
-      let e = { ce_lock = Mutex.create (); ce_result = None } in
-      Hashtbl.add t.compiled ckey e;
-      e
-  in
-  Mutex.unlock t.mutex;
-  entry
+  Mutex.protect t.mutex (fun () ->
+      match Hashtbl.find_opt t.compiled ckey with
+      | Some e -> e
+      | None ->
+        let e = { ce_lock = Mutex.create (); ce_result = None } in
+        Hashtbl.add t.compiled ckey e;
+        e)
 
 (* The request goes through the one funnel; only its compile step is
    memoized. The first request for a compile identity compiles once, and
@@ -228,10 +232,7 @@ let compiled_entry t r =
    cache. *)
 let execute_response t r =
   let entry = compiled_entry t r in
-  Mutex.lock entry.ce_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock entry.ce_lock)
-    (fun () ->
+  Mutex.protect entry.ce_lock (fun () ->
       let compile r =
         match entry.ce_result with
         | Some res -> res
@@ -244,7 +245,8 @@ let execute_response t r =
 
 (* Runs on a pool domain; must never raise and must always land a
    completion (the reactor's running count is balanced by it). The text
-   is the serialized response — the exact bytes cached and shipped. *)
+   is the serialized response — the exact bytes cached and spliced into
+   result frames, never parsed again. *)
 let run_job t ~key r () =
   let response =
     try execute_response t r
@@ -256,33 +258,24 @@ let run_job t ~key r () =
       ( Response.to_string (Error ("internal error: " ^ Printexc.to_string e)),
         false )
   in
-  Mutex.lock t.mutex;
-  Queue.push (key, text, ok) t.completions;
-  Mutex.unlock t.mutex;
+  Mutex.protect t.mutex (fun () -> Queue.push (key, text, ok) t.completions);
   wake t
 
 (* --- reactor: frame output ------------------------------------------ *)
 
-(* The response travels as already-serialized bytes: re-parsing into a
-   [Json.t] and letting the frame encoder print it again is byte-stable
-   (parse-then-print is the identity on this printer's own output), so
-   executed, cache-served, and joined answers ship identical bytes. The
-   text is always checked: either [Response.to_string] output from a
-   pool worker or an entry [Result_cache.lookup_raw] verified against
-   its length and digest — the reactor never parses a raw file. *)
-let result_frame ~id ~served text =
-  Protocol.encode_frame
-    (Json.Obj
-       [
-         ("frame", Json.Str "result");
-         ("id", Json.Int id);
-         ("served", Json.Str (Protocol.served_string served));
-         ("response", Json.of_string_exn text);
-       ])
+(* Every result frame splices serialized response bytes into a fixed
+   frame prefix and suffix ([Protocol.result_frame]); the reactor never
+   parses a response it ships. Executed and joined answers carry the
+   bytes a pool worker printed with [Response.to_string]; a cache hit
+   carries bytes [cached] has checked are exactly such output. *)
 
 let queue_msg conn msg =
   Buffer.add_string conn.c_out
     (Protocol.encode_frame (Protocol.server_to_json msg))
+
+let close_conn t conn =
+  Hashtbl.remove t.conns conn.c_id;
+  try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
 
 let hello_frame =
   Protocol.Hello
@@ -315,18 +308,38 @@ let rec pump t =
       pump t
   end
 
+(* A step for one connection (read, decode, admit, deliver, flush) that
+   raised fails that connection alone: it gets an error frame, is closed
+   once the frame is flushed, and counts in serve.errors. A connection
+   that fails again while closing is closed at once. Every other
+   connection carries on. *)
+let guard t conn step =
+  try step ()
+  with e ->
+    if conn.c_closing then close_conn t conn
+    else begin
+      t.n_errors <- t.n_errors + 1;
+      let message = "internal error: " ^ Printexc.to_string e in
+      (try queue_msg conn (Protocol.Error_msg { id = None; message })
+       with Protocol.Protocol_error _ -> ());
+      conn.c_closing <- true
+    end
+
 let deliver t { w_conn; w_id; w_served } text =
   match Hashtbl.find_opt t.conns w_conn with
   | None -> ()  (* the client hung up while its request ran *)
   | Some conn ->
     if not conn.c_closing then
-      Buffer.add_string conn.c_out (result_frame ~id:w_id ~served:w_served text)
+      guard t conn (fun () ->
+          Buffer.add_string conn.c_out
+            (Protocol.result_frame ~id:w_id ~served:w_served text))
 
 let complete t ~key ~text ~ok =
   t.n_running <- t.n_running - 1;
   t.n_executed <- t.n_executed + 1;
   if ok then (
-    try Result_cache.store_raw t.cache ~key text with Sys_error _ -> ())
+    try Result_cache.store_raw t.cache ~key text
+    with Sys_error _ | Unix.Unix_error _ -> ())
   else t.n_errors <- t.n_errors + 1;
   (match Hashtbl.find_opt t.jobs key with
   | None -> ()
@@ -334,6 +347,34 @@ let complete t ~key ~text ~ok =
     Hashtbl.remove t.jobs key;
     List.iter (fun w -> deliver t w text) (List.rev job.j_waiters));
   pump t
+
+(* Whether [text] decodes to a response that prints back as [text]. *)
+let reprints text =
+  match Response.of_string text with
+  | Ok r -> String.equal (Response.to_string r) text
+  | Error _ -> false
+
+(* The cached bytes for [key], ready to splice. The cache has checked
+   them against the digest in the entry's header. The first time this
+   daemon meets a (key, digest) pair it also checks that the bytes
+   reprint as themselves; an entry that does not is rejected like a torn
+   one, so the request is recomputed. A pair that passed is spliced from
+   then on without being parsed. *)
+let cached t ~key =
+  match Result_cache.lookup t.cache ~key with
+  | None -> None
+  | Some { Result_cache.payload; digest } -> (
+    match Hashtbl.find_opt t.validated key with
+    | Some d when String.equal d digest -> Some payload
+    | _ ->
+      if reprints payload then begin
+        Hashtbl.replace t.validated key digest;
+        Some payload
+      end
+      else begin
+        Result_cache.reject t.cache ~key;
+        None
+      end)
 
 (* Serve one request frame: join an identical in-flight one, read the
    result cache, admit it to the execution queue, or — over the queue
@@ -349,11 +390,11 @@ let admit t conn ~id request =
       { w_conn = conn.c_id; w_id = id; w_served = Protocol.Joined }
       :: job.j_waiters
   | None -> (
-    match Result_cache.lookup_raw t.cache ~key with
+    match cached t ~key with
     | Some text ->
       t.n_cache_served <- t.n_cache_served + 1;
       Buffer.add_string conn.c_out
-        (result_frame ~id ~served:Protocol.Cache text)
+        (Protocol.result_frame ~id ~served:Protocol.Cache text)
     | None ->
       if
         t.draining || t.stop
@@ -385,10 +426,6 @@ let handle_msg t conn = function
     t.stop <- true
 
 (* --- reactor: connection I/O ---------------------------------------- *)
-
-let close_conn t conn =
-  Hashtbl.remove t.conns conn.c_id;
-  try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
 
 let pending_out conn = Buffer.length conn.c_out - conn.c_out_pos
 
@@ -509,22 +546,24 @@ let serve_forever t =
   let read_buf = Bytes.create 65536 in
   let flush_deadline = ref None in
   let teardown () =
-    Mutex.lock t.mutex;
-    List.iter
-      (fun l -> try Unix.close l.l_fd with Unix.Unix_error _ -> ())
-      t.listeners;
-    t.listeners <- [];
-    Hashtbl.iter (fun _ conn -> ignore (flush_conn conn)) t.conns;
-    let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-    List.iter (fun c -> close_conn t c) conns;
-    Mutex.unlock t.mutex;
+    Mutex.protect t.mutex (fun () ->
+        List.iter
+          (fun l -> try Unix.close l.l_fd with Unix.Unix_error _ -> ())
+          t.listeners;
+        t.listeners <- [];
+        Hashtbl.iter
+          (fun _ conn -> try ignore (flush_conn conn) with _ -> ())
+          t.conns;
+        let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
+        List.iter (fun c -> close_conn t c) conns);
     (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
     (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
     (try Unix.unlink t.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
     Parallel.Pool.shutdown t.pool
   in
-  let rec loop () =
-    Mutex.lock t.mutex;
+  (* Before a select, under the lock: the descriptors to select on and
+     the timeout, or [None] once a drain has finished. *)
+  let prepare () =
     (* Process whatever arrived since the last select: completions from
        pool workers first (they free slots and queue result frames). *)
     while not (Queue.is_empty t.completions) do
@@ -566,8 +605,8 @@ let serve_forever t =
         | None -> false
       end
     in
-    if finished then Mutex.unlock t.mutex
-    else begin
+    if finished then None
+    else
       let reads =
         t.wake_r
         :: List.map (fun l -> l.l_fd) t.listeners
@@ -580,33 +619,39 @@ let serve_forever t =
           (fun _ c acc -> if pending_out c > 0 then c.c_fd :: acc else acc)
           t.conns []
       in
-      Mutex.unlock t.mutex;
+      Some (reads, writes, if t.draining then 0.05 else 0.5)
+  in
+  (* After a select, under the lock: every ready descriptor's step. *)
+  let handle readable writable =
+    if List.mem t.wake_r readable then drain_wake_pipe t read_buf;
+    List.iter
+      (fun l -> if List.mem l.l_fd readable then accept_conns t l)
+      t.listeners;
+    (* Snapshot: handlers may close connections as they go. *)
+    let live = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
+    List.iter
+      (fun c ->
+        if Hashtbl.mem t.conns c.c_id && List.mem c.c_fd readable then
+          guard t c (fun () -> read_conn t c read_buf))
+      live;
+    List.iter
+      (fun c ->
+        if
+          Hashtbl.mem t.conns c.c_id
+          && (List.mem c.c_fd writable || pending_out c > 0)
+        then guard t c (fun () -> if not (flush_conn c) then close_conn t c))
+      live
+  in
+  let rec loop () =
+    match Mutex.protect t.mutex prepare with
+    | None -> ()
+    | Some (reads, writes, timeout) ->
       let readable, writable =
-        match Unix.select reads writes [] (if t.draining then 0.05 else 0.5) with
+        match Unix.select reads writes [] timeout with
         | r, w, _ -> (r, w)
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
       in
-      Mutex.lock t.mutex;
-      if List.mem t.wake_r readable then drain_wake_pipe t read_buf;
-      List.iter
-        (fun l -> if List.mem l.l_fd readable then accept_conns t l)
-        t.listeners;
-      (* Snapshot: handlers may close connections as they go. *)
-      let live = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-      List.iter
-        (fun c ->
-          if Hashtbl.mem t.conns c.c_id && List.mem c.c_fd readable then
-            read_conn t c read_buf)
-        live;
-      List.iter
-        (fun c ->
-          if
-            Hashtbl.mem t.conns c.c_id
-            && (List.mem c.c_fd writable || pending_out c > 0)
-          then if not (flush_conn c) then close_conn t c)
-        live;
-      Mutex.unlock t.mutex;
+      Mutex.protect t.mutex (fun () -> handle readable writable);
       loop ()
-    end
   in
   Fun.protect ~finally:teardown loop

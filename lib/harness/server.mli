@@ -13,8 +13,13 @@
       raw documents in [Result_cache] (the store the experiment job
       graph uses too), so repeats across daemon restarts are served
       without touching the pool. Entries are checked against their
-      length and digest on every hit; a corrupt one is dropped,
-      counted, and recomputed, never served and never fatal.
+      length and digest on every hit. The first time the daemon meets
+      a (key, digest) pair it also checks that the bytes reprint as
+      themselves ([Response.of_string], then [Response.to_string]);
+      after that the pair's hits are spliced into result frames
+      unparsed. An entry that fails either check is dropped, counted
+      in [serve.cache_corrupt], and recomputed, never served and never
+      fatal.
 
     Concurrency model: a single reactor thread multiplexes every
     connection — listeners and sockets are nonblocking, [Unix.select]
@@ -34,7 +39,14 @@
     Responses are deterministic functions of the request identity (see
     [Uu_serve.Response]), which is what makes all three reuse layers
     sound: however a request was served, the bytes are the ones a fresh
-    execution would produce. *)
+    execution would produce. Every result frame is
+    [Uu_serve.Protocol.result_frame] around those bytes.
+
+    Failure isolation: the reactor takes its lock through
+    [Mutex.protect], and a step for one connection (read, decode,
+    admit, deliver, flush) that raises sends that connection an [error]
+    frame, closes it, and counts in [serve.errors]; the other
+    connections carry on. *)
 
 type t
 

@@ -13,17 +13,25 @@ let fail fmt = Printf.ksprintf (fun msg -> raise (Protocol_error msg)) fmt
 
 (* --- framing: 4-byte big-endian length, then that many JSON bytes --- *)
 
-let encode_frame json =
-  let payload = Json.to_string json in
-  let n = String.length payload in
+(* A frame whose [n]-byte payload is the concatenation of [parts]. *)
+let frame_of_parts n parts =
   if n > max_frame then fail "frame too large (%d bytes)" n;
   let b = Bytes.create (4 + n) in
   Bytes.set_uint8 b 0 ((n lsr 24) land 0xff);
   Bytes.set_uint8 b 1 ((n lsr 16) land 0xff);
   Bytes.set_uint8 b 2 ((n lsr 8) land 0xff);
   Bytes.set_uint8 b 3 (n land 0xff);
-  Bytes.blit_string payload 0 b 4 n;
+  ignore
+    (List.fold_left
+       (fun off part ->
+         Bytes.blit_string part 0 b off (String.length part);
+         off + String.length part)
+       4 parts);
   Bytes.unsafe_to_string b
+
+let encode_frame json =
+  let payload = Json.to_string json in
+  frame_of_parts (String.length payload) [ payload ]
 
 let write_frame oc json =
   output_string oc (encode_frame json);
@@ -318,6 +326,18 @@ let server_of_json j =
     Ok (Error_msg { id = Option.bind (Json.member "id" j) Json.to_int; message })
   | Some other -> Error (Printf.sprintf "unknown frame %S" other)
   | None -> Error "frame without a frame tag"
+
+(* The bytes [encode_frame (server_to_json (Result ...))] writes, with
+   the response's serialized text spliced in as is: [Json.to_string]
+   prints the frame's fields in this order and without spaces. *)
+let result_frame ~id ~served text =
+  let prefix =
+    Printf.sprintf {|{"frame":"result","id":%d,"served":"%s","response":|} id
+      (served_string served)
+  in
+  frame_of_parts
+    (String.length prefix + String.length text + 1)
+    [ prefix; text; "}" ]
 
 let write_client oc msg = write_frame oc (client_to_json msg)
 

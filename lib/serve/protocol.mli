@@ -107,6 +107,14 @@ val client_of_json : Uu_support.Json.t -> (client_msg, string) result
 val server_to_json : server_msg -> Uu_support.Json.t
 val server_of_json : Uu_support.Json.t -> (server_msg, string) result
 
+val result_frame : id:int -> served:served -> string -> string
+(** The wire bytes of a [Result] frame around [text], a response's
+    serialized bytes, spliced in without parsing. When [text] is
+    [Response.to_string r], this is byte-equal to
+    [encode_frame (server_to_json (Result { id; served; response = r }))];
+    the daemon writes every result frame this way.
+    @raise Protocol_error if oversized. *)
+
 val write_client : out_channel -> client_msg -> unit
 val read_server : in_channel -> server_msg option
 (** Framing + codec in one step; [None] on clean EOF.

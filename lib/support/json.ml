@@ -67,180 +67,213 @@ let to_string v =
 
 exception Parse_error of string
 
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" !pos msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
+(* The parser reads bytes in place with [String.unsafe_get] behind
+   explicit bounds checks: it allocates nothing per byte, and an
+   unescaped string run becomes one [String.sub]. Errors name the offset
+   where they were detected. *)
+type reader = { s : string; n : int; mutable pos : int }
+
+let fail r msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" r.pos msg))
+
+let rec skip_ws r =
+  if r.pos < r.n then
+    match String.unsafe_get r.s r.pos with
+    | ' ' | '\t' | '\n' | '\r' ->
+      r.pos <- r.pos + 1;
+      skip_ws r
     | _ -> ()
+
+let expect r c =
+  if r.pos >= r.n then fail r (Printf.sprintf "expected %c, found end of input" c);
+  let c' = String.unsafe_get r.s r.pos in
+  if c' = c then r.pos <- r.pos + 1
+  else fail r (Printf.sprintf "expected %c, found %c" c c')
+
+let literal r word value =
+  let len = String.length word in
+  let rec matches i =
+    i = len || (String.unsafe_get r.s (r.pos + i) = String.unsafe_get word i && matches (i + 1))
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail (Printf.sprintf "expected %c, found %c" c c')
-    | None -> fail (Printf.sprintf "expected %c, found end of input" c)
+  if r.pos + len <= r.n && matches 0 then begin
+    r.pos <- r.pos + len;
+    value
+  end
+  else fail r ("expected " ^ word)
+
+let add_utf8 buf cp =
+  if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
+  else if cp < 0x800 then begin
+    Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
+    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+  end
+  else begin
+    Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+  end
+
+(* The end of the run of bytes from [i] that need no unescaping: the
+   next quote or backslash, or the end of the input. *)
+let rec run_end r i =
+  if i < r.n then
+    match String.unsafe_get r.s i with '"' | '\\' -> i | _ -> run_end r (i + 1)
+  else i
+
+(* One escape; [r.pos] is just past its backslash. *)
+let parse_escape r buf =
+  if r.pos >= r.n then fail r "unterminated escape";
+  let simple c =
+    Buffer.add_char buf c;
+    r.pos <- r.pos + 1
   in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let add_utf8 buf cp =
-    if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
+  match String.unsafe_get r.s r.pos with
+  | ('"' | '\\' | '/') as c -> simple c
+  | 'b' -> simple '\b'
+  | 'f' -> simple '\012'
+  | 'n' -> simple '\n'
+  | 'r' -> simple '\r'
+  | 't' -> simple '\t'
+  | 'u' ->
+    r.pos <- r.pos + 1;
+    if r.pos + 4 > r.n then fail r "truncated \\u escape";
+    let hex = String.sub r.s r.pos 4 in
+    let cp =
+      try int_of_string ("0x" ^ hex)
+      with _ -> fail r (Printf.sprintf "bad \\u escape %s" hex)
+    in
+    r.pos <- r.pos + 4;
+    add_utf8 buf cp
+  | c -> fail r (Printf.sprintf "bad escape \\%c" c)
+
+let parse_string r =
+  expect r '"';
+  let start = r.pos in
+  let stop = run_end r start in
+  if stop < r.n && String.unsafe_get r.s stop = '"' then begin
+    r.pos <- stop + 1;
+    String.sub r.s start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (stop - start + 16) in
+    Buffer.add_substring buf r.s start (stop - start);
+    r.pos <- stop;
     let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-        | Some '/' -> Buffer.add_char buf '/'; advance ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let hex = String.sub s !pos 4 in
-          let cp =
-            try int_of_string ("0x" ^ hex)
-            with _ -> fail (Printf.sprintf "bad \\u escape %s" hex)
-          in
-          pos := !pos + 4;
-          add_utf8 buf cp
-        | Some c -> fail (Printf.sprintf "bad escape \\%c" c)
-        | None -> fail "unterminated escape");
+      if r.pos >= r.n then fail r "unterminated string";
+      match String.unsafe_get r.s r.pos with
+      | '"' -> r.pos <- r.pos + 1
+      | '\\' ->
+        r.pos <- r.pos + 1;
+        parse_escape r buf;
         go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
+      | _ ->
+        let stop = run_end r r.pos in
+        Buffer.add_substring buf r.s r.pos (stop - r.pos);
+        r.pos <- stop;
         go ()
     in
     go ();
     Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_float = ref false in
-    let rec go () =
-      match peek () with
-      | Some ('0' .. '9' | '-' | '+') ->
-        advance ();
-        go ()
-      | Some ('.' | 'e' | 'E') ->
-        is_float := true;
-        advance ();
-        go ()
-      | _ -> ()
-    in
-    go ();
-    let text = String.sub s start (!pos - start) in
-    if !is_float then
+  end
+
+(* Advance over a number's bytes; [true] when one of them makes it a
+   float. *)
+let rec scan_number r is_float =
+  if r.pos >= r.n then is_float
+  else
+    match String.unsafe_get r.s r.pos with
+    | '0' .. '9' | '-' | '+' ->
+      r.pos <- r.pos + 1;
+      scan_number r is_float
+    | '.' | 'e' | 'E' ->
+      r.pos <- r.pos + 1;
+      scan_number r true
+    | _ -> is_float
+
+let parse_number r =
+  let start = r.pos in
+  let is_float = scan_number r false in
+  let text = String.sub r.s start (r.pos - start) in
+  if is_float then
+    match float_of_string_opt text with
+    | Some x -> Float x
+    | None -> fail r (Printf.sprintf "bad number %s" text)
+  else
+    match int_of_string_opt text with
+    | Some i -> Int i
+    | None -> (
       match float_of_string_opt text with
       | Some x -> Float x
-      | None -> fail (Printf.sprintf "bad number %s" text)
-    else
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> (
-        match float_of_string_opt text with
-        | Some x -> Float x
-        | None -> fail (Printf.sprintf "bad number %s" text))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> Str (parse_string ())
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let items = ref [ parse_value () ] in
-        let rec go () =
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            items := parse_value () :: !items;
-            go ()
-          | Some ']' -> advance ()
-          | _ -> fail "expected , or ] in array"
-        in
-        go ();
-        Arr (List.rev !items)
-      end
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let field () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          (k, parse_value ())
-        in
-        let fields = ref [ field () ] in
-        let rec go () =
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            fields := field () :: !fields;
-            go ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected , or } in object"
-        in
-        go ();
-        Obj (List.rev !fields)
-      end
-    | Some ('0' .. '9' | '-') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character %c" c)
-  in
-  try
-    let v = parse_value () in
-    skip_ws ();
-    if !pos < n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
+      | None -> fail r (Printf.sprintf "bad number %s" text))
+
+let at r c = r.pos < r.n && String.unsafe_get r.s r.pos = c
+
+let rec parse_value r =
+  skip_ws r;
+  if r.pos >= r.n then fail r "unexpected end of input";
+  match String.unsafe_get r.s r.pos with
+  | 'n' -> literal r "null" Null
+  | 't' -> literal r "true" (Bool true)
+  | 'f' -> literal r "false" (Bool false)
+  | '"' -> Str (parse_string r)
+  | '[' ->
+    r.pos <- r.pos + 1;
+    skip_ws r;
+    if at r ']' then begin
+      r.pos <- r.pos + 1;
+      Arr []
+    end
+    else Arr (parse_items r [ parse_value r ])
+  | '{' ->
+    r.pos <- r.pos + 1;
+    skip_ws r;
+    if at r '}' then begin
+      r.pos <- r.pos + 1;
+      Obj []
+    end
+    else Obj (parse_fields r [ parse_field r ])
+  | '0' .. '9' | '-' -> parse_number r
+  | c -> fail r (Printf.sprintf "unexpected character %c" c)
+
+(* The rest of an array whose first items, newest first, are [acc]. *)
+and parse_items r acc =
+  skip_ws r;
+  if at r ',' then begin
+    r.pos <- r.pos + 1;
+    parse_items r (parse_value r :: acc)
+  end
+  else if at r ']' then begin
+    r.pos <- r.pos + 1;
+    List.rev acc
+  end
+  else fail r "expected , or ] in array"
+
+and parse_field r =
+  skip_ws r;
+  let k = parse_string r in
+  skip_ws r;
+  expect r ':';
+  (k, parse_value r)
+
+and parse_fields r acc =
+  skip_ws r;
+  if at r ',' then begin
+    r.pos <- r.pos + 1;
+    parse_fields r (parse_field r :: acc)
+  end
+  else if at r '}' then begin
+    r.pos <- r.pos + 1;
+    List.rev acc
+  end
+  else fail r "expected , or } in object"
+
+let of_string s =
+  let r = { s; n = String.length s; pos = 0 } in
+  match parse_value r with
+  | exception Parse_error msg -> Error msg
+  | v ->
+    skip_ws r;
+    if r.pos < r.n then Error (Printf.sprintf "trailing garbage at offset %d" r.pos)
     else Ok v
-  with Parse_error msg -> Error msg
 
 let of_string_exn s =
   match of_string s with Ok v -> v | Error msg -> failwith ("Json.of_string: " ^ msg)

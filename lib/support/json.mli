@@ -5,9 +5,12 @@
     that later runs must read back), so this module implements the small
     subset of JSON the repository emits: finite numbers, strings with
     standard escapes, booleans, null, arrays, and objects. Integers and
-    floats are kept distinct — the printer always writes floats with a
-    fraction or exponent, so [of_string] can recover the original
-    constructor. *)
+    floats are kept distinct: the printer writes floats with a fraction
+    or exponent, so [of_string] can recover the original constructor.
+    The exception is an integral float whose magnitude is at least 1e15
+    and below 1e17: ["%.17g"] prints all its digits and nothing else, so
+    it reads back as an {!Int} of the same value ({!to_float} accepts
+    either). *)
 
 type t =
   | Null
@@ -26,7 +29,11 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Parse one JSON document; trailing garbage is an error. Numbers with
     a ['.'], ['e'], or ['E'] parse as {!Float}, all others as {!Int}
-    (falling back to {!Float} on int overflow). *)
+    (falling back to {!Float} on int overflow). An error names what was
+    wrong and the byte offset where the parser stopped. The parser reads
+    the input in place: it allocates nothing per byte, and a string
+    without escapes costs one copy. It sits on the daemon's and the
+    client's hot path (every request frame, every result frame). *)
 
 val of_string_exn : string -> t
 (** @raise Failure on a parse error. *)

@@ -318,6 +318,65 @@ kernel k(int* restrict out, int n) {
   let l = List.hd (Loops.loops forest) in
   check bool "syncthreads loop is convergent" true (Loops.contains_convergent fn l)
 
+(* The SSA check agrees with the verifier on phi entries from unreachable
+   predecessors: such an entry is never taken, so its value need not be
+   dominated. The same undominated value arriving from a reachable
+   predecessor is still an error. *)
+let test_ssa_unreachable_phi_entry () =
+  let func ~from =
+    Parser_ir.parse_func
+      (Printf.sprintf
+         {|
+func @k(%%out: i64* restrict, %%n: i64) -> void {
+bb0:
+  %%c.2 = cmp slt i64 %%n.1, 0:i64
+  condbr %%c.2, bb1, bb2
+bb1:
+  %%a.3 = add i64 %%n.1, 1:i64
+  br bb3
+bb2:
+  br bb3
+bb3:
+  %%x.4 = phi i64 [bb1: %%a.3], [bb2: %s], [bb4: %s]
+  store i64 %%x.4, %%out.0
+  ret
+bb4:
+  br bb3
+}
+|}
+         (if from = `Reachable then "%a.3" else "0:i64")
+         (if from = `Unreachable then "%a.3" else "0:i64"))
+  in
+  check bool "undominated entry from an unreachable predecessor" true
+    (Ssa_check.check (func ~from:`Unreachable) = Ok ());
+  match Ssa_check.check (func ~from:`Reachable) with
+  | Error [ e ] ->
+    check bool "names the undominated use" true
+      (Astring.String.is_infix ~affix:"use of %3 not dominated" e)
+  | Error es -> Alcotest.failf "expected one error, got %d" (List.length es)
+  | Ok () -> Alcotest.fail "undominated entry from a reachable predecessor accepted"
+
+(* bezier-surface after the heuristic u&u, cleaned by simplify-cfg and
+   cond-prop without a verify in between, keeps phi entries from
+   predecessors cond-prop made unreachable: the verifier accepts the IR,
+   and so must the SSA check. *)
+let test_ssa_after_cond_prop () =
+  let app = Option.get (Uu_benchmarks.Registry.find "bezier-surface") in
+  let m = Uu_frontend.Lower.compile ~name:app.Uu_benchmarks.App.name app.Uu_benchmarks.App.source in
+  List.iter
+    (fun fn ->
+      let exec passes = ignore (Uu_opt.Pass.exec ~options:Uu_opt.Pass.unverified passes fn) in
+      exec Uu_core.Pipelines.early_passes;
+      exec (Uu_core.Pipelines.transform ~targets:Uu_core.Pipelines.All_loops Uu_core.Pipelines.Uu_heuristic);
+      exec [ Uu_opt.Simplify_cfg.pass; Uu_opt.Cond_prop.pass ];
+      check bool (fn.Func.name ^ ": verifier") true (Verifier.check fn = Ok ());
+      match Ssa_check.check fn with
+      | Ok () -> ()
+      | Error (e :: _ as es) ->
+        Alcotest.failf "%s: %d SSA errors, first: %s" fn.Func.name (List.length es) e
+      | Error [] -> Alcotest.fail "empty error list")
+    m.Func.funcs
+
 let suite =
   [
     ("dominance: diamond", `Quick, test_dominance_diamond);
@@ -333,5 +392,7 @@ let suite =
     ("divergence taint", `Quick, test_divergence);
     ("divergent loop detection", `Quick, test_divergent_loop_detection);
     ("convergent loop exclusion", `Quick, test_convergent_loop);
+    ("ssa check skips unreachable phi entries", `Quick, test_ssa_unreachable_phi_entry);
+    ("ssa check after unverified cond-prop", `Quick, test_ssa_after_cond_prop);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) dominance_props

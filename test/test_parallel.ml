@@ -228,7 +228,23 @@ let test_cache_entries_validated () =
   check int "five misses" 5 (Result_cache.misses cache);
   Result_cache.store_raw cache ~key payload;
   check (Alcotest.option string) "a fresh store serves again" (Some payload)
-    (Result_cache.lookup_raw cache ~key)
+    (Result_cache.lookup_raw cache ~key);
+  (* Bytes whose digest is right but which are not a response: the job
+     graph drops the entry like a torn one, then recomputes and stores. *)
+  let j =
+    Jobs.job (Option.get (Uu_benchmarks.Registry.find "stencil1d")) Pipelines.Baseline
+  in
+  let jkey = Jobs.key j in
+  Result_cache.store_raw cache ~key:jkey "not json";
+  match Jobs.run_all ~cache [ j ] with
+  | [ { Jobs.outcome = Ok ok; from_cache; _ } ] ->
+    check bool "not json: recomputed" false from_cache;
+    check int "not json: counted" 6 (Result_cache.corrupt cache);
+    check int "not json: a miss, not a hit" 2 (Result_cache.hits cache);
+    check (Alcotest.option string) "not json: replaced"
+      (Some (Response.to_string (Ok ok)))
+      (Result_cache.lookup_raw cache ~key:jkey)
+  | _ -> Alcotest.fail "the job failed"
 
 let test_sweep_parallel_equals_serial () =
   let serial = Sweep.run ~apps:[ bezier ] ~jobs:1 () in

@@ -181,6 +181,13 @@ let props =
       (fun m -> Protocol.client_of_json (Protocol.client_to_json m) = Ok m);
     QCheck2.Test.make ~name:"server frames round-trip" ~count:300 server_msg_gen
       (fun m -> Protocol.server_of_json (Protocol.server_to_json m) = Ok m);
+    QCheck2.Test.make ~name:"spliced result frames equal encoded ones" ~count:300
+      QCheck2.Gen.(
+        triple nat (oneofl [ Protocol.Executed; Protocol.Cache; Protocol.Joined ]) response_gen)
+      (fun (id, served, response) ->
+        Protocol.result_frame ~id ~served (Response.to_string response)
+        = Protocol.encode_frame
+            (Protocol.server_to_json (Protocol.Result { id; served; response })));
     (* The incremental codec must reassemble any frame stream however the
        transport slices it: random frames, random chunk sizes. *)
     QCheck2.Test.make ~name:"codec decodes frames under arbitrary chunking"
@@ -808,10 +815,14 @@ let test_bounds_over_the_wire () =
 let cache_entry_path cache_dir key =
   Filename.concat (Filename.concat cache_dir (String.sub key 0 2)) (key ^ ".json")
 
-(* Truncated, bit-flipped and empty entries under one key: each is
-   dropped and recomputed with the right bytes, while another
-   connection's cache-served bytes stay unchanged and the daemon stays
-   up. *)
+(* Truncated, bit-flipped and empty entries under one key, then three
+   whose digest is right but whose text is not what the daemon prints:
+   not JSON, JSON that is not a response, and a response with a space
+   the printer never writes. Each is dropped and recomputed with the
+   right bytes, while another connection's cache-served bytes stay
+   unchanged and the daemon stays up. Before the digest-valid ones the
+   victim is served once from the cache, so its good entry's (key,
+   digest) pair is already validated when the bad bytes arrive. *)
 let test_corrupt_cache_entries () =
   let socket, cache_dir = fresh_paths "corrupt" in
   let server = Uu_harness.Server.create ~socket ~domains:1 ~cache_dir () in
@@ -850,21 +861,117 @@ let test_corrupt_cache_entries () =
               ("empty", "");
             ]
           in
+          let recomputed what =
+            let served, resp = Client.request a victim in
+            check bool (what ^ ": recomputed, not served") true (served = Protocol.Executed);
+            check string (what ^ ": correct bytes") want_victim (Response.to_string resp);
+            let served, resp = Client.request b bystander in
+            check bool (what ^ ": bystander cache-served") true (served = Protocol.Cache);
+            check string (what ^ ": bystander bytes unchanged") want_bystander
+              (Response.to_string resp)
+          in
           List.iter
             (fun (what, text) ->
               Out_channel.with_open_bin path (fun oc -> output_string oc text);
-              let served, resp = Client.request a victim in
-              check bool (what ^ ": recomputed, not served") true (served = Protocol.Executed);
-              check string (what ^ ": correct bytes") want_victim (Response.to_string resp);
-              let served, resp = Client.request b bystander in
-              check bool (what ^ ": bystander cache-served") true (served = Protocol.Cache);
-              check string (what ^ ": bystander bytes unchanged") want_bystander
-                (Response.to_string resp))
+              recomputed what)
             corruptions;
+          let served, resp = Client.request a victim in
+          check bool "good entry cache-served" true (served = Protocol.Cache);
+          check string "good entry bytes" want_victim (Response.to_string resp);
+          let store = Uu_harness.Result_cache.create ~dir:cache_dir in
+          List.iter
+            (fun (what, text) ->
+              Uu_harness.Result_cache.store_raw store ~key:(Request.key victim) text;
+              recomputed what)
+            [
+              ("not json", "not json");
+              ("json, not a response", {|{"config":"baseline","runs":"none"}|});
+              ( "response with extra whitespace",
+                "{ " ^ String.sub want_victim 1 (String.length want_victim - 1) );
+            ];
           Client.ping a;
           let stats = Uu_harness.Server.stats server in
-          check int "three corrupt entries counted" 3 (List.assoc "serve.cache_corrupt" stats);
+          check int "six corrupt entries counted" 6 (List.assoc "serve.cache_corrupt" stats);
           check int "no errors" 0 (List.assoc "serve.errors" stats)))
+
+(* A digest-valid cache entry that is not JSON, under the key of a [bn]
+   baseline compile. The daemon must recompute it instead of failing
+   inside its reactor, and must still stop when asked. *)
+let test_unparsable_entry () =
+  let r = Request.make ~mode:Request.Compile (Request.App "bn") Uu_core.Pipelines.Baseline in
+  let want = Response.to_string (Uu_harness.Runner.run_request r) in
+  let socket, cache_dir = fresh_paths "notjson" in
+  Uu_harness.Result_cache.store_raw
+    (Uu_harness.Result_cache.create ~dir:cache_dir)
+    ~key:(Request.key r) "not json";
+  let server = Uu_harness.Server.create ~socket ~domains:1 ~cache_dir () in
+  let th = Thread.create Uu_harness.Server.serve_forever server in
+  let served, resp =
+    Fun.protect
+      ~finally:(fun () -> Uu_harness.Server.request_stop server)
+      (fun () ->
+        let c = Client.connect ~socket () in
+        Fun.protect ~finally:(fun () -> Client.close c) (fun () -> Client.request c r))
+  in
+  Thread.join th;
+  check bool "recomputed" true (served = Protocol.Executed);
+  check string "recomputed bytes" want (Response.to_string resp);
+  let stats = Uu_harness.Server.stats server in
+  check int "counted corrupt" 1 (List.assoc "serve.cache_corrupt" stats);
+  check int "no errors" 0 (List.assoc "serve.errors" stats)
+
+(* Garbage on some connections: a payload that is not JSON, an unknown
+   op, an oversized length prefix. Each such connection gets an error
+   frame and is closed; a client on another connection keeps getting
+   the same bytes, and ping still answers. *)
+let test_garbage_frames () =
+  with_server "garbage" (fun ~socket ~server ->
+      let r =
+        Request.make ~grid_dim:16 ~block_dim:32 ~elems:2048 stencil
+          Uu_core.Pipelines.Baseline
+      in
+      let want = Response.to_string (Uu_harness.Runner.run_request r) in
+      let good = Client.connect ~socket () in
+      Fun.protect
+        ~finally:(fun () -> Client.close good)
+        (fun () ->
+          let ask what =
+            check string (what ^ ": other connection's bytes") want
+              (Response.to_string (snd (Client.request good r)))
+          in
+          ask "before";
+          let header n =
+            String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+          in
+          List.iter
+            (fun (what, bytes) ->
+              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+              Fun.protect
+                ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+                (fun () ->
+                  Unix.connect fd (Unix.ADDR_UNIX socket);
+                  let ic = Unix.in_channel_of_descr fd in
+                  let oc = Unix.out_channel_of_descr fd in
+                  (match Protocol.read_server ic with
+                  | Some (Protocol.Hello _) -> ()
+                  | _ -> Alcotest.fail "expected hello");
+                  output_string oc bytes;
+                  flush oc;
+                  (match Protocol.read_server ic with
+                  | Some (Protocol.Error_msg _) -> ()
+                  | _ -> Alcotest.failf "%s: expected an error frame" what);
+                  check bool (what ^ ": connection closed") true
+                    (Protocol.read_server ic = None));
+              ask what)
+            [
+              ("bad json", header 9 ^ "{not json");
+              ( "unknown op",
+                Protocol.encode_frame (Json.Obj [ ("op", Json.Str "frobnicate") ]) );
+              ("oversized header", header (Protocol.max_frame + 1));
+            ];
+          Client.ping good;
+          check int "no errors" 0
+            (List.assoc "serve.errors" (Uu_harness.Server.stats server))))
 
 (* A schedule request — the unit the experiments are made of — answered
    by the daemon is byte-identical to the local funnel, executed or
@@ -893,46 +1000,218 @@ let test_schedule_over_the_wire () =
           check string "daemon = local run_request" local (Response.to_string resp1);
           check string "cache-served bytes identical" local (Response.to_string resp2)))
 
-(* [Server.result_frame] re-parses response text and prints it again:
-   that is the identity on every response of perfbench's serve hit set
-   (4 apps x 2 configs x 2 shapes) and on a schedule response. *)
+(* --- the bytes the daemon ships -------------------------------------- *)
+
+(* perfbench's serve hit set (4 apps x 2 configs x 2 shapes), a quicksort
+   schedule with races and a traced run: serialized responses, as the
+   daemon splices them into result frames. Built once, on first use. *)
+let wire_responses =
+  lazy
+    (List.concat_map
+       (fun app ->
+         List.concat_map
+           (fun config ->
+             let base = Request.make (Request.App app) config in
+             match Uu_harness.Runner.compile_request base with
+             | Error e -> failwith e
+             | Ok c ->
+               List.map
+                 (fun (grid_dim, block_dim, elems) ->
+                   let r = { base with Request.grid_dim; block_dim; elems } in
+                   ( Printf.sprintf "%s %s %dx%dx%d" app
+                       (Uu_core.Pipelines.config_to_string config)
+                       grid_dim block_dim elems,
+                     Response.to_string (Uu_harness.Runner.respond r c) ))
+                 [ (64, 32, 2048); (128, 32, 4096) ])
+           [ Uu_core.Pipelines.Baseline; Uu_core.Pipelines.Uu 4 ])
+       [ "stencil1d"; "treduce"; "complex"; "bezier-surface" ]
+    @ [
+        ( "quicksort schedule with races",
+          let app = Option.get (Uu_benchmarks.Registry.find "quicksort") in
+          Response.to_string
+            (Uu_harness.Runner.run_request
+               {
+                 (Uu_harness.Runner.schedule_request
+                    ~protocol:(Request.Noisy { runs = 2 }) app
+                    Uu_core.Pipelines.Uu_heuristic)
+                 with
+                 check_races = true;
+               }) );
+        ( "traced stencil1d",
+          Response.to_string
+            (Uu_harness.Runner.run_request
+               (Request.make ~grid_dim:2 ~block_dim:32 ~elems:64 ~trace:true stencil
+                  Uu_core.Pipelines.Baseline)) );
+      ])
+
+(* Parse-then-print and decode-then-encode are the identity on every
+   response the daemon ships: the rule a cache entry must pass before
+   the daemon splices it. *)
 let test_print_identity () =
-  let identity what text =
-    check string (what ^ ": parse then print") text
-      (Json.to_string (Json.of_string_exn text));
-    match Response.of_string text with
-    | Ok r -> check string (what ^ ": decode then encode") text (Response.to_string r)
-    | Error e -> Alcotest.failf "%s: %s" what e
-  in
   List.iter
-    (fun app ->
+    (fun (what, text) ->
+      check string (what ^ ": parse then print") text
+        (Json.to_string (Json.of_string_exn text));
+      match Response.of_string text with
+      | Ok r -> check string (what ^ ": decode then encode") text (Response.to_string r)
+      | Error e -> Alcotest.failf "%s: %s" what e)
+    (Lazy.force wire_responses)
+
+(* The spliced frame is the frame the encoder builds from the parsed
+   response, byte for byte. *)
+let test_result_frame_splice () =
+  List.iter
+    (fun (what, text) ->
       List.iter
-        (fun config ->
-          let base = Request.make (Request.App app) config in
-          match Uu_harness.Runner.compile_request base with
-          | Error e -> Alcotest.fail e
-          | Ok c ->
-            List.iter
-              (fun (grid_dim, block_dim, elems) ->
-                let r = { base with Request.grid_dim; block_dim; elems } in
-                identity
-                  (Printf.sprintf "%s %s %dx%dx%d" app
-                     (Uu_core.Pipelines.config_to_string config)
-                     grid_dim block_dim elems)
-                  (Response.to_string (Uu_harness.Runner.respond r c)))
-              [ (64, 32, 2048); (128, 32, 4096) ])
-        [ Uu_core.Pipelines.Baseline; Uu_core.Pipelines.Uu 4 ])
-    [ "stencil1d"; "treduce"; "complex"; "bezier-surface" ];
-  let app = Option.get (Uu_benchmarks.Registry.find "quicksort") in
-  identity "quicksort schedule"
-    (Response.to_string
-       (Uu_harness.Runner.run_request
-          {
-            (Uu_harness.Runner.schedule_request ~protocol:(Request.Noisy { runs = 2 }) app
-               Uu_core.Pipelines.Uu_heuristic)
-            with
-            check_races = true;
-          }))
+        (fun (id, served) ->
+          check string
+            (Printf.sprintf "%s: id %d, %s" what id (Protocol.served_string served))
+            (Protocol.encode_frame
+               (Json.Obj
+                  [
+                    ("frame", Json.Str "result");
+                    ("id", Json.Int id);
+                    ("served", Json.Str (Protocol.served_string served));
+                    ("response", Json.of_string_exn text);
+                  ]))
+            (Protocol.result_frame ~id ~served text))
+        [ (0, Protocol.Executed); (41, Protocol.Cache); (max_int, Protocol.Joined) ])
+    (Lazy.force wire_responses);
+  match Protocol.result_frame ~id:0 ~served:Protocol.Cache (String.make Protocol.max_frame 'x') with
+  | exception Protocol.Protocol_error _ -> ()
+  | _ -> Alcotest.fail "an oversized result frame was built"
+
+(* --- fuzzing the JSON and protocol boundary -------------------------- *)
+
+(* One edit of an input; positions are fractions of its length, so an
+   edit applies to any input. *)
+type mutation =
+  | Flip of float * int  (** flip one bit of a byte *)
+  | Set of float * char
+  | Insert of float * char
+  | Delete of float * int  (** drop up to this many bytes *)
+  | Repeat of float * int  (** repeat up to this many bytes in place *)
+  | Cut of float  (** truncate *)
+
+let mutation_gen =
+  let open QCheck2.Gen in
+  let at = float_bound_inclusive 1.0 in
+  let byte =
+    oneof [ char; oneofl (List.of_seq (String.to_seq "{}[]\":,\\-+.eE019ntfu \n")) ]
+  in
+  oneof
+    [
+      map2 (fun p b -> Flip (p, b)) at (int_bound 7);
+      map2 (fun p c -> Set (p, c)) at byte;
+      map2 (fun p c -> Insert (p, c)) at byte;
+      map2 (fun p l -> Delete (p, l)) at (int_range 1 16);
+      map2 (fun p l -> Repeat (p, l)) at (int_range 1 16);
+      map (fun p -> Cut p) at;
+    ]
+
+let mutate s m =
+  let n = String.length s in
+  let pos p = min n (int_of_float (p *. float_of_int n)) in
+  let splice i drop ins = String.sub s 0 i ^ ins ^ String.sub s (i + drop) (n - i - drop) in
+  match m with
+  | Flip (p, b) when pos p < n ->
+    let i = pos p in
+    splice i 1 (String.make 1 (Char.chr (Char.code s.[i] lxor (1 lsl b))))
+  | Set (p, c) when pos p < n -> splice (pos p) 1 (String.make 1 c)
+  | Flip _ | Set _ -> s
+  | Insert (p, c) -> splice (pos p) 0 (String.make 1 c)
+  | Delete (p, l) -> splice (pos p) (min l (n - pos p)) ""
+  | Repeat (p, l) -> splice (pos p) 0 (String.sub s (pos p) (min l (n - pos p)))
+  | Cut p -> String.sub s 0 (pos p)
+
+(* A corpus entry, picked by index, under one to four mutations. *)
+let mutated_gen corpus =
+  QCheck2.Gen.(
+    map2
+      (fun i ms ->
+        let seeds = Lazy.force corpus in
+        List.fold_left mutate seeds.(i mod Array.length seeds) ms)
+      nat
+      (list_size (int_range 1 4) mutation_gen))
+
+let show_input s =
+  Printf.sprintf "%S%s" (String.sub s 0 (min 400 (String.length s)))
+    (if String.length s > 400 then "..." else "")
+
+(* A decoded frame, or a payload, taken apart the way the reactor does;
+   nothing here may raise. *)
+let key_request j =
+  match Protocol.client_of_json j with
+  | Ok (Protocol.Request { request; _ }) -> ignore (Request.key request)
+  | Ok _ | Error _ -> ()
+
+let decode_request payload = Result.iter key_request (Json.of_string payload)
+
+(* Feed [bytes] to a fresh codec in two pieces cut at [cut] (a fraction
+   of their length), pulling frames after each piece. [Protocol_error]
+   is the codec's one way to refuse; it stops the pulling. *)
+let feed_codec bytes cut on_frame =
+  let codec = Protocol.Codec.create () in
+  let n = String.length bytes in
+  let k = min n (int_of_float (cut *. float_of_int n)) in
+  let rec pull () =
+    match Protocol.Codec.next codec with
+    | Some j ->
+      on_frame j;
+      pull ()
+    | None | (exception Protocol.Protocol_error _) -> ()
+  in
+  Protocol.Codec.feed codec bytes ~off:0 ~len:k;
+  pull ();
+  Protocol.Codec.feed codec bytes ~off:k ~len:(n - k);
+  pull ()
+
+let request_frames =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (id, request) ->
+            Protocol.encode_frame (Protocol.client_to_json (Protocol.Request { id; request })))
+          [
+            (0, Request.make ~grid_dim:64 ~block_dim:32 ~elems:2048 stencil Uu_core.Pipelines.Baseline);
+            ( 1,
+              Request.make ~mode:Request.Compile ~kernel:"qs_partition" ~loop:0
+                ~noise_seed:(-42L) ~variant:"v" ~sim_jobs:2 ~check_races:true ~trace:true
+                (Request.App "quicksort") (Uu_core.Pipelines.Uu_selective 3) );
+            ( 2,
+              Request.make ~mode:(Request.Schedule (Request.Noisy { runs = 20 }))
+                ~engine:Uu_gpusim.Kernel.Reference (Request.App "bn") Uu_core.Pipelines.Uu_heuristic );
+            (3, Request.make tiny (Uu_core.Pipelines.Uu 4));
+          ]
+       @ List.map
+           (fun m -> Protocol.encode_frame (Protocol.client_to_json m))
+           [ Protocol.Ping; Protocol.Stats; Protocol.Shutdown ]))
+
+let wire_texts = lazy (Array.of_list (List.map snd (Lazy.force wire_responses)))
+
+let fuzz_props =
+  [
+    QCheck2.Test.make ~name:"fuzz: mutated request frames" ~count:3000
+      QCheck2.Gen.(pair (mutated_gen request_frames) (float_bound_inclusive 1.0))
+      ~print:(fun (s, _) -> show_input s)
+      (fun (frame, cut) ->
+        feed_codec frame cut key_request;
+        let n = String.length frame in
+        let payload = if n >= 4 then String.sub frame 4 (n - 4) else frame in
+        decode_request payload;
+        ignore (Response.of_string payload);
+        true);
+    QCheck2.Test.make ~name:"fuzz: mutated responses" ~count:1500
+      QCheck2.Gen.(pair (mutated_gen wire_texts) (float_bound_inclusive 1.0))
+      ~print:(fun (s, _) -> show_input s)
+      (fun (text, cut) ->
+        ignore (Json.of_string text);
+        ignore (Response.of_string text);
+        feed_codec (Protocol.result_frame ~id:1 ~served:Protocol.Cache text) cut (fun j ->
+            ignore (Protocol.server_of_json j));
+        decode_request text;
+        true);
+  ]
 
 let suite =
   List.map (QCheck_alcotest.to_alcotest ~long:false) props
@@ -953,6 +1232,13 @@ let suite =
       ("request bounds", `Quick, test_request_bounds);
       ("request bounds over the wire", `Quick, test_bounds_over_the_wire);
       ("corrupt cache entries are recomputed", `Quick, test_corrupt_cache_entries);
+      ("an unparsable entry is recomputed", `Quick, test_unparsable_entry);
+      ("garbage frames fail only their connection", `Quick, test_garbage_frames);
       ("schedule request over the wire", `Quick, test_schedule_over_the_wire);
       ("result text survives parse-then-print", `Slow, test_print_identity);
+      ("result frames splice the response bytes", `Slow, test_result_frame_splice);
     ]
+  @ List.map
+      (fun t ->
+        QCheck_alcotest.to_alcotest ~long:false ~rand:(Random.State.make [| 22 |]) t)
+      fuzz_props

@@ -1,4 +1,4 @@
-(* Unit and property tests for Uu_support: masks, RNG, statistics. *)
+(* Unit and property tests for Uu_support: masks, RNG, statistics, JSON. *)
 
 open Uu_support
 
@@ -108,6 +108,133 @@ let test_stats_errors () =
     (Invalid_argument "Stats.geomean: non-positive element") (fun () ->
       ignore (Stats.geomean [ 1.0; 0.0 ]))
 
+(* --- JSON -------------------------------------------------------------- *)
+
+(* Documents and what the parser makes of them: a printed value, or the
+   exact error text with the offset where the parser stopped. *)
+let json_golden =
+  [
+    ("", Error "at offset 0: unexpected end of input");
+    ("   ", Error "at offset 3: unexpected end of input");
+    ("nul", Error "at offset 0: expected null");
+    ("nulx", Error "at offset 0: expected null");
+    ("tru", Error "at offset 0: expected true");
+    ("fals", Error "at offset 0: expected false");
+    ("[1,2", Error "at offset 4: expected , or ] in array");
+    ("[1 2]", Error "at offset 3: expected , or ] in array");
+    ("[1,]", Error "at offset 3: unexpected character ]");
+    ("{\"a\":1", Error "at offset 6: expected , or } in object");
+    ("{\"a\" 1}", Error "at offset 5: expected :, found 1");
+    ("{a:1}", Error "at offset 1: expected \", found a");
+    ("{\"a\":1,}", Error "at offset 7: expected \", found }");
+    ("{\"a\":1 \"b\":2}", Error "at offset 7: expected , or } in object");
+    ("\"abc", Error "at offset 4: unterminated string");
+    ("\"ab\\", Error "at offset 4: unterminated escape");
+    ("\"\\x\"", Error "at offset 2: bad escape \\x");
+    ("\"\\u12\"", Error "at offset 3: truncated \\u escape");
+    ("\"\\uZZZZ\"", Error "at offset 3: bad \\u escape ZZZZ");
+    ("\"\\u12G4\"", Error "at offset 3: bad \\u escape 12G4");
+    ("-", Error "at offset 1: bad number -");
+    ("1.2.3", Error "at offset 5: bad number 1.2.3");
+    ("1e", Error "at offset 2: bad number 1e");
+    ("--1", Error "at offset 3: bad number --1");
+    ("+1", Error "at offset 0: unexpected character +");
+    ("1 2", Error "trailing garbage at offset 2");
+    ("[] x", Error "trailing garbage at offset 3");
+    ("@", Error "at offset 0: unexpected character @");
+    ("{\"a\":}", Error "at offset 5: unexpected character }");
+    ("[\"a\":1]", Error "at offset 4: expected , or ] in array");
+    ("\"abc\" \"def\"", Error "trailing garbage at offset 6");
+    ("{\"k\":\"v\"}}", Error "trailing garbage at offset 9");
+    ("1-2", Error "at offset 3: bad number 1-2");
+    ("0x10", Error "trailing garbage at offset 1");
+    ("{\"a\":[1,{\"b\":tru}]}", Error "at offset 13: expected true");
+    ("[1,2,3,", Error "at offset 7: unexpected end of input");
+    (".5", Error "at offset 0: unexpected character .");
+    ("{\"a\":1}\n\n  x", Error "trailing garbage at offset 11");
+    ("nan", Error "at offset 0: expected null");
+    ("99999999999999999999e", Error "at offset 21: bad number 99999999999999999999e");
+    ("[\000]", Error "at offset 1: unexpected character \000");
+    ("\"\\u\"", Error "at offset 3: truncated \\u escape");
+    ("{\"a\"\t:\r\n[ ]  ,}", Error "at offset 14: expected \", found }");
+    ("99999999999999999999", Ok "1e+20");
+    ("-0", Ok "0");
+    ("1E2", Ok "100.0");
+    (" [ 1 , \"a\\u00e9\\/\" ] ", Ok "[1,\"a\195\169/\"]");
+    ("\"\\u0000\\b\\f\"", Ok "\"\\u0000\\u0008\\u000c\"");
+    ("{\"k\":-12.5e-3,\"k\":[true,false,null]}", Ok "{\"k\":-0.012500000000000001,\"k\":[true,false,null]}");
+    ("1000000000000000.0", Ok "1000000000000000");
+    ("007", Ok "7")
+  ]
+
+let test_json_golden () =
+  List.iter
+    (fun (input, expect) ->
+      check
+        Alcotest.(result string string)
+        (Printf.sprintf "%S" input) expect
+        (Result.map Json.to_string (Json.of_string input)))
+    json_golden
+
+(* Any finite double: every bit pattern, plus the edges of the printer's
+   two float formats. *)
+let finite_float_gen =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map
+        (fun bits ->
+          let x = Int64.float_of_bits bits in
+          if Float.is_finite x then x else 0.5)
+        ui64;
+      float_range (-1e6) 1e6;
+      oneofl [ 0.0; -0.0; 1e15; -1e15; 1e15 +. 1.0; 1e16; 1e17; 5e-324; max_float; -.max_float ];
+    ]
+
+let json_gen =
+  let open QCheck2.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               pure Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) (oneof [ int; oneofl [ min_int; max_int; 0 ] ]);
+               map (fun x -> Json.Float x) finite_float_gen;
+               map (fun s -> Json.Str s) str;
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 5) (self (n / 3))));
+               ( 1,
+                 map (fun l -> Json.Obj l) (list_size (int_bound 5) (pair str (self (n / 3))))
+               );
+             ])
+
+(* What printing then parsing gives back. The printer writes an integral
+   float of magnitude in [1e15, 1e17) with all its digits and neither a
+   fraction nor an exponent ("%.17g"), so it reads back as an [Int] of
+   the same value; everything else comes back unchanged. *)
+let rec reread = function
+  | Json.Float x when Float.is_integer x && Float.abs x >= 1e15 && Float.abs x < 1e17 ->
+    Json.Int (int_of_float x)
+  | Json.Arr l -> Json.Arr (List.map reread l)
+  | Json.Obj l -> Json.Obj (List.map (fun (k, v) -> (k, reread v)) l)
+  | v -> v
+
+let json_props =
+  [
+    QCheck2.Test.make ~name:"json print then parse" ~count:1000
+      ~print:Json.to_string json_gen (fun v ->
+        Json.of_string (Json.to_string v) = Ok (reread v));
+  ]
+
 let suite =
   [
     ("mask basics", `Quick, test_mask_basics);
@@ -122,5 +249,9 @@ let suite =
     ("gaussian moments", `Quick, test_gaussian_moments);
     ("stats basics", `Quick, test_stats_basics);
     ("stats errors", `Quick, test_stats_errors);
+    ("json golden documents", `Quick, test_json_golden);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) mask_props
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~long:false ~rand:(Random.State.make [| 22 |]))
+      json_props
