@@ -18,14 +18,8 @@ type outcome = {
    definitions upstream of [p]'s original must be rewritten to the
    versions on [p]'s path. Each copy therefore carries a substitution from
    original registers to its path's registers, accumulated along the
-   duplication cascade. *)
-type dup_state = {
-  mutable created : int;
-  budget : int;
-  mutable exhausted : bool;
-  (* label of a copy -> accumulated substitution *)
-  subst_of : (Value.label, Value.t Value.Var_map.t) Hashtbl.t;
-}
+   duplication cascade: [substs] maps the label of a copy to it. *)
+type substs = (Value.label, Value.t Value.Var_map.t) Hashtbl.t
 
 let subst_value sigma v =
   match v with
@@ -33,20 +27,21 @@ let subst_value sigma v =
     match Value.Var_map.find_opt x sigma with Some v' -> v' | None -> v)
   | Value.Imm_int _ | Value.Imm_float _ | Value.Undef _ -> v
 
-let sigma_of st l =
-  match Hashtbl.find_opt st.subst_of l with
+let sigma_of (substs : substs) l =
+  match Hashtbl.find_opt substs l with
   | Some s -> s
   | None -> Value.Var_map.empty
 
 (* Duplicate merge [b] once for every predecessor in [preds], in order,
-   retargeting each predecessor to its private copy, and delete [b];
-   returns the copies. Each phi's incoming list is indexed once, so every
-   copy's phis are built already collapsed to its one predecessor, and
-   each successor's phis are rewritten once for the whole merge: the cost
-   is proportional to the copies created, not to copies x predecessors.
-   Fresh labels and registers are allocated copy by copy: the block, then
-   its phi definitions, then its instruction definitions. *)
-let duplicate_merge st f b_label preds =
+   retargeting each predecessor to its private copy, and delete [b]. Each
+   phi's incoming list is indexed once, so every copy's phis are built
+   already collapsed to its one predecessor, and each successor's phis
+   are rewritten once for the whole merge: the cost is proportional to
+   the copies created, not to copies x predecessors. Fresh labels and
+   registers are allocated copy by copy: the block, then its phi
+   definitions, then its instruction definitions. [pred_map], a copy of
+   [Cfg.predecessors], is kept current. *)
+let duplicate_merge ?pred_map substs f b_label preds =
   let b = Func.block f b_label in
   (* The first entry per predecessor wins, as with [List.assoc_opt]. *)
   let indexed =
@@ -70,7 +65,7 @@ let duplicate_merge st f b_label preds =
             (fun acc v ->
               let hint = Func.var_hint f v in
               Value.Var_map.add v (Value.Var (Func.fresh_var ?hint f)) acc)
-            (sigma_of st p) defs
+            (sigma_of substs p) defs
         in
         let value = subst_value sigma in
         let rename v =
@@ -85,11 +80,11 @@ let duplicate_merge st f b_label preds =
             indexed;
         copy.Block.instrs <-
           List.map (fun i -> Instr.map_def rename (Instr.map_values value i)) b.Block.instrs;
-        Cfg.set_term f copy (Instr.term_map_values value b.Block.term);
-        Hashtbl.replace st.subst_of copy.Block.label sigma;
+        Cfg.set_term ?preds:pred_map f copy (Instr.term_map_values value b.Block.term);
+        Hashtbl.replace substs copy.Block.label sigma;
         Option.iter
           (fun (pb : Block.t) ->
-            Cfg.set_term f pb
+            Cfg.set_term ?preds:pred_map f pb
               (Instr.term_map_labels
                  (fun l -> if l = b_label then copy.Block.label else l)
                  pb.Block.term))
@@ -115,17 +110,18 @@ let duplicate_merge st f b_label preds =
               sb.Block.phis)
         (Func.find_block f s))
     (Block.successors b);
+  Cfg.set_term ?preds:pred_map f b Instr.Unreachable;
   Func.remove_block f b_label;
-  List.map fst copies
+  Option.iter (fun m -> Hashtbl.remove m b_label) pred_map
 
 (* Duplicate a whole nested loop for entry predecessor [p]: its blocks are
    cloned as a unit (back edges stay internal to the copy), the copy's
    header phis keep only [p]'s entries plus the remapped latch entries,
    and exit-target phis gain entries for the copy's exiting blocks. *)
-let duplicate_loop_for_pred st f (loop : Loops.loop) p =
-  let sigma_p = sigma_of st p in
+let duplicate_loop_for_pred ~pred_map substs f (loop : Loops.loop) p =
+  let sigma_p = sigma_of substs p in
   let region = Value.Label_set.elements loop.blocks in
-  let m = Clone.clone_region f region in
+  let m = Clone.clone_region ~preds:pred_map f region in
   let sigma_c =
     Value.Var_map.fold
       (fun orig fresh acc -> Value.Var_map.add orig (Value.Var fresh) acc)
@@ -135,7 +131,7 @@ let duplicate_loop_for_pred st f (loop : Loops.loop) p =
   List.iter
     (fun l ->
       let cl = Clone.map_label m l in
-      Hashtbl.replace st.subst_of cl sigma_c;
+      Hashtbl.replace substs cl sigma_c;
       (* Rewrite references to values defined upstream of the loop. *)
       Block.map_values (subst_value sigma_p) (Func.block f cl))
     region;
@@ -168,18 +164,17 @@ let duplicate_loop_for_pred st f (loop : Loops.loop) p =
             sb.Block.phis)
     loop.exits;
   (* Retarget p's entry edge. *)
-  (match Func.find_block f p with
+  match Func.find_block f p with
   | Some pb ->
-    Cfg.set_term f pb
+    Cfg.set_term ~preds:pred_map f pb
       (Instr.term_map_labels
          (fun l -> if l = loop.header then copy_header else l)
          pb.Block.term)
-  | None -> ());
-  List.map (Clone.map_label m) region
+  | None -> ()
 
 (* Every entry edge now leads to a copy, so the original loop is dead:
    delete its blocks and the phi entries they fed. *)
-let remove_loop f (loop : Loops.loop) =
+let remove_loop ~pred_map f (loop : Loops.loop) =
   Value.Label_set.iter
     (fun l ->
       Option.iter
@@ -187,169 +182,270 @@ let remove_loop f (loop : Loops.loop) =
           List.iter
             (fun s -> Option.iter (Block.remove_incoming l) (Func.find_block f s))
             (Block.successors b);
-          Func.remove_block f l)
+          Cfg.set_term ~preds:pred_map f b Instr.Unreachable;
+          Func.remove_block f l;
+          Hashtbl.remove pred_map l)
         (Func.find_block f l))
     loop.blocks
 
-(* Merges must be processed topmost-first: when a merge M is duplicated,
-   every block that can reach M must already be merge-free, so M's
-   predecessors carry complete path substitutions and M's copies are never
-   revisited (re-duplicating a copy would need substitution composition).
-   Each round therefore processes the "frontier" — candidates not
-   reachable from any other candidate. Processing a frontier merge only
-   creates new merges strictly below it, which cannot sit above another
-   frontier member, so the whole frontier is processed per round with one
-   CFG/loop analysis. Only nested loops can be loop candidates, and
-   duplicating plain blocks never creates a cycle, so once no nested-loop
-   header is left in the region the later rounds skip the loop analysis. *)
-let unmerge_region ?(selective = false) f ~region ~budget =
-  let region = ref region in
-  let st = { created = 0; budget; exhausted = false; subst_of = Hashtbl.create 32 } in
-  let changed = ref false in
-  let continue_ = ref true in
-  let nested = ref true in
-  while !continue_ && not st.exhausted do
-    continue_ := false;
-    let preds = Cfg.predecessors f in
-    let loop_of_header = Hashtbl.create 7 in
-    if !nested then begin
-      let loops = Loops.loops (Loops.analyze f) in
-      List.iter (fun (l : Loops.loop) -> Hashtbl.replace loop_of_header l.header l) loops;
-      nested :=
-        List.exists (fun (l : Loops.loop) -> Value.Label_set.mem l.header !region) loops
-    end;
-    let preds_of l = match Hashtbl.find_opt preds l with Some ps -> ps | None -> [] in
-    (* A candidate is either a plain merge block, or a nested-loop header
-       with several entry edges from outside its loop. *)
-    let classify l =
-      if not (Value.Label_set.mem l !region) then None
-      else
-        match Hashtbl.find_opt loop_of_header l with
-        | Some loop -> (
-          let outside =
-            List.filter
-              (fun p -> not (Value.Label_set.mem p loop.Loops.blocks))
-              (preds_of l)
-          in
-          match outside with
-          | _ :: _ :: _ -> Some (`Loop (loop, outside))
-          | [] | [ _ ] -> None)
-        | None -> (
+(* The plan. Merges must be duplicated topmost-first: when a merge M is
+   duplicated, every block that can reach M must already be merge-free,
+   so M's predecessors carry complete path substitutions and M's copies
+   are never revisited (re-duplicating a copy would need substitution
+   composition). Each round therefore takes the "frontier": candidates
+   not reachable from any other candidate.
+
+   The rounds run on the region's original blocks, grouped into units: a
+   plain block, or an outermost nested loop, which is duplicated whole
+   (loop headers are never duplicated on their own). A unit is either
+   untouched or replaced by its copies, one per predecessor entry it had
+   when duplicated; every copy has the unit's successors, so a unit's
+   predecessor entries number the sum of its predecessor units' copy
+   counts (an exit target gets one entry per loop copy for each distinct
+   exiting block). Nothing else about a copy matters to the rounds except
+   whether its path substitution is empty, which [selective] reads.
+
+   The copies never become candidates: each has one predecessor entry,
+   and everything upstream of a duplicated unit is settled (had it a
+   candidate, the unit would not have been on the frontier). So the
+   candidates of a round are untouched units, and they are taken in the
+   function's original reverse postorder: duplicating a merge keeps the
+   relative DFS order of every other block, since the copy for the
+   DFS-first predecessor takes the merge's place and the others are
+   leaves, and likewise a loop's first copy takes the loop's place. *)
+type unit_info = {
+  label : Value.label;  (** the block, or the loop's header *)
+  loop : Loops.loop option;
+  entries : int list;
+      (** the predecessor unit of each predecessor entry ([-1]: outside
+          the region); for a loop, only entries from outside it *)
+  succs : int list;  (** distinct successor units inside the region *)
+  skippable : bool;  (** a phi-less block: [selective] may skip it *)
+  defines : bool;  (** copies rename definitions, so no copy's substitution is empty *)
+  inner : bool;  (** a loop holding a candidate of its own *)
+  inner_renamed : bool;
+      (** a loop whose copies hold a candidate of their own when their
+          substitution is not empty *)
+}
+
+type step = Merge of Value.label | Loop_copies of Loops.loop
+
+type plan = {
+  steps : step list;  (** in execution order; all fit the budget *)
+  created : int;
+  loop_copies : int;
+  exhausted : bool;
+}
+
+let units ~selective f ~preds ~region =
+  let preds_of l = Option.value ~default:[] (Hashtbl.find_opt preds l) in
+  let at = Hashtbl.create 64 in
+  List.iteri (fun i l -> Hashtbl.replace at l i) (Cfg.reverse_postorder f);
+  let loops = Loops.loops (Loops.analyze f) in
+  let loop_of_header = Hashtbl.create 8 in
+  List.iter (fun (l : Loops.loop) -> Hashtbl.replace loop_of_header l.header l) loops;
+  let nested = List.filter (fun (l : Loops.loop) -> Value.Label_set.mem l.header region) loops in
+  let outermost =
+    List.filter
+      (fun (l : Loops.loop) ->
+        not
+          (List.exists
+             (fun (o : Loops.loop) -> o.header <> l.header && Value.Label_set.mem l.header o.blocks)
+             nested))
+      nested
+  in
+  let in_loops =
+    List.fold_left (fun s (l : Loops.loop) -> Value.Label_set.union s l.blocks) Value.Label_set.empty
+      outermost
+  in
+  let kinds =
+    Array.of_list
+      (List.map (fun (l : Loops.loop) -> (l.header, Some l)) outermost
+      @ List.map (fun l -> (l, None))
+          (Value.Label_set.elements (Value.Label_set.diff region in_loops)))
+  in
+  let unit_of = Hashtbl.create 64 in
+  Array.iteri
+    (fun u (l, loop) ->
+      match loop with
+      | None -> Hashtbl.replace unit_of l u
+      | Some (loop : Loops.loop) ->
+        Value.Label_set.iter (fun b -> Hashtbl.replace unit_of b u) loop.blocks)
+    kinds;
+  let unit_or_outside l = Option.value ~default:(-1) (Hashtbl.find_opt unit_of l) in
+  let succ_units ls = List.sort_uniq compare (List.filter_map (Hashtbl.find_opt unit_of) ls) in
+  let merge l = List.compare_length_with (preds_of l) 2 >= 0 in
+  let info (label, loop) =
+    match loop with
+    | None ->
+      let b = Func.block f label in
+      {
+        label;
+        loop;
+        entries = List.map unit_or_outside (preds_of label);
+        succs = succ_units (Block.successors b);
+        skippable = b.Block.phis = [];
+        defines = Block.defs b <> [];
+        inner = false;
+        inner_renamed = false;
+      }
+    | Some (loop : Loops.loop) ->
+      (* An inner merge, or an inner header entered twice from outside
+         its own loop, reaches itself through the back edge: it marks the
+         loop and everything below it in every round. *)
+      let inner, inner_renamed =
+        Value.Label_set.fold
+          (fun l (inner, renamed) ->
+            if l = loop.header || not (Hashtbl.mem at l) then (inner, renamed)
+            else
+              match Hashtbl.find_opt loop_of_header l with
+              | Some (nest : Loops.loop) ->
+                let outside =
+                  List.filter (fun p -> not (Value.Label_set.mem p nest.blocks)) (preds_of l)
+                in
+                (inner || List.compare_length_with outside 2 >= 0, renamed)
+              | None ->
+                if not (merge l) then (inner, renamed)
+                else if (not selective) || (Func.block f l).Block.phis <> [] then (true, renamed)
+                else (inner, true))
+          loop.blocks (false, false)
+      in
+      {
+        label;
+        loop = Some loop;
+        entries =
+          List.filter_map
+            (fun p ->
+              if Value.Label_set.mem p loop.blocks then None else Some (unit_or_outside p))
+            (preds_of label);
+        succs = succ_units (List.map snd loop.exits);
+        skippable = false;
+        defines =
+          Value.Label_set.exists (fun l -> Block.defs (Func.block f l) <> []) loop.blocks;
+        inner;
+        inner_renamed;
+      }
+  in
+  let units = Array.map info kinds in
+  (* Reachable units by reverse-postorder position of their block or header. *)
+  let order =
+    List.sort
+      (fun a b -> compare (Hashtbl.find at units.(a).label) (Hashtbl.find at units.(b).label))
+      (List.filter (fun u -> Hashtbl.mem at units.(u).label) (List.init (Array.length units) Fun.id))
+  in
+  (units, order)
+
+let plan ~selective f ~preds ~region ~budget =
+  let units, order = units ~selective f ~preds ~region in
+  let n = Array.length units in
+  (* [copies.(u)]: 0 while untouched; [renamed.(u)]: copies whose path
+     substitution is not empty. *)
+  let copies = Array.make n 0 and renamed = Array.make n 0 in
+  let count u = if u < 0 || copies.(u) = 0 then 1 else copies.(u) in
+  let renamed_count u = if u < 0 then 0 else renamed.(u) in
+  let steps = ref [] and created = ref 0 and loop_copies = ref 0 in
+  let exhausted = ref false and progress = ref true in
+  while !progress && not !exhausted do
+    progress := false;
+    let candidates =
+      List.filter_map
+        (fun u ->
+          let info = units.(u) in
+          let degree = List.fold_left (fun acc e -> acc + count e) 0 info.entries in
+          let degree_renamed = List.fold_left (fun acc e -> acc + renamed_count e) 0 info.entries in
           (* Selective mode (paper SVI future work): phi-less merges are
-             not duplicated for their own sake — unless a predecessor
+             not duplicated for their own sake, unless a predecessor
              already carries a substitution, in which case duplication is
              forced: the merge references definitions that upstream
-             duplication has renamed away. Forcing keeps the cascade's
-             soundness; the frontier ordering still holds because the
-             reachability marking walks through skipped merges. *)
-          let skip =
-            selective
-            && (match Func.find_block f l with
-               | Some b -> b.Block.phis = []
-               | None -> true)
-            && List.for_all
-                 (fun p -> Value.Var_map.is_empty (sigma_of st p))
-                 (preds_of l)
-          in
-          if skip then None
-          else
-            match preds_of l with
-            | _ :: _ :: _ as ps -> Some (`Block ps)
-            | [] | [ _ ] -> None)
+             duplication has renamed away. *)
+          let skip = selective && info.skippable && degree_renamed = 0 in
+          if copies.(u) = 0 && degree >= 2 && not skip then Some (u, degree, degree_renamed)
+          else None)
+        order
     in
-    let rpo = Cfg.reverse_postorder f in
-    let candidates = List.filter_map (fun l -> Option.map (fun c -> (l, c)) (classify l)) rpo in
-    (* Mark everything reachable from a candidate's out-edges; candidates
-       so marked are below another candidate and must wait. A loop
-       candidate's out-edges are its exit edges (its interior belongs to
-       it and is removed wholesale when it is processed). *)
-    let downstream = Hashtbl.create 64 in
-    (* Reachability is confined to the region: leaving it (through the
-       target loop's header or an exit) cannot re-enter except through the
-       header, which is not part of the region. Without this restriction
-       the walk would follow back edges and mark every candidate as its
-       own descendant. *)
-    let rec mark l =
-      if Value.Label_set.mem l !region && not (Hashtbl.mem downstream l) then begin
-        Hashtbl.replace downstream l ();
-        match Func.find_block f l with
-        | Some b -> List.iter mark (Block.successors b)
-        | None -> ()
+    (* Mark everything a candidate reaches inside the region; candidates
+       so marked are below another candidate and must wait. The walk goes
+       through skipped merges and through copies alike. *)
+    let marked = Array.make n false in
+    let rec mark u =
+      if not marked.(u) then begin
+        marked.(u) <- true;
+        List.iter mark units.(u).succs
       end
     in
+    List.iter (fun (u, _, _) -> List.iter mark units.(u).succs) candidates;
     List.iter
-      (fun (l, c) ->
-        match c with
-        | `Block _ -> (
-          match Func.find_block f l with
-          | Some b -> List.iter mark (Block.successors b)
-          | None -> ())
-        | `Loop (loop, _) -> List.iter (fun (_, s) -> mark s) loop.Loops.exits)
-      candidates;
-    let frontier = List.filter (fun (l, _) -> not (Hashtbl.mem downstream l)) candidates in
+      (fun u ->
+        if units.(u).inner || (units.(u).inner_renamed && renamed.(u) > 0) then mark u)
+      order;
     List.iter
-      (fun (b_label, c) ->
-        (* A frontier loop processed earlier in this round may have
-           swallowed this candidate (nested header inside it). *)
-        if (not st.exhausted) && Value.Label_set.mem b_label !region
-           && Func.find_block f b_label <> None
-        then
-          match c with
-          | `Block ps ->
-            if st.created + List.length ps > st.budget then st.exhausted <- true
-            else begin
-              (* Every predecessor gets a private copy; the original dies. *)
-              let copies = duplicate_merge st f b_label ps in
-              region :=
-                List.fold_left
-                  (fun r c -> Value.Label_set.add c r)
-                  (Value.Label_set.remove b_label !region)
-                  copies;
-              st.created <- st.created + List.length ps;
-              changed := true;
-              continue_ := true
-            end
-          | `Loop (loop, outside) ->
-            let size = Value.Label_set.cardinal loop.Loops.blocks in
-            if st.created + (List.length outside * size) > st.budget then
-              st.exhausted <- true
-            else begin
-              List.iter
-                (fun p ->
-                  let copies = duplicate_loop_for_pred st f loop p in
-                  List.iter (fun cp -> region := Value.Label_set.add cp !region) copies;
-                  Statistic.incr stat_loops;
-                  st.created <- st.created + size)
-                outside;
-              remove_loop f loop;
-              Value.Label_set.iter
-                (fun l -> region := Value.Label_set.remove l !region)
-                loop.Loops.blocks;
-              changed := true;
-              continue_ := true
-            end)
-      frontier
+      (fun (u, degree, degree_renamed) ->
+        if (not !exhausted) && not marked.(u) then begin
+          let info = units.(u) in
+          let cost =
+            match info.loop with
+            | None -> degree
+            | Some loop -> degree * Value.Label_set.cardinal loop.blocks
+          in
+          if !created + cost > budget then exhausted := true
+          else begin
+            copies.(u) <- degree;
+            renamed.(u) <- (if info.defines then degree else degree_renamed);
+            created := !created + cost;
+            (match info.loop with
+            | None -> steps := Merge info.label :: !steps
+            | Some loop ->
+              loop_copies := !loop_copies + degree;
+              steps := Loop_copies loop :: !steps);
+            progress := true
+          end
+        end)
+      candidates
   done;
-  if !changed && not st.exhausted then ignore (Cfg.remove_unreachable f);
-  if st.created > 0 then Statistic.incr ~by:st.created stat_paths;
-  if st.exhausted then begin
+  { steps = List.rev !steps; created = !created; loop_copies = !loop_copies; exhausted = !exhausted }
+
+(* Make the copies the plan counted, in its order: every predecessor of a
+   merge gets a private copy and the original dies; a loop is copied once
+   per entry from outside it. One predecessor map is kept current, its
+   lists in sorted label order as [Cfg.predecessors] builds them, since
+   copy labels are allocated in that order. *)
+let execute f ~preds steps =
+  let pred_map = Hashtbl.copy preds in
+  let preds_of l = Option.value ~default:[] (Hashtbl.find_opt pred_map l) in
+  let substs = Hashtbl.create 32 in
+  List.iter
+    (function
+      | Merge b -> duplicate_merge ~pred_map substs f b (preds_of b)
+      | Loop_copies loop ->
+        let outside =
+          List.filter (fun p -> not (Value.Label_set.mem p loop.Loops.blocks)) (preds_of loop.header)
+        in
+        List.iter (duplicate_loop_for_pred ~pred_map substs f loop) outside;
+        remove_loop ~pred_map f loop)
+    steps
+
+let unmerge_region ?(selective = false) f ~region ~budget =
+  let preds = Cfg.predecessors f in
+  let p = plan ~selective f ~preds ~region ~budget in
+  let changed = p.steps <> [] && not p.exhausted in
+  if changed then begin
+    execute f ~preds p.steps;
+    ignore (Cfg.remove_unreachable f)
+  end;
+  if p.created > 0 then Statistic.incr ~by:p.created stat_paths;
+  if p.loop_copies > 0 then Statistic.incr ~by:p.loop_copies stat_loops;
+  if p.exhausted then begin
     Statistic.incr stat_budget;
     Remark.missed ~pass:"unmerge" ~func:f.Func.name
-      ~args:
-        [ ("duplicated", Remark.Int st.created); ("budget", Remark.Int st.budget) ]
+      ~args:[ ("duplicated", Remark.Int p.created); ("budget", Remark.Int budget) ]
       "duplication budget exhausted; transform will be rolled back"
   end
-  else if !changed then
+  else if changed then
     Remark.applied ~pass:"unmerge" ~func:f.Func.name
-      ~args:[ ("duplicated", Remark.Int st.created) ]
+      ~args:[ ("duplicated", Remark.Int p.created) ]
       "tail-duplicated every merge point in the region; each path is now \
        straight-line code";
-  {
-    changed = !changed;
-    edited = !changed;
-    duplicated_blocks = st.created;
-    budget_exhausted = st.exhausted;
-  }
+  { changed; edited = changed; duplicated_blocks = p.created; budget_exhausted = p.exhausted }
 
 let untouched = { changed = false; edited = false; duplicated_blocks = 0; budget_exhausted = false }
 
@@ -432,7 +528,8 @@ let dbds_unmerge_loop f ~header ~budget =
         Value.Label_set.empty
         (Loops.loops (Loops.analyze f))
     in
-    let st = { created = 0; budget; exhausted = false; subst_of = Hashtbl.create 8 } in
+    let substs = Hashtbl.create 8 in
+    let created = ref 0 and exhausted = ref false in
     let changed = ref false in
     let initial_merges =
       let preds = Cfg.predecessors f in
@@ -451,16 +548,16 @@ let dbds_unmerge_loop f ~header ~budget =
         (* Predecessors recomputed per merge: an earlier duplication may
            have replaced a predecessor with its copies. *)
         let ps = Cfg.preds_of f b_label in
-        if st.created + List.length ps > st.budget then st.exhausted <- true
-        else if (not st.exhausted) && not (defs_escape f b_label) then begin
-          ignore (duplicate_merge st f b_label ps);
-          st.created <- st.created + List.length ps;
+        if !created + List.length ps > budget then exhausted := true
+        else if (not !exhausted) && not (defs_escape f b_label) then begin
+          duplicate_merge substs f b_label ps;
+          created := !created + List.length ps;
           changed := true
         end)
       initial_merges;
     {
       changed = !changed;
       edited = !changed || canonicalized;
-      duplicated_blocks = st.created;
-      budget_exhausted = st.exhausted;
+      duplicated_blocks = !created;
+      budget_exhausted = !exhausted;
     }

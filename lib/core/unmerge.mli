@@ -13,11 +13,17 @@
     keeping headers intact guarantees termination (the rest of the region
     is acyclic).
 
+    Unmerging plans before it copies: the rounds that pick which merges
+    and nested loops to duplicate run on the region's original blocks,
+    counting copies without making them, and the copies are then made by
+    following the plan.
+
     A block budget bounds the worst-case exponential duplication; hitting
     it stands in for the compile-time timeouts the paper reports (§IV-C,
-    RQ2). Among the bundled apps, u&u-8 on bezier-surface, mandelbrot,
-    qtclustering and rainflow, and whole-app u&u-4 and u&u-8 on ccs and
-    contract, run out of budget and are rolled back. *)
+    RQ2). The plan finds out before a single block is copied. Among the
+    bundled apps, u&u-8 on bezier-surface, mandelbrot, qtclustering and
+    rainflow, and whole-app u&u-4 and u&u-8 on ccs and contract, run out
+    of budget and are rolled back. *)
 
 open Uu_ir
 
@@ -27,19 +33,26 @@ type outcome = {
       (** the function changed: [changed], or canonicalizing the loop
           (see [Uu_opt.Loop_utils.canonicalize]) edited it *)
   duplicated_blocks : int;
+      (** blocks created; on exhaustion, the blocks the plan counted
+          before the step that did not fit *)
   budget_exhausted : bool;  (** the paper's "compilation timed out" analogue *)
 }
 
 val unmerge_region :
   ?selective:bool -> Func.t -> region:Value.Label_set.t -> budget:int -> outcome
 (** Duplicate every multi-predecessor non-header block of [region] until
-    none remains or the budget (in created blocks) is exhausted. Blocks
-    created by duplication join the region. *)
+    none remains, treating blocks created by duplication as part of the
+    region, unless the budget (in created blocks) runs out first. A
+    nested loop entered from several predecessors is duplicated whole.
+    On exhaustion nothing is copied: the function is left untouched and
+    [changed] is false, while [duplicated_blocks], the statistics and the
+    [missed] remark report what the plan counted. *)
 
 val unmerge_loop :
   ?selective:bool -> Func.t -> header:Value.label -> budget:int -> outcome
 (** Unmerge the body of the loop with the given header (the paper's
-    [unmerge] configuration — u&u with unroll factor 1). [selective]
+    [unmerge] configuration — u&u with unroll factor 1). On exhaustion
+    the function is exactly as canonicalizing the loop left it. [selective]
     implements the paper's proposed future-work refinement (SVI): only
     merge blocks carrying phis — the ones whose duplication can expose
     value-flow to later passes — are duplicated, trading optimization

@@ -31,9 +31,11 @@ let uu_loop ?(budget = default_block_budget) ?(selective = false)
   | Some loop ->
     if Loops.contains_convergent f loop then no_outcome
     else begin
-      (* Unmerging is not valid to stop halfway, so the whole transform is
-         transactional: exhausting the duplication budget rolls the
-         function back (the paper's compile-timeout analogue). *)
+      (* The whole transform is transactional: exhausting the duplication
+         budget rolls the function back (the paper's compile-timeout
+         analogue). Unmerging decides that before it copies anything, but
+         unrolling and canonicalization have run by then, so the snapshot
+         is still what restores the function. *)
       let snapshot = Func.copy f in
       (* By default only the target loop is unrolled and inner loops are
          only unmerged (SIII-C); the configuration option also unrolls the

@@ -171,9 +171,11 @@ let parse_def_rhs fn line dst rhs =
     match words rest with
     | ty :: _ -> (
       let ty = parse_ty line ty in
-      let bracket_start = String.index rest '[' in
-      let chunks = split_commas (String.sub rest bracket_start (String.length rest - bracket_start)) in
-      `Phi { Instr.dst; ty; incoming = List.map (parse_incoming fn line) chunks })
+      match String.index_opt rest '[' with
+      | Some i ->
+        let chunks = split_commas (String.sub rest i (String.length rest - i)) in
+        `Phi { Instr.dst; ty; incoming = List.map (parse_incoming fn line) chunks }
+      | None -> fail line "phi needs incoming [..] entries")
     | [] -> fail line "phi needs a type")
   | "cmp" -> (
     match words rest with
@@ -287,7 +289,7 @@ let parse_statement fn line s =
     (* "%dst = rhs" *)
     match String.index_opt s '=' with
     | Some i ->
-      let lhs = String.trim (String.sub s 0 (i - 1)) in
+      let lhs = String.trim (String.sub s 0 i) in
       let rhs = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
       let dst, hint = parse_reg line lhs in
       Func.note_var ?hint fn dst;
@@ -411,7 +413,10 @@ let parse_func_lines lines start =
   match !fn, !first_block with
   | Some f, Some entry ->
     Func.set_entry f entry;
-    Verifier.check_exn f;
+    (match Verifier.check f with
+    | Ok () -> ()
+    | Error errors ->
+      fail start "IR verification failed in @%s: %s" f.Func.name (String.concat "; " errors));
     (f, !i)
   | Some _, None -> fail start "function has no blocks"
   | None, _ -> fail start "no function found"

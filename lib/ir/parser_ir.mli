@@ -20,8 +20,10 @@ exception Error of string * int
 (** Message and 1-based line number. *)
 
 val parse_func : string -> Func.t
-(** Parse one function. The result is verified ({!Verifier.check_exn}).
-    @raise Error on malformed input. *)
+(** Parse one function. The result is verified ({!Verifier.check}); a
+    function the verifier rejects is malformed input.
+    @raise Error on malformed input, and no other exception. *)
 
 val parse : string -> Func.modul
-(** Parse a module: one or more functions. *)
+(** Parse a module: one or more functions.
+    @raise Error on malformed input, and no other exception. *)

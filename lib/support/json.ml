@@ -31,11 +31,13 @@ let to_string v =
     | Int n -> Buffer.add_string buf (string_of_int n)
     | Float x ->
       (* Keep floats recognizable as floats so the parser restores the
-         constructor; %.17g round-trips every finite double exactly. *)
+         constructor; %.17g round-trips every finite double exactly, but
+         writes an integral one below 1e17 with neither a fraction nor an
+         exponent, and %.1f prints such a double exactly. *)
       if not (Float.is_finite x) then
         Buffer.add_string buf
           (if Float.is_nan x then "\"nan\"" else if x > 0.0 then "\"inf\"" else "\"-inf\"")
-      else if Float.is_integer x && Float.abs x < 1e15 then
+      else if Float.is_integer x && Float.abs x < 1e17 then
         Buffer.add_string buf (Printf.sprintf "%.1f" x)
       else Buffer.add_string buf (Printf.sprintf "%.17g" x)
     | Str s ->

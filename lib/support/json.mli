@@ -5,12 +5,9 @@
     that later runs must read back), so this module implements the small
     subset of JSON the repository emits: finite numbers, strings with
     standard escapes, booleans, null, arrays, and objects. Integers and
-    floats are kept distinct: the printer writes floats with a fraction
-    or exponent, so [of_string] can recover the original constructor.
-    The exception is an integral float whose magnitude is at least 1e15
-    and below 1e17: ["%.17g"] prints all its digits and nothing else, so
-    it reads back as an {!Int} of the same value ({!to_float} accepts
-    either). *)
+    floats are kept distinct: the printer writes every finite float with
+    a fraction or exponent (an integral one below 1e17 as ["%.1f"]), so
+    [of_string] recovers the original constructor and value. *)
 
 type t =
   | Null

@@ -101,7 +101,7 @@ let json_escape s =
 let json_string s = "\"" ^ json_escape s ^ "\""
 
 let json_float x =
-  if Float.is_integer x && Float.abs x < 1e15 then
+  if Float.is_integer x && Float.abs x < 1e17 then
     Printf.sprintf "%.1f" x
   else if Float.is_finite x then Printf.sprintf "%.17g" x
   else json_string (Printf.sprintf "%h" x)

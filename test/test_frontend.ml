@@ -174,6 +174,20 @@ kernel k(int* restrict out, int n) {
     check (Alcotest.int64) (Printf.sprintf "out[%d]" tid) (expect tid) got.(tid)
   done
 
+(* Mutated sources of every bundled app: compiling one either succeeds or
+   raises one of the frontend's own errors. *)
+let fuzz_compile =
+  QCheck2.Test.make ~name:"fuzz: mutated MiniCUDA sources" ~count:2000
+    (Mutation.mutated ~alphabet:"{}()[];,=<>+-*/%&|!.#_ \n0123456789ifwhlt"
+       (lazy
+         (Array.of_list
+            (List.map (fun (app : Uu_benchmarks.App.t) -> app.source) Uu_benchmarks.Registry.all))))
+    ~print:Mutation.show
+    (fun src ->
+      match Lower.compile ~name:"fuzz" src with
+      | _ -> true
+      | exception (Lexer.Error _ | Parser.Error _ | Lower.Error _) -> true)
+
 let suite =
   [
     ("lexer basics", `Quick, test_lexer_basics);
@@ -191,4 +205,5 @@ let suite =
     ("all benchmark kernels lower cleanly", `Quick, test_lowering_verifies);
     ("loop pragma recorded", `Quick, test_lowering_pragma_recorded);
     ("lowered kernel executes", `Quick, test_lowering_execution);
+    Mutation.to_alcotest ~seed:23 fuzz_compile;
   ]

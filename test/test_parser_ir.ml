@@ -79,7 +79,10 @@ let expect_error src =
   try
     ignore (Parser_ir.parse_func src);
     false
-  with Parser_ir.Error _ | Failure _ -> true
+  with Parser_ir.Error _ -> true
+
+(* One body line in a one-block function. *)
+let in_kernel line = "func @k(%n: i64) -> void {\nbb0.entry:\n  " ^ line ^ "\n}"
 
 let test_parse_errors () =
   check bool "missing header" true (expect_error "bb0:\n  ret\n}");
@@ -90,7 +93,10 @@ let test_parse_errors () =
   check bool "undefined use rejected by verifier" true
     (expect_error "func @k() -> void {\nbb0:\n  %a.1 = add i64 %zzz.99, 1:i64\n  ret\n}");
   check bool "bad type" true
-    (expect_error "func @k(%x: i17) -> void {\nbb0:\n  ret\n}")
+    (expect_error "func @k(%x: i17) -> void {\nbb0:\n  ret\n}");
+  check bool "phi without entries" true (expect_error (in_kernel "%x.1 = phi i64"));
+  check bool "statement opening with =" true (expect_error (in_kernel "= add i64 %n, 1:i64"));
+  check bool "branch to a missing block" true (expect_error (in_kernel "br bb7"))
 
 let test_parse_module () =
   let m =
@@ -99,6 +105,28 @@ let test_parse_module () =
   in
   check (Alcotest.list string) "two functions" [ "a"; "b" ]
     (List.map (fun f -> f.Func.name) m.Func.funcs)
+
+(* Mutated printed IR of every bundled kernel, lowered and optimized:
+   the parser either returns a function or raises [Parser_ir.Error]. *)
+let printed_kernels =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun (app : Uu_benchmarks.App.t) ->
+            let m = Uu_frontend.Lower.compile ~name:app.name app.source in
+            let lowered = List.map Printer.func_to_string m.Func.funcs in
+            List.iter (fun f -> ignore (Uu_core.Pipelines.optimize Uu_core.Pipelines.Baseline f)) m.Func.funcs;
+            lowered @ List.map Printer.func_to_string m.Func.funcs)
+          Uu_benchmarks.Registry.all))
+
+let fuzz_parse =
+  QCheck2.Test.make ~name:"fuzz: mutated printed IR" ~count:2000
+    (Mutation.mutated ~alphabet:"%@:=,[]{}()*.-> \nbb0123456789ifphr" printed_kernels)
+    ~print:Mutation.show
+    (fun text ->
+      match Parser_ir.parse text with
+      | _ -> true
+      | exception Parser_ir.Error _ -> true)
 
 let suite =
   [
@@ -109,4 +137,5 @@ let suite =
     ("parsed IR executes", `Quick, test_parsed_executes);
     ("parse errors", `Quick, test_parse_errors);
     ("module with two functions", `Quick, test_parse_module);
+    Mutation.to_alcotest ~seed:23 fuzz_parse;
   ]

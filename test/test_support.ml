@@ -163,7 +163,7 @@ let json_golden =
     (" [ 1 , \"a\\u00e9\\/\" ] ", Ok "[1,\"a\195\169/\"]");
     ("\"\\u0000\\b\\f\"", Ok "\"\\u0000\\u0008\\u000c\"");
     ("{\"k\":-12.5e-3,\"k\":[true,false,null]}", Ok "{\"k\":-0.012500000000000001,\"k\":[true,false,null]}");
-    ("1000000000000000.0", Ok "1000000000000000");
+    ("1000000000000000.0", Ok "1000000000000000.0");
     ("007", Ok "7")
   ]
 
@@ -217,22 +217,11 @@ let json_gen =
                );
              ])
 
-(* What printing then parsing gives back. The printer writes an integral
-   float of magnitude in [1e15, 1e17) with all its digits and neither a
-   fraction nor an exponent ("%.17g"), so it reads back as an [Int] of
-   the same value; everything else comes back unchanged. *)
-let rec reread = function
-  | Json.Float x when Float.is_integer x && Float.abs x >= 1e15 && Float.abs x < 1e17 ->
-    Json.Int (int_of_float x)
-  | Json.Arr l -> Json.Arr (List.map reread l)
-  | Json.Obj l -> Json.Obj (List.map (fun (k, v) -> (k, reread v)) l)
-  | v -> v
-
 let json_props =
   [
     QCheck2.Test.make ~name:"json print then parse" ~count:1000
       ~print:Json.to_string json_gen (fun v ->
-        Json.of_string (Json.to_string v) = Ok (reread v));
+        Json.of_string (Json.to_string v) = Ok v);
   ]
 
 let suite =

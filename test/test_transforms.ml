@@ -126,6 +126,54 @@ let test_uu_budget_rolls_back () =
   check bool "not applied" false o.Uu.applied;
   check Alcotest.string "function rolled back" before (Printer.func_to_string fn)
 
+(* An unmerge that runs out of budget copies nothing: the function is
+   exactly what canonicalizing the loop makes of it. *)
+let check_exhaustion_untouched ~what fn ~header ~budget =
+  let canonical = Func.copy fn in
+  ignore (Uu_opt.Loop_utils.canonicalize canonical header);
+  let o = Unmerge.unmerge_loop fn ~header ~budget in
+  if o.Unmerge.budget_exhausted then begin
+    check bool (what ^ ": not changed") false o.Unmerge.changed;
+    check Alcotest.string (what ^ ": canonicalized only")
+      (Printer.func_to_string canonical) (Printer.func_to_string fn)
+  end;
+  o
+
+let test_unmerge_exhaustion_copies_nothing () =
+  let fn = Ir_helpers.compile_one counted_loop_src in
+  let header = first_loop fn in
+  ignore (Uu_opt.Unroll.unroll_loop fn ~header ~factor:8);
+  let o = check_exhaustion_untouched ~what:"counted loop x8" fn ~header ~budget:20 in
+  check bool "counted loop x8 exhausts" true o.Unmerge.budget_exhausted;
+  check bool "after copying some blocks" true (o.Unmerge.duplicated_blocks > 2);
+  (* Whole-app u&u-4 on ccs and contract runs out of budget after copying
+     nested loops; every other loop of those apps fits. *)
+  List.iter
+    (fun name ->
+      let app = Option.get (Uu_benchmarks.Registry.find name) in
+      let m = Uu_frontend.Lower.compile ~name app.Uu_benchmarks.App.source in
+      let exhausted = ref 0 in
+      List.iter
+        (fun f ->
+          ignore (Uu_opt.Pass.exec ~options:Uu_opt.Pass.unverified Pipelines.early_passes f);
+          List.iter
+            (fun (l : Uu_analysis.Loops.loop) ->
+              let header = l.Uu_analysis.Loops.header in
+              let snapshot = Func.copy f in
+              ignore (Uu_opt.Unroll.unroll_loop f ~header ~factor:4);
+              let what = Printf.sprintf "%s/%s bb%d" name f.Func.name header in
+              let o =
+                check_exhaustion_untouched ~what f ~header ~budget:Uu.default_block_budget
+              in
+              if o.Unmerge.budget_exhausted then begin
+                incr exhausted;
+                Func.restore f ~from_:snapshot
+              end)
+            (Uu_analysis.Loops.innermost_first (Uu_analysis.Loops.analyze f)))
+        m.Func.funcs;
+      check int (name ^ " rollbacks") 1 !exhausted)
+    [ "ccs"; "contract" ]
+
 let test_uu_skips_convergent () =
   let fn =
     Ir_helpers.compile_one
@@ -385,6 +433,69 @@ let golden_case ?(passes = transform_only) ~app ?loop ?(loop_copies = 0) config
     (Option.value ~default:0 (List.assoc_opt "unmerge.loops_duplicated" stats));
   check Alcotest.string "output digest" digest got
 
+(* One digest over [Uu.uu_loop] on every registry loop after the early
+   passes, under every factor, budget and selective setting: the outcome,
+   the printed function, the remarks and the statistic deltas of each. *)
+let uu_matrix_digest () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (app : Uu_benchmarks.App.t) ->
+      let m = Uu_frontend.Lower.compile ~name:app.name app.source in
+      List.iter
+        (fun f ->
+          ignore (Uu_opt.Pass.exec ~options:Uu_opt.Pass.unverified Pipelines.early_passes f);
+          List.iter
+            (fun (l : Uu_analysis.Loops.loop) ->
+              let header = l.Uu_analysis.Loops.header in
+              List.iter
+                (fun factor ->
+                  List.iter
+                    (fun budget ->
+                      List.iter
+                        (fun selective ->
+                          let g = Func.copy f in
+                          let sink = Uu_support.Remark.create () in
+                          let outcome = ref None in
+                          let pass =
+                            {
+                              Uu_opt.Pass.name = "uu";
+                              run =
+                                (fun g ->
+                                  let o = Uu.uu_loop ~budget ~selective g ~header ~factor in
+                                  outcome := Some o;
+                                  o.Uu.edited);
+                            }
+                          in
+                          let options = { Uu_opt.Pass.unverified with remarks = Some sink } in
+                          let report = Uu_opt.Pass.exec ~options [ pass ] g in
+                          let o = Option.get !outcome in
+                          let text = Buffer.create 4096 in
+                          Printf.bprintf text
+                            "%s bb%d x%d budget %d selective %b: applied %b edited %b \
+                             factor %d duplicated %d exhausted %b\n"
+                            f.Func.name header factor budget selective o.Uu.applied
+                            o.Uu.edited o.Uu.factor o.Uu.duplicated_blocks
+                            o.Uu.budget_exhausted;
+                          Buffer.add_string text (Printer.func_to_string g);
+                          Buffer.add_string text
+                            (Uu_support.Statistic.render report.Uu_opt.Pass.stats);
+                          List.iter
+                            (fun r ->
+                              Buffer.add_string text (Uu_support.Remark.to_text r ^ "\n"))
+                            (Uu_support.Remark.remarks sink);
+                          Printf.bprintf buf "%s %s\n" app.name
+                            (Digest.to_hex (Digest.string (Buffer.contents text))))
+                        [ false; true ])
+                    [ 40; 1000; 16384 ])
+                [ 1; 2; 4; 8 ])
+            (Uu_analysis.Loops.loops (Uu_analysis.Loops.analyze f)))
+        m.Func.funcs)
+    Uu_benchmarks.Registry.all;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_uu_matrix () =
+  check Alcotest.string "u&u matrix digest" "32ad106cf150fd0f4d25559034d22961" (uu_matrix_digest ())
+
 let test_pipeline_configs_distinct () =
   check Alcotest.string "name" "u&u-4" (Pipelines.config_name (Pipelines.Uu 4));
   check int "standard configs" 9 (List.length Pipelines.all_standard)
@@ -407,6 +518,7 @@ let suite =
     ("u&u preserves semantics (factors 1,2,4,8)", `Quick, test_uu_semantics_all_factors);
     ("u&u path count matches p^u", `Quick, test_uu_paths_match_formula);
     ("u&u budget rolls back transactionally", `Quick, test_uu_budget_rolls_back);
+    ("exhausted unmerge copies nothing", `Quick, test_unmerge_exhaustion_copies_nothing);
     ("u&u skips convergent loops", `Quick, test_uu_skips_convergent);
     ("u&u tags loops no-unroll", `Quick, test_uu_sets_pragma);
     ("heuristic plan respects f(p,s,u) < c", `Quick, test_heuristic_plan);
@@ -429,6 +541,20 @@ let suite =
       `Quick,
       golden_case ~app:"bezier-surface" ~loop:0 (Pipelines.Uu 8)
         ~duplicated:[ 15012 ] ~digest:"54362fea25dbbe61479dd9fc2137a10d" );
+    ( "golden: mandelbrot loop u&u-8 rollback",
+      `Quick,
+      golden_case ~app:"mandelbrot" ~loop:0 (Pipelines.Uu 8)
+        ~duplicated:[ 16376 ] ~digest:"c7de4932a78cf08f9920cc6d2866f478" );
+    (* Rollbacks after copying nested loops. *)
+    ( "golden: ccs whole-app u&u-4 rollback",
+      `Quick,
+      golden_case ~app:"ccs" (Pipelines.Uu 4) ~duplicated:[ 86; 2070 ] ~loop_copies:15
+        ~digest:"ff9e5c4204da3535a4a95fc159c220e7" );
+    ( "golden: contract whole-app u&u-4 rollback",
+      `Quick,
+      golden_case ~app:"contract" (Pipelines.Uu 4) ~duplicated:[ 86; 6885 ] ~loop_copies:30
+        ~digest:"3987a2ce8df6b0cb835be16f90b4c0a0" );
+    ("u&u matrix over registry loops", `Slow, test_uu_matrix);
     (* The one successful nested-loop duplication. *)
     ( "golden: ccs whole-app u&u-2",
       `Quick,
