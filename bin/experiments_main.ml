@@ -132,8 +132,7 @@ let print_scheduler_stats ctx extra =
 let print_failures failures =
   List.iter
     (fun (f : Jobs.failure) ->
-      Printf.eprintf "FAILED %s (after %d attempts): %s\n%!" f.Jobs.job_label
-        f.Jobs.attempts f.Jobs.message)
+      Printf.eprintf "FAILED %s: %s\n%!" f.Jobs.job_label f.Jobs.message)
     failures
 
 let do_table1 ctx =
@@ -172,7 +171,14 @@ let do_counters ctx =
 
 let cmd name doc run = Cmd.v (Cmd.info name ~doc) Term.(const run $ ctx_term)
 
-let table1_cmd = cmd "table1" "Regenerate Table I" do_table1
+(* A one-experiment command: the experiment, then its --stats block.
+   [all] runs the experiments bare and prints the block once. *)
+let stats_cmd name doc run =
+  cmd name doc (fun ctx ->
+      run ctx;
+      print_scheduler_stats ctx [])
+
+let table1_cmd = stats_cmd "table1" "Regenerate Table I" do_table1
 
 let fig_cmd name doc render =
   cmd name doc (fun ctx ->
@@ -240,7 +246,7 @@ let sweep_cmd =
           --no-cache to force recomputation, --stats for cache counters)")
     Term.(const (fun ctx configs -> do_sweep ctx configs) $ ctx_term $ configs_arg)
 
-let counters_cmd = cmd "counters" "In-depth counter analysis (SV)" do_counters
+let counters_cmd = stats_cmd "counters" "In-depth counter analysis (SV)" do_counters
 
 (* One JSON document per application with the full remark stream and the
    statistic-counter deltas of its heuristic-config compilation — the
@@ -277,7 +283,7 @@ let do_ablations ctx =
        (Ablation.run ?jobs:ctx.jobs ?sim_jobs:ctx.sim_jobs ?cache:ctx.cache ()))
 
 let ablations_cmd =
-  cmd "ablations" "Transform-design ablations (order, DBDS, selective)" do_ablations
+  stats_cmd "ablations" "Transform-design ablations (order, DBDS, selective)" do_ablations
 
 let all_cmd =
   cmd "all" "Regenerate everything (Table I, Figs. 6-8, counters)" (fun ctx ->

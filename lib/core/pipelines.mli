@@ -72,7 +72,7 @@ val optimize :
   Func.t ->
   Uu_opt.Pass.report
 (** Run the configuration's pipeline on a function under the given
-    manager options (verification, remark sink, timeout — see
+    manager options (verification, remark sink — see
     [Uu_opt.Pass.options]); the report's [stats] field carries the
     statistic-counter deltas either way. *)
 

@@ -21,6 +21,6 @@ val analyze :
 (** Runs as [Jobs] on the domain pool ([jobs] domains), with optional
     result caching; the jobs are the sweep's own, so a warm sweep cache
     serves them.
-    @raise Failure if a job fails after its retry. *)
+    @raise Failure if a job fails. *)
 
 val render : comparison list -> string

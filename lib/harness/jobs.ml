@@ -39,7 +39,6 @@ type failure = {
   job_label : string;
   job_key : string;
   message : string;
-  attempts : int;
 }
 
 type result = {
@@ -49,98 +48,108 @@ type result = {
   from_cache : bool;
 }
 
-(* One attempt: the job's request through the funnel, compiled by the
-   pipeline under the job's budget or by its hand-built variant. *)
-let attempt ?timeout ?engine ~sim_jobs j =
-  let compile =
-    match j.custom with
-    | None -> Runner.compile_request ?timeout
-    | Some build -> fun _ -> Ok (build ())
-  in
-  let r =
-    {
-      j.request with
-      engine = Option.value engine ~default:j.request.engine;
-      sim_jobs = Some sim_jobs;
-    }
-  in
-  try Runner.run_request ~compile r with e -> Error (Printexc.to_string e)
-
-let execute ?timeout ?engine ~sim_jobs ~retries j jkey =
-  let rec go n =
-    match attempt ?timeout ?engine ~sim_jobs j with
-    | Ok ok -> Ok ok
-    | Error message ->
-      if n <= retries then go (n + 1)
-      else Error { job_label = label j; job_key = jkey; message; attempts = n }
-  in
-  go 1
-
-(* A cached entry is the [Response.to_string] text of an [Ok] response.
-   The cache hands back only bytes that pass its digest check; bytes that
-   still do not decode to an [Ok] response are well-formed wrong text
-   (another writer of the directory), dropped like a torn entry so the
-   job recomputes and stores a good one. *)
+(* A hit counts only under the rule the daemon applies too
+   ([Response.of_cached]). The cache hands back only bytes that pass its
+   digest check; bytes that still fail the rule are well-formed wrong
+   text (another writer of the directory), dropped like a torn entry so
+   the job recomputes and stores a good one. *)
 let lookup cache ~key =
   match Result_cache.lookup_raw cache ~key with
   | None -> None
-  | Some text -> (
-    match Response.of_string text with
-    | Ok (Ok ok) -> Some ok
-    | Ok (Error _) | Error _ ->
-      Result_cache.reject cache ~key;
-      None)
+  | Some text ->
+    let ok = Response.of_cached text in
+    if Option.is_none ok then Result_cache.reject cache ~key;
+    ok
 
-let run_all ?jobs ?sim_jobs ?cache ?timeout ?engine ?(retries = 1) job_list =
+(* One pool task per compile key: the group's first request compiles,
+   through the pipeline or the first job's hand-built module, and every
+   request of the group, in order, reuses that module and its warm
+   decode cache on this one domain. The module is dropped when the task
+   returns. *)
+let answer_group ?engine ~sim_jobs arr members =
+  let compiled = ref None in
+  let compile r =
+    match !compiled with
+    | Some c -> c
+    | None ->
+      let c =
+        match arr.(List.hd members).custom with
+        | None -> Runner.compile_request r
+        | Some build -> Ok (build ())
+      in
+      compiled := Some c;
+      c
+  in
+  List.map
+    (fun i ->
+      let j = arr.(i) in
+      let engine = Option.value engine ~default:j.request.engine in
+      (i, Runner.run_request ~compile { j.request with engine; sim_jobs = Some sim_jobs }))
+    members
+
+let run_all ?jobs ?sim_jobs ?cache ?engine job_list =
   let arr = Array.of_list job_list in
   let keys = Array.map key arr in
   (* Cache I/O stays on the calling domain: probe everything up front,
-     fan only the real work out to the pool, store new results after the
-     pool has been joined. *)
+     fan only the real work out to the pool, store new results in input
+     order after the pool has been joined. *)
   let cached =
     Array.map (fun k -> Option.bind cache (fun c -> lookup c ~key:k)) keys
   in
-  let todo =
-    List.filter (fun i -> Option.is_none cached.(i)) (List.init (Array.length arr) Fun.id)
+  (* The misses, grouped by compile key in first-appearance order. *)
+  let groups =
+    let by_key = Hashtbl.create 64 in
+    let order = ref [] in
+    Array.iteri
+      (fun i j ->
+        if Option.is_none cached.(i) then
+          let ck = Request.compile_key j.request in
+          match Hashtbl.find_opt by_key ck with
+          | Some members -> Hashtbl.replace by_key ck (i :: members)
+          | None ->
+            Hashtbl.add by_key ck [ i ];
+            order := ck :: !order)
+      arr;
+    List.rev_map (fun ck -> List.rev (Hashtbl.find by_key ck)) !order
   in
   let sim_jobs =
     match sim_jobs with
     | Some n -> max 1 n
     | None ->
-      (* Core-budget split: the job pool occupies min(pool, #todo)
-         domains, and each job's intra-launch shard gets an equal share
-         of the rest. A full queue (a cold sweep) runs jobs serially
-         inside (sim_jobs = 1); a single job (an interactive Table I
-         row, a warm rerun with one miss) gets every core. *)
+      (* Core-budget split: the job pool occupies min(pool, #groups)
+         domains, and each group's intra-launch shard gets an equal
+         share of the rest. A full queue (a cold sweep) runs its
+         requests serially inside (sim_jobs = 1); a single group (an
+         interactive Table I row, a warm rerun with one miss) gets every
+         core. *)
       let avail = Parallel.available_domains () in
       let pool = match jobs with Some j -> max 1 j | None -> avail in
-      let workers = max 1 (min pool (List.length todo)) in
+      let workers = max 1 (min pool (List.length groups)) in
       max 1 (avail / workers)
   in
-  let executed =
-    Parallel.map ?jobs
-      (fun i -> (i, execute ?timeout ?engine ~sim_jobs ~retries arr.(i) keys.(i)))
-      todo
-  in
-  let outcomes = Array.map (Option.map (fun ok -> (Ok ok, true))) cached in
+  let fresh = Array.make (Array.length arr) None in
   List.iter
-    (fun (i, outcome) ->
-      (match (outcome, cache) with
-      | Ok ok, Some c -> Result_cache.store_raw c ~key:keys.(i) (Response.to_string (Ok ok))
-      | _ -> ());
-      outcomes.(i) <- Some (outcome, false))
-    executed;
+    (List.iter (fun (i, response) -> fresh.(i) <- Some response))
+    (Parallel.map ?jobs (answer_group ?engine ~sim_jobs arr) groups);
   List.mapi
     (fun i j ->
-      match outcomes.(i) with
-      | Some (outcome, from_cache) -> { rjob = j; rkey = keys.(i); outcome; from_cache }
-      | None -> assert false)
+      let outcome, from_cache =
+        match (cached.(i), fresh.(i)) with
+        | Some ok, _ -> (Ok ok, true)
+        | None, Some (Ok ok as response) ->
+          Option.iter
+            (fun c -> Result_cache.store_raw c ~key:keys.(i) (Response.to_string response))
+            cache;
+          (Ok ok, false)
+        | None, Some (Error message) ->
+          (Error { job_label = label j; job_key = keys.(i); message }, false)
+        | None, None -> assert false
+      in
+      { rjob = j; rkey = keys.(i); outcome; from_cache })
     job_list
 
 let measurements_exn r =
   match r.outcome with
   | Ok ok -> Runner.measurements ok
   | Error f ->
-    failwith
-      (Printf.sprintf "job %s failed after %d attempts: %s" f.job_label f.attempts
-         f.message)
+    failwith (Printf.sprintf "job %s failed: %s" f.job_label f.message)

@@ -5,10 +5,12 @@
     request ([Uu_serve.Request]) for one application under one
     configuration, optionally restricted to one loop, under a run
     protocol. [Sweep], [Table1], [Ablation] and [Counters] describe their
-    work as job lists and hand them to {!run_all}, which executes them
-    through [Runner.run_request] on a [Uu_support.Parallel] domain pool,
-    serves repeats from the on-disk [Result_cache], isolates faults, and
-    returns results in input order.
+    work as job lists and hand them to {!run_all}, which answers them by
+    the daemon's rules: a cache entry counts only under
+    [Uu_serve.Response.of_cached], each request goes through
+    [Runner.run_request], and requests that share a
+    [Uu_serve.Request.compile_key] share one compile. Results come back
+    in input order.
 
     {b Determinism.} Results are ordered by job, never by completion;
     compilation and noise-free simulation are pure functions of the
@@ -18,10 +20,11 @@
     therefore yields byte-identical responses.
 
     {b Fault isolation.} A job whose response is an [Error] (a pass bug,
-    an oracle mismatch, a [Uu_opt.Pass.Timeout]) or whose hand-built
-    module raises is retried once; a second failure becomes a structured
-    {!failure} record in that job's result, is never cached, and the
-    remaining jobs are unaffected. *)
+    an oracle mismatch, an out-of-range request, a hand-built module
+    that raises) becomes a structured {!failure} record in that job's
+    result, is never cached, and the remaining jobs are unaffected. It
+    is not retried: a response is a function of its request, so a rerun
+    would compute the same [Error]. *)
 
 open Uu_core
 
@@ -74,8 +77,7 @@ val noise_seed : key:string -> int -> int64
 type failure = {
   job_label : string;
   job_key : string;
-  message : string;  (** the final attempt's [Error] text *)
-  attempts : int;
+  message : string;  (** the response's [Error] text *)
 }
 
 type result = {
@@ -89,29 +91,32 @@ val run_all :
   ?jobs:int ->
   ?sim_jobs:int ->
   ?cache:Result_cache.t ->
-  ?timeout:float ->
   ?engine:Uu_gpusim.Kernel.engine ->
-  ?retries:int ->
   job list ->
   result list
-(** Execute a job list. [jobs] is the domain-pool size (default
-    [Parallel.available_domains ()]); [sim_jobs] is each job's
+(** Execute a job list. Cache misses are grouped by
+    [Uu_serve.Request.compile_key], in first-appearance order (a custom
+    job's key includes its variant name). One pool task per group
+    compiles once — with [Runner.compile_request], or the group's first
+    hand-built module — and answers the group's requests in order
+    through [Runner.run_request]; the module is dropped when the task
+    returns. [jobs] is the domain-pool size (default
+    [Parallel.available_domains ()]); [sim_jobs] is each request's
     intra-launch block-shard width. When [sim_jobs] is omitted it is
     budgeted from the cores the pool leaves over: a full queue runs its
-    jobs with [sim_jobs = 1] (job-level parallelism already saturates
-    the machine), while a queue that fans out fewer uncached jobs than
-    there are cores splits the remainder evenly — the two levels compose
-    instead of oversubscribing. Neither [jobs] nor [sim_jobs] can change
-    any response byte. [timeout] is a per-attempt compilation budget in
-    seconds; [engine] selects the simulator execution engine (default
-    [Kernel.Decoded]) — engines are metric-identical, so it does not
-    enter the key; [retries] (default 1) is how many times a failed job
-    is re-attempted before a {!failure} is recorded. Responses are
-    serialized only when [cache] is given: lookups and stores of
-    [Response.to_string] bytes happen on the calling domain only. A
-    cached entry that does not decode to an [Ok] response is dropped
-    with [Result_cache.reject] and recomputed.
-    Results are in input order. *)
+    groups with [sim_jobs = 1] (group-level parallelism already
+    saturates the machine), while fewer uncached groups than cores split
+    the remainder evenly — the two levels compose instead of
+    oversubscribing. Neither [jobs] nor [sim_jobs] can change any
+    response byte. [engine] selects the simulator execution engine
+    (default [Kernel.Decoded]) — engines are metric-identical, so it
+    does not enter the key.
+
+    Responses are serialized only when [cache] is given. Lookups and
+    stores happen on the calling domain, stores in input order. A hit
+    counts only when [Uu_serve.Response.of_cached] accepts the entry;
+    one it rejects is dropped with [Result_cache.reject] and
+    recomputed. Results are in input order. *)
 
 val measurements_exn : result -> Runner.measurement list
 (** The job's measurements, one per protocol run. @raise Failure with

@@ -72,7 +72,7 @@ let resolve_source = function
         (Printf.sprintf "%s is not a bundled application (known apps: %s)" name
            (String.concat ", " Registry.names)))
 
-let compile_module ?timeout (r : Request.t) ~name text =
+let compile_module (r : Request.t) ~name text =
   let m = Uu_frontend.Lower.compile ~name text in
   (match r.kernel with
   | Some k when Func.find_func m k = None ->
@@ -92,21 +92,17 @@ let compile_module ?timeout (r : Request.t) ~name text =
            loops)
   in
   let sink = Remark.create () in
-  let deadline = Option.map (fun budget -> Clock.now () +. budget) timeout in
+  let options = Uu_opt.Pass.options ~remarks:sink () in
   let work, stats =
     List.fold_left
       (fun (work, stats) f ->
-        (* The budget spans all kernels: each kernel gets what is left of
-           the deadline, not a fresh allowance. *)
-        let timeout = Option.map (fun d -> Float.max 0.001 (d -. Clock.now ())) deadline in
-        let options = { Uu_opt.Pass.default_options with remarks = Some sink; timeout } in
         let report = Pipelines.optimize ~targets:(targets f) ~options r.config f in
         (work + report.Uu_opt.Pass.work, Statistic.merge stats report.Uu_opt.Pass.stats))
       (0, []) m.Func.funcs
   in
   { modul = m; work; remarks = Remark.remarks sink; stats; decode = Decode.create_cache () }
 
-let compile_request ?timeout (r : Request.t) =
+let compile_request (r : Request.t) =
   match (r.variant, resolve_source r.source) with
   | Some v, _ ->
     Error (Printf.sprintf "variant %s: no pipeline builds it; its caller supplies the module" v)
@@ -115,12 +111,11 @@ let compile_request ?timeout (r : Request.t) =
     let error what (pos : Uu_frontend.Ast.pos) msg =
       Error (Printf.sprintf "%s at %d:%d: %s" what pos.line pos.col msg)
     in
-    match compile_module ?timeout r ~name text with
+    match compile_module r ~name text with
     | c -> Ok c
     | exception Uu_frontend.Lexer.Error (msg, pos) -> error "lex error" pos msg
     | exception Uu_frontend.Parser.Error (msg, pos) -> error "parse error" pos msg
     | exception Uu_frontend.Lower.Error (msg, pos) -> error "error" pos msg
-    | exception (Uu_opt.Pass.Timeout _ as e) -> Error (Printexc.to_string e)
     | exception Failure msg -> Error msg)
 
 (* --- responding ------------------------------------------------------ *)
@@ -248,10 +243,8 @@ let schedule_runs (r : Request.t) (c : compiled) ~sim_jobs (app : App.t) noise_s
            else []);
       })
 
-let respond ?(default_sim_jobs = 1) (r : Request.t) (c : compiled) : Response.t =
-  let sim_jobs =
-    match r.sim_jobs with Some n -> max 1 n | None -> max 1 default_sim_jobs
-  in
+let respond (r : Request.t) (c : compiled) : Response.t =
+  let sim_jobs = max 1 (Option.value r.sim_jobs ~default:1) in
   let body () =
     match r.mode with
     | Request.Compile ->
@@ -310,13 +303,15 @@ let respond ?(default_sim_jobs = 1) (r : Request.t) (c : compiled) : Response.t 
       }
   | exception (Failure msg | Invalid_argument msg) -> Error msg
 
-let run_request ?default_sim_jobs ?(compile = compile_request ?timeout:None) r =
+(* The one catch-all between a request and its response: whatever the
+   compile step or [respond] still raises becomes an [Error] with the
+   daemon's text, for every caller alike. *)
+let run_request ?(compile = compile_request) r =
   match Request.check r with
   | Error _ as e -> e
   | Ok () -> (
-    match compile r with
-    | Error msg -> Error msg
-    | Ok c -> respond ?default_sim_jobs r c)
+    try Result.bind (compile r) (respond r)
+    with e -> Error ("internal error: " ^ Printexc.to_string e))
 
 (* --- schedule measurements ------------------------------------------- *)
 

@@ -32,19 +32,18 @@ type compiled
     [Uu_serve.Request.compile_key]. The decode cache inside is
     single-domain: callers sharing a [compiled] across domains must
     serialize their {!respond} calls (the serve daemon holds a per-entry
-    lock). *)
+    lock; the job graph answers a compile key's requests on one domain,
+    in turn). *)
 
-val compile_request :
-  ?timeout:float -> Uu_serve.Request.t -> (compiled, string) result
+val compile_request : Uu_serve.Request.t -> (compiled, string) result
 (** Resolve the source (registry app or inline text), lower, resolve the
     request's loop id per kernel in scope after the early phase, and
     optimize every kernel: loop [N] of each kernel in scope gets the
-    transform, once; kernels out of scope get none. [timeout] is a
-    wall-clock budget in seconds for the whole module, enforced
-    cooperatively between passes (see [Uu_opt.Pass.Timeout]). All
-    frontend, pipeline and timeout failures come back as [Error] text,
-    never exceptions, as does a request naming a [variant] (no pipeline
-    can build one). *)
+    transform, once; kernels out of scope get none. Frontend and
+    pipeline failures come back as [Error] text, as does a request
+    naming a [variant] (no pipeline can build one). Compile blow-up is
+    bounded by the transforms' duplication budget, never by a clock, so
+    the outcome is a function of the request alone. *)
 
 val modul : compiled -> Uu_ir.Func.modul
 (** The optimized module, for callers that need the IR values (CFG dot
@@ -56,11 +55,7 @@ val make_compiled : ?stats:(string * int) list -> Uu_ir.Func.modul -> compiled
     pipeline compile. [stats] ride along in the response; the modeled
     compile time is zero. *)
 
-val respond :
-  ?default_sim_jobs:int ->
-  Uu_serve.Request.t ->
-  compiled ->
-  Uu_serve.Response.t
+val respond : Uu_serve.Request.t -> compiled -> Uu_serve.Response.t
 (** Answer one request from its compiled module: print IR for [Compile],
     simulate every kernel with the synthetic-buffer protocol for [Run],
     walk the bundled app's launch schedule for [Schedule] — fresh
@@ -69,20 +64,23 @@ val respond :
     [Request.noise_seed ~key:(Request.key r) i]; noise reaches only
     time, so all runs share one simulation of the schedule
     ({!Uu_gpusim.Kernel.exec_runs}) and one oracle check, and each run's
-    bytes equal simulating its seed alone. A simulator
-    failure, a rejected launch or an oracle mismatch is an [Error],
-    never an exception. [default_sim_jobs] (default 1) applies only when
-    the request leaves [sim_jobs] unset; it cannot change a response
-    byte. *)
+    bytes equal simulating its seed alone. A simulator failure, a
+    rejected launch or an oracle mismatch is an [Error] carrying its
+    message. A request that leaves [sim_jobs] unset simulates on one
+    domain; the width cannot change a response byte. *)
 
 val run_request :
-  ?default_sim_jobs:int ->
   ?compile:(Uu_serve.Request.t -> (compiled, string) result) ->
   Uu_serve.Request.t ->
   Uu_serve.Response.t
 (** The single funnel: [Request.check] the bounds, compile ([compile]
     defaults to {!compile_request}; the daemon passes its module memo,
-    the job graph its budget or a hand-built variant), {!respond}. *)
+    the job graph the module it built once for the request's
+    [Request.compile_key]), {!respond}. This is the one catch-all
+    between a request and its response, for the daemon and the job
+    graph alike: anything the compile step or {!respond} still raises
+    comes back as [Error ("internal error: " ^ Printexc.to_string e)].
+    Never raises. *)
 
 (** {1 Schedule measurements} *)
 

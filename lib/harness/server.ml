@@ -79,8 +79,9 @@ type t = {
   q_cold : string Queue.t;
   compiled : (string, compiled_entry) Hashtbl.t;
   validated : (string, string) Hashtbl.t;
-      (* key -> digest of the cache entry last found to reprint as itself
-         (see [cached]); only keys and digests, never response bytes *)
+      (* key -> digest of the cache entry last found to pass the
+         cache-entry rule (see [cached]); only keys and digests, never
+         response bytes *)
   mutable next_conn_id : int;
   mutable n_running : int;
   mutable n_queued : int;
@@ -243,15 +244,13 @@ let execute_response t r =
       in
       Runner.run_request ~compile r)
 
-(* Runs on a pool domain; must never raise and must always land a
-   completion (the reactor's running count is balanced by it). The text
-   is the serialized response — the exact bytes cached and spliced into
-   result frames, never parsed again. *)
+(* Runs on a pool domain; must always land a completion (the reactor's
+   running count is balanced by it). [Runner.run_request] turns every
+   exception of the request itself into an [Error]; printing is guarded
+   here. The text is the serialized response — the exact bytes cached
+   and spliced into result frames, never parsed again. *)
 let run_job t ~key r () =
-  let response =
-    try execute_response t r
-    with e -> Error ("internal error: " ^ Printexc.to_string e)
-  in
+  let response = execute_response t r in
   let text, ok =
     try (Response.to_string response, Result.is_ok response)
     with e ->
@@ -304,7 +303,7 @@ let rec pump t =
       | Some job ->
         t.n_queued <- t.n_queued - 1;
         t.n_running <- t.n_running + 1;
-        ignore (Parallel.Pool.submit t.pool (run_job t ~key job.j_request)));
+        Parallel.Pool.submit t.pool (run_job t ~key job.j_request));
       pump t
   end
 
@@ -348,18 +347,13 @@ let complete t ~key ~text ~ok =
     List.iter (fun w -> deliver t w text) (List.rev job.j_waiters));
   pump t
 
-(* Whether [text] decodes to a response that prints back as [text]. *)
-let reprints text =
-  match Response.of_string text with
-  | Ok r -> String.equal (Response.to_string r) text
-  | Error _ -> false
-
 (* The cached bytes for [key], ready to splice. The cache has checked
    them against the digest in the entry's header. The first time this
-   daemon meets a (key, digest) pair it also checks that the bytes
-   reprint as themselves; an entry that does not is rejected like a torn
-   one, so the request is recomputed. A pair that passed is spliced from
-   then on without being parsed. *)
+   daemon meets a (key, digest) pair it also applies the cache-entry
+   rule the job graph shares ([Response.of_cached]: an [Ok] response
+   that prints back as exactly these bytes); an entry that fails is
+   rejected like a torn one, so the request is recomputed. A pair that
+   passed is spliced from then on without being parsed. *)
 let cached t ~key =
   match Result_cache.lookup t.cache ~key with
   | None -> None
@@ -367,7 +361,7 @@ let cached t ~key =
     match Hashtbl.find_opt t.validated key with
     | Some d when String.equal d digest -> Some payload
     | _ ->
-      if reprints payload then begin
+      if Option.is_some (Response.of_cached payload) then begin
         Hashtbl.replace t.validated key digest;
         Some payload
       end

@@ -14,10 +14,10 @@
       graph uses too), so repeats across daemon restarts are served
       without touching the pool. Entries are checked against their
       length and digest on every hit. The first time the daemon meets
-      a (key, digest) pair it also checks that the bytes reprint as
-      themselves ([Response.of_string], then [Response.to_string]);
-      after that the pair's hits are spliced into result frames
-      unparsed. An entry that fails either check is dropped, counted
+      a (key, digest) pair it also applies the cache-entry rule the job
+      graph shares ([Uu_serve.Response.of_cached]: an [Ok] response
+      that prints back as exactly these bytes); after that the pair's
+      hits are spliced into result frames unparsed. An entry that fails either check is dropped, counted
       in [serve.cache_corrupt], and recomputed, never served and never
       fatal.
 

@@ -41,8 +41,7 @@ let point_of ~app ~loop ~baseline (m : Runner.measurement) =
    the job results in the same order the jobs were emitted, so the point
    list is identical whether the jobs ran serially, on N domains, or out
    of the cache. *)
-let run ?(apps = Uu_benchmarks.Registry.all) ?jobs ?sim_jobs ?cache ?timeout
-    ?engine () =
+let run ?(apps = Uu_benchmarks.Registry.all) ?jobs ?sim_jobs ?cache ?engine () =
   let inventories = Uu_support.Parallel.map ?jobs Runner.loop_inventory apps in
   let per_app =
     List.map2
@@ -57,10 +56,7 @@ let run ?(apps = Uu_benchmarks.Registry.all) ?jobs ?sim_jobs ?cache ?timeout
         (app, baseline :: heuristic :: targeted))
       apps inventories
   in
-  let results =
-    Jobs.run_all ?jobs ?sim_jobs ?cache ?timeout ?engine
-      (List.concat_map snd per_app)
-  in
+  let results = Jobs.run_all ?jobs ?sim_jobs ?cache ?engine (List.concat_map snd per_app) in
   (* Consume results in emission order, app by app. *)
   let remaining = ref results in
   let take () =

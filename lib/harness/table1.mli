@@ -29,8 +29,7 @@ val compute :
     caching. [sim_jobs] shards each launch's blocks (see
     [Jobs.run_all]); rows are byte-identical for any value. Noise seeds derive from each job's content key, so rows are
     independent of scheduling.
-    @raise Failure if a job fails after its retry (oracle mismatch or a
-    pass error). *)
+    @raise Failure if a job fails (oracle mismatch or a pass error). *)
 
 val render : row list -> string
 val to_csv : row list -> string list list

@@ -12,49 +12,29 @@ type report = {
 type options = {
   verify : bool;
   remarks : Remark.sink option;
-  timeout : float option;
 }
 
-let default_options = { verify = true; remarks = None; timeout = None }
+let default_options = { verify = true; remarks = None }
 
-let options ?(verify = true) ?remarks ?timeout () = { verify; remarks; timeout }
+let options ?(verify = true) ?remarks () = { verify; remarks }
 
 let unverified = { default_options with verify = false }
-
-exception Timeout of { pipeline : string; elapsed : float; budget : float }
-
-let () =
-  Printexc.register_printer (function
-    | Timeout { pipeline; elapsed; budget } ->
-      Some
-        (Printf.sprintf "Pass.Timeout(%s: %.2fs elapsed, %.2fs budget)" pipeline
-           elapsed budget)
-    | _ -> None)
 
 let verify_now f =
   Verifier.check_exn f;
   Uu_analysis.Ssa_check.check_exn f
 
 let run_one pass f =
-  try pass.run f with
-  | Timeout _ as e -> raise e
-  | e ->
+  try pass.run f
+  with e ->
     failwith
       (Printf.sprintf "pass %s raised on @%s: %s" pass.name f.Func.name
          (Printexc.to_string e))
 
 let exec ?(options = default_options) passes f =
-  let { verify; remarks; timeout } = options in
-  let t_start = Clock.now () in
-  let deadline = Option.map (fun budget -> t_start +. budget) timeout in
+  let { verify; remarks } = options in
   let before = Statistic.snapshot () in
   let run pass (work, changed) =
-    (match deadline with
-    | Some d when Clock.now () > d ->
-      let budget = match timeout with Some b -> b | None -> 0.0 in
-      raise
-        (Timeout { pipeline = pass.name; elapsed = Clock.now () -. t_start; budget })
-    | _ -> ());
     let c = run_one pass f in
     if verify && c then begin
       try verify_now f

@@ -22,6 +22,11 @@
     installs it for the duration of the run so instrumented passes can
     report every transform they applied or missed.
 
+    There is no wall-clock budget: a pipeline's output never depends on
+    host load. The paper's compile timeouts (§IV-C) are modeled by the
+    transforms' deterministic duplication budget
+    ([Uu_core.Uu.default_block_budget]).
+
     Manager knobs travel in one {!options} record rather than a growing
     surface of optional arguments. (The deprecated [run]/[run_module]
     optional-argument wrappers were kept for one release after the
@@ -49,27 +54,17 @@ type options = {
       (** check IR well-formedness after every changing pass (default true) *)
   remarks : Remark.sink option;
       (** when set, the active optimization-remark sink for the whole run *)
-  timeout : float option;
-      (** budget in seconds for the whole pipeline, measured on the
-          monotonic [Uu_support.Clock] and checked cooperatively between
-          passes; exceeding it raises {!Timeout} *)
 }
 
 val default_options : options
-(** [{ verify = true; remarks = None; timeout = None }]. *)
+(** [{ verify = true; remarks = None }]. *)
 
-val options :
-  ?verify:bool -> ?remarks:Remark.sink -> ?timeout:float -> unit -> options
+val options : ?verify:bool -> ?remarks:Remark.sink -> unit -> options
 (** Builder over {!default_options} for call sites that set one knob. *)
 
 val unverified : options
 (** [options ~verify:false ()] — the common fast path for analyses that
     re-run a known-good pipeline prefix. *)
-
-exception Timeout of { pipeline : string; elapsed : float; budget : float }
-(** Raised between passes when [options.timeout] is exhausted. [pipeline]
-    names the pass about to be skipped. The check is cooperative: a
-    single pass that never returns is not interrupted. *)
 
 val exec : ?options:options -> t list -> Func.t -> report
 (** Run the pipeline once, in order, under the given options (default

@@ -213,3 +213,8 @@ let to_string t = Json.to_string (to_json t)
 let of_string text =
   let* j = Json.of_string text in
   of_json j
+
+let of_cached text =
+  match of_string text with
+  | Ok (Ok ok) when String.equal (to_string (Ok ok)) text -> Some ok
+  | Ok _ | Error _ -> None

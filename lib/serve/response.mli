@@ -68,3 +68,11 @@ val to_string : t -> string
     the result cache and ships in result frames. *)
 
 val of_string : string -> (t, string) result
+
+val of_cached : string -> ok option
+(** The one rule for a result-cache entry, shared by the job graph and
+    the daemon: [Some ok] when [text] decodes to [Ok ok] and
+    [to_string (Ok ok)] gives back exactly [text]. Decoding alone is not
+    enough, because the decoder accepts text the printer never writes
+    (extra whitespace, config aliases), and an [Error] response is never
+    stored. *)

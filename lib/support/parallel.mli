@@ -41,27 +41,13 @@ val map_range :
     exception in range order is re-raised after all chunks finish.
     @raise Invalid_argument if [n < 0] or [chunk <= 0]. *)
 
-(** {1 Promises and the persistent pool}
+(** {1 The persistent pool}
 
     The one-shot {!map} family spins a pool up and down per call — the
     right shape for a batch of known size. A long-lived daemon instead
     keeps one {!Pool.t} for its whole life and {!Pool.submit}s work as
-    requests arrive; its in-flight dedupe also hands {e joining} clients
-    a bare {!promise} fulfilled by whichever request got there first. *)
-
-type 'a promise
-(** A write-once cell carrying an [('a, exn) result]; blocking to await,
-    safe across domains and systhreads (mutex + condition variable). *)
-
-val promise : unit -> 'a promise
-val fulfill : 'a promise -> ('a, exn) result -> unit
-(** @raise Invalid_argument on the second fulfillment. *)
-
-val await : 'a promise -> ('a, exn) result
-(** Block until fulfilled. *)
-
-val await_exn : 'a promise -> 'a
-(** {!await}, re-raising the captured exception. *)
+    requests arrive. A task reports its own outcome (the daemon's tasks
+    push a completion and wake its reactor); the pool returns nothing. *)
 
 module Pool : sig
   type t
@@ -72,13 +58,12 @@ module Pool : sig
 
   val size : t -> int
 
-  val submit : t -> (unit -> 'a) -> 'a promise
-  (** Enqueue a task; any worker picks it up in FIFO order and fulfills
-      the promise with the task's result or exception.
+  val submit : t -> (unit -> unit) -> unit
+  (** Enqueue a task; any worker picks it up in FIFO order. A task that
+      raises is dropped, and its worker carries on with the next one.
       @raise Invalid_argument after {!shutdown}. *)
 
   val shutdown : t -> unit
   (** Close the queue and join every worker. Already-queued tasks are
-      abandoned unexecuted (their promises stay pending forever), so
-      drain or stop submitting first. *)
+      abandoned unexecuted, so drain or stop submitting first. *)
 end

@@ -1,9 +1,9 @@
 (* Tests for the parallel job graph: the domain pool (deterministic
    ordering, actual multi-domain execution, fault capture), the job
-   abstraction (content-hash keys, failure records, retries), the
-   on-disk result cache (validated entries, byte-identical hits, key
-   invalidation), and the parallel-equals-serial guarantee of the
-   sweep. *)
+   abstraction (content-hash keys, failure records, one compile per
+   compile key), the on-disk result cache (validated entries,
+   byte-identical hits, key invalidation), and the parallel-equals-serial
+   guarantee of the sweep. *)
 
 open Uu_core
 open Uu_harness
@@ -129,9 +129,10 @@ let test_failure_record () =
   | [ bad_r; good_r ] ->
     (match bad_r.Jobs.outcome with
     | Error f ->
-      check int "retried once" 2 f.Jobs.attempts;
       check bool "message preserved" true
         (Astring.String.is_infix ~affix:"boom" f.Jobs.message);
+      check bool "the daemon's failure text" true
+        (String.starts_with ~prefix:"internal error: " f.Jobs.message);
       check bool "label names the job" true
         (Astring.String.is_infix ~affix:"bezier-surface" f.Jobs.job_label)
     | Ok _ -> Alcotest.fail "raising job did not fail");
@@ -143,6 +144,41 @@ let test_failure_record () =
     | exception Failure _ -> ()
     | _ -> Alcotest.fail "measurements_exn did not raise")
   | _ -> Alcotest.fail "expected two results"
+
+let stencil =
+  match Uu_benchmarks.Registry.find "stencil1d" with
+  | Some a -> a
+  | None -> assert false
+
+(* Two custom jobs with one name and one app share a compile key, so the
+   batch builds their module once and answers both from it, with the
+   bytes each job gets when it runs alone. *)
+let test_one_compile_per_key () =
+  let calls = Atomic.make 0 in
+  let compile () =
+    Atomic.incr calls;
+    match Runner.compile_request (Jobs.job stencil Pipelines.Baseline).Jobs.request with
+    | Ok c -> Runner.make_compiled (Runner.modul c)
+    | Error msg -> failwith msg
+  in
+  let counted protocol =
+    Jobs.custom ~name:"counted" ~compile ~protocol stencil Pipelines.Baseline
+  in
+  let jobs = [ counted Jobs.Once; counted (Jobs.Noisy { runs = 3 }) ] in
+  let bytes (r : Jobs.result) =
+    match r.Jobs.outcome with
+    | Ok ok -> Response.to_string (Ok ok)
+    | Error f -> Alcotest.fail f.Jobs.message
+  in
+  let together = Jobs.run_all ~jobs:2 jobs in
+  check int "one compile for both jobs" 1 (Atomic.get calls);
+  check (Alcotest.list int) "one run, then three" [ 1; 3 ]
+    (List.map (fun r -> List.length (Jobs.measurements_exn r)) together);
+  let alone = List.map (fun j -> List.hd (Jobs.run_all [ j ])) jobs in
+  check int "alone, each job compiles" 3 (Atomic.get calls);
+  List.iter2
+    (fun t a -> check string "bytes as when run alone" (bytes a) (bytes t))
+    together alone
 
 let entry_path cache key =
   Filename.concat
@@ -235,16 +271,32 @@ let test_cache_entries_validated () =
     Jobs.job (Option.get (Uu_benchmarks.Registry.find "stencil1d")) Pipelines.Baseline
   in
   let jkey = Jobs.key j in
-  Result_cache.store_raw cache ~key:jkey "not json";
-  match Jobs.run_all ~cache [ j ] with
-  | [ { Jobs.outcome = Ok ok; from_cache; _ } ] ->
-    check bool "not json: recomputed" false from_cache;
-    check int "not json: counted" 6 (Result_cache.corrupt cache);
-    check int "not json: a miss, not a hit" 2 (Result_cache.hits cache);
-    check (Alcotest.option string) "not json: replaced"
-      (Some (Response.to_string (Ok ok)))
-      (Result_cache.lookup_raw cache ~key:jkey)
-  | _ -> Alcotest.fail "the job failed"
+  let recomputed what text =
+    Result_cache.store_raw cache ~key:jkey text;
+    let hits = Result_cache.hits cache and corrupt = Result_cache.corrupt cache in
+    match Jobs.run_all ~cache [ j ] with
+    | [ { Jobs.outcome = Ok ok; from_cache; _ } ] ->
+      let text = Response.to_string (Ok ok) in
+      check bool (what ^ ": recomputed") false from_cache;
+      check int (what ^ ": counted") (corrupt + 1) (Result_cache.corrupt cache);
+      check int (what ^ ": a miss, not a hit") hits (Result_cache.hits cache);
+      check (Alcotest.option string) (what ^ ": replaced") (Some text)
+        (Result_cache.lookup_raw cache ~key:jkey);
+      text
+    | _ -> Alcotest.fail "the job failed"
+  in
+  let want = recomputed "not json" "not json" in
+  check int "not json: the sixth corrupt entry" 6 (Result_cache.corrupt cache);
+  (* The decoder accepts text the printer never writes, and an [Error]
+     response is never stored: neither is a hit, under the rule the
+     daemon applies too. *)
+  List.iter
+    (fun (what, text) ->
+      check string (what ^ ": the same response") want (recomputed what text))
+    [
+      ("response with extra whitespace", "{ " ^ String.sub want 1 (String.length want - 1));
+      ("serialized Error response", Response.to_string (Error "stale failure"));
+    ]
 
 let test_sweep_parallel_equals_serial () =
   let serial = Sweep.run ~apps:[ bezier ] ~jobs:1 () in
@@ -295,7 +347,8 @@ let suite =
     ("map uses multiple domains", `Quick, test_map_uses_domains);
     ("map_result captures exceptions", `Quick, test_map_result_captures);
     ("job keys", `Quick, test_job_keys);
-    ("failure record with retry", `Quick, test_failure_record);
+    ("failure record", `Quick, test_failure_record);
+    ("one compile per compile key", `Quick, test_one_compile_per_key);
     ("cache round-trip", `Quick, test_cache_round_trip);
     ("cache entries are validated", `Quick, test_cache_entries_validated);
     ("parallel sweep = serial sweep", `Slow, test_sweep_parallel_equals_serial);

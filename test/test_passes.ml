@@ -687,20 +687,6 @@ kernel k(int* restrict out, int* a, int n) {
   in
   check bool "load not hoisted past the store" true (loads_in_loop >= 1)
 
-let test_pass_timeout () =
-  (* The budget is checked between passes, on the monotonic clock: the
-     first pass outlives it, so the manager refuses to start the second
-     and names it. *)
-  let slow = { Pass.name = "slow"; run = (fun _ -> Unix.sleepf 0.05; false) } in
-  let second = { Pass.name = "second"; run = (fun _ -> false) } in
-  let fn, _ = Ir_helpers.diamond_loop () in
-  match Pass.exec ~options:(Pass.options ~timeout:0.01 ()) [ slow; second ] fn with
-  | _ -> Alcotest.fail "the pipeline outlived its budget without a Timeout"
-  | exception Pass.Timeout { pipeline; elapsed; budget } ->
-    check Alcotest.string "names the pass it skipped" "second" pipeline;
-    check bool "elapsed covers the first pass" true (elapsed >= 0.05);
-    check (Alcotest.float 0.0) "budget" 0.01 budget
-
 let test_loop_utils_canonicalize () =
   let fn, header = Ir_helpers.diamond_loop () in
   (match Loop_utils.canonicalize fn header with
@@ -862,5 +848,4 @@ let suite =
     ("loop canonicalization", `Quick, test_loop_utils_canonicalize);
     ("licm reports canonicalization", `Quick, test_licm_reports_canonicalization);
     ("analysis cache matches a fresh build", `Slow, test_analysis_cache_coherent);
-    ("pass manager timeout", `Quick, test_pass_timeout);
   ]

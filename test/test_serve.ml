@@ -888,10 +888,11 @@ let test_corrupt_cache_entries () =
               ("json, not a response", {|{"config":"baseline","runs":"none"}|});
               ( "response with extra whitespace",
                 "{ " ^ String.sub want_victim 1 (String.length want_victim - 1) );
+              ("serialized Error response", Response.to_string (Error "stale failure"));
             ];
           Client.ping a;
           let stats = Uu_harness.Server.stats server in
-          check int "six corrupt entries counted" 6 (List.assoc "serve.cache_corrupt" stats);
+          check int "seven corrupt entries counted" 7 (List.assoc "serve.cache_corrupt" stats);
           check int "no errors" 0 (List.assoc "serve.errors" stats)))
 
 (* A digest-valid cache entry that is not JSON, under the key of a [bn]
