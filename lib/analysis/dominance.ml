@@ -11,15 +11,13 @@ type t = {
   children_tbl : (Value.label, Value.label list) Hashtbl.t;
   tin : (Value.label, int) Hashtbl.t;
   tout : (Value.label, int) Hashtbl.t;
-  fpreds : (Value.label, Value.label list) Hashtbl.t;
-      (* forward CFG preds, for frontiers; empty for post-dom trees *)
 }
 
 let virtual_exit = -1
 
 (* [order]: nodes in reverse postorder, order.(0) = root.
-   [preds]: graph predecessors of each node. *)
-let compute_generic ~order ~preds ~fpreds =
+   [into]: graph predecessors of each node. *)
+let compute_generic ~order ~into =
   let n = Array.length order in
   let index = Hashtbl.create (2 * n) in
   Array.iteri (fun i l -> Hashtbl.replace index l i) order;
@@ -41,7 +39,7 @@ let compute_generic ~order ~preds ~fpreds =
             match Hashtbl.find_opt index p with
             | Some j when idom.(j) <> undefined -> Some j
             | Some _ | None -> None)
-          (preds order.(i))
+          (into order.(i))
       in
       match ps with
       | [] -> ()
@@ -85,7 +83,7 @@ let compute_generic ~order ~preds ~fpreds =
     Hashtbl.replace tout l !clock
   in
   if n > 0 then dfs order.(0);
-  { idom_tbl; children_tbl; tin; tout; fpreds }
+  { idom_tbl; children_tbl; tin; tout }
 
 type Func.analysis += Dominators of t
 
@@ -95,9 +93,7 @@ let compute f =
     (fun t -> Dominators t)
     (fun f ->
       let order = Array.of_list (Cfg.reverse_postorder f) in
-      let preds_tbl = Cfg.predecessors f in
-      let preds l = try Hashtbl.find preds_tbl l with Not_found -> [] in
-      compute_generic ~order ~preds ~fpreds:preds_tbl)
+      compute_generic ~order ~into:(Cfg.preds_of f))
 
 let compute_post f =
   let reachable = Cfg.reverse_postorder f in
@@ -121,7 +117,6 @@ let compute_post f =
     else if Hashtbl.mem exit_set l then [ virtual_exit ]
     else succs l
   in
-  let cfg_preds = Cfg.predecessors f in
   (* Reverse postorder of the reverse graph, rooted at the virtual exit. *)
   let visited = Hashtbl.create 64 in
   let post = ref [] in
@@ -129,8 +124,7 @@ let compute_post f =
     if not (Hashtbl.mem visited l) then begin
       Hashtbl.replace visited l ();
       let nexts =
-        if l = virtual_exit then exits
-        else try Hashtbl.find cfg_preds l with Not_found -> []
+        if l = virtual_exit then exits else Cfg.preds_of f l
       in
       List.iter dfs nexts;
       post := l :: !post
@@ -138,7 +132,7 @@ let compute_post f =
   in
   dfs virtual_exit;
   let order = Array.of_list !post in
-  let t = compute_generic ~order ~preds:rev_preds ~fpreds:(Hashtbl.create 1) in
+  let t = compute_generic ~order ~into:rev_preds in
   (* Hide the virtual exit: it is the root; mask it from idom answers. *)
   let idom_tbl = Hashtbl.copy t.idom_tbl in
   Hashtbl.iter
@@ -167,7 +161,7 @@ let children t l =
   | Some c -> List.filter (fun x -> x <> virtual_exit) c
   | None -> []
 
-let frontier t =
+let frontier t f =
   let df = Hashtbl.create 64 in
   let add l b =
     let cur =
@@ -175,11 +169,11 @@ let frontier t =
     in
     Hashtbl.replace df l (Value.Label_set.add b cur)
   in
-  Hashtbl.iter
-    (fun b preds ->
-      match preds with
+  List.iter
+    (fun b ->
+      match Cfg.preds_of f b with
       | [] | [ _ ] -> ()
-      | _ :: _ :: _ ->
+      | _ :: _ :: _ as preds ->
         let stop = idom t b in
         List.iter
           (fun p ->
@@ -195,5 +189,5 @@ let frontier t =
               done
             end)
           preds)
-    t.fpreds;
+    (Func.labels f);
   df

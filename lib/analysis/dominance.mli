@@ -3,7 +3,8 @@
     Unmerging changes which facts hold on which paths; everything
     downstream — condition propagation, GVN, the SSA checker, and the
     simulator's reconvergence points — is phrased in terms of dominance
-    computed here. *)
+    computed here. A tree holds no edges of its own: it is built from
+    [Cfg.preds_of], and once built it describes the CFG of that moment. *)
 
 open Uu_ir
 
@@ -32,9 +33,10 @@ val strictly_dominates : t -> Value.label -> Value.label -> bool
 val children : t -> Value.label -> Value.label list
 (** Immediate children in the tree, sorted. *)
 
-val frontier : t -> (Value.label, Value.Label_set.t) Hashtbl.t
-(** Dominance frontiers (forward trees only), used for phi placement in
-    mem2reg. *)
+val frontier : t -> Func.t -> (Value.label, Value.Label_set.t) Hashtbl.t
+(** [frontier t f]: dominance frontiers of [f] under its forward tree
+    [t], used for phi placement in mem2reg. The edges are [f]'s current
+    predecessor lists, so [t] must describe the CFG as it is now. *)
 
 val mem : t -> Value.label -> bool
 (** Is the block part of the tree (reachable)? *)

@@ -18,7 +18,6 @@ type Func.analysis += Forest of forest
 let build f =
   let dom = Dominance.compute f in
   let rpo = Cfg.reverse_postorder f in
-  let preds = Cfg.predecessors f in
   (* Back edges grouped by header, headers in RPO order for stable ids. *)
   let back_edges = Hashtbl.create 7 in
   List.iter
@@ -43,8 +42,7 @@ let build f =
     let rec walk l =
       if not (Value.Label_set.mem l !body) then begin
         body := Value.Label_set.add l !body;
-        let ps = try Hashtbl.find preds l with Not_found -> [] in
-        List.iter walk ps
+        List.iter walk (Cfg.preds_of f l)
       end
     in
     List.iter walk latches;

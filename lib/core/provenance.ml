@@ -49,7 +49,6 @@ let analyze f =
   in
   let ncols = List.length conditions in
   let dom = Dominance.compute f in
-  let preds = Cfg.predecessors f in
   let per_block = ref [] in
   let rec walk blk (env : label array) =
     per_block := (blk, Array.copy env) :: !per_block;
@@ -57,7 +56,7 @@ let analyze f =
     List.iter
       (fun child ->
         let child_env =
-          match (try Hashtbl.find preds child with Not_found -> []) with
+          match Cfg.preds_of f child with
           | [ p ] when p = blk -> (
             match b.Block.term with
             | Instr.Cond_br { cond = Value.Var c; if_true; if_false }

@@ -39,9 +39,8 @@ let sigma_of (substs : substs) l =
    are rewritten once for the whole merge: the cost is proportional to
    the copies created, not to copies x predecessors. Fresh labels and
    registers are allocated copy by copy: the block, then its phi
-   definitions, then its instruction definitions. [pred_map], a copy of
-   [Cfg.predecessors], is kept current. *)
-let duplicate_merge ?pred_map substs f b_label preds =
+   definitions, then its instruction definitions. *)
+let duplicate_merge substs f b_label preds =
   let b = Func.block f b_label in
   (* The first entry per predecessor wins, as with [List.assoc_opt]. *)
   let indexed =
@@ -80,11 +79,11 @@ let duplicate_merge ?pred_map substs f b_label preds =
             indexed;
         copy.Block.instrs <-
           List.map (fun i -> Instr.map_def rename (Instr.map_values value i)) b.Block.instrs;
-        Cfg.set_term ?preds:pred_map f copy (Instr.term_map_values value b.Block.term);
+        Func.set_term f copy (Instr.term_map_values value b.Block.term);
         Hashtbl.replace substs copy.Block.label sigma;
         Option.iter
           (fun (pb : Block.t) ->
-            Cfg.set_term ?preds:pred_map f pb
+            Func.set_term f pb
               (Instr.term_map_labels
                  (fun l -> if l = b_label then copy.Block.label else l)
                  pb.Block.term))
@@ -110,18 +109,16 @@ let duplicate_merge ?pred_map substs f b_label preds =
               sb.Block.phis)
         (Func.find_block f s))
     (Block.successors b);
-  Cfg.set_term ?preds:pred_map f b Instr.Unreachable;
-  Func.remove_block f b_label;
-  Option.iter (fun m -> Hashtbl.remove m b_label) pred_map
+  Func.remove_block f b_label
 
 (* Duplicate a whole nested loop for entry predecessor [p]: its blocks are
    cloned as a unit (back edges stay internal to the copy), the copy's
    header phis keep only [p]'s entries plus the remapped latch entries,
    and exit-target phis gain entries for the copy's exiting blocks. *)
-let duplicate_loop_for_pred ~pred_map substs f (loop : Loops.loop) p =
+let duplicate_loop_for_pred substs f (loop : Loops.loop) p =
   let sigma_p = sigma_of substs p in
   let region = Value.Label_set.elements loop.blocks in
-  let m = Clone.clone_region ~preds:pred_map f region in
+  let m = Clone.clone_region f region in
   let sigma_c =
     Value.Var_map.fold
       (fun orig fresh acc -> Value.Var_map.add orig (Value.Var fresh) acc)
@@ -166,7 +163,7 @@ let duplicate_loop_for_pred ~pred_map substs f (loop : Loops.loop) p =
   (* Retarget p's entry edge. *)
   match Func.find_block f p with
   | Some pb ->
-    Cfg.set_term ~preds:pred_map f pb
+    Func.set_term f pb
       (Instr.term_map_labels
          (fun l -> if l = loop.header then copy_header else l)
          pb.Block.term)
@@ -174,7 +171,7 @@ let duplicate_loop_for_pred ~pred_map substs f (loop : Loops.loop) p =
 
 (* Every entry edge now leads to a copy, so the original loop is dead:
    delete its blocks and the phi entries they fed. *)
-let remove_loop ~pred_map f (loop : Loops.loop) =
+let remove_loop f (loop : Loops.loop) =
   Value.Label_set.iter
     (fun l ->
       Option.iter
@@ -182,9 +179,7 @@ let remove_loop ~pred_map f (loop : Loops.loop) =
           List.iter
             (fun s -> Option.iter (Block.remove_incoming l) (Func.find_block f s))
             (Block.successors b);
-          Cfg.set_term ~preds:pred_map f b Instr.Unreachable;
-          Func.remove_block f l;
-          Hashtbl.remove pred_map l)
+          Func.remove_block f l)
         (Func.find_block f l))
     loop.blocks
 
@@ -237,8 +232,8 @@ type plan = {
   exhausted : bool;
 }
 
-let units ~selective f ~preds ~region =
-  let preds_of l = Option.value ~default:[] (Hashtbl.find_opt preds l) in
+let units ~selective f ~region =
+  let preds_of = Cfg.preds_of f in
   let at = Hashtbl.create 64 in
   List.iteri (fun i l -> Hashtbl.replace at l i) (Cfg.reverse_postorder f);
   let loops = Loops.loops (Loops.analyze f) in
@@ -335,8 +330,8 @@ let units ~selective f ~preds ~region =
   in
   (units, order)
 
-let plan ~selective f ~preds ~region ~budget =
-  let units, order = units ~selective f ~preds ~region in
+let plan ~selective f ~region ~budget =
+  let units, order = units ~selective f ~region in
   let n = Array.length units in
   (* [copies.(u)]: 0 while untouched; [renamed.(u)]: copies whose path
      substitution is not empty. *)
@@ -406,30 +401,28 @@ let plan ~selective f ~preds ~region ~budget =
 
 (* Make the copies the plan counted, in its order: every predecessor of a
    merge gets a private copy and the original dies; a loop is copied once
-   per entry from outside it. One predecessor map is kept current, its
-   lists in sorted label order as [Cfg.predecessors] builds them, since
-   copy labels are allocated in that order. *)
-let execute f ~preds steps =
-  let pred_map = Hashtbl.copy preds in
-  let preds_of l = Option.value ~default:[] (Hashtbl.find_opt pred_map l) in
+   per entry from outside it. Copy labels are allocated in the sorted
+   order of the predecessor lists the function keeps. *)
+let execute f steps =
   let substs = Hashtbl.create 32 in
   List.iter
     (function
-      | Merge b -> duplicate_merge ~pred_map substs f b (preds_of b)
+      | Merge b -> duplicate_merge substs f b (Cfg.preds_of f b)
       | Loop_copies loop ->
         let outside =
-          List.filter (fun p -> not (Value.Label_set.mem p loop.Loops.blocks)) (preds_of loop.header)
+          List.filter
+            (fun p -> not (Value.Label_set.mem p loop.Loops.blocks))
+            (Cfg.preds_of f loop.header)
         in
-        List.iter (duplicate_loop_for_pred ~pred_map substs f loop) outside;
-        remove_loop ~pred_map f loop)
+        List.iter (duplicate_loop_for_pred substs f loop) outside;
+        remove_loop f loop)
     steps
 
 let unmerge_region ?(selective = false) f ~region ~budget =
-  let preds = Cfg.predecessors f in
-  let p = plan ~selective f ~preds ~region ~budget in
+  let p = plan ~selective f ~region ~budget in
   let changed = p.steps <> [] && not p.exhausted in
   if changed then begin
-    execute f ~preds p.steps;
+    execute f p.steps;
     ignore (Cfg.remove_unreachable f)
   end;
   if p.created > 0 then Statistic.incr ~by:p.created stat_paths;
@@ -532,21 +525,20 @@ let dbds_unmerge_loop f ~header ~budget =
     let created = ref 0 and exhausted = ref false in
     let changed = ref false in
     let initial_merges =
-      let preds = Cfg.predecessors f in
       List.filter
         (fun l ->
           Value.Label_set.mem l region
           && (not (Value.Label_set.mem l header_set))
           &&
-          match Hashtbl.find_opt preds l with
-          | Some (_ :: _ :: _) -> true
-          | Some ([] | [ _ ]) | None -> false)
+          match Cfg.preds_of f l with
+          | _ :: _ :: _ -> true
+          | [] | [ _ ] -> false)
         (Cfg.reverse_postorder f)
     in
     List.iter
       (fun b_label ->
-        (* Predecessors recomputed per merge: an earlier duplication may
-           have replaced a predecessor with its copies. *)
+        (* Predecessors read per merge: an earlier duplication may have
+           replaced a predecessor with its copies. *)
         let ps = Cfg.preds_of f b_label in
         if !created + List.length ps > budget then exhausted := true
         else if (not !exhausted) && not (defs_escape f b_label) then begin

@@ -43,7 +43,6 @@ type failure = {
 
 type result = {
   rjob : job;
-  rkey : string;
   outcome : (Response.ok, failure) Stdlib.result;
   from_cache : bool;
 }
@@ -145,7 +144,7 @@ let run_all ?jobs ?sim_jobs ?cache ?engine job_list =
           (Error { job_label = label j; job_key = keys.(i); message }, false)
         | None, None -> assert false
       in
-      { rjob = j; rkey = keys.(i); outcome; from_cache })
+      { rjob = j; outcome; from_cache })
     job_list
 
 let measurements_exn r =

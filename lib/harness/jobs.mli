@@ -82,7 +82,6 @@ type failure = {
 
 type result = {
   rjob : job;
-  rkey : string;
   outcome : (Uu_serve.Response.ok, failure) Stdlib.result;
   from_cache : bool;
 }

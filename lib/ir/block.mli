@@ -6,6 +6,8 @@ type t = {
   mutable phis : Instr.phi list;
   mutable instrs : Instr.t list;
   mutable term : Instr.terminator;
+      (** written only by [Func.set_term] and {!map_term_values}: the
+          function's predecessor lists follow the successors *)
   mutable hint : string;  (** name hint for printing ("header", "then", ...) *)
 }
 
@@ -22,7 +24,7 @@ val map_values : (Value.t -> Value.t) -> t -> unit
 
 val map_term_values : (Value.t -> Value.t) -> t -> unit
 (** Rewrite the terminator's operands. Successors cannot change, so this
-    is the one terminator write outside [Cfg.set_term]. *)
+    is the one terminator write outside [Func.set_term]. *)
 
 val remove_incoming : Value.label -> t -> unit
 (** Drop phi incoming entries for a predecessor that no longer branches

@@ -1,52 +1,8 @@
 type Func.analysis +=
-  | Predecessors of (Value.label, Value.label list) Hashtbl.t
   | Reverse_postorder of Value.label list
   | Reachable of Value.Label_set.t
 
-let build_predecessors f =
-  let preds = Hashtbl.create 17 in
-  Func.iter_blocks (fun b -> Hashtbl.replace preds b.Block.label []) f;
-  Func.iter_blocks
-    (fun b ->
-      List.iter
-        (fun s ->
-          let cur = try Hashtbl.find preds s with Not_found -> [] in
-          Hashtbl.replace preds s (b.Block.label :: cur))
-        (Block.successors b))
-    f;
-  Hashtbl.iter (fun l ps -> Hashtbl.replace preds l (List.sort compare ps)) preds;
-  preds
-
-let predecessors f =
-  Func.cached f
-    (function Predecessors p -> Some p | _ -> None)
-    (fun p -> Predecessors p)
-    build_predecessors
-
-let preds_of f l = try Hashtbl.find (predecessors f) l with Not_found -> []
-
-let set_term ?preds f b term =
-  let before = Block.successors b in
-  b.Block.term <- term;
-  let after = Block.successors b in
-  if before <> after then begin
-    Func.cfg_changed f;
-    match preds with
-    | None -> ()
-    | Some preds ->
-      let l = b.Block.label in
-      let update s g =
-        Hashtbl.replace preds s (g (try Hashtbl.find preds s with Not_found -> []))
-      in
-      let rec insert = function
-        | [] -> [ l ]
-        | p :: rest as ps -> if l < p then l :: ps else p :: insert rest
-      in
-      List.iter
-        (fun s -> if not (List.mem s after) then update s (List.filter (fun p -> p <> l)))
-        before;
-      List.iter (fun s -> if not (List.mem s before) then update s insert) after
-  end
+let preds_of = Func.preds_of
 
 let postorder f =
   let visited = Hashtbl.create 17 in
@@ -78,6 +34,19 @@ let reachable f =
         (fun acc l -> Value.Label_set.add l acc)
         Value.Label_set.empty
         (List.rev (reverse_postorder f)))
+
+let rec rounds f visit = function
+  | [] -> ()
+  | labels ->
+    let touched = Hashtbl.create 16 in
+    let next = ref [] in
+    List.iter
+      (fun l ->
+        match Func.find_block f l with
+        | Some b -> next := visit touched b @ !next
+        | None -> ())
+      labels;
+    rounds f visit (List.sort_uniq compare !next)
 
 let remove_unreachable f =
   let live = reachable f in

@@ -14,7 +14,7 @@ let map_value m v =
     | None -> v)
   | Value.Imm_int _ | Value.Imm_float _ | Value.Undef _ -> v
 
-let clone_region ?preds f region =
+let clone_region f region =
   let region_set = Value.Label_set.of_list region in
   (* Fresh labels for every block in the region. *)
   let label_map =
@@ -68,7 +68,7 @@ let clone_region ?preds f region =
         List.map
           (fun i -> Instr.map_def remap_def (Instr.map_values remap_value i))
           orig.Block.instrs;
-      Cfg.set_term ?preds f copy
+      Func.set_term f copy
         (Instr.term_map_labels (map_label m)
            (Instr.term_map_values remap_value orig.Block.term)))
     region;

@@ -10,13 +10,12 @@ type mapping = {
   var_map : Value.var Value.Var_map.t;        (** original register -> clone register *)
 }
 
-val clone_region :
-  ?preds:(Value.label, Value.label list) Hashtbl.t -> Func.t -> Value.label list -> mapping
+val clone_region : Func.t -> Value.label list -> mapping
 (** Clone the given blocks into the function. Phi incoming labels naming
     predecessors inside the region are remapped; incoming entries from
     outside predecessors are kept verbatim and must be fixed by the
-    caller. [preds], a caller's copy of [Cfg.predecessors], is kept
-    current as by [Cfg.set_term]. *)
+    caller. The copies' terminators are written with [Func.set_term], so
+    the function's predecessor lists stay current. *)
 
 val map_label : mapping -> Value.label -> Value.label
 (** The clone of a label, or the label itself when outside the region. *)

@@ -21,6 +21,9 @@ type shared = {
 
 type analysis = ..
 
+(* Each label's predecessors, sorted; a label with no entry has none. *)
+type preds = (Value.label, Value.label list) Hashtbl.t
+
 type t = {
   name : string;
   params : param list;
@@ -28,6 +31,7 @@ type t = {
   mutable shared : shared list;
   mutable entry : Value.label;
   blocks : (Value.label, Block.t) Hashtbl.t;
+  preds : preds;
   mutable next_var : int;
   mutable next_label : int;
   var_hints : (Value.var, string) Hashtbl.t;
@@ -54,6 +58,7 @@ let create ~name ~params ~ret_ty =
       shared = [];
       entry = 0;
       blocks = Hashtbl.create 17;
+      preds = Hashtbl.create 17;
       next_var = List.length params;
       next_label = 0;
       var_hints;
@@ -81,7 +86,8 @@ let copy_block (b : Block.t) =
 (* Everything below that adds or removes a block, moves the entry or
    rewrites a terminator's successors calls [cfg_changed]: it bumps the
    generation and drops the cached analyses, which described the old
-   CFG. Writes to the block table all live in this file. *)
+   CFG. Writes to the block table, to the predecessor lists and to
+   [Block.term] all live in this file. *)
 let cfg_changed f =
   f.cfg_generation <- f.cfg_generation + 1;
   match f.analyses with Some (_ :: _) -> f.analyses <- Some [] | Some [] | None -> ()
@@ -90,12 +96,31 @@ let blocks_changed f =
   f.sorted_labels <- None;
   cfg_changed f
 
+let block f l = Hashtbl.find f.blocks l
+let find_block f l = Hashtbl.find_opt f.blocks l
+let find_preds preds l = Option.value ~default:[] (Hashtbl.find_opt preds l)
+let preds_of f l = find_preds f.preds l
+let update_preds f s g = Hashtbl.replace f.preds s (g (preds_of f s))
+
+(* The lists a fresh build gives: blocks join their successors' lists in
+   descending label order, so each list comes out sorted. *)
+let build_preds blocks =
+  let preds = Hashtbl.create (Hashtbl.length blocks) in
+  Hashtbl.fold (fun l _ acc -> l :: acc) blocks []
+  |> List.sort (fun a b -> compare b a)
+  |> List.iter (fun l ->
+         List.iter
+           (fun s -> Hashtbl.replace preds s (l :: find_preds preds s))
+           (Block.successors (Hashtbl.find blocks l)));
+  preds
+
 let copy f =
   let blocks = Hashtbl.create (Hashtbl.length f.blocks) in
   Hashtbl.iter (fun l b -> Hashtbl.replace blocks l (copy_block b)) f.blocks;
   {
     f with
     blocks;
+    preds = build_preds blocks;
     var_hints = Hashtbl.copy f.var_hints;
     pragmas = Hashtbl.copy f.pragmas;
     cfg_generation = 0;
@@ -110,6 +135,8 @@ let restore f ~from_ =
   f.next_label <- from_.next_label;
   Hashtbl.reset f.blocks;
   Hashtbl.iter (fun l b -> Hashtbl.replace f.blocks l (copy_block b)) from_.blocks;
+  Hashtbl.reset f.preds;
+  Hashtbl.iter (Hashtbl.replace f.preds) (build_preds f.blocks);
   Hashtbl.reset f.var_hints;
   Hashtbl.iter (Hashtbl.replace f.var_hints) from_.var_hints;
   Hashtbl.reset f.pragmas;
@@ -142,11 +169,30 @@ let note_var ?hint f v =
   (match hint with Some h -> Hashtbl.replace f.var_hints v h | None -> ());
   if v >= f.next_var then f.next_var <- v + 1
 
-let block f l = Hashtbl.find f.blocks l
-let find_block f l = Hashtbl.find_opt f.blocks l
 let remove_block f l =
-  Hashtbl.remove f.blocks l;
+  Option.iter
+    (fun b ->
+      Hashtbl.remove f.blocks l;
+      List.iter (fun s -> update_preds f s (List.filter (fun p -> p <> l))) (Block.successors b))
+    (find_block f l);
   blocks_changed f
+
+let set_term f b term =
+  let before = Block.successors b in
+  b.Block.term <- term;
+  let after = Block.successors b in
+  if before <> after then begin
+    cfg_changed f;
+    let l = b.Block.label in
+    let rec insert = function
+      | [] -> [ l ]
+      | p :: rest as ps -> if l < p then l :: ps else p :: insert rest
+    in
+    List.iter
+      (fun s -> if not (List.mem s after) then update_preds f s (List.filter (fun p -> p <> l)))
+      before;
+    List.iter (fun s -> if not (List.mem s before) then update_preds f s insert) after
+  end
 
 let set_entry f l =
   f.entry <- l;
@@ -159,6 +205,10 @@ let labels f =
     let ls = Hashtbl.fold (fun l _ acc -> l :: acc) f.blocks [] |> List.sort compare in
     f.sorted_labels <- Some ls;
     ls
+
+let stale_preds f =
+  let fresh = build_preds f.blocks in
+  List.find_opt (fun l -> preds_of f l <> find_preds fresh l) (labels f)
 
 (* Iteration snapshots the label list first, then skips any block a
    callback removed, so passes may delete blocks while iterating. *)
@@ -174,7 +224,7 @@ let fold_blocks g f init =
 
 (* An analysis is cached only while [with_analyses] runs, so a function
    kept after compilation holds none. [compute] may itself fill the
-   cache (a dominator tree needs the predecessor map), so the entry is
+   cache (a loop forest needs the dominator tree), so the entry is
    added to the cache as it stands after [compute] returns. *)
 let cached f find inject compute =
   match f.analyses with

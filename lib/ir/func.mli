@@ -5,12 +5,17 @@
     in deterministic (sorted-label) order so that passes and printers are
     reproducible.
 
-    A function also counts its {e CFG generation}: adding or removing a
+    A function also keeps every label's predecessor list, sorted:
+    {!set_term}, the block writers, {!copy} and {!restore} keep it
+    current, and [Cfg.preds_of] reads it.
+
+    A function counts its {e CFG generation} too: adding or removing a
     block, {!set_entry}, {!restore}, and every terminator write that
-    changes a block's successors ([Cfg.set_term]) bump it. Rewriting
-    operands ({!map_values}, [Block.map_values]) does not. While
-    {!with_analyses} runs, CFG analyses (predecessors, dominator tree,
-    loop forest) are cached on the function until the generation moves. *)
+    changes a block's successors bump it. Rewriting operands
+    ({!map_values}, [Block.map_values]) does not. While
+    {!with_analyses} runs, CFG analyses (reverse postorder, dominator
+    tree, loop forest) are cached on the function until the generation
+    moves. *)
 
 type param = {
   pvar : Value.var;
@@ -35,6 +40,9 @@ type shared = {
 type analysis = ..
 (** A cached CFG analysis result; each analysis adds its own constructor. *)
 
+type preds
+(** The kept predecessor lists; only this module writes them. *)
+
 type t = private {
   name : string;
   params : param list;
@@ -42,6 +50,7 @@ type t = private {
   mutable shared : shared list;  (** shared declarations, in slot order *)
   mutable entry : Value.label;
   blocks : (Value.label, Block.t) Hashtbl.t;
+  preds : preds;  (** read through [Cfg.preds_of] *)
   mutable next_var : int;
   mutable next_label : int;
   var_hints : (Value.var, string) Hashtbl.t;
@@ -62,19 +71,20 @@ val create : name:string -> params:(string * Types.t * bool) list -> ret_ty:Type
 val copy : t -> t
 (** A deep copy: mutating the copy (or the original) does not affect the
     other. Used to make structural transforms transactional. The copy
-    caches no analyses. *)
+    caches no analyses and builds its predecessor lists afresh. *)
 
 val restore : t -> from_:t -> unit
 (** Overwrite a function's entire contents with those of [from_]
-    (typically a {!copy} snapshot taken earlier). Drops cached
-    analyses. *)
+    (typically a {!copy} snapshot taken earlier) and rebuild its
+    predecessor lists. Drops cached analyses. *)
 
 val fresh_var : ?hint:string -> t -> Value.var
 val fresh_block : ?hint:string -> t -> Block.t
 
 val insert_block : ?hint:string -> t -> Value.label -> Block.t
 (** Create a block with a caller-chosen label (used by the IR parser);
-    bumps the fresh-label counter past it.
+    bumps the fresh-label counter past it. Blocks that already branch
+    to the label are its predecessors.
     @raise Invalid_argument if the label is taken. *)
 
 val note_var : ?hint:string -> t -> Value.var -> unit
@@ -85,7 +95,22 @@ val block : t -> Value.label -> Block.t
 (** @raise Not_found on an unknown label. *)
 
 val find_block : t -> Value.label -> Block.t option
+
 val remove_block : t -> Value.label -> unit
+(** Delete a block and take it out of its successors' predecessor
+    lists. Blocks that still branch to it stay its predecessors. *)
+
+val set_term : t -> Block.t -> Instr.terminator -> unit
+(** [set_term f b term] replaces [b]'s terminator ([b] is a block of
+    [f]): the one way to write a terminator whose successors may differ.
+    When they do, it bumps [f]'s CFG generation, and [b] leaves the
+    predecessor lists of the targets it no longer reaches and joins, in
+    sorted position, those it now reaches. Any other write of
+    [Block.term] leaves the lists stale, which the verifier reports. *)
+
+val preds_of : t -> Value.label -> Value.label list
+(** The kept predecessor list of a label, sorted; [[]] when no block
+    branches to it. [Cfg.preds_of] is this query. *)
 
 val set_entry : t -> Value.label -> unit
 (** Make another block the entry; bumps the CFG generation. *)
@@ -94,15 +119,15 @@ val labels : t -> Value.label list
 (** All block labels, sorted. The list is kept until a block is added or
     removed. *)
 
+val stale_preds : t -> Value.label option
+(** The first block, in label order, whose kept predecessor list differs
+    from a fresh build from the terminators (the verifier's check). *)
+
 val iter_blocks : (Block.t -> unit) -> t -> unit
 (** Visit blocks in sorted label order: the labels as they were when the
     call began, skipping any block the callback removed. *)
 
 val fold_blocks : (Block.t -> 'a -> 'a) -> t -> 'a -> 'a
-val cfg_changed : t -> unit
-(** Bump the CFG generation, dropping cached analyses. [Cfg.set_term]
-    calls it when a block's successors change; the block-table writers
-    here call it themselves. *)
 
 val cached : t -> (analysis -> 'a option) -> ('a -> analysis) -> (t -> 'a) -> 'a
 (** [cached f find inject compute]: the cached result [find] recognises,

@@ -407,7 +407,7 @@ let parse_func_lines lines start =
             match parse_statement f lineno raw with
             | `Phi p -> b.Block.phis <- b.Block.phis @ [ p ]
             | `Instr ins -> b.Block.instrs <- b.Block.instrs @ [ ins ]
-            | `Term t -> Cfg.set_term f b t)
+            | `Term t -> Func.set_term f b t)
         end
   done;
   match !fn, !first_block with

@@ -45,7 +45,9 @@ let check f =
   | None -> err "entry block bb%d does not exist" f.Func.entry
   | Some b ->
     if b.Block.phis <> [] then err "entry block has phi nodes");
-  let preds = Cfg.predecessors f in
+  Option.iter
+    (fun l -> err "%s: kept predecessors do not match the terminators" (block_where l ()))
+    (Func.stale_preds f);
   let reachable = Cfg.reachable f in
   Func.iter_blocks
     (fun b ->
@@ -56,8 +58,9 @@ let check f =
             err "%s: branch to nonexistent block bb%d" (where ()) s)
         (Block.successors b);
       if Value.Label_set.mem b.Block.label reachable then begin
-        let ps = try Hashtbl.find preds b.Block.label with Not_found -> [] in
-        let ps = List.filter (fun p -> Value.Label_set.mem p reachable) ps in
+        let ps =
+          List.filter (fun p -> Value.Label_set.mem p reachable) (Cfg.preds_of f b.Block.label)
+        in
         List.iter
           (fun (p : Instr.phi) ->
             let inc = List.map fst p.incoming in

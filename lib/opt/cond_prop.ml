@@ -174,11 +174,16 @@ let decide facts op l r =
 
 let run f =
   let dom = Dominance.compute f in
-  let preds = Cfg.predecessors f in
-  (* Definitions of i1-producing instructions, for fact derivation. *)
+  (* Definitions of i1-producing instructions, for fact derivation, and
+     each block's sole predecessor as the pass found it: facts flow only
+     along an edge its source owned before the folds below. *)
   let defs : (Value.var, Instr.t) Hashtbl.t = Hashtbl.create 64 in
+  let sole_pred = Hashtbl.create 64 in
   Func.iter_blocks
     (fun b ->
+      (match Cfg.preds_of f b.Block.label with
+      | [ p ] -> Hashtbl.replace sole_pred b.Block.label p
+      | [] | _ :: _ :: _ -> ());
       List.iter
         (fun i ->
           match Instr.def i with
@@ -253,7 +258,7 @@ let run f =
     | Instr.Cond_br { cond = Value.Var c; if_true; if_false } -> (
       match Value.Var_map.find_opt c !facts.bools with
       | Some value ->
-        Cfg.set_term f b (Instr.Br (if value then if_true else if_false));
+        Func.set_term f b (Instr.Br (if value then if_true else if_false));
         let dead = if value then if_false else if_true in
         (match Func.find_block f dead with
         | Some db when dead <> (if value then if_true else if_false) ->
@@ -271,8 +276,8 @@ let run f =
     List.iter
       (fun child ->
         let child_facts =
-          match (try Hashtbl.find preds child with Not_found -> []) with
-          | [ p ] when p = blk -> (
+          match Hashtbl.find_opt sole_pred child with
+          | Some p when p = blk -> (
             match b.Block.term with
             | Instr.Cond_br { cond = Value.Var c; if_true; if_false }
               when if_true <> if_false ->
@@ -281,7 +286,7 @@ let run f =
               else !facts
             | Instr.Cond_br _ | Instr.Br _ | Instr.Ret _ | Instr.Unreachable ->
               !facts)
-          | _ -> !facts
+          | Some _ | None -> !facts
         in
         walk child child_facts)
       (Dominance.children dom blk)

@@ -65,7 +65,6 @@ let load_elim f =
   let aa = Alias.create f in
   let subst = ref Value.Var_map.empty in
   let changed = ref false in
-  let preds = Cfg.predecessors f in
   (* State: address -> known value of the memory cell. *)
   let out_states : (Value.label, Value.t Addr_map.t) Hashtbl.t = Hashtbl.create 32 in
   let order = Cfg.reverse_postorder f in
@@ -74,7 +73,7 @@ let load_elim f =
     (fun blk ->
       let b = Func.block f blk in
       let init =
-        match (try Hashtbl.find preds blk with Not_found -> []) with
+        match Cfg.preds_of f blk with
         | [ p ] when Hashtbl.mem processed p -> (
           match Hashtbl.find_opt out_states p with
           | Some s -> s

@@ -46,13 +46,11 @@ let collapse_phis f x cond m ~t_from ~f_from =
         | _ -> p)
       mb.Block.phis
 
-let try_convert f ~threshold preds x =
+let try_convert f ~threshold x =
   let xb = Func.block f x in
   match xb.Block.term with
   | Instr.Cond_br { cond; if_true = t; if_false = fl } when t <> fl -> (
-    let single_pred l =
-      match Hashtbl.find_opt preds l with Some [ p ] -> p = x | _ -> false
-    in
+    let single_pred l = Cfg.preds_of f l = [ x ] in
     let tb = Func.find_block f t and fb = Func.find_block f fl in
     match tb, fb with
     | Some tb, Some fb -> (
@@ -84,11 +82,9 @@ let try_convert f ~threshold preds x =
       in
       if diamond then begin
         let m = match tb.Block.term with Instr.Br m -> m | _ -> assert false in
-        Cfg.set_term ~preds f xb (Instr.Br m);
+        Func.set_term f xb (Instr.Br m);
         xb.Block.instrs <- xb.Block.instrs @ tb.Block.instrs @ fb.Block.instrs;
         collapse_phis f x cond m ~t_from:t ~f_from:fl;
-        Cfg.set_term ~preds f tb Instr.Unreachable;
-        Cfg.set_term ~preds f fb Instr.Unreachable;
         Func.remove_block f t;
         Func.remove_block f fl;
         Statistic.incr stat_diamonds;
@@ -100,10 +96,9 @@ let try_convert f ~threshold preds x =
       end
       else if triangle_t then begin
         let m = fl in
-        Cfg.set_term ~preds f xb (Instr.Br m);
+        Func.set_term f xb (Instr.Br m);
         xb.Block.instrs <- xb.Block.instrs @ tb.Block.instrs;
         collapse_phis f x cond m ~t_from:t ~f_from:x;
-        Cfg.set_term ~preds f tb Instr.Unreachable;
         Func.remove_block f t;
         Statistic.incr stat_triangles;
         Remark.applied ~pass:"if-convert" ~func:f.Func.name ~block:x
@@ -114,10 +109,9 @@ let try_convert f ~threshold preds x =
       end
       else if triangle_f then begin
         let m = t in
-        Cfg.set_term ~preds f xb (Instr.Br m);
+        Func.set_term f xb (Instr.Br m);
         xb.Block.instrs <- xb.Block.instrs @ fb.Block.instrs;
         collapse_phis f x cond m ~t_from:x ~f_from:fl;
-        Cfg.set_term ~preds f fb Instr.Unreachable;
         Func.remove_block f fl;
         Statistic.incr stat_triangles;
         Remark.applied ~pass:"if-convert" ~func:f.Func.name ~block:x
@@ -131,39 +125,28 @@ let try_convert f ~threshold preds x =
   | Instr.Cond_br _ | Instr.Br _ | Instr.Ret _ | Instr.Unreachable -> false
 
 let run ~threshold f =
-  (* Rounds of non-overlapping conversions in label order: a candidate
-     whose block or successors a conversion touched this round waits for
-     the next, which fixes the order selects are created in. One
-     predecessor map per call is kept current by [Cfg.set_term]. After
-     the first round only deferred candidates and the predecessors of
-     converted blocks are visited: a converted block is now a straight
-     side its predecessors may speculate, and nothing else a conversion
-     changes can let another candidate convert. *)
-  let preds = Hashtbl.copy (Cfg.predecessors f) in
+  (* Non-overlapping conversions in [Cfg.rounds]: a candidate whose block
+     or successors a conversion touched this round waits for the next,
+     which fixes the order selects are created in. After the first round
+     only deferred candidates and the predecessors of converted blocks
+     are visited: a converted block is now a straight side its
+     predecessors may speculate, and nothing else a conversion changes
+     can let another candidate convert. *)
   let changed = ref false in
-  let rec round = function
-    | [] -> ()
-    | labels ->
-      let touched = Hashtbl.create 16 in
-      let next = ref [] in
-      List.iter
-        (fun x ->
-          match Func.find_block f x with
-          | None -> ()
-          | Some b ->
-            let parts = x :: Block.successors b in
-            if List.exists (Hashtbl.mem touched) parts then next := x :: !next
-            else if try_convert f ~threshold preds x then begin
-              List.iter (fun l -> Hashtbl.replace touched l ()) parts;
-              (* The merge block's preds changed too. *)
-              List.iter (fun l -> Hashtbl.replace touched l ()) (Block.successors b);
-              changed := true;
-              next := (try Hashtbl.find preds x with Not_found -> []) @ !next
-            end)
-        labels;
-      round (List.sort_uniq compare !next)
+  let visit touched b =
+    let x = b.Block.label in
+    let parts = x :: Block.successors b in
+    if List.exists (Hashtbl.mem touched) parts then [ x ]
+    else if try_convert f ~threshold x then begin
+      List.iter (fun l -> Hashtbl.replace touched l ()) parts;
+      (* The merge block's preds changed too. *)
+      List.iter (fun l -> Hashtbl.replace touched l ()) (Block.successors b);
+      changed := true;
+      Cfg.preds_of f x
+    end
+    else []
   in
-  round (Func.labels f);
+  Cfg.rounds f visit (Func.labels f);
   !changed
 
 let pass_with_threshold threshold =

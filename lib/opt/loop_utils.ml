@@ -1,19 +1,15 @@
 open Uu_ir
 open Uu_analysis
 
-(* The steps below share one predecessor map, built once per
-   [canonicalize] call and kept current by [Cfg.set_term]. *)
-let preds_of preds l = try Hashtbl.find preds l with Not_found -> []
-
-let retarget f preds b ~from_ ~to_ =
-  Cfg.set_term ~preds f b
+let retarget f b ~from_ ~to_ =
+  Func.set_term f b
     (Instr.term_map_labels (fun l -> if l = from_ then to_ else l) b.Block.term)
 
-let ensure_preheader f preds (loop : Loops.loop) =
+let ensure_preheader f (loop : Loops.loop) =
   let outside =
     List.filter
       (fun p -> not (Value.Label_set.mem p loop.blocks))
-      (preds_of preds loop.header)
+      (Cfg.preds_of f loop.header)
   in
   let is_br p = match (Func.block f p).Block.term with Instr.Br _ -> true | _ -> false in
   match outside with
@@ -21,9 +17,9 @@ let ensure_preheader f preds (loop : Loops.loop) =
   | _ ->
     let header = Func.block f loop.header in
     let ph = Func.fresh_block ~hint:"preheader" f in
-    Cfg.set_term ~preds f ph (Instr.Br loop.header);
+    Func.set_term f ph (Instr.Br loop.header);
     List.iter
-      (fun p -> retarget f preds (Func.block f p) ~from_:loop.header ~to_:ph.Block.label)
+      (fun p -> retarget f (Func.block f p) ~from_:loop.header ~to_:ph.Block.label)
       outside;
     (* Move outside phi entries into the preheader. *)
     header.Block.phis <-
@@ -51,12 +47,12 @@ let ensure_preheader f preds (loop : Loops.loop) =
     ph.Block.label
 
 (* Returns the loop with its exit edges retargeted to the new blocks. *)
-let ensure_dedicated_exits f preds (loop : Loops.loop) =
+let ensure_dedicated_exits f (loop : Loops.loop) =
   let split = ref [] in
   let targets = List.sort_uniq compare (List.map snd loop.exits) in
   List.iter
     (fun s ->
-      let ps = preds_of preds s in
+      let ps = Cfg.preds_of f s in
       let outside =
         List.filter (fun p -> not (Value.Label_set.mem p loop.blocks)) ps
       in
@@ -66,11 +62,11 @@ let ensure_dedicated_exits f preds (loop : Loops.loop) =
         in
         let sb = Func.block f s in
         let ex = Func.fresh_block ~hint:"loopexit" f in
-        Cfg.set_term ~preds f ex (Instr.Br s);
+        Func.set_term f ex (Instr.Br s);
         (* Loop preds now branch to the dedicated exit; phi entries from
            them move into new phis in the exit block. *)
         List.iter
-          (fun p -> retarget f preds (Func.block f p) ~from_:s ~to_:ex.Block.label)
+          (fun p -> retarget f (Func.block f p) ~from_:s ~to_:ex.Block.label)
           inside;
         sb.Block.phis <-
           List.map
@@ -97,7 +93,7 @@ let ensure_dedicated_exits f preds (loop : Loops.loop) =
     exits = List.sort_uniq compare (List.map (fun (l, s) -> (l, exit_of s)) loop.exits)
   }
 
-let build_lcssa f preds (loop : Loops.loop) =
+let build_lcssa f (loop : Loops.loop) =
   (* Collect values defined inside the loop and used outside. A phi use
      counts at its incoming predecessor. *)
   let in_loop l = Value.Label_set.mem l loop.blocks in
@@ -142,7 +138,7 @@ let build_lcssa f preds (loop : Loops.loop) =
            (List.length exit_targets))
     | [ ex ] ->
       let exb = Func.block f ex in
-      let in_preds = preds_of preds ex in
+      let in_preds = Cfg.preds_of f ex in
       assert (List.for_all in_loop in_preds);
       (* One LCSSA phi per escaping value; outside uses retarget to it. *)
       let tys = Sccp.def_types f in
@@ -204,14 +200,13 @@ let canonicalize f header =
   with
   | None -> None
   | Some loop ->
-    let preds = Hashtbl.copy (Cfg.predecessors f) in
     let generation = f.Func.cfg_generation in
     (* A new preheader lies outside the loop and only outside blocks are
        retargeted to it, so the loop itself is unchanged; a dedicated exit
        changes only the exit edges, which [ensure_dedicated_exits]
        rewrites. LCSSA adds phis, not edges. The first two edit only by
        adding a block, which moves the CFG generation. *)
-    let preheader = ensure_preheader f preds loop in
-    let loop = ensure_dedicated_exits f preds loop in
-    let lcssa = build_lcssa f preds loop in
+    let preheader = ensure_preheader f loop in
+    let loop = ensure_dedicated_exits f loop in
+    let lcssa = build_lcssa f loop in
     Some { loop; preheader; edited = lcssa || f.Func.cfg_generation <> generation }

@@ -46,7 +46,7 @@ let run f =
   if Hashtbl.length slots = 0 then false
   else begin
     let dom = Dominance.compute f in
-    let frontier = Dominance.frontier dom in
+    let frontier = Dominance.frontier dom f in
     let reachable = Cfg.reachable f in
     (* Blocks storing to each slot. *)
     let def_blocks : (Value.var, Value.Label_set.t) Hashtbl.t = Hashtbl.create 17 in

@@ -9,11 +9,14 @@
     disabled — verifies structural, type, and SSA-dominance well-formedness
     after each changing pass, failing fast on the first broken invariant.
 
-    Analyses: {!exec} runs the pipeline under [Func.with_analyses], so
-    predecessor maps, dominator trees and loop forests are built once
-    per CFG generation and shared by passes and checks alike. A pass
-    declares nothing: one that does not touch the CFG keeps the cache
-    valid by not bumping the generation. The cache is dropped when
+    Analyses: predecessors are kept by the function itself, current
+    after every CFG write, and the verifier compares them with a fresh
+    build, so a pass that wrote a terminator past [Func.set_term] fails
+    here, named. {!exec} runs the pipeline under [Func.with_analyses],
+    so reverse postorders, dominator trees and loop forests are built
+    once per CFG generation and shared by passes and checks alike. A
+    pass declares nothing: one that does not touch the CFG keeps the
+    cache valid by not bumping the generation. The cache is dropped when
     {!exec} returns.
 
     Observability: the manager snapshots the (domain-local)

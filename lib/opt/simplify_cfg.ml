@@ -11,7 +11,7 @@ let fold_branches f =
       match b.Block.term with
       | Instr.Cond_br { cond; if_true; if_false } ->
         if if_true = if_false then begin
-          Cfg.set_term f b (Instr.Br if_true);
+          Func.set_term f b (Instr.Br if_true);
           changed := true
         end
         else begin
@@ -21,14 +21,14 @@ let fold_branches f =
               if Int64.equal (Int64.logand n 1L) 0L then if_false, if_true
               else if_true, if_false
             in
-            Cfg.set_term f b (Instr.Br live);
+            Func.set_term f b (Instr.Br live);
             (match Func.find_block f dead with
             | Some db -> Block.remove_incoming b.Block.label db
             | None -> ());
             Statistic.incr stat_branches;
             changed := true
           | Value.Undef _ ->
-            Cfg.set_term f b (Instr.Br if_true);
+            Func.set_term f b (Instr.Br if_true);
             (match Func.find_block f if_false with
             | Some db ->
               if if_false <> if_true then Block.remove_incoming b.Block.label db
@@ -41,7 +41,6 @@ let fold_branches f =
   !changed
 
 let simplify_phis f =
-  let preds = Cfg.predecessors f in
   let reachable = Cfg.reachable f in
   let subst = ref Value.Var_map.empty in
   let changed = ref false in
@@ -49,7 +48,7 @@ let simplify_phis f =
     (fun b ->
       if Value.Label_set.mem b.Block.label reachable then begin
         let ps =
-          (try Hashtbl.find preds b.Block.label with Not_found -> [])
+          Cfg.preds_of f b.Block.label
           |> Value.Label_set.of_list |> Value.Label_set.inter reachable
         in
         let simplify (p : Instr.phi) =
@@ -84,35 +83,17 @@ let simplify_phis f =
   if not (Value.Var_map.is_empty !subst) then Clone.apply_subst f !subst;
   !changed
 
-(* [merge_straight_line] and [forward_empty_blocks] rewrite in rounds.
-   Within a round they visit blocks in label order and apply only
-   rewrites that do not overlap one already applied this round; a block
-   whose neighbourhood was touched waits for the next round. That order
-   decides phi-entry order and which of two conflicting rewrites wins, so
-   it is part of the output. Both keep one predecessor map per call
-   current with [Cfg.set_term], and each round after the first visits
-   only the blocks the previous round deferred or whose neighbourhood it
-   rewrote: a block that fails for any other reason fails again until
-   its neighbourhood changes. *)
-let rec rounds f visit = function
-  | [] -> ()
-  | labels ->
-    let touched = Hashtbl.create 16 in
-    let next = ref [] in
-    List.iter
-      (fun l ->
-        match Func.find_block f l with
-        | Some b -> next := visit touched b @ !next
-        | None -> ())
-      labels;
-    rounds f visit (List.sort_uniq compare !next)
-
+(* [merge_straight_line] and [forward_empty_blocks] rewrite in
+   [Cfg.rounds]. That order decides phi-entry order and which of two
+   conflicting rewrites wins, so it is part of the output. Each round
+   after the first visits only the blocks the previous round deferred or
+   whose neighbourhood it rewrote: a block that fails for any other
+   reason fails again until its neighbourhood changes. *)
 let merge_straight_line f =
   (* A block consumed by a merge this round cannot take part in another
      one until the next round (chains shrink by half per round). Merging
      never reads phi entries, so the successors' entries from consumed
      blocks are renamed once, at the end, through [merged_into]. *)
-  let preds = Hashtbl.copy (Cfg.predecessors f) in
   let merged_into = Hashtbl.create 16 in
   let renamed = Hashtbl.create 16 in
   let changed = ref false in
@@ -122,13 +103,12 @@ let merge_straight_line f =
       if Hashtbl.mem touched b.Block.label || Hashtbl.mem touched s then
         [ b.Block.label ]
       else begin
-        match Hashtbl.find_opt preds s, Func.find_block f s with
-        | Some [ p ], Some sb when p = b.Block.label && sb.Block.phis = [] ->
+        match Cfg.preds_of f s, Func.find_block f s with
+        | [ p ], Some sb when p = b.Block.label && sb.Block.phis = [] ->
           b.Block.instrs <- b.Block.instrs @ sb.Block.instrs;
-          Cfg.set_term ~preds f b sb.Block.term;
+          Func.set_term f b sb.Block.term;
           Hashtbl.replace merged_into s b.Block.label;
           List.iter (fun succ -> Hashtbl.replace renamed succ ()) (Block.successors sb);
-          Cfg.set_term ~preds f sb Instr.Unreachable;
           Func.remove_block f s;
           Hashtbl.replace touched b.Block.label ();
           Hashtbl.replace touched s ();
@@ -139,7 +119,7 @@ let merge_straight_line f =
       end
     | Instr.Br _ | Instr.Cond_br _ | Instr.Ret _ | Instr.Unreachable -> []
   in
-  rounds f visit (Func.labels f);
+  Cfg.rounds f visit (Func.labels f);
   let rec final l =
     match Hashtbl.find_opt merged_into l with Some l' -> final l' | None -> l
   in
@@ -157,8 +137,6 @@ let merge_straight_line f =
   !changed
 
 let forward_empty_blocks f =
-  let preds = Hashtbl.copy (Cfg.predecessors f) in
-  let preds_of l = try Hashtbl.find preds l with Not_found -> [] in
   let changed = ref false in
   let visit touched b =
     match b.Block.term with
@@ -168,11 +146,11 @@ let forward_empty_blocks f =
       if Hashtbl.mem touched b.Block.label || Hashtbl.mem touched s then
         [ b.Block.label ]
       else
-        let ps = preds_of b.Block.label in
+        let ps = Cfg.preds_of f b.Block.label in
         match Func.find_block f s with
         | None -> []
         | Some sb ->
-          let s_preds = preds_of s in
+          let s_preds = Cfg.preds_of f s in
           let conflict =
             sb.Block.phis <> [] && List.exists (fun p -> List.mem p s_preds) ps
           in
@@ -184,7 +162,7 @@ let forward_empty_blocks f =
               (fun p ->
                 match Func.find_block f p with
                 | Some pb ->
-                  Cfg.set_term ~preds f pb
+                  Func.set_term f pb
                     (Instr.term_map_labels
                        (fun l -> if l = b.Block.label then s else l)
                        pb.Block.term)
@@ -201,7 +179,6 @@ let forward_empty_blocks f =
                     in
                     { phi with incoming = kept @ List.map (fun p -> (p, v)) ps })
                 sb.Block.phis;
-            Cfg.set_term ~preds f b Instr.Unreachable;
             Func.remove_block f b.Block.label;
             Hashtbl.replace touched b.Block.label ();
             Hashtbl.replace touched s ();
@@ -212,7 +189,7 @@ let forward_empty_blocks f =
           end)
     | Instr.Br _ | Instr.Cond_br _ | Instr.Ret _ | Instr.Unreachable -> []
   in
-  rounds f visit (Func.labels f);
+  Cfg.rounds f visit (Func.labels f);
   !changed
 
 let run f =

@@ -75,7 +75,7 @@ let unroll_loop ?(exact = false) f ~header ~factor =
                 | Some m -> Clone.map_label m latch
               in
               let lb = Func.block f latch_i in
-              Cfg.set_term f lb
+              Func.set_term f lb
                 (Instr.term_map_labels
                    (fun l -> if l = own_header then next_header else l)
                    lb.Block.term))
@@ -183,7 +183,7 @@ let unroll_loop ?(exact = false) f ~header ~factor =
             List.iter
               (fun ll ->
                 let lb = Func.block f ll in
-                Cfg.set_term f lb
+                Func.set_term f lb
                   (Instr.term_map_labels
                      (fun l -> if l = header then e else l)
                      lb.Block.term))

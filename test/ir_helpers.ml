@@ -107,3 +107,19 @@ let compile_one src =
   match m.Func.funcs with
   | [ f ] -> f
   | fs -> failwith (Printf.sprintf "expected 1 kernel, got %d" (List.length fs))
+
+(* The first label, among every label the function ever allocated, whose
+   kept predecessor list differs from one rebuilt from the blocks'
+   terminators, with both lists. A removed label still counts: blocks
+   that branch to it are its predecessors. *)
+let preds_drift fn =
+  let rebuilt = Hashtbl.create 16 in
+  let rebuilt_of l = List.sort compare (Hashtbl.find_all rebuilt l) in
+  Func.iter_blocks
+    (fun b -> List.iter (fun s -> Hashtbl.add rebuilt s b.Block.label) (Block.successors b))
+    fn;
+  List.find_map
+    (fun l ->
+      let kept = Cfg.preds_of fn l in
+      if kept = rebuilt_of l then None else Some (l, kept, rebuilt_of l))
+    (List.init fn.Func.next_label Fun.id)

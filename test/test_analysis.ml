@@ -20,8 +20,7 @@ let func_of_graph terms =
   in
   Array.iteri
     (fun i succs ->
-      let b = Func.block fn labels.(i) in
-      b.Block.term <-
+      Func.set_term fn (Func.block fn labels.(i))
         (match succs with
         | [] -> Instr.Ret None
         | [ j ] -> Instr.Br labels.(j)
@@ -61,7 +60,7 @@ let test_dominance_diamond () =
 let test_dominance_frontier () =
   let fn, l = func_of_graph [| [ 1; 2 ]; [ 3 ]; [ 3 ]; [] |] in
   let dom = Dominance.compute fn in
-  let df = Dominance.frontier dom in
+  let df = Dominance.frontier dom fn in
   let df_of x =
     match Hashtbl.find_opt df x with
     | Some s -> Value.Label_set.elements s

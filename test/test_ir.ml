@@ -248,6 +248,85 @@ let test_eval_value_round_trip () =
   check bool "i1 normalized" true
     (Eval.to_value Types.I1 (Eval.Int 3L) = Some (Value.i1 true))
 
+(* Random CFG edits. Block operands are indices into the function's
+   current labels, taken modulo their count; the entry is never
+   removed. *)
+type cfg_op =
+  | Set_br of int * int
+  | Set_cond of int * int * int
+  | Set_ret of int
+  | Fresh
+  | Remove of int
+  | Remove_unreachable
+  | Copy
+  | Restore
+
+let show_cfg_op = function
+  | Set_br (i, j) -> Printf.sprintf "br %d->%d" i j
+  | Set_cond (i, j, k) -> Printf.sprintf "condbr %d->%d,%d" i j k
+  | Set_ret i -> Printf.sprintf "ret %d" i
+  | Fresh -> "fresh"
+  | Remove i -> Printf.sprintf "remove %d" i
+  | Remove_unreachable -> "remove-unreachable"
+  | Copy -> "copy"
+  | Restore -> "restore"
+
+let cfg_op_gen =
+  QCheck2.Gen.(
+    let i = int_bound 7 in
+    frequency
+      [
+        (4, map2 (fun a b -> Set_br (a, b)) i i);
+        (3, map3 (fun a b c -> Set_cond (a, b, c)) i i i);
+        (1, map2 (fun a b -> Set_cond (a, b, b)) i i);
+        (1, map (fun a -> Set_ret a) i);
+        (2, return Fresh);
+        (2, map (fun a -> Remove a) i);
+        (1, return Remove_unreachable);
+        (1, return Copy);
+        (1, return Restore);
+      ])
+
+(* After every edit, each label's kept predecessor list equals a rebuild,
+   in the original and in every copy taken. *)
+let prop_kept_preds =
+  QCheck2.Test.make ~name:"kept predecessors match a rebuild under random CFG edits"
+    ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map show_cfg_op ops))
+    QCheck2.Gen.(list_size (int_range 1 40) cfg_op_gen)
+    (fun ops ->
+      let fn = Func.create ~name:"g" ~params:[ ("c", Types.I1, false) ] ~ret_ty:Types.Void in
+      let c = Value.Var (List.hd (Func.param_vars fn)) in
+      for _ = 1 to 3 do
+        ignore (Func.fresh_block fn)
+      done;
+      let snapshot = ref None in
+      let ok g =
+        match Ir_helpers.preds_drift g with
+        | None -> true
+        | Some (l, kept, rebuilt) ->
+          QCheck2.Test.fail_reportf "bb%d: kept [%s], rebuilt [%s]" l
+            (String.concat "," (List.map string_of_int kept))
+            (String.concat "," (List.map string_of_int rebuilt))
+      in
+      List.for_all
+        (fun op ->
+          let labels = Array.of_list (Func.labels fn) in
+          let pick i = labels.(i mod Array.length labels) in
+          let set i term = Func.set_term fn (Func.block fn (pick i)) term in
+          (match op with
+          | Set_br (i, j) -> set i (Instr.Br (pick j))
+          | Set_cond (i, j, k) ->
+            set i (Instr.Cond_br { cond = c; if_true = pick j; if_false = pick k })
+          | Set_ret i -> set i (Instr.Ret None)
+          | Fresh -> ignore (Func.fresh_block fn)
+          | Remove i -> if pick i <> fn.Func.entry then Func.remove_block fn (pick i)
+          | Remove_unreachable -> ignore (Cfg.remove_unreachable fn)
+          | Copy -> snapshot := Some (Func.copy fn)
+          | Restore -> Option.iter (fun from_ -> Func.restore fn ~from_) !snapshot);
+          ok fn && Option.fold ~none:true ~some:ok !snapshot)
+        ops)
+
 let suite =
   [
     ("types", `Quick, test_types);
@@ -270,4 +349,5 @@ let suite =
     ("eval comparisons", `Quick, test_eval_cmp);
     ("eval unop/intrinsic", `Quick, test_eval_unop_intrinsic);
     ("eval value round trip", `Quick, test_eval_value_round_trip);
+    Mutation.to_alcotest ~seed:2601 prop_kept_preds;
   ]

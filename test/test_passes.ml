@@ -281,6 +281,83 @@ kernel k(int* restrict out, float x, float y) {
   (* foeq false does NOT imply fone true (NaN): both compares survive. *)
   check int "unordered negation NOT folded" 2 (count is_cmp fn)
 
+(* cond-prop extends facts along an edge its source owned when the pass
+   began. Folding bb1's branch leaves bb3 one predecessor, bb0, but the
+   facts of bb0's branch do not reach bb3 in the same run: %5 is decided
+   and %6 is not. *)
+let test_cond_prop_reads_preds_at_entry () =
+  let fn =
+    Parser_ir.parse_func
+      {|
+func @k(%out: i64*, %n: i64) -> void {
+bb0.entry:
+  %2 = special thread_idx
+  %3 = sext.i64 %2
+  %4 = cmp sgt i64 %3, 5:i64
+  condbr %4, bb3, bb1
+bb1:
+  %5 = cmp sgt i64 %3, 5:i64
+  condbr %5, bb3, bb2
+bb2:
+  ret
+bb3:
+  %6 = cmp sgt i64 %3, 5:i64
+  %7 = select i64 %6, 1:i64, 0:i64
+  %8 = gep i64, %out.0[%3]
+  store i64 %7, %8
+  br bb2
+}
+|}
+  in
+  let r = Pass.exec ~options:Pass.unverified [ Cond_prop.pass ] fn in
+  let printed = Printer.func_to_string fn in
+  let compares v = Astring.String.is_infix ~affix:(v ^ " = cmp") printed in
+  check bool "%5 decided" false (compares "%5");
+  check bool "%6 left" true (compares "%6");
+  check (Alcotest.option int) "conds decided" (Some 1)
+    (List.assoc_opt "condprop.conds_decided" r.Pass.stats)
+
+(* A pass that writes a terminator past [Func.set_term] leaves the kept
+   predecessor lists stale. The IR is otherwise valid (bb0's branch now
+   goes one way, bb1 is unreachable and nothing has phis), so only the
+   comparison with a rebuild catches it, at the pass that wrote. *)
+let test_stale_preds_fail_at_the_pass () =
+  let fn =
+    Parser_ir.parse_func
+      {|
+func @k(%out: i64*, %n: i64) -> void {
+bb0.entry:
+  %2 = special thread_idx
+  %3 = sext.i64 %2
+  %4 = cmp sgt i64 %3, 5:i64
+  condbr %4, bb1, bb2
+bb1:
+  %5 = gep i64, %out.0[%3]
+  store i64 1:i64, %5
+  br bb2
+bb2:
+  ret
+}
+|}
+  in
+  let direct =
+    {
+      Pass.name = "direct-term-write";
+      run =
+        (fun f ->
+          (Func.block f f.Func.entry).Block.term <- Instr.Br 2;
+          true);
+    }
+  in
+  match Pass.exec [ direct ] fn with
+  | _ -> Alcotest.fail "stale predecessor lists passed verification"
+  | exception Failure msg ->
+    check bool "names the pass" true
+      (Astring.String.is_prefix ~affix:"after pass direct-term-write:" msg);
+    check bool "names the drift" true (Astring.String.is_infix ~affix:"kept predecessors" msg);
+    (* A copy rebuilds the lists: with them fresh the IR verifies. *)
+    Pass.verify_now (Func.copy fn)
+
 let test_dce_keeps_effects () =
   let fn =
     Ir_helpers.compile_one
@@ -742,7 +819,7 @@ kernel k(int* restrict out, int n) {
 let analyses f =
   let module Loops = Uu_analysis.Loops in
   let dom = Uu_analysis.Dominance.compute f in
-  ( Hashtbl.fold (fun l ps acc -> (l, ps) :: acc) (Cfg.predecessors f) [],
+  ( List.map (fun l -> (l, Cfg.preds_of f l)) (Func.labels f),
     Cfg.reverse_postorder f,
     Value.Label_set.elements (Cfg.reachable f),
     List.map (fun l -> (l, Uu_analysis.Dominance.idom dom l)) (Func.labels f),
@@ -831,6 +908,9 @@ let suite =
     ("cond-prop implication", `Quick, test_cond_prop_implication);
     ("cond-prop negation", `Quick, test_cond_prop_negation);
     ("cond-prop NaN-safe floats", `Quick, test_cond_prop_float_nan_safe);
+    ("cond-prop reads predecessors as the pass found them", `Quick,
+      test_cond_prop_reads_preds_at_entry);
+    ("stale predecessor lists fail at the pass", `Quick, test_stale_preds_fail_at_the_pass);
     ("dce keeps effects", `Quick, test_dce_keeps_effects);
     ("dce removes dead phi cycles", `Quick, test_dce_dead_phi_cycle);
     ("simplify-cfg folds constants", `Quick, test_simplify_cfg_folds);
