@@ -95,7 +95,17 @@ let run_all ?jobs ?sim_jobs ?cache ?engine job_list =
   let cached =
     Array.map (fun k -> Option.bind cache (fun c -> lookup c ~key:k)) keys
   in
-  (* The misses, grouped by compile key in first-appearance order. *)
+  (* The misses, grouped by compile key in first-appearance order, then
+     stably by u&u factor, largest first: those compiles are the long
+     jobs, so they start before the short ones instead of ending the
+     batch. *)
+  let uu_factor members =
+    match arr.(List.hd members).request.config with
+    | Uu_core.Pipelines.Uu u -> u
+    | Baseline | Unroll _ | Unmerge | Uu_heuristic | Uu_heuristic_divergence
+    | Uu_selective _ ->
+      0
+  in
   let groups =
     let by_key = Hashtbl.create 64 in
     let order = ref [] in
@@ -110,6 +120,7 @@ let run_all ?jobs ?sim_jobs ?cache ?engine job_list =
             order := ck :: !order)
       arr;
     List.rev_map (fun ck -> List.rev (Hashtbl.find by_key ck)) !order
+    |> List.stable_sort (fun a b -> compare (uu_factor b) (uu_factor a))
   in
   let sim_jobs =
     match sim_jobs with

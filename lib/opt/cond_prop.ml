@@ -223,7 +223,9 @@ let run f =
             match Hashtbl.find_opt defs x with
             | Some def -> (
               match Instr.def_ty def with
-              | Some (_, Types.I1) -> Value.i1 b
+              | Some (_, Types.I1) ->
+                changed := true;
+                Value.i1 b
               | Some _ | None -> v)
             | None -> v)
           | None -> v)

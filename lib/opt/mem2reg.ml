@@ -41,9 +41,9 @@ let promotable_allocas f =
   allocas
 
 let run f =
-  ignore (Cfg.remove_unreachable f);
+  let pruned = Cfg.remove_unreachable f in
   let slots = promotable_allocas f in
-  if Hashtbl.length slots = 0 then false
+  if Hashtbl.length slots = 0 then pruned
   else begin
     let dom = Dominance.compute f in
     let frontier = Dominance.frontier dom f in
@@ -65,8 +65,11 @@ let run f =
             | _ -> ())
           b.Block.instrs)
       f;
-    (* Phi placement at iterated dominance frontiers. *)
-    let phi_for : (Value.label * Value.var, Value.var) Hashtbl.t = Hashtbl.create 17 in
+    (* Phi placement at iterated dominance frontiers. Placed phis are
+       appended to their block's phi list; [slot_of_phi] maps each to
+       its slot, so renaming reads only a block's own phis and its
+       successors'. *)
+    let slot_of_phi : (Value.var, Value.var) Hashtbl.t = Hashtbl.create 17 in
     Hashtbl.iter
       (fun a slot ->
         let placed = Hashtbl.create 7 in
@@ -92,7 +95,7 @@ let run f =
                     match Func.var_hint f a with Some h -> Some h | None -> None
                   in
                   let dst = Func.fresh_var ?hint f in
-                  Hashtbl.replace phi_for (d, a) dst;
+                  Hashtbl.replace slot_of_phi dst a;
                   let b = Func.block f d in
                   b.Block.phis <-
                     b.Block.phis @ [ { Instr.dst; ty = slot.ty; incoming = [] } ];
@@ -109,10 +112,12 @@ let run f =
       let b = Func.block f blk in
       (* Phis placed for slots define new current values. *)
       let env =
-        Hashtbl.fold
-          (fun (d, a) dst acc ->
-            if d = blk then Value.Var_map.add a (Value.Var dst) acc else acc)
-          phi_for env
+        List.fold_left
+          (fun acc (p : Instr.phi) ->
+            match Hashtbl.find_opt slot_of_phi p.dst with
+            | Some a -> Value.Var_map.add a (Value.Var p.dst) acc
+            | None -> acc)
+          env b.Block.phis
       in
       let env = ref env in
       let rewritten =
@@ -138,26 +143,22 @@ let run f =
       in
       b.Block.instrs <- rewritten;
       (* Fill successor phi incomings for slot phis. *)
+      let fill (p : Instr.phi) =
+        match Hashtbl.find_opt slot_of_phi p.dst with
+        | Some a ->
+          let v =
+            match Value.Var_map.find_opt a !env with
+            | Some v -> v
+            | None -> Value.Undef (Hashtbl.find slots a).ty
+          in
+          { p with incoming = p.incoming @ [ (blk, v) ] }
+        | None -> p
+      in
       List.iter
         (fun s ->
-          Hashtbl.iter
-            (fun (d, a) dst ->
-              if d = s then begin
-                let v =
-                  match Value.Var_map.find_opt a !env with
-                  | Some v -> v
-                  | None -> Value.Undef (Hashtbl.find slots a).ty
-                in
-                let sb = Func.block f s in
-                sb.Block.phis <-
-                  List.map
-                    (fun (p : Instr.phi) ->
-                      if p.dst = dst then
-                        { p with incoming = p.incoming @ [ (blk, v) ] }
-                      else p)
-                    sb.Block.phis
-              end)
-            phi_for)
+          match Func.find_block f s with
+          | Some sb -> sb.Block.phis <- List.map fill sb.Block.phis
+          | None -> ())
         (Block.successors b);
       List.iter (fun child -> rename child !env) (Dominance.children dom blk)
     in

@@ -2,12 +2,24 @@
 
     A pass is a named function-level transform reporting whether it
     changed anything. That report must be honest: the manager verifies
-    only after a pass that reports a change, and {!fixpoint} skips a pass
-    that reported none until another pass changes the IR. The manager
-    runs a pipeline, counts the work of every pass (the basis of the
-    paper's compile-time measurements, Fig. 6c), and — unless
-    disabled — verifies structural, type, and SSA-dominance well-formedness
-    after each changing pass, failing fast on the first broken invariant.
+    only after a pass that reports a change, and skips a pass that
+    reported none until another pass reports one. The manager runs a
+    pipeline, counts the work of every pass (the basis of the paper's
+    compile-time measurements, Fig. 6c), and — unless disabled —
+    verifies structural, type, and SSA-dominance well-formedness after
+    each changing pass, failing fast on the first broken invariant.
+
+    The clean rule: within one {!exec}, a pass whose last run reported
+    no change is skipped until any pass reports a change. Passes are
+    deterministic, so the rerun could only report no change again, and
+    the IR, counters and remarks are those of the unskipped pipeline.
+    Passes are told apart by physical identity ([==]): one value, such
+    as simplify-cfg, recurs across the pipeline and inside every
+    {!fixpoint}. Only leaf reports count as changes: a {!fixpoint} that
+    reports the change its sub-passes made leaves clean the sub-passes
+    that ran clean after it, so a later run of one of them is skipped
+    too. A nested {!exec} keeps its own rule and leaves the outer one as
+    it was, also when it raises.
 
     Analyses: predecessors are kept by the function itself, current
     after every CFG write, and the verifier compares them with a fresh
@@ -43,7 +55,7 @@ type t = { name : string; run : Func.t -> bool }
 type report = {
   work : int;
       (** deterministic compile-cost metric: instructions walked, summed
-          over executed passes. Unlike wall-clock time it is identical
+          over the pipeline's elements, skipped ones included. Unlike wall-clock time it is identical
           across machines, domains, and reruns — the harness's
           compile-time ratios (Fig. 6c) are computed from it so parallel
           and serial sweeps agree bit for bit *)
@@ -71,15 +83,17 @@ val unverified : options
 
 val exec : ?options:options -> t list -> Func.t -> report
 (** Run the pipeline once, in order, under the given options (default
-    {!default_options}). *)
+    {!default_options}) and the clean rule. [work] adds the function's
+    instruction count after every element, run or skipped. *)
 
 val fixpoint : ?max_rounds:int -> string -> t list -> t
 (** A pass that repeats the given sub-pipeline until no sub-pass changes
-    anything (or [max_rounds], default 8, is hit). Within one run, a
-    sub-pass that reported no change is not run again until another
-    sub-pass reports one: passes are deterministic, so the rerun could
-    only report no change again. Verification and [work] happen at the
-    granularity of the combined pass. *)
+    anything (or [max_rounds], default 8, is hit). Its sub-passes follow
+    the enclosing {!exec}'s clean rule, so one that reported no change,
+    here or earlier in the pipeline, is not run again until a pass
+    reports one; run outside any {!exec}, the rule covers the one run.
+    Verification and [work] happen at the granularity of the combined
+    pass. *)
 
 val verify_now : Func.t -> unit
 (** The checks the manager runs between passes.

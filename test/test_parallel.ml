@@ -180,6 +180,34 @@ let test_one_compile_per_key () =
     (fun t a -> check string "bytes as when run alone" (bytes a) (bytes t))
     together alone
 
+(* The batch hands its compile groups to the pool u&u-8 first, then
+   u&u-4, then the rest in first-appearance order; results still come
+   back in input order, with the bytes each job gets alone. *)
+let test_uu_compiles_first () =
+  let compiled = ref [] in
+  let job config =
+    let compile () =
+      compiled := Pipelines.config_to_string config :: !compiled;
+      match Runner.compile_request (Jobs.job stencil Pipelines.Baseline).Jobs.request with
+      | Ok c -> Runner.make_compiled (Runner.modul c)
+      | Error msg -> failwith msg
+    in
+    Jobs.custom ~name:"ordered" ~compile stencil config
+  in
+  let jobs = List.map job Pipelines.[ Baseline; Uu 4; Unroll 2; Uu 8 ] in
+  let bytes (r : Jobs.result) =
+    match r.Jobs.outcome with
+    | Ok ok -> Response.to_string (Ok ok)
+    | Error f -> Alcotest.fail f.Jobs.message
+  in
+  let together = Jobs.run_all ~jobs:1 jobs in
+  check (Alcotest.list string) "compile order" [ "u&u-8"; "u&u-4"; "baseline"; "unroll-2" ]
+    (List.rev !compiled);
+  let alone = List.map (fun j -> List.hd (Jobs.run_all [ j ])) jobs in
+  List.iter2
+    (fun t a -> check string "input order, bytes as when run alone" (bytes a) (bytes t))
+    together alone
+
 let entry_path cache key =
   Filename.concat
     (Filename.concat (Result_cache.dir cache) (String.sub key 0 2))
@@ -349,6 +377,7 @@ let suite =
     ("job keys", `Quick, test_job_keys);
     ("failure record", `Quick, test_failure_record);
     ("one compile per compile key", `Quick, test_one_compile_per_key);
+    ("u&u compiles dispatch first", `Quick, test_uu_compiles_first);
     ("cache round-trip", `Quick, test_cache_round_trip);
     ("cache entries are validated", `Quick, test_cache_entries_validated);
     ("parallel sweep = serial sweep", `Slow, test_sweep_parallel_equals_serial);

@@ -358,6 +358,104 @@ bb2:
     (* A copy rebuilds the lists: with them fresh the IR verifies. *)
     Pass.verify_now (Func.copy fn)
 
+(* cond-prop rewrites a use of a branch condition its block is known
+   to be under (%4 in bb1) to the constant, and must report that as a
+   change: the verifier and the clean rule both rest on the report. *)
+let bool_use_ir =
+  {|
+func @k(%out: i64*, %n: i64) -> void {
+bb0.entry:
+  %2 = special thread_idx
+  %3 = sext.i64 %2
+  %4 = cmp sgt i64 %3, 5:i64
+  condbr %4, bb1, bb2
+bb1:
+  %5 = select i64 %4, 1:i64, 0:i64
+  %6 = gep i64, %out.0[%3]
+  store i64 %5, %6
+  br bb2
+bb2:
+  ret
+}
+|}
+
+let test_cond_prop_reports_bool_uses () =
+  let fn = Parser_ir.parse_func bool_use_ir in
+  let r = Pass.exec ~options:Pass.unverified [ Cond_prop.pass ] fn in
+  check bool "use rewritten" true
+    (Astring.String.is_infix ~affix:"%5 = select i64 true" (Printer.func_to_string fn));
+  check bool "reported as a change" true r.Pass.changed
+
+(* A pass that counts its runs and reports a change on the runs
+   [changes] accepts (numbered from 1). *)
+let counting name ~changes =
+  let runs = ref 0 in
+  let run _ =
+    incr runs;
+    changes !runs
+  in
+  ({ Pass.name; run }, runs)
+
+let straight_line () =
+  Parser_ir.parse_func
+    {|
+func @k(%out: i64*) -> void {
+bb0.entry:
+  %1 = special thread_idx
+  ret
+}
+|}
+
+(* Within one [Pass.exec], a pass that reported no change is skipped
+   until some pass reports one, a fixpoint's sub-passes included. *)
+let test_clean_rule () =
+  let b, b_runs = counting "b" ~changes:(fun _ -> false) in
+  ignore (Pass.exec [ b; b ] (straight_line ()));
+  check int "no change between: runs once" 1 !b_runs;
+  let a, _ = counting "a" ~changes:(fun _ -> true) in
+  b_runs := 0;
+  ignore (Pass.exec [ b; a; b ] (straight_line ()));
+  check int "a change between: runs twice" 2 !b_runs;
+  let once, once_runs = counting "once" ~changes:(fun n -> n = 1) in
+  b_runs := 0;
+  let fn = straight_line () in
+  let r = Pass.exec [ Pass.fixpoint "fx" [ once; b ]; b ] fn in
+  check int "the fixpoint's sub-pass runs twice" 2 !once_runs;
+  check int "the trailing b is skipped" 1 !b_runs;
+  check int "work counts every element" (2 * Func.instr_count fn) r.Pass.work;
+  b_runs := 0;
+  let r = Pass.exec [ b; b; b ] fn in
+  check int "skipped elements count in work" (3 * Func.instr_count fn) r.Pass.work;
+  let nested = { Pass.name = "nested"; run = (fun f -> (Pass.exec [ b ] f).Pass.changed) } in
+  b_runs := 0;
+  ignore (Pass.exec [ b; nested; b ] fn);
+  check int "a nested exec keeps its own rule" 2 !b_runs
+
+(* The rule's state belongs to one [Pass.exec], so a verification
+   failure does not carry it into the next run. *)
+let test_clean_rule_after_failure () =
+  let b, b_runs = counting "b" ~changes:(fun _ -> false) in
+  let breaks = ref 0 in
+  let breaker =
+    {
+      Pass.name = "breaker";
+      run =
+        (fun f ->
+          incr breaks;
+          if !breaks = 1 then (Func.block f f.Func.entry).Block.term <- Instr.Br f.Func.entry;
+          !breaks = 1);
+    }
+  in
+  let fn = straight_line () in
+  (match Pass.exec [ Pass.fixpoint "fx" [ b; breaker ] ] fn with
+  | _ -> Alcotest.fail "stale predecessor lists passed verification"
+  | exception Failure _ -> ());
+  check int "b ran in both rounds" 2 !b_runs;
+  ignore ((Pass.fixpoint "again" [ b ]).Pass.run (straight_line ()));
+  check int "a fixpoint outside any exec runs b" 3 !b_runs;
+  ignore (Pass.exec [ b ] (straight_line ()));
+  check int "the next exec runs b" 4 !b_runs
+
 let test_dce_keeps_effects () =
   let fn =
     Ir_helpers.compile_one
@@ -829,6 +927,33 @@ let analyses f =
           (l.exits, l.parent, l.children, l.depth) ))
       (Loops.loops (Loops.analyze f)) )
 
+(* No slot to promote, but mem2reg still deletes the unreachable bb1
+   first, which it must report. *)
+let unreachable_block_ir =
+  {|
+func @k(%out: i64*) -> void {
+bb0.entry:
+  br bb2
+bb1:
+  br bb2
+bb2:
+  ret
+}
+|}
+
+(* The IR a pass that reports no change must leave as it found: labels,
+   blocks (phis, instructions, terminator, hint), kept predecessor lists
+   and the fresh-id counters. Compared structurally, not printed. *)
+let same_ir f g =
+  let labels = Func.labels f in
+  labels = Func.labels g
+  && List.for_all
+       (fun l ->
+         compare (Func.block f l) (Func.block g l) = 0 && Cfg.preds_of f l = Cfg.preds_of g l)
+       labels
+  && f.Func.next_var = g.Func.next_var
+  && f.Func.next_label = g.Func.next_label
+
 let test_analysis_cache_coherent () =
   let checker where =
     {
@@ -845,18 +970,23 @@ let test_analysis_cache_coherent () =
     [ Simplify_cfg.pass; Cond_prop.pass; Instcombine.pass; Gvn.pass; Sccp.pass;
       Dce.pass; Licm.pass; If_convert.pass; Dce.dead_load_pass ]
   in
+  (* The clean rule trusts a no-change report, so each one is checked
+     against a copy taken before the run. *)
+  let honest where exec f =
+    let before = Func.copy f in
+    if not (exec f).Pass.changed && not (same_ir f before) then
+      Alcotest.failf "%s: reported no change but changed @%s" where f.Func.name
+  in
   let run_elements what f elements =
     List.iter
       (fun (p : Pass.t) ->
         let where = what ^ " after " ^ p.Pass.name in
-        ignore (Pass.exec [ p; checker where ] f);
+        honest where (Pass.exec [ p; checker where ]) f;
         let g = Func.copy f in
         List.iter
           (fun (q : Pass.t) ->
-            ignore
-              (Pass.exec ~options:Pass.unverified
-                 [ q; checker (where ^ ", then " ^ q.Pass.name) ]
-                 g))
+            let where = where ^ ", then " ^ q.Pass.name in
+            honest where (Pass.exec ~options:Pass.unverified [ q; checker where ]) g)
           probes)
       elements
   in
@@ -888,7 +1018,12 @@ let test_analysis_cache_coherent () =
           ("heuristic", Uu_core.Pipelines.Uu_heuristic, false);
           ("u&u-4 loop 0", Uu_core.Pipelines.Uu 4, true);
         ])
-    Uu_benchmarks.Registry.all
+    Uu_benchmarks.Registry.all;
+  List.iter
+    (fun (what, ir) ->
+      run_elements what (Parser_ir.parse_func ir)
+        (Uu_core.Pipelines.pipeline Uu_core.Pipelines.Baseline))
+    [ ("bool-use IR", bool_use_ir); ("unreachable-block IR", unreachable_block_ir) ]
 
 let suite =
   [
@@ -911,6 +1046,9 @@ let suite =
     ("cond-prop reads predecessors as the pass found them", `Quick,
       test_cond_prop_reads_preds_at_entry);
     ("stale predecessor lists fail at the pass", `Quick, test_stale_preds_fail_at_the_pass);
+    ("cond-prop reports boolean-use rewrites", `Quick, test_cond_prop_reports_bool_uses);
+    ("clean rule skips passes that changed nothing", `Quick, test_clean_rule);
+    ("clean rule state ends with its exec", `Quick, test_clean_rule_after_failure);
     ("dce keeps effects", `Quick, test_dce_keeps_effects);
     ("dce removes dead phi cycles", `Quick, test_dce_dead_phi_cycle);
     ("simplify-cfg folds constants", `Quick, test_simplify_cfg_folds);
