@@ -62,9 +62,10 @@ let config_arg =
     & info [ "c"; "config" ] ~docv:"CONFIG"
         ~doc:
           "Pipeline configuration: baseline, unroll, unmerge, uu, uu-selective, \
-           heuristic (default; the paper's evaluated configuration), heuristic-div. \
-           Factor-carrying names also accept an inline suffix (uu-4, unroll:8), \
-           overriding $(b,--factor)")
+           heuristic (default; the paper's evaluated configuration), heuristic-div, \
+           and the ablations unmerge-then-unroll and dbds. Factor-carrying names also \
+           accept an inline suffix (uu-4, unroll:8), overriding $(b,--factor). The \
+           heuristics pick their own loops and refuse $(b,--loop)")
 
 let factor_arg =
   Arg.(value & opt int 2 & info [ "u"; "factor" ] ~docv:"N" ~doc:"Unroll factor for unroll/uu")
@@ -163,7 +164,11 @@ let compile_module source config_name factor loop =
       (source_of_spec source)
       (parse_config config_name factor)
   in
-  match Uu_harness.Runner.compile_request request with
+  let compiled =
+    Result.bind (Uu_serve.Request.check request) (fun () ->
+        Uu_harness.Runner.compile_request request)
+  in
+  match compiled with
   | Ok c -> Uu_harness.Runner.modul c
   | Error msg -> failwith msg
 

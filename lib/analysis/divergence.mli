@@ -16,14 +16,8 @@ type t
 
 val analyze : Func.t -> t
 
-val is_divergent : t -> Value.var -> bool
-
 val value_divergent : t -> Value.t -> bool
 (** Constants are uniform. *)
-
-val branch_divergent : t -> Func.t -> Value.label -> bool
-(** May the block's terminator make threads of a warp take different
-    paths? True only for [Cond_br] on a divergent condition. *)
 
 val loop_has_divergent_branch : t -> Func.t -> Loops.loop -> bool
 (** Does any block of the loop end in a possibly-divergent branch? Used by

@@ -9,6 +9,8 @@ type config =
   | Uu_heuristic
   | Uu_heuristic_divergence
   | Uu_selective of int
+  | Unmerge_then_unroll of int
+  | Dbds
 
 (* Bumped whenever the pipeline's behaviour changes in a way that
    invalidates previously measured results; part of every result-cache
@@ -23,6 +25,8 @@ let config_name = function
   | Uu_heuristic -> "u&u-heuristic"
   | Uu_heuristic_divergence -> "u&u-heuristic+div"
   | Uu_selective u -> Printf.sprintf "u&u-selective-%d" u
+  | Unmerge_then_unroll u -> Printf.sprintf "unmerge-then-unroll-%d" u
+  | Dbds -> "dbds"
 
 let config_to_string = config_name
 
@@ -51,6 +55,7 @@ let config_of_string ?(default_factor = 2) s =
   match s with
   | "baseline" -> Ok Baseline
   | "unmerge" -> Ok Unmerge
+  | "dbds" -> Ok Dbds
   | "heuristic" | "u&u-heuristic" | "uu-heuristic" -> Ok Uu_heuristic
   | "heuristic-div" | "u&u-heuristic+div" | "uu-heuristic-div" ->
     Ok Uu_heuristic_divergence
@@ -59,6 +64,7 @@ let config_of_string ?(default_factor = 2) s =
     match
       first_some
         [
+          ("unmerge-then-unroll", fun u -> Unmerge_then_unroll u);
           ("u&u-selective", fun u -> Uu_selective u);
           ("uu-selective", fun u -> Uu_selective u);
           ("unroll", fun u -> Unroll u);
@@ -70,7 +76,7 @@ let config_of_string ?(default_factor = 2) s =
     | None ->
       Error
         (Printf.sprintf
-           "unknown config %s (expected baseline|unroll[-N]|unmerge|uu[-N]|uu-selective[-N]|heuristic|heuristic-div)"
+           "unknown config %s (expected baseline|unroll[-N]|unmerge|uu[-N]|uu-selective[-N]|heuristic|heuristic-div|unmerge-then-unroll[-N]|dbds)"
            s))
 
 let all_standard =
@@ -86,56 +92,56 @@ let early = [ Mem2reg.pass; Instcombine.pass; Simplify_cfg.pass; Dce.pass ]
 let early_passes = early
 
 (* The structural transform under evaluation, inserted early in the
-   pipeline to maximize subsequent optimization (SIV-B). *)
-let uu_all_pass ?(selective = false) ~factor () =
-  {
-    Pass.name = (if factor = 1 then "unmerge-all" else Printf.sprintf "uu-all-x%d" factor);
-    run =
-      (fun f ->
-        let forest = Uu_analysis.Loops.analyze f in
-        List.fold_left
-          (fun changed (l : Uu_analysis.Loops.loop) ->
-            let o = Uu.uu_loop ~selective f ~header:l.header ~factor in
-            o.Uu.edited || changed)
-          false
-          (Uu_analysis.Loops.innermost_first forest));
-  }
-
+   pipeline to maximize subsequent optimization (SIV-B). The heuristics
+   pick their own loops; every other configuration is one step applied
+   to each target header in turn, innermost first for [All_loops]. A
+   step reports whether it edited the function, and tags a loop it
+   transformed [Pragma_nounroll] so baseline full unrolling leaves it
+   alone ([Uu.uu_loop] tags its own). *)
 let transform ~targets config =
+  let tag f header = Hashtbl.replace f.Func.pragmas header Func.Pragma_nounroll in
+  let budget = Uu.default_block_budget in
+  let per_loop step =
+    let run f =
+      let headers =
+        match targets with
+        | Only hs -> hs
+        | All_loops ->
+          List.map
+            (fun (l : Uu_analysis.Loops.loop) -> l.header)
+            (Uu_analysis.Loops.innermost_first (Uu_analysis.Loops.analyze f))
+      in
+      List.fold_left (fun changed header -> step f header || changed) false headers
+    in
+    match targets with
+    | Only [] -> []
+    | All_loops | Only _ -> [ { Pass.name = config_name config; run } ]
+  in
   match config with
   | Baseline -> []
-  | Unroll u -> (
-    match targets with
-    | All_loops -> [ Unroll.unroll_only_pass ~factor:u ~headers:[] ]
-    | Only [] -> []
-    | Only hs -> [ Unroll.unroll_only_pass ~factor:u ~headers:hs ])
-  | Unmerge -> (
-    match targets with
-    | All_loops -> [ uu_all_pass ~factor:1 () ]
-    | Only [] -> []
-    | Only hs -> [ Uu.uu_pass ~headers:(List.map (fun h -> (h, 1)) hs) () ])
-  | Uu u -> (
-    match targets with
-    | All_loops -> [ uu_all_pass ~factor:u () ]
-    | Only [] -> []
-    | Only hs -> [ Uu.uu_pass ~headers:(List.map (fun h -> (h, u)) hs) () ])
-  | Uu_selective u -> (
-    match targets with
-    | All_loops -> [ uu_all_pass ~selective:true ~factor:u () ]
-    | Only [] -> []
-    | Only hs ->
-      [ { Pass.name = Printf.sprintf "uu-selective-x%d" u;
-          run =
-            (fun f ->
-              List.fold_left
-                (fun changed h ->
-                  let o = Uu.uu_loop ~selective:true f ~header:h ~factor:u in
-                  o.Uu.edited || changed)
-                false hs);
-        } ])
   | Uu_heuristic -> [ Uu.heuristic_pass Uu.default_params ]
   | Uu_heuristic_divergence ->
     [ Uu.heuristic_pass { Uu.default_params with Uu.avoid_divergent = true } ]
+  | Unroll u ->
+    per_loop (fun f header ->
+        let o = Unroll.unroll_loop f ~header ~factor:u in
+        if o.Unroll.unrolled then tag f header;
+        o.Unroll.edited)
+  | Unmerge -> per_loop (fun f header -> (Uu.uu_loop f ~header ~factor:1).Uu.edited)
+  | Uu u -> per_loop (fun f header -> (Uu.uu_loop f ~header ~factor:u).Uu.edited)
+  | Uu_selective u ->
+    per_loop (fun f header -> (Uu.uu_loop ~selective:true f ~header ~factor:u).Uu.edited)
+  | Unmerge_then_unroll u ->
+    per_loop (fun f header ->
+        let um = Unmerge.unmerge_loop f ~header ~budget in
+        let ur = Unroll.unroll_loop f ~header ~factor:u in
+        if um.Unmerge.changed || ur.Unroll.unrolled then tag f header;
+        um.Unmerge.edited || ur.Unroll.edited)
+  | Dbds ->
+    per_loop (fun f header ->
+        let o = Unmerge.dbds_unmerge_loop f ~header ~budget in
+        if o.Unmerge.changed then tag f header;
+        o.Unmerge.edited)
 
 (* Late phase: the "subsequent optimizations" the transform enables, then
    baseline unrolling and backend-style predication, then final cleanup. *)

@@ -14,9 +14,13 @@
     - [Uu_heuristic_divergence] — the paper's proposed future-work
       extension: the heuristic plus thread-id divergence avoidance (§V).
 
-    [target_headers] restricts the transform to specific loops — the
-    paper applies its pass "to one loop at a time to precisely measure the
-    effect" (§IV-B); the empty list means all eligible loops. *)
+    Three more configurations serve the ablations of DESIGN.md: the
+    selective variant, the reversed order (unmerge, then unroll) and
+    DBDS-style one-level duplication (§II-d).
+
+    [targets] restricts the transform to specific loops — the paper
+    applies its pass "to one loop at a time to precisely measure the
+    effect" (§IV-B). *)
 
 open Uu_ir
 
@@ -30,6 +34,12 @@ type config =
   | Uu_selective of int
       (** extension (SVI future work): u&u duplicating only phi-carrying
           merges *)
+  | Unmerge_then_unroll of int
+      (** ablation: unmerge the loop first, then unroll it with the
+          given factor — the reverse of the paper's order (§III-A) *)
+  | Dbds
+      (** ablation: duplicate each merge of the loop body one level
+          only, as dominance-based duplication simulation does (§II-d) *)
 
 val version : string
 (** Pipeline-behaviour version; bump when a change invalidates previously
@@ -39,7 +49,8 @@ val config_name : config -> string
 
 val config_to_string : config -> string
 (** Canonical, round-trippable spelling; identical to {!config_name}
-    (e.g. ["u&u-4"], ["baseline"], ["u&u-heuristic+div"]). *)
+    (e.g. ["u&u-4"], ["baseline"], ["u&u-heuristic+div"],
+    ["unmerge-then-unroll-2"], ["dbds"]). *)
 
 val config_of_string : ?default_factor:int -> string -> (config, string) result
 (** Inverse of {!config_to_string}; also accepts the CLI aliases
@@ -50,7 +61,7 @@ val config_of_string : ?default_factor:int -> string -> (config, string) result
 
 val all_standard : config list
 (** The five configurations evaluated in the paper, with unroll factors
-    2, 4, 8 for [Unroll] and [Uu]. *)
+    2, 4, 8 for [Unroll] and [Uu]; no extension or ablation. *)
 
 type targets =
   | All_loops                     (** transform every eligible loop *)
@@ -63,7 +74,12 @@ val pipeline : ?targets:targets -> config -> Uu_opt.Pass.t list
 
 val transform : targets:targets -> config -> Uu_opt.Pass.t list
 (** The configuration's structural transform alone: the part of
-    {!pipeline} between {!early_passes} and the late cleanup. *)
+    {!pipeline} between {!early_passes} and the late cleanup. Empty for
+    [Baseline] and for [Only []]. The heuristics pick their own loops
+    and ignore [targets]; every other configuration is one pass that
+    applies its per-loop step to each target header, innermost first
+    for [All_loops], and tags each loop the step transformed
+    [Pragma_nounroll]. *)
 
 val optimize :
   ?targets:targets ->

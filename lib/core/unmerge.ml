@@ -418,6 +418,13 @@ let execute f steps =
         remove_loop f loop)
     steps
 
+(* Duplicate every multi-predecessor non-header block of [region] until
+   none remains, treating blocks created by duplication as part of the
+   region, unless the budget (in created blocks) runs out first. A
+   nested loop entered from several predecessors is duplicated whole.
+   On exhaustion nothing is copied: the function is left untouched and
+   [changed] is false, while [duplicated_blocks], the statistics and the
+   [missed] remark report what the plan counted. *)
 let unmerge_region ?(selective = false) f ~region ~budget =
   let p = plan ~selective f ~region ~budget in
   let changed = p.steps <> [] && not p.exhausted in
@@ -442,14 +449,23 @@ let unmerge_region ?(selective = false) f ~region ~budget =
 
 let untouched = { changed = false; edited = false; duplicated_blocks = 0; budget_exhausted = false }
 
-(* The loop body minus its header, and whether canonicalizing edited. *)
+(* The loop body minus its header, and whether canonicalizing edited.
+   A loop with a convergent operation gets an empty region: a copy of a
+   block holding a barrier would let the lanes of one warp reach
+   different barriers (SIII-C). *)
 let loop_region f ~header =
   (* Canonicalize first: unmerging duplicates exit paths, so values that
      escape the loop must already flow through LCSSA phis in dedicated
      exit blocks. *)
   match Uu_opt.Loop_utils.canonicalize f header with
   | Some { Uu_opt.Loop_utils.loop; edited; _ } ->
-    Some (Value.Label_set.remove header loop.blocks, edited)
+    if Loops.contains_convergent f loop then begin
+      Remark.missed ~pass:"unmerge" ~func:f.Func.name ~block:header
+        "loop contains a convergent operation (syncthreads); unmerging would \
+         break reconvergence";
+      Some (Value.Label_set.empty, edited)
+    end
+    else Some (Value.Label_set.remove header loop.blocks, edited)
   | None -> None
 
 let unmerge_loop ?selective f ~header ~budget =
@@ -547,6 +563,7 @@ let dbds_unmerge_loop f ~header ~budget =
           changed := true
         end)
       initial_merges;
+    if !created > 0 then Statistic.incr ~by:!created stat_paths;
     {
       changed = !changed;
       edited = !changed || canonicalized;

@@ -11,7 +11,8 @@
     Loop headers (of the target loop and of any nested loop) are never
     duplicated: duplicating a header would unroll the loop instead, and
     keeping headers intact guarantees termination (the rest of the region
-    is acyclic).
+    is acyclic). A loop containing a convergent operation ([syncthreads])
+    is left as canonicalizing left it, as u&u leaves it (§III-C).
 
     Unmerging plans before it copies: the rounds that pick which merges
     and nested loops to duplicate run on the region's original blocks,
@@ -38,21 +39,17 @@ type outcome = {
   budget_exhausted : bool;  (** the paper's "compilation timed out" analogue *)
 }
 
-val unmerge_region :
-  ?selective:bool -> Func.t -> region:Value.Label_set.t -> budget:int -> outcome
-(** Duplicate every multi-predecessor non-header block of [region] until
-    none remains, treating blocks created by duplication as part of the
-    region, unless the budget (in created blocks) runs out first. A
-    nested loop entered from several predecessors is duplicated whole.
-    On exhaustion nothing is copied: the function is left untouched and
-    [changed] is false, while [duplicated_blocks], the statistics and the
-    [missed] remark report what the plan counted. *)
-
 val unmerge_loop :
   ?selective:bool -> Func.t -> header:Value.label -> budget:int -> outcome
 (** Unmerge the body of the loop with the given header (the paper's
-    [unmerge] configuration — u&u with unroll factor 1). On exhaustion
-    the function is exactly as canonicalizing the loop left it. [selective]
+    [unmerge] configuration — u&u with unroll factor 1): duplicate every
+    merge of the body except loop headers, cascading into the copies,
+    until none remains or the budget (in created blocks) runs out. A
+    nested loop entered from several predecessors is duplicated whole.
+    On exhaustion nothing is copied: the function is exactly as
+    canonicalizing the loop left it, while [duplicated_blocks], the
+    [unmerge.paths_duplicated] statistic and the [missed] remark report
+    what the plan counted. [selective]
     implements the paper's proposed future-work refinement (SVI): only
     merge blocks carrying phis — the ones whose duplication can expose
     value-flow to later passes — are duplicated, trading optimization
@@ -64,4 +61,5 @@ val dbds_unmerge_loop : Func.t -> header:Value.label -> budget:int -> outcome
     §II-d) — the less aggressive prior technique the paper contrasts
     with. Restricted to merges whose definitions do not escape past their
     successors' phis (one-level duplication cannot repair downstream
-    references once the original is removed). *)
+    references once the original is removed). The blocks it creates
+    count in [unmerge.paths_duplicated], as unmerging's do. *)

@@ -188,22 +188,12 @@ let plan_heuristic f params =
       end)
     (Loops.innermost_first forest)
 
-let uu_pass ?budget ~headers () =
-  let run f =
-    List.fold_left
-      (fun changed (header, factor) ->
-        let o = uu_loop ?budget f ~header ~factor in
-        o.edited || changed)
-      false headers
-  in
-  { Uu_opt.Pass.name = "unroll-and-unmerge"; run }
-
-let heuristic_pass ?budget params =
+let heuristic_pass params =
   let run f =
     let plan = plan_heuristic f params in
     List.fold_left
       (fun changed (header, factor) ->
-        let o = uu_loop ?budget f ~header ~factor in
+        let o = uu_loop f ~header ~factor in
         o.edited || changed)
       false plan
   in

@@ -61,10 +61,7 @@ val default_params : heuristic_params
 (** [c = 1024], [u_max = 8], [avoid_divergent = false] — the paper's
     evaluated configuration. *)
 
-val uu_pass : ?budget:int -> headers:(Value.label * int) list -> unit -> Uu_opt.Pass.t
-(** Fixed-assignment u&u: apply the given (header, factor) pairs. *)
-
-val heuristic_pass : ?budget:int -> heuristic_params -> Uu_opt.Pass.t
+val heuristic_pass : heuristic_params -> Uu_opt.Pass.t
 
 val plan_heuristic : Func.t -> heuristic_params -> (Value.label * int) list
 (** The (header, factor) choices the heuristic would make, without

@@ -53,15 +53,3 @@ type param = { p_ty : ty; p_name : string; p_const : bool; p_restrict : bool }
 type kernel = { k_name : string; k_params : param list; k_body : stmt list }
 
 type program = kernel list
-
-let rec pp_ty ppf = function
-  | Tint -> Format.pp_print_string ppf "int"
-  | Tfloat -> Format.pp_print_string ppf "float"
-  | Tbool -> Format.pp_print_string ppf "bool"
-  | Tptr t -> Format.fprintf ppf "%a*" pp_ty t
-
-let rec ty_equal a b =
-  match a, b with
-  | Tint, Tint | Tfloat, Tfloat | Tbool, Tbool -> true
-  | Tptr x, Tptr y -> ty_equal x y
-  | (Tint | Tfloat | Tbool | Tptr _), _ -> false

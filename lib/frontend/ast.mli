@@ -62,6 +62,3 @@ type param = { p_ty : ty; p_name : string; p_const : bool; p_restrict : bool }
 type kernel = { k_name : string; k_params : param list; k_body : stmt list }
 
 type program = kernel list
-
-val pp_ty : Format.formatter -> ty -> unit
-val ty_equal : ty -> ty -> bool

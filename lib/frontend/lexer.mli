@@ -15,5 +15,3 @@ exception Error of string * Ast.pos
 
 val tokenize : string -> t list
 (** @raise Error on an invalid character or malformed literal. *)
-
-val keywords : string list

@@ -15,7 +15,6 @@
 exception Error of string * Ast.pos
 
 val lower_kernel : Ast.kernel -> Uu_ir.Func.t
-val lower_program : name:string -> Ast.program -> Uu_ir.Func.modul
 
 val compile : name:string -> string -> Uu_ir.Func.modul
 (** Parse and lower a source string.

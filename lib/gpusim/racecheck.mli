@@ -92,12 +92,6 @@ val writes : t -> int
 val cells : t -> int
 (** Distinct global (buffer, offset) cells plain-written. *)
 
-val atomic_updates : t -> int
-(** Total global atomic updates recorded (lane grain). *)
-
-val atomic_cells : t -> int
-(** Distinct global (buffer, offset) cells atomically updated. *)
-
 val shared_accesses : t -> int
 (** Total shared accesses recorded (lane grain: reads, writes and
     atomic updates). *)

@@ -37,8 +37,6 @@ val append : into:t -> t -> unit
 val events : t -> event list
 (** In execution order. *)
 
-val warp_events : t -> block_id:int -> warp_id:int -> event list
-
 val max_concurrent_groups : t -> block_id:int -> warp_id:int -> int
 (** Rough divergence witness: the maximum number of distinct masks seen
     between two visits of the same full-mask block for that warp. *)

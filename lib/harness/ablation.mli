@@ -7,8 +7,10 @@
     - {b selectivity}: full unmerging against the §VI future-work
       selective variant (phi-carrying merges only).
 
-    Each variant is applied to the hot loop of a few representative
-    applications and compared on kernel time and code size. *)
+    Each variant is a pipeline configuration ([Uu 2],
+    [Unmerge_then_unroll 2], [Dbds], [Uu_selective 2]) applied to loop 0
+    of the first kernel of a few representative applications, and
+    compared with the app's baseline on kernel time and code size. *)
 
 type row = {
   app : string;
@@ -25,10 +27,11 @@ val run :
   ?cache:Result_cache.t ->
   unit ->
   row list
-(** Default apps: bezier-surface, rainflow, XSBench. Variants execute as
-    [Jobs.Custom] work on the domain pool ([jobs] domains) and are cached
-    under their stable variant names like any other job; the
-    duplicated-block count travels in the measurement's stats.
+(** Default apps: bezier-surface, rainflow, XSBench. Every row is an
+    ordinary {!Jobs.job} on the domain pool ([jobs] domains), cached
+    like any other; the u&u-2 row's job is the sweep's job for the same
+    loop. The duplicated-block count is the response's
+    [unmerge.paths_duplicated] statistic.
     @raise Failure if a variant fails. *)
 
 val render : row list -> string

@@ -7,26 +7,16 @@ type protocol = Request.protocol = Once | Noisy of { runs : int }
 type job = {
   request : Request.t;
   target : Runner.loop_ref option;
-  custom : (unit -> Runner.compiled) option;
 }
 
 let job ?target ?protocol app config =
-  { request = Runner.schedule_request ?protocol ?target app config; target; custom = None }
-
-let custom ~name ~compile ?protocol app config =
-  {
-    request = { (Runner.schedule_request ?protocol app config) with variant = Some name };
-    target = None;
-    custom = Some compile;
-  }
+  { request = Runner.schedule_request ?protocol ?target app config; target }
 
 let label j =
   let r = j.request in
   let base =
     Printf.sprintf "%s/%s" (Request.source_name r.source)
-      (match r.variant with
-      | Some name -> name
-      | None -> Uu_core.Pipelines.config_to_string r.config)
+      (Uu_core.Pipelines.config_to_string r.config)
   in
   match (r.kernel, r.loop) with
   | Some k, Some id -> Printf.sprintf "%s@%s#%d" base k id
@@ -61,21 +51,16 @@ let lookup cache ~key =
     ok
 
 (* One pool task per compile key: the group's first request compiles,
-   through the pipeline or the first job's hand-built module, and every
-   request of the group, in order, reuses that module and its warm
-   decode cache on this one domain. The module is dropped when the task
-   returns. *)
-let answer_group ?engine ~sim_jobs arr members =
+   and every request of the group, in order, reuses that module and its
+   warm decode cache on this one domain. The module is dropped when the
+   task returns. *)
+let answer_group ?engine ~compile ~sim_jobs arr members =
   let compiled = ref None in
   let compile r =
     match !compiled with
     | Some c -> c
     | None ->
-      let c =
-        match arr.(List.hd members).custom with
-        | None -> Runner.compile_request r
-        | Some build -> Ok (build ())
-      in
+      let c = compile r in
       compiled := Some c;
       c
   in
@@ -86,14 +71,20 @@ let answer_group ?engine ~sim_jobs arr members =
       (i, Runner.run_request ~compile { j.request with engine; sim_jobs = Some sim_jobs }))
     members
 
-let run_all ?jobs ?sim_jobs ?cache ?engine job_list =
+let run_all ?jobs ?sim_jobs ?cache ?engine ?(compile = Runner.compile_request) job_list =
   let arr = Array.of_list job_list in
   let keys = Array.map key arr in
   (* Cache I/O stays on the calling domain: probe everything up front,
      fan only the real work out to the pool, store new results in input
-     order after the pool has been joined. *)
+     order after the pool has been joined. A request [Request.check]
+     refuses is never looked up: its answer is that [Error]. *)
   let cached =
-    Array.map (fun k -> Option.bind cache (fun c -> lookup c ~key:k)) keys
+    Array.mapi
+      (fun i k ->
+        match (cache, Request.check arr.(i).request) with
+        | Some c, Ok () -> lookup c ~key:k
+        | None, _ | _, Error _ -> None)
+      keys
   in
   (* The misses, grouped by compile key in first-appearance order, then
      stably by u&u factor, largest first: those compiles are the long
@@ -103,7 +94,7 @@ let run_all ?jobs ?sim_jobs ?cache ?engine job_list =
     match arr.(List.hd members).request.config with
     | Uu_core.Pipelines.Uu u -> u
     | Baseline | Unroll _ | Unmerge | Uu_heuristic | Uu_heuristic_divergence
-    | Uu_selective _ ->
+    | Uu_selective _ | Unmerge_then_unroll _ | Dbds ->
       0
   in
   let groups =
@@ -140,7 +131,7 @@ let run_all ?jobs ?sim_jobs ?cache ?engine job_list =
   let fresh = Array.make (Array.length arr) None in
   List.iter
     (List.iter (fun (i, response) -> fresh.(i) <- Some response))
-    (Parallel.map ?jobs (answer_group ?engine ~sim_jobs arr) groups);
+    (Parallel.map ?jobs (answer_group ?engine ~compile ~sim_jobs arr) groups);
   List.mapi
     (fun i j ->
       let outcome, from_cache =

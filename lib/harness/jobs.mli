@@ -20,8 +20,7 @@
     therefore yields byte-identical responses.
 
     {b Fault isolation.} A job whose response is an [Error] (a pass bug,
-    an oracle mismatch, an out-of-range request, a hand-built module
-    that raises) becomes a structured {!failure} record in that job's
+    an oracle mismatch, an out-of-range request) becomes a structured {!failure} record in that job's
     result, is never cached, and the remaining jobs are unaffected. It
     is not retried: a response is a function of its request, so a rerun
     would compute the same [Error]. *)
@@ -37,9 +36,6 @@ type protocol = Uu_serve.Request.protocol =
 type job = {
   request : Uu_serve.Request.t;  (** a [Schedule] request *)
   target : Runner.loop_ref option;  (** the loop [request] is restricted to *)
-  custom : (unit -> Runner.compiled) option;
-      (** a hand-built module standing in for the pipeline (the ablation
-          variants, named by [request.variant]) *)
 }
 
 val job :
@@ -48,20 +44,8 @@ val job :
   Uu_benchmarks.App.t ->
   Pipelines.config ->
   job
-(** A standard pipeline job ([Runner.schedule_request]); [protocol]
-    defaults to {!Once}. *)
-
-val custom :
-  name:string ->
-  compile:(unit -> Runner.compiled) ->
-  ?protocol:protocol ->
-  Uu_benchmarks.App.t ->
-  Pipelines.config ->
-  job
-(** A custom-transform job; [name] must uniquely and stably identify the
-    transform — it becomes the request's [variant], which substitutes
-    for the pipeline in the key. [config] is what the response reports
-    (typically [Baseline] for ablations). *)
+(** The job's [Schedule] request ([Runner.schedule_request]);
+    [protocol] defaults to {!Once}. *)
 
 val label : job -> string
 (** Human-readable identifier, e.g. ["rainflow/u&u-4@kernel#2"]. *)
@@ -91,26 +75,28 @@ val run_all :
   ?sim_jobs:int ->
   ?cache:Result_cache.t ->
   ?engine:Uu_gpusim.Kernel.engine ->
+  ?compile:(Uu_serve.Request.t -> (Runner.compiled, string) Stdlib.result) ->
   job list ->
   result list
 (** Execute a job list. Cache misses are grouped by
-    [Uu_serve.Request.compile_key], in first-appearance order (a custom
-    job's key includes its variant name), and the groups go to the pool
-    by the u&u factor of their first request, largest first: u&u-8, then
-    u&u-4, then u&u-2, then every other group in first-appearance order.
-    A batch without u&u-N groups (Table I, the ablations) dispatches in
-    first-appearance order. The rule is fixed: neither wall-clock time
-    nor an option chooses the order. Its basis, measured serially on a
-    2-vCPU VM: the sweep's 52 u&u-4 and u&u-8 jobs take 2.8 of its
-    4.2 s, in each of the 15 apps whose longest job exceeds 20 ms that
-    job is one of them, and the sweep emits them last for each loop.
+    [Uu_serve.Request.compile_key], in first-appearance order, and the
+    groups go to the pool by the u&u factor of their first request,
+    largest first: u&u-8, then u&u-4, then u&u-2, then every other group
+    in first-appearance order. A batch without u&u-N groups (Table I)
+    dispatches in first-appearance order. The rule is fixed: neither
+    wall-clock time nor an option chooses the order. Its basis, measured
+    serially on a 2-vCPU VM: the sweep's 52 u&u-4 and u&u-8 jobs take
+    2.8 of its 4.2 s, in each of the 15 apps whose longest job exceeds
+    20 ms that job is one of them, and the sweep emits them last for
+    each loop.
     On two workers, with each app's batch on its own as perfbench runs
     it, first-appearance order models 3.15 s, this order 2.71 s,
-    longest-first 2.71 s and the lower bound 2.69 s. One pool task per group
-    compiles once — with [Runner.compile_request], or the group's first
-    hand-built module — and answers the group's requests in order
-    through [Runner.run_request]; the module is dropped when the task
-    returns. [jobs] is the domain-pool size (default
+    longest-first 2.71 s and the lower bound 2.69 s. One pool task per
+    group compiles once, with [compile] (default
+    [Runner.compile_request]; a test can count or fail compiles through
+    it), and answers the group's requests in order through
+    [Runner.run_request]; the module is dropped when the task returns.
+    [jobs] is the domain-pool size (default
     [Parallel.available_domains ()]); [sim_jobs] is each request's
     intra-launch block-shard width. When [sim_jobs] is omitted it is
     budgeted from the cores the pool leaves over: a full queue runs its
@@ -123,10 +109,12 @@ val run_all :
     does not enter the key.
 
     Responses are serialized only when [cache] is given. Lookups and
-    stores happen on the calling domain, stores in input order. A hit
-    counts only when [Uu_serve.Response.of_cached] accepts the entry;
-    one it rejects is dropped with [Result_cache.reject] and
-    recomputed. Results are in input order. *)
+    stores happen on the calling domain, stores in input order. A
+    request [Uu_serve.Request.check] refuses is never looked up: it is
+    answered with that [Error]. A hit counts only when
+    [Uu_serve.Response.of_cached] accepts the entry; one it rejects is
+    dropped with [Result_cache.reject] and recomputed. Results are in
+    input order. *)
 
 val measurements_exn : result -> Runner.measurement list
 (** The job's measurements, one per protocol run. @raise Failure with

@@ -10,9 +10,6 @@ val write_text : path:string -> string -> unit
 (** Write a string to a file, creating parent directories as needed (used
     for the remark JSON dumps). *)
 
-val mkdirs : string -> unit
-(** Create a directory and any missing parents (no-op when present). *)
-
 val render_stats : (string * int) list -> string
 (** Two-column [counter value] table for pass-statistic deltas (see
     [Uu_support.Statistic]). *)

@@ -59,9 +59,6 @@ type compiled = {
 
 let modul c = c.modul
 
-let make_compiled ?(stats = []) modul =
-  { modul; work = 0; remarks = []; stats; decode = Decode.create_cache () }
-
 let resolve_source = function
   | Request.Inline { name; text } -> Ok (name, text)
   | Request.App name -> (
@@ -103,11 +100,9 @@ let compile_module (r : Request.t) ~name text =
   { modul = m; work; remarks = Remark.remarks sink; stats; decode = Decode.create_cache () }
 
 let compile_request (r : Request.t) =
-  match (r.variant, resolve_source r.source) with
-  | Some v, _ ->
-    Error (Printf.sprintf "variant %s: no pipeline builds it; its caller supplies the module" v)
-  | None, (Error _ as e) -> e
-  | None, Ok (name, text) -> (
+  match resolve_source r.source with
+  | Error _ as e -> e
+  | Ok (name, text) -> (
     let error what (pos : Uu_frontend.Ast.pos) msg =
       Error (Printf.sprintf "%s at %d:%d: %s" what pos.line pos.col msg)
     in

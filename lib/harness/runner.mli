@@ -40,20 +40,13 @@ val compile_request : Uu_serve.Request.t -> (compiled, string) result
     request's loop id per kernel in scope after the early phase, and
     optimize every kernel: loop [N] of each kernel in scope gets the
     transform, once; kernels out of scope get none. Frontend and
-    pipeline failures come back as [Error] text, as does a request
-    naming a [variant] (no pipeline can build one). Compile blow-up is
+    pipeline failures come back as [Error] text. Compile blow-up is
     bounded by the transforms' duplication budget, never by a clock, so
     the outcome is a function of the request alone. *)
 
 val modul : compiled -> Uu_ir.Func.modul
 (** The optimized module, for callers that need the IR values (CFG dot
     rendering, provenance). *)
-
-val make_compiled : ?stats:(string * int) list -> Uu_ir.Func.modul -> compiled
-(** Wrap a module optimized by hand (the ablation variants) so it goes
-    through {!respond}'s schedule arm and the result cache like a
-    pipeline compile. [stats] ride along in the response; the modeled
-    compile time is zero. *)
 
 val respond : Uu_serve.Request.t -> compiled -> Uu_serve.Response.t
 (** Answer one request from its compiled module: print IR for [Compile],

@@ -373,7 +373,8 @@ let cached t ~key =
 (* Serve one request frame: join an identical in-flight one, read the
    result cache, admit it to the execution queue, or — over the queue
    bound, or while draining — shed it with a [busy] frame the client
-   can back off on. *)
+   can back off on. A request [Request.check] refuses skips the cache:
+   it is executed, and its answer is that [Error]. *)
 let admit t conn ~id request =
   t.n_requests <- t.n_requests + 1;
   let key = Request.key request in
@@ -384,7 +385,8 @@ let admit t conn ~id request =
       { w_conn = conn.c_id; w_id = id; w_served = Protocol.Joined }
       :: job.j_waiters
   | None -> (
-    match cached t ~key with
+    let hit = if Result.is_ok (Request.check request) then cached t ~key else None in
+    match hit with
     | Some text ->
       t.n_cache_served <- t.n_cache_served + 1;
       Buffer.add_string conn.c_out

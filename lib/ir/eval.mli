@@ -20,9 +20,6 @@ val normalize : Types.t -> int64 -> int64
 val expect_int : rvalue -> int64
 (** @raise Invalid_argument on non-[Int] values. *)
 
-val expect_float : rvalue -> float
-(** @raise Invalid_argument on non-[Float] values. *)
-
 val binop : Instr.binop -> Types.t -> rvalue -> rvalue -> rvalue
 val cmp : Instr.cmpop -> rvalue -> rvalue -> rvalue
 (** Result is [Int 0L] or [Int 1L]. *)

@@ -249,20 +249,3 @@ let baseline_full_unroll ?(max_trip = 16) ?(size_budget = 320) () =
     !changed
   in
   { Pass.name = "full-unroll"; run }
-
-let unroll_only_pass ~factor ~headers =
-  let run f =
-    let forest = Loops.analyze f in
-    let selected =
-      match headers with
-      | [] -> List.map (fun (l : Loops.loop) -> l.header) (Loops.innermost_first forest)
-      | hs -> hs
-    in
-    List.fold_left
-      (fun changed h ->
-        let o = unroll_loop f ~header:h ~factor in
-        if o.unrolled then Hashtbl.replace f.Func.pragmas h Func.Pragma_nounroll;
-        o.edited || changed)
-      false selected
-  in
-  { Pass.name = Printf.sprintf "unroll-x%d" factor; run }

@@ -37,7 +37,3 @@ val baseline_full_unroll :
     unrolled cost-model size stays within [size_budget] (default 320).
     Loops whose header carries [Pragma_nounroll] are skipped — the u&u
     pass sets that pragma on loops it has transformed. *)
-
-val unroll_only_pass : factor:int -> headers:Value.label list -> Pass.t
-(** The paper's [unroll] configuration: apply plain unrolling with a fixed
-    factor to the selected loops (all loops when [headers] is empty). *)

@@ -100,7 +100,6 @@ type server_msg =
           response *)
 
 val served_string : served -> string
-val served_of_string : string -> served option
 
 val client_to_json : client_msg -> Uu_support.Json.t
 val client_of_json : Uu_support.Json.t -> (client_msg, string) result

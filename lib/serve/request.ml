@@ -17,13 +17,12 @@ type t = {
   check_races : bool;
   trace : bool;
   noise_seed : int64 option;
-  variant : string option;
   engine : Uu_gpusim.Kernel.engine;
   sim_jobs : int option;
 }
 
 let make ?(mode = Run) ?kernel ?loop ?(grid_dim = 4) ?(block_dim = 128)
-    ?(elems = 1024) ?(check_races = false) ?(trace = false) ?noise_seed ?variant
+    ?(elems = 1024) ?(check_races = false) ?(trace = false) ?noise_seed
     ?(engine = Uu_gpusim.Kernel.Decoded) ?sim_jobs source config =
   {
     mode;
@@ -37,7 +36,6 @@ let make ?(mode = Run) ?kernel ?loop ?(grid_dim = 4) ?(block_dim = 128)
     check_races;
     trace;
     noise_seed;
-    variant;
     engine;
     sim_jobs;
   }
@@ -61,7 +59,25 @@ let within field ~limit v =
   if v >= 1 && v <= limit then Ok ()
   else Error (Printf.sprintf "request: %s %d is out of range 1..%d" field v limit)
 
+(* The heuristics choose their own loops: a kernel or loop target would
+   be silently ignored, so it is refused. *)
 let check r =
+  let* () =
+    match r.config with
+    | Pipelines.Uu_heuristic | Uu_heuristic_divergence ->
+      let unset field v =
+        if Option.is_none v then Ok ()
+        else
+          Error
+            (Printf.sprintf "request: config %s picks its own loops; %s must be unset"
+               (Pipelines.config_to_string r.config) field)
+      in
+      let* () = unset "kernel" r.kernel in
+      unset "loop" r.loop
+    | Baseline | Unroll _ | Unmerge | Uu _ | Uu_selective _ | Unmerge_then_unroll _ | Dbds
+      ->
+      Ok ()
+  in
   match r.mode with
   | Run ->
     let* () = within "grid" ~limit:max_grid r.grid_dim in
@@ -105,15 +121,13 @@ let target_string r =
     Printf.sprintf "%s#%s" (Option.value k ~default:"*")
       (match l with None -> "*" | Some id -> string_of_int id)
 
-let work_string r =
-  match r.variant with None -> "pipeline" | Some name -> "custom:" ^ name
-
 (* Everything a response depends on enters the spec; what cannot change
    a response byte (engine, sim_jobs — both metric-identical by the
    determinism contract) stays out, so a request answered under one
    engine is a cache hit for the other. Both versions are folded in: a
    compiler change and a simulator-semantics change each invalidate old
-   entries.
+   entries. Every spec carries the constant [work=pipeline]: dropping
+   it would move every key, and with them Table I's noise seeds.
 
    A schedule spec is the job graph's spec, field for field, so the
    keys of untargeted jobs (and Table I's noise seeds, derived from
@@ -128,10 +142,10 @@ let spec ?(version = Pipelines.version)
     let app = match r.source with App name -> name | s -> source_spec s in
     String.concat ""
       [
-        Printf.sprintf "v%s;sim=%s;app=%s;config=%s;target=%s;protocol=%s;work=%s"
+        Printf.sprintf "v%s;sim=%s;app=%s;config=%s;target=%s;protocol=%s;work=pipeline"
           version sim_version app
           (Pipelines.config_to_string r.config)
-          (target_string r) (protocol_string protocol) (work_string r);
+          (target_string r) (protocol_string protocol);
         (match r.noise_seed with
         | None -> ""
         | Some s -> ";noise=" ^ Int64.to_string s);
@@ -140,12 +154,11 @@ let spec ?(version = Pipelines.version)
       ]
   | Compile | Run ->
     Printf.sprintf
-      "serve;v%s;sim=%s;mode=%s;source=%s;config=%s;loop=%s;shape=%dx%dx%d;races=%s;trace=%b;noise=%s;work=%s"
+      "serve;v%s;sim=%s;mode=%s;source=%s;config=%s;loop=%s;shape=%dx%dx%d;races=%s;trace=%b;noise=%s;work=pipeline"
       version sim_version (mode_string r.mode) (source_spec r.source)
       (Pipelines.config_to_string r.config)
       (target_string r) r.grid_dim r.block_dim r.elems races r.trace
       (match r.noise_seed with None -> "-" | Some s -> Int64.to_string s)
-      (work_string r)
 
 let key ?version ?sim_version r =
   Digest.to_hex (Digest.string (spec ?version ?sim_version r))
@@ -157,10 +170,10 @@ let key ?version ?sim_version r =
 let compile_key r =
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "serve-compile;v%s;source=%s;config=%s;loop=%s;work=%s"
+       (Printf.sprintf "serve-compile;v%s;source=%s;config=%s;loop=%s;work=pipeline"
           Pipelines.version (source_spec r.source)
           (Pipelines.config_to_string r.config)
-          (target_string r) (work_string r)))
+          (target_string r)))
 
 let noise_seed ~key i =
   (* Fold the first 8 digest bytes of "key#run<i>" into an int64: a pure
@@ -208,7 +221,6 @@ let to_json r =
         ("check_races", Json.Bool r.check_races);
         ("trace", Json.Bool r.trace);
         ("noise_seed", opt_json (fun s -> Json.Str (Int64.to_string s)) r.noise_seed);
-        ("variant", opt_json (fun v -> Json.Str v) r.variant);
         ("engine", Json.Str (engine_string r.engine));
         ("sim_jobs", opt_json (fun n -> Json.Int n) r.sim_jobs);
       ])
@@ -270,7 +282,6 @@ let of_json j =
       | Some v -> Ok (Some v)
       | None -> Error (Printf.sprintf "request: bad noise_seed %S" s))
   in
-  let* variant = opt_field "variant" Json.to_str j in
   let* engine =
     let* s = field "engine" Json.to_str j in
     match s with
@@ -292,7 +303,6 @@ let of_json j =
       check_races;
       trace = Option.value trace ~default:false;
       noise_seed;
-      variant;
       engine;
       sim_jobs;
     }

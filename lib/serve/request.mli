@@ -62,11 +62,6 @@ type t = {
       (** record and return the SIMT schedule of every launch *)
   noise_seed : int64 option;
       (** enable the memory-jitter model with this seed *)
-  variant : string option;
-      (** a hand-built transform standing in for [config]'s pipeline
-          (the ablation variants), named so it enters the identity. No
-          pipeline can build it: its caller supplies the compiled module
-          (see [Uu_harness.Runner.run_request]). *)
   engine : Uu_gpusim.Kernel.engine;  (** not part of the request identity *)
   sim_jobs : int option;  (** not part of the request identity *)
 }
@@ -81,7 +76,6 @@ val make :
   ?check_races:bool ->
   ?trace:bool ->
   ?noise_seed:int64 ->
-  ?variant:string ->
   ?engine:Uu_gpusim.Kernel.engine ->
   ?sim_jobs:int ->
   source ->
@@ -105,16 +99,20 @@ val check : t -> (unit, string) result
     [1..max_block] (CUDA's per-block limit) and elems [1..max_elems] for
     a [Run], runs [1..max_runs] for a [Noisy] schedule. Only the fields
     the mode uses are checked. The [Error] names the field and its
-    limit. *)
+    limit. The heuristic configurations pick their own loops, so under
+    them a [kernel] or a [loop] is refused, with an [Error] naming the
+    config and the field. Callers look a request's key up in a cache
+    only after [check] accepts it. *)
 
 (** {1 Identity} *)
 
 val spec : ?version:string -> ?sim_version:string -> t -> string
 (** One line. A schedule request spells the experiment job graph's
-    ["v<version>;sim=<sim>;app=...;target=...;protocol=...;work=..."]
+    ["v<version>;sim=<sim>;app=...;target=...;protocol=...;work=pipeline"]
     form, so Table I's keys — and the noise seeds derived from them —
     are those of the job specs that came before it; the other modes
-    spell a ["serve;"]-prefixed form. [version] defaults to
+    spell a ["serve;"]-prefixed form. Both carry the constant
+    [work=pipeline], kept so that no key moves. [version] defaults to
     [Pipelines.version] and [sim_version] to
     [Uu_gpusim.Kernel.semantics_version]; both are exposed so tests can
     assert that bumping either changes the key. *)
@@ -124,7 +122,7 @@ val key : ?version:string -> ?sim_version:string -> t -> string
 
 val compile_key : t -> string
 (** Identity of the compiled module only (source, config, kernel, loop,
-    variant, pipeline version) — what two requests must share to reuse
+    pipeline version) — what two requests must share to reuse
     one compilation and its warm decode cache. Mode, shape, races,
     noise, and the simulator version are deliberately absent. *)
 

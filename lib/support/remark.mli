@@ -75,12 +75,9 @@ val analysis :
 
 (** {1 Inspection} *)
 
-val find_arg : t -> string -> arg option
 val int_arg : t -> string -> int option
 
 (** {1 Rendering} *)
-
-val kind_string : kind -> string
 
 val to_text : t -> string
 (** One line: ["missed: uu-heuristic: @rainflow bb4: ... {p=6, s=42, u=8, c=1024}"]. *)

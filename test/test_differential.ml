@@ -216,7 +216,7 @@ let configs_for seed =
      third of the seeds and the cheap configurations on all of them. *)
   Uu_core.Pipelines.(
     [ Baseline; Unroll 2; Unmerge; Uu 2; Uu_heuristic; Uu_heuristic_divergence;
-      Uu_selective 2 ]
+      Uu_selective 2; Unmerge_then_unroll 2; Dbds ]
     @ (if seed mod 3 = 0 then [ Uu 4; Unroll 4 ] else []))
 
 let test_differential_seed seed () =

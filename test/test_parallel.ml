@@ -81,10 +81,6 @@ let test_job_keys () =
     (differs (Jobs.job ~target:loop bezier Pipelines.Baseline));
   check bool "protocol changes key" true
     (differs (Jobs.job ~protocol:(Jobs.Noisy { runs = 3 }) bezier Pipelines.Baseline));
-  check bool "variant changes key" true
-    (differs
-       (Jobs.custom ~name:"v" ~compile:(fun () -> assert false) bezier
-          Pipelines.Baseline));
   check bool "pipeline version changes key" true
     (Request.key ~version:"test-bump" j.Jobs.request <> Jobs.key j);
   (* Race reports are response bytes: a race-checked key names the
@@ -101,17 +97,22 @@ let test_job_keys () =
          sim_jobs = Some 7;
        });
   (* Table I's keys, and with them its noise seeds, are the job-spec
-     hashes they were before jobs became requests. *)
+     hashes they were before jobs became requests; a targeted schedule
+     and a [Run] request pin the other spec shapes, constant
+     [work=pipeline] included. *)
   List.iter
-    (fun (protocol, config, want) ->
-      check string
-        (Request.spec (Jobs.job ~protocol bezier config).Jobs.request)
-        want
-        (Jobs.key (Jobs.job ~protocol bezier config)))
+    (fun (r, want) -> check string (Request.spec r) want (Request.key r))
     [
-      (Jobs.Once, Pipelines.Baseline, "be8beb84a223c4052cde08b4fcfda3ad");
-      (Jobs.Noisy { runs = 20 }, Pipelines.Baseline, "0b4528f277578ca7a1fdfcbf1eaa4981");
-      (Jobs.Noisy { runs = 20 }, Pipelines.Uu_heuristic, "13e33d7af04685faf4d0a1398302c2c1");
+      ((Jobs.job bezier Pipelines.Baseline).Jobs.request, "be8beb84a223c4052cde08b4fcfda3ad");
+      ( (Jobs.job ~protocol:(Jobs.Noisy { runs = 20 }) bezier Pipelines.Baseline).Jobs.request,
+        "0b4528f277578ca7a1fdfcbf1eaa4981" );
+      ( (Jobs.job ~protocol:(Jobs.Noisy { runs = 20 }) bezier Pipelines.Uu_heuristic)
+          .Jobs.request,
+        "13e33d7af04685faf4d0a1398302c2c1" );
+      ((Jobs.job ~target:loop bezier (Pipelines.Uu 2)).Jobs.request, "75e1673fec25c7fe192356d72e841ac9");
+      ( Request.make ~grid_dim:64 ~block_dim:32 ~elems:2048 (Request.App "stencil1d")
+          Pipelines.Baseline,
+        "e15a6786fd1ca37bf702ee8628ac6a1f" );
     ];
   (* Noise seeds are pure functions of (key, run index). *)
   let k = Jobs.key j in
@@ -119,13 +120,14 @@ let test_job_keys () =
     (Jobs.noise_seed ~key:k 0 = Jobs.noise_seed ~key:k 0
     && Jobs.noise_seed ~key:k 0 <> Jobs.noise_seed ~key:k 1)
 
+(* A compile that raises fails its own job only. *)
 let test_failure_record () =
-  let boom =
-    Jobs.custom ~name:"boom" ~compile:(fun () -> failwith "boom") bezier
-      Pipelines.Baseline
-  in
+  let boom = Jobs.job bezier (Pipelines.Uu 2) in
   let good = Jobs.job bezier Pipelines.Baseline in
-  match Jobs.run_all ~jobs:2 [ boom; good ] with
+  let compile (r : Request.t) =
+    if r.config = Pipelines.Uu 2 then failwith "boom" else Runner.compile_request r
+  in
+  match Jobs.run_all ~jobs:2 ~compile [ boom; good ] with
   | [ bad_r; good_r ] ->
     (match bad_r.Jobs.outcome with
     | Error f ->
@@ -139,7 +141,7 @@ let test_failure_record () =
     check bool "sibling job unaffected" true
       (Jobs.measurements_exn good_r <> []);
     (match
-       Jobs.run_all [ boom ] |> List.map (fun r -> Jobs.measurements_exn r)
+       Jobs.run_all ~compile [ boom ] |> List.map (fun r -> Jobs.measurements_exn r)
      with
     | exception Failure _ -> ()
     | _ -> Alcotest.fail "measurements_exn did not raise")
@@ -150,31 +152,31 @@ let stencil =
   | Some a -> a
   | None -> assert false
 
-(* Two custom jobs with one name and one app share a compile key, so the
+(* Two jobs that differ only in protocol share a compile key, so the
    batch builds their module once and answers both from it, with the
    bytes each job gets when it runs alone. *)
 let test_one_compile_per_key () =
   let calls = Atomic.make 0 in
-  let compile () =
+  let compile r =
     Atomic.incr calls;
-    match Runner.compile_request (Jobs.job stencil Pipelines.Baseline).Jobs.request with
-    | Ok c -> Runner.make_compiled (Runner.modul c)
-    | Error msg -> failwith msg
+    Runner.compile_request r
   in
-  let counted protocol =
-    Jobs.custom ~name:"counted" ~compile ~protocol stencil Pipelines.Baseline
+  let jobs =
+    [
+      Jobs.job stencil Pipelines.Baseline;
+      Jobs.job ~protocol:(Jobs.Noisy { runs = 3 }) stencil Pipelines.Baseline;
+    ]
   in
-  let jobs = [ counted Jobs.Once; counted (Jobs.Noisy { runs = 3 }) ] in
   let bytes (r : Jobs.result) =
     match r.Jobs.outcome with
     | Ok ok -> Response.to_string (Ok ok)
     | Error f -> Alcotest.fail f.Jobs.message
   in
-  let together = Jobs.run_all ~jobs:2 jobs in
+  let together = Jobs.run_all ~jobs:2 ~compile jobs in
   check int "one compile for both jobs" 1 (Atomic.get calls);
   check (Alcotest.list int) "one run, then three" [ 1; 3 ]
     (List.map (fun r -> List.length (Jobs.measurements_exn r)) together);
-  let alone = List.map (fun j -> List.hd (Jobs.run_all [ j ])) jobs in
+  let alone = List.map (fun j -> List.hd (Jobs.run_all ~compile [ j ])) jobs in
   check int "alone, each job compiles" 3 (Atomic.get calls);
   List.iter2
     (fun t a -> check string "bytes as when run alone" (bytes a) (bytes t))
@@ -185,22 +187,17 @@ let test_one_compile_per_key () =
    back in input order, with the bytes each job gets alone. *)
 let test_uu_compiles_first () =
   let compiled = ref [] in
-  let job config =
-    let compile () =
-      compiled := Pipelines.config_to_string config :: !compiled;
-      match Runner.compile_request (Jobs.job stencil Pipelines.Baseline).Jobs.request with
-      | Ok c -> Runner.make_compiled (Runner.modul c)
-      | Error msg -> failwith msg
-    in
-    Jobs.custom ~name:"ordered" ~compile stencil config
+  let compile (r : Request.t) =
+    compiled := Pipelines.config_to_string r.config :: !compiled;
+    Runner.compile_request r
   in
-  let jobs = List.map job Pipelines.[ Baseline; Uu 4; Unroll 2; Uu 8 ] in
+  let jobs = List.map (Jobs.job stencil) Pipelines.[ Baseline; Uu 4; Unroll 2; Uu 8 ] in
   let bytes (r : Jobs.result) =
     match r.Jobs.outcome with
     | Ok ok -> Response.to_string (Ok ok)
     | Error f -> Alcotest.fail f.Jobs.message
   in
-  let together = Jobs.run_all ~jobs:1 jobs in
+  let together = Jobs.run_all ~jobs:1 ~compile jobs in
   check (Alcotest.list string) "compile order" [ "u&u-8"; "u&u-4"; "baseline"; "unroll-2" ]
     (List.rev !compiled);
   let alone = List.map (fun j -> List.hd (Jobs.run_all [ j ])) jobs in
@@ -257,7 +254,17 @@ let test_cache_round_trip () =
   write_file path "{not json";
   check bool "corrupt entry ignored" true (Result_cache.lookup_raw cache ~key = None);
   check int "corrupt entry counted" 1 (Result_cache.corrupt cache);
-  check bool "corrupt entry deleted" false (Sys.file_exists path)
+  check bool "corrupt entry deleted" false (Sys.file_exists path);
+  (* A request [Request.check] refuses is never looked up: an [Ok] entry
+     planted under a loop-targeted heuristic job's key is not served. *)
+  let refused = Jobs.job ~target:loop bezier Pipelines.Uu_heuristic in
+  Result_cache.store_raw cache ~key:(Jobs.key refused) (bytes (List.hd warm));
+  match Jobs.run_all ~cache [ refused ] with
+  | [ { Jobs.outcome = Error f; from_cache; _ } ] ->
+    check bool "refused request not served from the cache" false from_cache;
+    check (Alcotest.result Alcotest.unit string) "the check's error"
+      (Request.check refused.Jobs.request) (Error f.Jobs.message)
+  | _ -> Alcotest.fail "a refused request was answered"
 
 (* The entry format: a hit returns exactly the stored bytes; a
    truncated, bit-flipped, empty or headerless entry is dropped and
@@ -343,7 +350,8 @@ let test_config_round_trip () =
         true
         (Pipelines.config_of_string (Pipelines.config_to_string c) = Ok c))
     (Pipelines.all_standard
-    @ [ Pipelines.Uu_heuristic_divergence; Pipelines.Uu_selective 4 ]);
+    @ Pipelines.
+        [ Uu_heuristic_divergence; Uu_selective 4; Unmerge_then_unroll 2; Dbds ]);
   (* CLI aliases and inline factors. *)
   check bool "uu-4" true (Pipelines.config_of_string "uu-4" = Ok (Pipelines.Uu 4));
   check bool "unroll:8" true
@@ -358,6 +366,21 @@ let test_config_round_trip () =
     (Pipelines.config_of_string ~default_factor:8 "uu" = Ok (Pipelines.Uu 8));
   check bool "unknown rejected" true
     (match Pipelines.config_of_string "warp-speed" with Error _ -> true | Ok _ -> false)
+
+(* The ablation's u&u-2 row is the sweep's u&u-2 job on loop 0 of the
+   first kernel: after a sweep of the default ablation apps, the
+   ablation finds that job and the baseline of each app in the cache. *)
+let test_ablation_shares_sweep_jobs () =
+  let cache = Result_cache.create ~dir:(fresh_cache_dir ()) in
+  let apps =
+    List.filter_map Uu_benchmarks.Registry.find [ "bezier-surface"; "rainflow"; "XSBench" ]
+  in
+  check int "no sweep failures" 0
+    (List.length (Sweep.run ~apps ~jobs:2 ~cache ()).Sweep.failures);
+  let hits = Result_cache.hits cache in
+  check int "four rows per app" 12 (List.length (Ablation.run ~jobs:2 ~cache ()));
+  check int "baseline and u&u-2 of each app are cache hits" 6
+    (Result_cache.hits cache - hits)
 
 let test_points_for_parsed_config () =
   let sweep = Sweep.run ~apps:[ bezier ] () in
@@ -381,6 +404,7 @@ let suite =
     ("cache round-trip", `Quick, test_cache_round_trip);
     ("cache entries are validated", `Quick, test_cache_entries_validated);
     ("parallel sweep = serial sweep", `Slow, test_sweep_parallel_equals_serial);
+    ("ablation shares the sweep's jobs", `Slow, test_ablation_shares_sweep_jobs);
     ("config round-trip", `Quick, test_config_round_trip);
     ("points_for parsed config", `Slow, test_points_for_parsed_config);
   ]

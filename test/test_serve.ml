@@ -23,6 +23,8 @@ let configs =
     Uu_core.Pipelines.Uu_heuristic;
     Uu_core.Pipelines.Uu_heuristic_divergence;
     Uu_core.Pipelines.Uu_selective 3;
+    Uu_core.Pipelines.Unmerge_then_unroll 4;
+    Uu_core.Pipelines.Dbds;
   ]
 
 let request_gen =
@@ -53,7 +55,6 @@ let request_gen =
   let* check_races = bool in
   let* trace = bool in
   let* noise_seed = opt (map Int64.of_int int) in
-  let* variant = opt (oneofl [ "ablation:x"; "v" ]) in
   let* engine = oneofl [ Uu_gpusim.Kernel.Decoded; Uu_gpusim.Kernel.Reference ] in
   let* sim_jobs = opt (int_range 1 16) in
   return
@@ -69,7 +70,6 @@ let request_gen =
       check_races;
       trace;
       noise_seed;
-      variant;
       engine;
       sim_jobs;
     }
@@ -170,6 +170,16 @@ let props =
         match Json.of_string (Json.to_string (Request.to_json r)) with
         | Ok j -> Request.of_json j = Ok r
         | Error _ -> false);
+    (* Clients that still send the retired "variant" member decode, as
+       every request with a member the codec does not know does. *)
+    QCheck2.Test.make ~name:"Request JSON with a variant member decodes" ~count:100
+      request_gen (fun r ->
+        match Request.to_json r with
+        | Json.Obj members ->
+          List.for_all
+            (fun v -> Request.of_json (Json.Obj (members @ [ ("variant", v) ])) = Ok r)
+            [ Json.Null; Json.Str "ablation:x" ]
+        | _ -> false);
     QCheck2.Test.make ~name:"Response JSON round-trips" ~count:300 response_gen
       (fun r -> Response.of_string (Response.to_string r) = Ok r);
     QCheck2.Test.make ~name:"Response serialization is stable (cache bytes)"
@@ -369,6 +379,10 @@ let test_config_aliases () =
       ("u&u:4", Uu 4);
       ("uu-selective-3", Uu_selective 3);
       ("u&u-selective:5", Uu_selective 5);
+      ("dbds", Dbds);
+      ("unmerge-then-unroll", Unmerge_then_unroll 2);
+      ("unmerge-then-unroll-4", Unmerge_then_unroll 4);
+      ("unmerge-then-unroll:8", Unmerge_then_unroll 8);
     ];
   (* and the canonical names always parse back to themselves *)
   List.iter
@@ -488,7 +502,26 @@ let test_request_bounds () =
     (Request.check
        (Request.make ~mode:(Request.Schedule Request.Once) ~grid_dim:0 stencil
           Uu_core.Pipelines.Baseline)
-    = Ok ())
+    = Ok ());
+  (* The heuristics pick their own loops: a kernel or a loop under them
+     is refused, naming the config and the field. *)
+  List.iter
+    (fun config ->
+      let name = Uu_core.Pipelines.config_to_string config in
+      List.iter
+        (fun (field, r) ->
+          check
+            (Alcotest.result Alcotest.string Alcotest.string)
+            (Printf.sprintf "%s with a %s" name field)
+            (Error
+               (Printf.sprintf "request: config %s picks its own loops; %s must be unset"
+                  name field))
+            (Result.map (fun _ -> "accepted") (Uu_harness.Runner.run_request r)))
+        [
+          ("kernel", Request.make ~mode:Request.Compile ~kernel:"k" tiny config);
+          ("loop", Request.make ~mode:Request.Compile ~loop:0 tiny config);
+        ])
+    Uu_core.Pipelines.[ Uu_heuristic; Uu_heuristic_divergence ]
 
 (* --- the daemon end to end ------------------------------------------ *)
 
@@ -921,6 +954,33 @@ let test_unparsable_entry () =
   check int "counted corrupt" 1 (List.assoc "serve.cache_corrupt" stats);
   check int "no errors" 0 (List.assoc "serve.errors" stats)
 
+(* A request [Request.check] refuses is never answered from the cache:
+   with an [Ok] entry planted under the key of a heuristic request that
+   names a loop, the daemon still answers the check's [Error]. *)
+let test_refused_request_skips_cache () =
+  let r = Request.make ~mode:Request.Compile ~loop:0 tiny Uu_core.Pipelines.Uu_heuristic in
+  let want = Uu_harness.Runner.run_request r in
+  let socket, cache_dir = fresh_paths "refused" in
+  Uu_harness.Result_cache.store_raw
+    (Uu_harness.Result_cache.create ~dir:cache_dir)
+    ~key:(Request.key r)
+    (Response.to_string (Uu_harness.Runner.run_request { r with Request.loop = None }));
+  let server = Uu_harness.Server.create ~socket ~domains:1 ~cache_dir () in
+  let th = Thread.create Uu_harness.Server.serve_forever server in
+  let served, resp =
+    Fun.protect
+      ~finally:(fun () -> Uu_harness.Server.request_stop server)
+      (fun () ->
+        let c = Client.connect ~socket () in
+        Fun.protect ~finally:(fun () -> Client.close c) (fun () -> Client.request c r))
+  in
+  Thread.join th;
+  check bool "the request is refused" true (Result.is_error want);
+  check bool "executed, not cache-served" true (served = Protocol.Executed);
+  check string "the check's error" (Response.to_string want) (Response.to_string resp);
+  check int "nothing cache-served" 0
+    (List.assoc "serve.cache_served" (Uu_harness.Server.stats server))
+
 (* Garbage on some connections: a payload that is not JSON, an unknown
    op, an oversized length prefix. Each such connection gets an error
    frame and is closed; a client on another connection keeps getting
@@ -1124,8 +1184,8 @@ let request_frames =
           [
             (0, Request.make ~grid_dim:64 ~block_dim:32 ~elems:2048 stencil Uu_core.Pipelines.Baseline);
             ( 1,
-              Request.make ~mode:Request.Compile ~kernel:"qs_partition" ~loop:0
-                ~noise_seed:(-42L) ~variant:"v" ~sim_jobs:2 ~check_races:true ~trace:true
+              Request.make ~mode:Request.Compile ~kernel:"qs_missing" ~loop:0
+                ~noise_seed:(-42L) ~sim_jobs:2 ~check_races:true ~trace:true
                 (Request.App "quicksort") (Uu_core.Pipelines.Uu_selective 3) );
             ( 2,
               Request.make ~mode:(Request.Schedule (Request.Noisy { runs = 20 }))
@@ -1180,6 +1240,7 @@ let suite =
       ("shutdown drains in-flight work", `Quick, test_drain_shutdown);
       ("request bounds", `Quick, test_request_bounds);
       ("request bounds over the wire", `Quick, test_bounds_over_the_wire);
+      ("refused request skips the cache", `Quick, test_refused_request_skips_cache);
       ("corrupt cache entries are recomputed", `Quick, test_corrupt_cache_entries);
       ("an unparsable entry is recomputed", `Quick, test_unparsable_entry);
       ("garbage frames fail only their connection", `Quick, test_garbage_frames);

@@ -192,6 +192,47 @@ kernel k(int* restrict out, int n) {
   let o = Uu.uu_loop fn ~header ~factor:2 in
   check bool "convergent loop untouched" false o.Uu.applied
 
+(* Unmerging, and with it the two ablation configurations, leaves a
+   loop with a barrier alone: a copy of the block that holds it would
+   split a warp across two barriers. treduce's oracle passes under
+   both configurations. *)
+let test_unmerge_skips_convergent () =
+  let src =
+    {|
+kernel k(int* restrict out, int n) {
+  int tid = threadIdx.x;
+  int acc = 0;
+  int i = 0;
+  while (i < n) {
+    if (tid & 1) { acc = acc + i; } else { acc = acc - 1; }
+    __syncthreads();
+    i = i + 1;
+  }
+  out[tid] = acc;
+}
+|}
+  in
+  List.iter
+    (fun (what, unmerge) ->
+      let fn = Ir_helpers.compile_one src in
+      let header = first_loop fn in
+      let o : Unmerge.outcome = unmerge fn ~header ~budget:4096 in
+      check bool (what ^ ": nothing duplicated") false o.changed)
+    [
+      ("unmerge", fun fn ~header ~budget -> Unmerge.unmerge_loop fn ~header ~budget);
+      ("dbds", Unmerge.dbds_unmerge_loop);
+    ];
+  let treduce = Option.get (Uu_benchmarks.Registry.find "treduce") in
+  List.iter
+    (fun config ->
+      check bool
+        ("treduce under " ^ Pipelines.config_to_string config)
+        true
+        (Result.is_ok
+           (Uu_harness.Runner.run_request
+              (Uu_harness.Runner.schedule_request treduce config))))
+    Pipelines.[ Dbds; Unmerge_then_unroll 2 ]
+
 let test_uu_sets_pragma () =
   let fn = Ir_helpers.compile_one counted_loop_src in
   let header = first_loop fn in
@@ -280,8 +321,12 @@ let test_heuristic_divergence_extension () =
 let test_dbds_ablation () =
   let fn = Ir_helpers.compile_one counted_loop_src in
   let header = first_loop fn in
+  let paths = Uu_support.Statistic.counter "unmerge.paths_duplicated" in
+  let before = Uu_support.Statistic.value paths in
   let o = Unmerge.dbds_unmerge_loop fn ~header ~budget:4096 in
   check bool "dbds applied" true o.Unmerge.changed;
+  check int "copies counted in unmerge.paths_duplicated" o.Unmerge.duplicated_blocks
+    (Uu_support.Statistic.value paths - before);
   Verifier.check_exn fn;
   Uu_analysis.Ssa_check.check_exn fn;
   let got = Ir_helpers.run_kernel fn [ 13L ] in
@@ -519,6 +564,7 @@ let suite =
     ("u&u budget rolls back transactionally", `Quick, test_uu_budget_rolls_back);
     ("exhausted unmerge copies nothing", `Quick, test_unmerge_exhaustion_copies_nothing);
     ("u&u skips convergent loops", `Quick, test_uu_skips_convergent);
+    ("unmerging skips convergent loops", `Quick, test_unmerge_skips_convergent);
     ("u&u tags loops no-unroll", `Quick, test_uu_sets_pragma);
     ("heuristic plan respects f(p,s,u) < c", `Quick, test_heuristic_plan);
     ("heuristic skips pragma loops", `Quick, test_heuristic_skips_pragma);
