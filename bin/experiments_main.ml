@@ -74,6 +74,7 @@ type ctx = {
   runs : int;
   out : string;
   apps : Uu_benchmarks.App.t list;
+  apps_given : bool;  (** [--apps] was passed *)
   jobs : int option;
   sim_jobs : int option;
   cache : Result_cache.t option;
@@ -99,6 +100,7 @@ let make_ctx runs out apps jobs sim_jobs no_cache stats engine =
     runs;
     out;
     apps = select_apps apps;
+    apps_given = apps <> None;
     jobs;
     sim_jobs;
     cache =
@@ -277,10 +279,15 @@ let remarks_cmd =
   cmd "remarks" "Dump per-app optimization remarks and pass statistics as JSON" do_remarks
 
 let do_ablations ctx =
+  let apps =
+    if ctx.apps_given then
+      Some (List.map (fun (a : Uu_benchmarks.App.t) -> a.Uu_benchmarks.App.name) ctx.apps)
+    else None
+  in
   print_endline "== Ablations (design decisions; see DESIGN.md) ==";
   print_string
     (Ablation.render
-       (Ablation.run ?jobs:ctx.jobs ?sim_jobs:ctx.sim_jobs ?cache:ctx.cache ()))
+       (Ablation.run ?apps ?jobs:ctx.jobs ?sim_jobs:ctx.sim_jobs ?cache:ctx.cache ()))
 
 let ablations_cmd =
   stats_cmd "ablations" "Transform-design ablations (order, DBDS, selective)" do_ablations

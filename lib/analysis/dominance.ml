@@ -67,7 +67,7 @@ let compute_generic ~order ~into =
       end)
     order;
   Hashtbl.iter
-    (fun k v -> Hashtbl.replace children_tbl k (List.sort compare v))
+    (fun k v -> Hashtbl.replace children_tbl k (List.sort Int.compare v))
     (Hashtbl.copy children_tbl);
   (* Euler numbering for O(1) dominance queries. *)
   let tin = Hashtbl.create (2 * n) and tout = Hashtbl.create (2 * n) in

@@ -35,7 +35,7 @@ let build f =
     rpo;
   let headers = List.filter (Hashtbl.mem back_edges) rpo in
   let mk_loop id header =
-    let latches = List.sort compare (Hashtbl.find back_edges header) in
+    let latches = List.sort Int.compare (Hashtbl.find back_edges header) in
     (* Loop body: header plus everything that reaches a latch backwards
        without passing through the header. *)
     let body = ref (Value.Label_set.singleton header) in
@@ -82,7 +82,7 @@ let build f =
       match parent with
       | Some p ->
         l.parent <- Some p.id;
-        p.children <- List.sort compare (l.id :: p.children)
+        p.children <- List.sort Int.compare (l.id :: p.children)
       | None -> ())
     all;
   let rec set_depth d l =

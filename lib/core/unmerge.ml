@@ -268,7 +268,7 @@ let units ~selective f ~region =
         Value.Label_set.iter (fun b -> Hashtbl.replace unit_of b u) loop.blocks)
     kinds;
   let unit_or_outside l = Option.value ~default:(-1) (Hashtbl.find_opt unit_of l) in
-  let succ_units ls = List.sort_uniq compare (List.filter_map (Hashtbl.find_opt unit_of) ls) in
+  let succ_units ls = List.sort_uniq Int.compare (List.filter_map (Hashtbl.find_opt unit_of) ls) in
   let merge l = List.compare_length_with (preds_of l) 2 >= 0 in
   let info (label, loop) =
     match loop with
@@ -325,7 +325,7 @@ let units ~selective f ~region =
   (* Reachable units by reverse-postorder position of their block or header. *)
   let order =
     List.sort
-      (fun a b -> compare (Hashtbl.find at units.(a).label) (Hashtbl.find at units.(b).label))
+      (fun a b -> Int.compare (Hashtbl.find at units.(a).label) (Hashtbl.find at units.(b).label))
       (List.filter (fun u -> Hashtbl.mem at units.(u).label) (List.init (Array.length units) Fun.id))
   in
   (units, order)

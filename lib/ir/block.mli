@@ -7,7 +7,7 @@ type t = {
   mutable instrs : Instr.t list;
   mutable term : Instr.terminator;
       (** written only by [Func.set_term] and {!map_term_values}: the
-          function's predecessor lists follow the successors *)
+          function's predecessor sets follow the successors *)
   mutable hint : string;  (** name hint for printing ("header", "then", ...) *)
 }
 

@@ -3,6 +3,7 @@ type Func.analysis +=
   | Reachable of Value.Label_set.t
 
 let preds_of = Func.preds_of
+let pred_set = Func.pred_set
 
 let postorder f =
   let visited = Hashtbl.create 17 in
@@ -46,7 +47,7 @@ let rec rounds f visit = function
         | Some b -> next := visit touched b @ !next
         | None -> ())
       labels;
-    rounds f visit (List.sort_uniq compare !next)
+    rounds f visit (List.sort_uniq Int.compare !next)
 
 let remove_unreachable f =
   let live = reachable f in

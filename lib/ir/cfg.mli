@@ -12,6 +12,10 @@ val preds_of : Func.t -> Value.label -> Value.label list
 (** The predecessors of a block, in sorted order, as the function keeps
     them ([Func.preds_of]): current after every CFG write. *)
 
+val pred_set : Func.t -> Value.label -> Value.Label_set.t
+(** The same predecessors as a set ([Func.pred_set]), for membership
+    tests. *)
+
 val reverse_postorder : Func.t -> Value.label list
 (** Reverse postorder from the entry block, visiting [Cond_br] true
     successors first. Unreachable blocks are excluded. *)

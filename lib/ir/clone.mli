@@ -15,7 +15,7 @@ val clone_region : Func.t -> Value.label list -> mapping
     predecessors inside the region are remapped; incoming entries from
     outside predecessors are kept verbatim and must be fixed by the
     caller. The copies' terminators are written with [Func.set_term], so
-    the function's predecessor lists stay current. *)
+    the function's predecessor sets stay current. *)
 
 val map_label : mapping -> Value.label -> Value.label
 (** The clone of a label, or the label itself when outside the region. *)

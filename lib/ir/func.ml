@@ -21,8 +21,11 @@ type shared = {
 
 type analysis = ..
 
-(* Each label's predecessors, sorted; a label with no entry has none. *)
-type preds = (Value.label, Value.label list) Hashtbl.t
+(* Each label's predecessors as a set, and the sorted list [preds_of]
+   last built from it, kept until the set changes; a label with no entry
+   has none. *)
+type pred_entry = { mutable set : Value.Label_set.t; mutable sorted : Value.label list option }
+type preds = (Value.label, pred_entry) Hashtbl.t
 
 type t = {
   name : string;
@@ -86,7 +89,7 @@ let copy_block (b : Block.t) =
 (* Everything below that adds or removes a block, moves the entry or
    rewrites a terminator's successors calls [cfg_changed]: it bumps the
    generation and drops the cached analyses, which described the old
-   CFG. Writes to the block table, to the predecessor lists and to
+   CFG. Writes to the block table, to the predecessor sets and to
    [Block.term] all live in this file. *)
 let cfg_changed f =
   f.cfg_generation <- f.cfg_generation + 1;
@@ -98,20 +101,60 @@ let blocks_changed f =
 
 let block f l = Hashtbl.find f.blocks l
 let find_block f l = Hashtbl.find_opt f.blocks l
-let find_preds preds l = Option.value ~default:[] (Hashtbl.find_opt preds l)
-let preds_of f l = find_preds f.preds l
-let update_preds f s g = Hashtbl.replace f.preds s (g (preds_of f s))
+
+let preds_of f l =
+  match Hashtbl.find_opt f.preds l with
+  | None -> []
+  | Some { sorted = Some ps; _ } -> ps
+  | Some ({ sorted = None; _ } as e) ->
+    let ps = Value.Label_set.elements e.set in
+    e.sorted <- Some ps;
+    ps
+
+let pred_set f l =
+  match Hashtbl.find_opt f.preds l with None -> Value.Label_set.empty | Some e -> e.set
+
+(* [Set.add] and [Set.remove] return their argument when nothing
+   changes, so a no-op edit keeps the sorted list. *)
+let add_pred f s l =
+  match Hashtbl.find_opt f.preds s with
+  | None -> Hashtbl.replace f.preds s { set = Value.Label_set.singleton l; sorted = None }
+  | Some e ->
+    let set = Value.Label_set.add l e.set in
+    if set != e.set then begin
+      e.set <- set;
+      e.sorted <- None
+    end
+
+let remove_pred f s l =
+  match Hashtbl.find_opt f.preds s with
+  | None -> ()
+  | Some e ->
+    let set = Value.Label_set.remove l e.set in
+    if set != e.set then begin
+      e.set <- set;
+      e.sorted <- None
+    end
 
 (* The lists a fresh build gives: blocks join their successors' lists in
    descending label order, so each list comes out sorted. *)
-let build_preds blocks =
-  let preds = Hashtbl.create (Hashtbl.length blocks) in
+let fresh_lists blocks =
+  let lists = Hashtbl.create (Hashtbl.length blocks) in
   Hashtbl.fold (fun l _ acc -> l :: acc) blocks []
-  |> List.sort (fun a b -> compare b a)
+  |> List.sort (fun a b -> Int.compare b a)
   |> List.iter (fun l ->
          List.iter
-           (fun s -> Hashtbl.replace preds s (l :: find_preds preds s))
+           (fun s ->
+             let ps = Option.value ~default:[] (Hashtbl.find_opt lists s) in
+             Hashtbl.replace lists s (l :: ps))
            (Block.successors (Hashtbl.find blocks l)));
+  lists
+
+let build_preds blocks =
+  let preds = Hashtbl.create (Hashtbl.length blocks) in
+  Hashtbl.iter
+    (fun s ps -> Hashtbl.replace preds s { set = Value.Label_set.of_list ps; sorted = Some ps })
+    (fresh_lists blocks);
   preds
 
 let copy f =
@@ -173,7 +216,7 @@ let remove_block f l =
   Option.iter
     (fun b ->
       Hashtbl.remove f.blocks l;
-      List.iter (fun s -> update_preds f s (List.filter (fun p -> p <> l))) (Block.successors b))
+      List.iter (fun s -> remove_pred f s l) (Block.successors b))
     (find_block f l);
   blocks_changed f
 
@@ -184,14 +227,8 @@ let set_term f b term =
   if before <> after then begin
     cfg_changed f;
     let l = b.Block.label in
-    let rec insert = function
-      | [] -> [ l ]
-      | p :: rest as ps -> if l < p then l :: ps else p :: insert rest
-    in
-    List.iter
-      (fun s -> if not (List.mem s after) then update_preds f s (List.filter (fun p -> p <> l)))
-      before;
-    List.iter (fun s -> if not (List.mem s before) then update_preds f s insert) after
+    List.iter (fun s -> if not (List.mem s after) then remove_pred f s l) before;
+    List.iter (fun s -> if not (List.mem s before) then add_pred f s l) after
   end
 
 let set_entry f l =
@@ -202,13 +239,15 @@ let labels f =
   match f.sorted_labels with
   | Some ls -> ls
   | None ->
-    let ls = Hashtbl.fold (fun l _ acc -> l :: acc) f.blocks [] |> List.sort compare in
+    let ls = Hashtbl.fold (fun l _ acc -> l :: acc) f.blocks [] |> List.sort Int.compare in
     f.sorted_labels <- Some ls;
     ls
 
 let stale_preds f =
-  let fresh = build_preds f.blocks in
-  List.find_opt (fun l -> preds_of f l <> find_preds fresh l) (labels f)
+  let fresh = fresh_lists f.blocks in
+  List.find_opt
+    (fun l -> preds_of f l <> Option.value ~default:[] (Hashtbl.find_opt fresh l))
+    (labels f)
 
 (* Iteration snapshots the label list first, then skips any block a
    callback removed, so passes may delete blocks while iterating. *)

@@ -5,9 +5,13 @@
     in deterministic (sorted-label) order so that passes and printers are
     reproducible.
 
-    A function also keeps every label's predecessor list, sorted:
+    A function also keeps every label's predecessors, as a set:
     {!set_term}, the block writers, {!copy} and {!restore} keep it
-    current, and [Cfg.preds_of] reads it.
+    current at O(log n) per edge, so a join of thousands of
+    predecessors costs no more per edit than a join of two.
+    [Cfg.preds_of] reads the set as a sorted list, built when first
+    asked for and kept until the set changes; [Cfg.pred_set] reads the
+    set itself, for membership tests.
 
     A function counts its {e CFG generation} too: adding or removing a
     block, {!set_entry}, {!restore}, and every terminator write that
@@ -41,7 +45,7 @@ type analysis = ..
 (** A cached CFG analysis result; each analysis adds its own constructor. *)
 
 type preds
-(** The kept predecessor lists; only this module writes them. *)
+(** The kept predecessor sets; only this module writes them. *)
 
 type t = private {
   name : string;
@@ -104,13 +108,20 @@ val set_term : t -> Block.t -> Instr.terminator -> unit
 (** [set_term f b term] replaces [b]'s terminator ([b] is a block of
     [f]): the one way to write a terminator whose successors may differ.
     When they do, it bumps [f]'s CFG generation, and [b] leaves the
-    predecessor lists of the targets it no longer reaches and joins, in
-    sorted position, those it now reaches. Any other write of
-    [Block.term] leaves the lists stale, which the verifier reports. *)
+    predecessor sets of the targets it no longer reaches and joins those
+    it now reaches, at O(log n) per edge in the size of each set. Any
+    other write of [Block.term] leaves the sets stale, which the
+    verifier reports. *)
 
 val preds_of : t -> Value.label -> Value.label list
-(** The kept predecessor list of a label, sorted; [[]] when no block
-    branches to it. [Cfg.preds_of] is this query. *)
+(** The kept predecessors of a label as a sorted list; [[]] when no
+    block branches to it. The list is built from the set on the first
+    call after the set changes, and shared until it changes again.
+    [Cfg.preds_of] is this query. *)
+
+val pred_set : t -> Value.label -> Value.Label_set.t
+(** The kept predecessors of a label as a set, for membership tests
+    that should not build the list. [Cfg.pred_set] is this query. *)
 
 val set_entry : t -> Value.label -> unit
 (** Make another block the entry; bumps the CFG generation. *)
@@ -120,8 +131,8 @@ val labels : t -> Value.label list
     removed. *)
 
 val stale_preds : t -> Value.label option
-(** The first block, in label order, whose kept predecessor list differs
-    from a fresh build from the terminators (the verifier's check). *)
+(** The first block, in label order, whose kept predecessors differ from
+    a fresh build from the terminators (the verifier's check). *)
 
 val iter_blocks : (Block.t -> unit) -> t -> unit
 (** Visit blocks in sorted label order: the labels as they were when the

@@ -29,7 +29,7 @@ let as_var = function Var v -> Some v | Imm_int _ | Imm_float _ | Undef _ -> Non
 module Int_ord = struct
   type t = int
 
-  let compare = compare
+  let compare = Int.compare
 end
 
 module Var_map = Map.Make (Int_ord)

@@ -64,7 +64,7 @@ let check f =
         List.iter
           (fun (p : Instr.phi) ->
             let inc = List.map fst p.incoming in
-            let inc_sorted = List.sort_uniq compare inc in
+            let inc_sorted = List.sort_uniq Int.compare inc in
             if List.length inc <> List.length inc_sorted then
               err "%s: phi %%%d has duplicate incoming labels" (where ()) p.dst;
             (* Entries from unreachable predecessors are tolerated (branch

@@ -16,37 +16,33 @@ let speculatable b =
 
 let side_size b = List.fold_left (fun s i -> s + Instr.size_units i) 0 b.Block.instrs
 
-(* Rewrite M's phis: entries from [t_lbl]/[f_lbl] collapse into one entry
-   from [x] whose value is a select emitted at the end of X. *)
-let collapse_phis f x cond m ~t_from ~f_from =
+(* Rewrite M's phis through [edits]: entries from [t_from]/[f_from]
+   collapse into one entry from [x] whose value is a select emitted at
+   the end of X. *)
+let collapse_phis f edits x cond m ~t_from ~f_from =
   let xb = Func.block f x in
-  let mb = Func.block f m in
-  mb.Block.phis <-
-    List.map
-      (fun (p : Instr.phi) ->
-        let vt = List.assoc_opt t_from p.incoming in
-        let vf = List.assoc_opt f_from p.incoming in
-        match vt, vf with
-        | Some vt, Some vf ->
-          let value =
-            if Value.equal vt vf then vt
-            else begin
-              Statistic.incr stat_selects;
-              let dst = Func.fresh_var ~hint:"sel" f in
-              xb.Block.instrs <-
-                xb.Block.instrs
-                @ [ Instr.Select { dst; ty = p.ty; cond; if_true = vt; if_false = vf } ];
-              Value.Var dst
-            end
-          in
-          let kept =
-            List.filter (fun (l, _) -> l <> t_from && l <> f_from) p.incoming
-          in
-          { p with incoming = kept @ [ (x, value) ] }
-        | _ -> p)
-      mb.Block.phis
+  List.iter
+    (fun phi ->
+      match Phi_edits.first phi t_from, Phi_edits.first phi f_from with
+      | Some vt, Some vf ->
+        let value =
+          if Value.equal vt vf then vt
+          else begin
+            Statistic.incr stat_selects;
+            let dst = Func.fresh_var ~hint:"sel" f in
+            let ty = (Phi_edits.phi phi).ty in
+            xb.Block.instrs <-
+              xb.Block.instrs @ [ Instr.Select { dst; ty; cond; if_true = vt; if_false = vf } ];
+            Value.Var dst
+          end
+        in
+        Phi_edits.drop edits phi t_from;
+        Phi_edits.drop edits phi f_from;
+        Phi_edits.append edits phi x value
+      | _ -> ())
+    (Phi_edits.phis edits (Func.block f m))
 
-let try_convert f ~threshold x =
+let try_convert f edits ~threshold x =
   let xb = Func.block f x in
   match xb.Block.term with
   | Instr.Cond_br { cond; if_true = t; if_false = fl } when t <> fl -> (
@@ -84,7 +80,7 @@ let try_convert f ~threshold x =
         let m = match tb.Block.term with Instr.Br m -> m | _ -> assert false in
         Func.set_term f xb (Instr.Br m);
         xb.Block.instrs <- xb.Block.instrs @ tb.Block.instrs @ fb.Block.instrs;
-        collapse_phis f x cond m ~t_from:t ~f_from:fl;
+        collapse_phis f edits x cond m ~t_from:t ~f_from:fl;
         Func.remove_block f t;
         Func.remove_block f fl;
         Statistic.incr stat_diamonds;
@@ -98,7 +94,7 @@ let try_convert f ~threshold x =
         let m = fl in
         Func.set_term f xb (Instr.Br m);
         xb.Block.instrs <- xb.Block.instrs @ tb.Block.instrs;
-        collapse_phis f x cond m ~t_from:t ~f_from:x;
+        collapse_phis f edits x cond m ~t_from:t ~f_from:x;
         Func.remove_block f t;
         Statistic.incr stat_triangles;
         Remark.applied ~pass:"if-convert" ~func:f.Func.name ~block:x
@@ -111,7 +107,7 @@ let try_convert f ~threshold x =
         let m = t in
         Func.set_term f xb (Instr.Br m);
         xb.Block.instrs <- xb.Block.instrs @ fb.Block.instrs;
-        collapse_phis f x cond m ~t_from:x ~f_from:fl;
+        collapse_phis f edits x cond m ~t_from:x ~f_from:fl;
         Func.remove_block f fl;
         Statistic.incr stat_triangles;
         Remark.applied ~pass:"if-convert" ~func:f.Func.name ~block:x
@@ -133,11 +129,12 @@ let run ~threshold f =
      predecessors may speculate, and nothing else a conversion changes
      can let another candidate convert. *)
   let changed = ref false in
+  let edits = Phi_edits.create () in
   let visit touched b =
     let x = b.Block.label in
     let parts = x :: Block.successors b in
     if List.exists (Hashtbl.mem touched) parts then [ x ]
-    else if try_convert f ~threshold x then begin
+    else if try_convert f edits ~threshold x then begin
       List.iter (fun l -> Hashtbl.replace touched l ()) parts;
       (* The merge block's preds changed too. *)
       List.iter (fun l -> Hashtbl.replace touched l ()) (Block.successors b);
@@ -147,6 +144,7 @@ let run ~threshold f =
     else []
   in
   Cfg.rounds f visit (Func.labels f);
+  Phi_edits.flush edits;
   !changed
 
 let pass_with_threshold threshold =

@@ -49,7 +49,7 @@ let ensure_preheader f (loop : Loops.loop) =
 (* Returns the loop with its exit edges retargeted to the new blocks. *)
 let ensure_dedicated_exits f (loop : Loops.loop) =
   let split = ref [] in
-  let targets = List.sort_uniq compare (List.map snd loop.exits) in
+  let targets = List.sort_uniq Int.compare (List.map snd loop.exits) in
   List.iter
     (fun s ->
       let ps = Cfg.preds_of f s in
@@ -126,7 +126,7 @@ let build_lcssa f (loop : Loops.loop) =
     f;
   if Value.Var_set.is_empty !used_outside then false
   else begin
-    let exit_targets = List.sort_uniq compare (List.map snd loop.exits) in
+    let exit_targets = List.sort_uniq Int.compare (List.map snd loop.exits) in
     match exit_targets with
     | [] -> false
     | _ :: _ :: _ ->

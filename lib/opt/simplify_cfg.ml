@@ -47,14 +47,13 @@ let simplify_phis f =
   Func.iter_blocks
     (fun b ->
       if Value.Label_set.mem b.Block.label reachable then begin
-        let ps =
-          Cfg.preds_of f b.Block.label
-          |> Value.Label_set.of_list |> Value.Label_set.inter reachable
-        in
+        let ps = Cfg.pred_set f b.Block.label in
         let simplify (p : Instr.phi) =
           (* Keep only entries from actual reachable predecessors. *)
           let incoming =
-            List.filter (fun (l, _) -> Value.Label_set.mem l ps) p.incoming
+            List.filter
+              (fun (l, _) -> Value.Label_set.mem l ps && Value.Label_set.mem l reachable)
+              p.incoming
           in
           let values =
             List.filter_map
@@ -136,8 +135,12 @@ let merge_straight_line f =
     renamed;
   !changed
 
+(* Forwarding moves every predecessor of an empty block to its
+   successor's phis; a batch makes each move cost the entries it
+   touches, not the join's whole phis. *)
 let forward_empty_blocks f =
   let changed = ref false in
+  let edits = Phi_edits.create () in
   let visit touched b =
     match b.Block.term with
     | Instr.Br s
@@ -150,9 +153,9 @@ let forward_empty_blocks f =
         match Func.find_block f s with
         | None -> []
         | Some sb ->
-          let s_preds = Cfg.preds_of f s in
+          let s_preds = Cfg.pred_set f s in
           let conflict =
-            sb.Block.phis <> [] && List.exists (fun p -> List.mem p s_preds) ps
+            sb.Block.phis <> [] && List.exists (fun p -> Value.Label_set.mem p s_preds) ps
           in
           let latch_like = List.mem s ps in
           if ps = [] || conflict || latch_like then []
@@ -168,17 +171,14 @@ let forward_empty_blocks f =
                        pb.Block.term)
                 | None -> ())
               ps;
-            sb.Block.phis <-
-              List.map
-                (fun (phi : Instr.phi) ->
-                  match List.assoc_opt b.Block.label phi.incoming with
-                  | None -> phi
-                  | Some v ->
-                    let kept =
-                      List.filter (fun (l, _) -> l <> b.Block.label) phi.incoming
-                    in
-                    { phi with incoming = kept @ List.map (fun p -> (p, v)) ps })
-                sb.Block.phis;
+            List.iter
+              (fun phi ->
+                match Phi_edits.first phi b.Block.label with
+                | None -> ()
+                | Some v ->
+                  Phi_edits.drop edits phi b.Block.label;
+                  List.iter (fun p -> Phi_edits.append edits phi p v) ps)
+              (Phi_edits.phis edits sb);
             Func.remove_block f b.Block.label;
             Hashtbl.replace touched b.Block.label ();
             Hashtbl.replace touched s ();
@@ -190,6 +190,7 @@ let forward_empty_blocks f =
     | Instr.Br _ | Instr.Cond_br _ | Instr.Ret _ | Instr.Unreachable -> []
   in
   Cfg.rounds f visit (Func.labels f);
+  Phi_edits.flush edits;
   !changed
 
 let run f =

@@ -54,7 +54,7 @@ let unroll_loop ?(exact = false) f ~header ~factor =
       end
       else begin
         let region = Value.Label_set.elements loop.blocks in
-        let exit_targets = List.sort_uniq compare (List.map snd loop.exits) in
+        let exit_targets = List.sort_uniq Int.compare (List.map snd loop.exits) in
         (* Clone u-1 copies. maps.(0) = None is the original. *)
         let maps =
           Array.init factor (fun i ->

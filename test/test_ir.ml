@@ -327,6 +327,92 @@ let prop_kept_preds =
           ok fn && Option.fold ~none:true ~some:ok !snapshot)
         ops)
 
+(* [n] fresh blocks join one label, in ascending label order, and then
+   leave it: the minor words the predecessor edits allocate. *)
+let pred_edit_words n =
+  let fn = Func.create ~name:"g" ~params:[] ~ret_ty:Types.Void in
+  let join = (Func.fresh_block fn).Block.label in
+  let blocks = List.init n (fun _ -> Func.fresh_block fn) in
+  let before = Gc.minor_words () in
+  List.iter (fun b -> Func.set_term fn b (Instr.Br join)) blocks;
+  List.iter (fun (b : Block.t) -> Func.remove_block fn b.Block.label) blocks;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.list int) "the join has no predecessors left" [] (Cfg.preds_of fn join);
+  words
+
+(* An edit at a join of n predecessors costs O(log n), so doubling the
+   fan-in about doubles the words; sorted-list edits quadruple them. *)
+let test_pred_edit_scaling () =
+  let n = 1000 in
+  let ratio = pred_edit_words (2 * n) /. pred_edit_words n in
+  if ratio > 2.5 then
+    Alcotest.failf "minor words at %d predecessors are %.2fx those at %d (limit 2.5x)" (2 * n)
+      ratio n
+
+(* Phi-entry edits, batched and as list rewrites. Labels 0-5 make
+   repeats, absent labels and a label dropped then appended again
+   common. *)
+type phi_op = Drop of int * int | First of int * int | Append of int * int * int
+
+let show_phi_op = function
+  | Drop (i, l) -> Printf.sprintf "drop phi%d bb%d" i l
+  | First (i, l) -> Printf.sprintf "first phi%d bb%d" i l
+  | Append (i, l, v) -> Printf.sprintf "append phi%d bb%d %d" i l v
+
+let phi_op_gen =
+  QCheck2.Gen.(
+    let i = int_bound 1 and l = int_bound 5 in
+    frequency
+      [
+        (2, map2 (fun i l -> Drop (i, l)) i l);
+        (2, map2 (fun i l -> First (i, l)) i l);
+        (3, map3 (fun i l v -> Append (i, l, v)) i l (int_bound 99));
+      ])
+
+let incoming_gen =
+  QCheck2.Gen.(list_size (int_bound 6) (pair (int_bound 5) (map (fun v -> 100 + v) (int_bound 99))))
+
+let show_incoming inc =
+  String.concat ", " (List.map (fun (l, v) -> Printf.sprintf "bb%d: %d" l v) inc)
+
+let prop_phi_edits =
+  QCheck2.Test.make ~name:"batched phi edits match list rewrites" ~count:500
+    ~print:(fun ((a, b), ops) ->
+      Printf.sprintf "phi0 [%s]; phi1 [%s]; %s" (show_incoming a) (show_incoming b)
+        (String.concat "; " (List.map show_phi_op ops)))
+    QCheck2.Gen.(pair (pair incoming_gen incoming_gen) (list_size (int_range 1 30) phi_op_gen))
+    (fun ((a, b), ops) ->
+      let imm = List.map (fun (l, v) -> (l, Value.i64 (Int64.of_int v))) in
+      let phi dst inc = { Instr.dst; ty = Types.I64; incoming = imm inc } in
+      let blk = Block.create 9 in
+      blk.Block.phis <- [ phi 0 a; phi 1 b ];
+      let model = [| imm a; imm b |] in
+      let edits = Phi_edits.create () in
+      let handles = Array.of_list (Phi_edits.phis edits blk) in
+      let firsts_agree =
+        List.for_all
+          (fun op ->
+            match op with
+            | Drop (i, l) ->
+              Phi_edits.drop edits handles.(i) l;
+              model.(i) <- List.filter (fun (l', _) -> l' <> l) model.(i);
+              true
+            | First (i, l) ->
+              Option.equal Value.equal (Phi_edits.first handles.(i) l) (List.assoc_opt l model.(i))
+            | Append (i, l, v) ->
+              let v = Value.i64 (Int64.of_int v) in
+              Phi_edits.append edits handles.(i) l v;
+              model.(i) <- model.(i) @ [ (l, v) ];
+              true)
+          ops
+      in
+      Phi_edits.flush edits;
+      let same (p : Instr.phi) want =
+        List.equal (fun (l, v) (l', v') -> l = l' && Value.equal v v') p.incoming want
+      in
+      firsts_agree
+      && (match blk.Block.phis with [ p0; p1 ] -> same p0 model.(0) && same p1 model.(1) | _ -> false))
+
 let suite =
   [
     ("types", `Quick, test_types);
@@ -350,4 +436,6 @@ let suite =
     ("eval unop/intrinsic", `Quick, test_eval_unop_intrinsic);
     ("eval value round trip", `Quick, test_eval_value_round_trip);
     Mutation.to_alcotest ~seed:2601 prop_kept_preds;
+    ("predecessor edits at a wide join scale near-linearly", `Quick, test_pred_edit_scaling);
+    Mutation.to_alcotest ~seed:2901 prop_phi_edits;
   ]

@@ -698,6 +698,62 @@ bb6:
 }
 |}
 
+(* Two triangles share one merge. bb1's converts first; bb3's touches
+   bb5 in the same round, so it waits for the next and appends its
+   entries after bb1's. The merge's entries and the selects come out in
+   conversion order, phi by phi; at threshold 2 bb0's diamond of the two
+   converted sides stays. *)
+let test_if_convert_two_triangles =
+  pinned (If_convert.pass_with_threshold 2)
+    ~stats:[ ("ifconvert.selects_created", 3); ("ifconvert.triangles_converted", 2) ]
+    {|
+func @k(%c: i64) -> i64 {
+bb0:
+  %t.1 = cmp slt i64 %c.0, 0:i64
+  condbr %t.1, bb1, bb3
+bb1:
+  %u.2 = cmp slt i64 %c.0, 3:i64
+  condbr %u.2, bb2, bb5
+bb2:
+  %a.3 = add i64 %c.0, 1:i64
+  br bb5
+bb3:
+  %v.4 = cmp slt i64 %c.0, 5:i64
+  condbr %v.4, bb5, bb4
+bb4:
+  %b.5 = mul i64 %c.0, 3:i64
+  br bb5
+bb5:
+  %x.6 = phi i64 [bb2: %a.3], [bb1: 7:i64], [bb4: %b.5], [bb3: 9:i64]
+  %y.7 = phi i64 [bb1: %c.0], [bb3: 2:i64], [bb2: %c.0], [bb4: %b.5]
+  %s.8 = add i64 %x.6, %y.7
+  ret %s.8
+}
+|}
+    ~expect:
+      {|func @k(%c: i64) -> i64 {
+bb0:
+  %t.1 = cmp slt i64 %c.0, 0:i64
+  condbr %t.1, bb1, bb3
+bb3:
+  %v.4 = cmp slt i64 %c.0, 5:i64
+  %b.5 = mul i64 %c.0, 3:i64
+  %sel.10 = select i64 %v.4, 9:i64, %b.5
+  %sel.11 = select i64 %v.4, 2:i64, %b.5
+  br bb5
+bb1:
+  %u.2 = cmp slt i64 %c.0, 3:i64
+  %a.3 = add i64 %c.0, 1:i64
+  %sel.9 = select i64 %u.2, %a.3, 7:i64
+  br bb5
+bb5:
+  %x.6 = phi i64 [bb1: %sel.9], [bb3: %sel.10]
+  %y.7 = phi i64 [bb1: %c.0], [bb3: %sel.11]
+  %s.8 = add i64 %x.6, %y.7
+  ret %s.8
+}
+|}
+
 let test_if_convert_diamond () =
   let fn =
     Ir_helpers.compile_one
@@ -1056,6 +1112,7 @@ let suite =
     ("simplify-cfg forward chain phi order", `Quick, test_forward_chain_phi_order);
     ("simplify-cfg merges a straight-line chain", `Quick, test_merge_straight_line_chain);
     ("if-convert stacked diamonds", `Quick, test_if_convert_stacked_diamonds);
+    ("if-convert two triangles into one merge", `Quick, test_if_convert_two_triangles);
     ("if-convert diamond", `Quick, test_if_convert_diamond);
     ("if-convert never speculates loads", `Quick, test_if_convert_skips_loads);
     ("if-convert threshold", `Quick, test_if_convert_threshold);
